@@ -12,6 +12,8 @@ class ContractViolationError(ZobarrierError, ValueError):
 class DivergedTrajectoryError(ZobarrierError):
     """A simulated trajectory produced non-finite state."""
 
+    halt_reason = "diverged"
+
     def __init__(self, step: int, message: str | None = None):
         self.step = step
         super().__init__(message or f"trajectory diverged at step {step}")
@@ -19,6 +21,8 @@ class DivergedTrajectoryError(ZobarrierError):
 
 class BudgetExhaustedError(ZobarrierError):
     """The configured measurement budget cap was hit."""
+
+    halt_reason = "budget-exhausted"
 
 
 class MarginExhaustedError(ZobarrierError):

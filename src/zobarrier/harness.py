@@ -9,7 +9,6 @@ solver relies on.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
@@ -307,6 +306,7 @@ class TrialSummary:
     total_directions: int
     wall_time: float
     halted_reason: str | None
+    halted_at: int | None = None
 
 
 @dataclass
@@ -338,34 +338,32 @@ def _atomic_write(path: Path, writer) -> None:
 
 
 def write_trace_csv(result: RunResult, problem: ProblemSpec, path: Path) -> None:
-    """Trace as CSV with ground-truth objective/constraint columns."""
+    """Trace as CSV with ground-truth objective/constraint columns.
+
+    Bytes match `csv.writer` output: CRLF line ends, floats as `repr`."""
     dim = problem.dim
     header = (
         ["k"]
         + [f"x{i}" for i in range(dim)]
         + ["alpha_hat", "g_norm", "gamma_k", "weight", "true_objective", "true_max_constraint"]
     )
+    columns = []
     if result.trace:
         points = np.stack([r.x for r in result.trace])
         values = problem.evaluate_all(points)
-        true_obj = values[:, 0]
-        true_fc = values[:, 1:].max(axis=1)
+        steps = np.array(
+            [(r.alpha_hat, r.g_norm, r.gamma, r.weight) for r in result.trace], dtype=float
+        )
+        columns = [
+            map(str, [r.k for r in result.trace]),
+            *(map(repr, col) for col in points.T.tolist()),
+            *(map(repr, col) for col in steps.T.tolist()),
+            map(repr, values[:, 0].tolist()),
+            map(repr, values[:, 1:].max(axis=1).tolist()),
+        ]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for idx, rec in enumerate(result.trace):
-            w.writerow(
-                [rec.k]
-                + [repr(float(v)) for v in rec.x]
-                + [
-                    repr(float(rec.alpha_hat)),
-                    repr(float(rec.g_norm)),
-                    repr(float(rec.gamma)),
-                    repr(float(rec.weight)),
-                    repr(float(true_obj[idx])),
-                    repr(float(true_fc[idx])),
-                ]
-            )
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
 
 
 def run_trial(
@@ -419,6 +417,7 @@ def run_trial(
         total_directions=audit.total_directions,
         wall_time=wall,
         halted_reason=result.halted_reason,
+        halted_at=result.halted_at,
     )
     return result, summary
 
@@ -731,7 +730,7 @@ def check_safety_containment(seed: int = 20260809) -> list[PropertyCheck]:
             passed=result.audit.violation_count == 0,
             statistic=float(result.audit.violation_count),
             threshold=0.0,
-            detail=f"{len(result.audit.entries)} audited points",
+            detail=f"{len(result.audit)} audited points",
         ),
         PropertyCheck(
             name="safety/step-containment",

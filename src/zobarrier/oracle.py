@@ -15,10 +15,8 @@ may be served in any order.
 
 from __future__ import annotations
 
-import csv
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,43 +103,45 @@ class MeasurementBatch:
 
 
 @dataclass
-class AuditEntry:
-    iteration: int
-    tag: str  # "base" | "perturbed"
-    sample_index: int  # 0 for base, 1..n for perturbed points
-    point: np.ndarray
-    true_max_constraint: float
-
-    @property
-    def violated(self) -> bool:
-        return self.true_max_constraint > 0.0
-
-
-@dataclass
 class SafetyAudit:
-    """Ground-truth record of every point the oracle was queried at."""
+    """Ground-truth record of every point the oracle was queried at.
 
-    entries: list[AuditEntry] = field(default_factory=list)
+    Row r is one queried point: its iteration, side (SIDE_BASE or
+    SIDE_PERTURBED), sample index (0 for the base point, 1..n for
+    perturbed points), coordinates and true max-constraint value. Rows
+    are in canonical (iteration, side, sample) order.
+    """
+
+    iterations: np.ndarray  # (P,) int
+    sides: np.ndarray  # (P,) int
+    samples: np.ndarray  # (P,) int
+    points: np.ndarray  # (P, d)
+    true_max_constraint: np.ndarray  # (P,)
     total_scalar_calls: int = 0
     total_directions: int = 0
 
+    def __len__(self) -> int:
+        return self.iterations.shape[0]
+
+    @property
+    def violated(self) -> np.ndarray:
+        """Per-row flag; a NaN or infinite true value counts as violated,
+        because an unknown value is not a certificate of safety."""
+        fc = self.true_max_constraint
+        return ~(np.isfinite(fc) & (fc <= 0.0))
+
     @property
     def violation_count(self) -> int:
-        return sum(1 for e in self.entries if e.violated)
-
-    def violations(self) -> list[AuditEntry]:
-        return [e for e in self.entries if e.violated]
-
-
-_TAG_ORDER = {"base": 0, "perturbed": 1}
+        return int(np.count_nonzero(self.violated))
 
 
 class MeasurementOracle:
     """Serves noisy measurements of one problem and audits every query.
 
-    Value computation is pure given the stream key; audit and budget
-    recording are lock-guarded appends, read back in canonical
-    (iteration, side, sample) order.
+    Value computation is pure given the stream key. The oracle is
+    single-threaded: each measurement appends one chunk of audit columns
+    (iteration, side, sample indices, points, true max-constraint), and
+    `audit` reads them back in canonical (iteration, side, sample) order.
     """
 
     def __init__(
@@ -155,10 +155,9 @@ class MeasurementOracle:
             kind="gaussian", sigma=problem.noise_sigma
         )
         self.budget_cap = budget_cap
-        self._entries: list[AuditEntry] = []
+        self._chunks: list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]] = []
         self._scalar_calls = 0
         self._directions = 0
-        self._lock = threading.Lock()
 
     # -- accounting --------------------------------------------------------
 
@@ -171,34 +170,22 @@ class MeasurementOracle:
         return self._directions
 
     def _charge(self, scalar_calls: int, directions: int = 0) -> None:
-        with self._lock:
-            if (
-                self.budget_cap is not None
-                and self._scalar_calls + scalar_calls > self.budget_cap
-            ):
-                raise BudgetExhaustedError(
-                    f"budget cap {self.budget_cap} would be exceeded "
-                    f"({self._scalar_calls} used, {scalar_calls} requested)"
-                )
-            self._scalar_calls += scalar_calls
-            self._directions += directions
+        if (
+            self.budget_cap is not None
+            and self._scalar_calls + scalar_calls > self.budget_cap
+        ):
+            raise BudgetExhaustedError(
+                f"budget cap {self.budget_cap} would be exceeded "
+                f"({self._scalar_calls} used, {scalar_calls} requested)"
+            )
+        self._scalar_calls += scalar_calls
+        self._directions += directions
 
     def _record(
-        self, iteration: int, tag: str, sample_index: int, x: np.ndarray, fc: float | None = None
+        self, iteration: int, side: int, samples: np.ndarray, points: np.ndarray, fcs: np.ndarray
     ) -> None:
-        if fc is None:
-            fc = self.problem.max_constraint(x)
-        with self._lock:
-            self._entries.append(
-                AuditEntry(iteration, tag, sample_index, np.array(x, dtype=float), float(fc))
-            )
-
-    def _record_points(self, iteration: int, tag: str, points: np.ndarray, fcs: np.ndarray) -> None:
-        with self._lock:
-            for j, (x, fc) in enumerate(zip(points, fcs)):
-                self._entries.append(
-                    AuditEntry(iteration, tag, j + 1, np.array(x, dtype=float), float(fc))
-                )
+        """Append one audit chunk; `points` must not alias caller memory."""
+        self._chunks.append((iteration, side, samples, points, fcs))
 
     # -- measurement -------------------------------------------------------
 
@@ -221,8 +208,13 @@ class MeasurementOracle:
             true_value = self.problem.objective(x)
         else:
             true_value = self.problem.constraints[i - 1](x)
-        tag = "base" if side == SIDE_BASE else "perturbed"
-        self._record(k, tag, 0 if side == SIDE_BASE else j + 1, x)
+        self._record(
+            k,
+            side,
+            np.array([0 if side == SIDE_BASE else j + 1]),
+            np.array(x, ndmin=2),
+            np.array([self.problem.max_constraint(x)]),
+        )
         return float(true_value) + float(table[j, i])
 
     def measure_base(self, x: np.ndarray, n: int, iteration: int) -> np.ndarray:
@@ -233,7 +225,8 @@ class MeasurementOracle:
         m1 = self.problem.num_constraints + 1
         self._charge(n * m1)
         true_vals = self.problem.evaluate_all(x[None, :])  # (1, m+1)
-        self._record(iteration, "base", 0, x, fc=float(true_vals[0, 1:].max()))
+        fc = true_vals[:, 1:].max(axis=1)
+        self._record(iteration, SIDE_BASE, np.zeros(1, dtype=int), np.array(x, ndmin=2), fc)
         return true_vals + self.noise.draw(iteration, SIDE_BASE, n, m1)
 
     def measure_perturbed(
@@ -251,7 +244,9 @@ class MeasurementOracle:
         self._charge(n * m1, directions=n)
         points = x[None, :] + radius * directions
         true_vals = self.problem.evaluate_all(points)  # (n, m+1)
-        self._record_points(iteration, "perturbed", points, true_vals[:, 1:].max(axis=1))
+        self._record(
+            iteration, SIDE_PERTURBED, np.arange(1, n + 1), points, true_vals[:, 1:].max(axis=1)
+        )
         return true_vals + self.noise.draw(iteration, SIDE_PERTURBED, n, m1)
 
     def measure_batch(
@@ -272,30 +267,49 @@ class MeasurementOracle:
     # -- audit ---------------------------------------------------------------
 
     def audit(self) -> SafetyAudit:
-        """Complete audit so far, in canonical (iteration, tag, sample) order."""
-        with self._lock:
-            entries = sorted(
-                self._entries,
-                key=lambda e: (e.iteration, _TAG_ORDER[e.tag], e.sample_index),
-            )
-            return SafetyAudit(
-                entries=entries,
-                total_scalar_calls=self._scalar_calls,
-                total_directions=self._directions,
-            )
+        """Complete audit so far, in canonical (iteration, side, sample) order.
+
+        The solver queries in that order already; the stable sort also
+        orders scalar `measure` calls made out of order."""
+        totals = dict(
+            total_scalar_calls=self._scalar_calls, total_directions=self._directions
+        )
+        if not self._chunks:
+            empty = np.zeros(0, dtype=int)
+            return SafetyAudit(empty, empty, empty, np.zeros((0, 0)), np.zeros(0), **totals)
+        ks, sides, samples, points, fcs = zip(*self._chunks)
+        rows = [len(s) for s in samples]
+        iterations = np.repeat(np.array(ks, dtype=np.int64), rows)
+        sides = np.repeat(np.array(sides, dtype=np.int8), rows)
+        samples = np.concatenate(samples)
+        order = np.lexsort((samples, sides, iterations))
+        return SafetyAudit(
+            iterations=iterations[order],
+            sides=sides[order],
+            samples=samples[order],
+            points=np.concatenate(points)[order],
+            true_max_constraint=np.concatenate(fcs)[order],
+            **totals,
+        )
+
+
+_TAGS = {SIDE_BASE: "base", SIDE_PERTURBED: "perturbed"}
 
 
 def write_audit_csv(audit: SafetyAudit, path) -> None:
-    """Audit as CSV: k, tag, point components, true_fc, violated."""
-    dim = audit.entries[0].point.shape[0] if audit.entries else 0
+    """Audit as CSV: k, tag, point components, true_fc, violated.
+
+    Bytes match `csv.writer` output: CRLF line ends, floats as `repr`."""
+    dim = audit.points.shape[1]
+    header = ["k", "tag"] + [f"x{i}" for i in range(dim)] + ["true_fc", "violated"]
+    columns = [
+        map(str, audit.iterations.tolist()),
+        map(_TAGS.__getitem__, audit.sides.tolist()),
+        *(map(repr, col) for col in audit.points.T.tolist()),
+        map(repr, audit.true_max_constraint.tolist()),
+        # The last column carries the line end, saving a concatenation per row.
+        map(("0\r\n", "1\r\n").__getitem__, audit.violated.tolist()),
+    ]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["k", "tag"] + [f"x{i}" for i in range(dim)] + ["true_fc", "violated"]
-        )
-        for e in audit.entries:
-            writer.writerow(
-                [e.iteration, e.tag]
-                + [repr(float(v)) for v in e.point]
-                + [repr(e.true_max_constraint), int(e.violated)]
-            )
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(map(",".join, zip(*columns)))

@@ -29,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    BudgetExhaustedError,
     ContractViolationError,
     DivergedTrajectoryError,
     MarginExhaustedError,
@@ -54,6 +55,9 @@ logger = logging.getLogger(__name__)
 N_POLICIES = ("fixed", "theoretical")
 NU_POLICIES = ("fixed", "adaptive")
 MARGIN_POLICIES = ("halt", "freeze")
+
+# Oracle failures that end a run with a named halt and the partial trace.
+_MEASUREMENT_HALTS = (DivergedTrajectoryError, BudgetExhaustedError)
 
 
 @dataclass
@@ -149,7 +153,8 @@ class RunResult:
     certificate: KktCertificate | None
     audit: object  # SafetyAudit
     residuals: KktResiduals | None = None
-    halted_reason: str | None = None  # None | "margin-exhausted" | "diverged"
+    # None | "margin-exhausted" | "diverged" | "budget-exhausted"
+    halted_reason: str | None = None
     halted_at: int | None = None
 
 
@@ -359,7 +364,8 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
     values). Margin exhaustion is handled per cfg.margin_policy: "halt"
     returns a flagged partial trace, "freeze" records a zero-weight
     iterate and re-measures next iteration. A diverged problem
-    evaluation aborts with the trace collected so far.
+    evaluation or an exhausted budget cap aborts with the trace and
+    audit collected so far.
     """
     L = problem.lipschitz
     C = cfg.C_override if cfg.C_override is not None else problem.grad_lower**2 / (8.0 * L**2)
@@ -378,8 +384,8 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
     for k in range(1, K + 1):
         try:
             base = oracle.measure_base(x, n, k)
-        except DivergedTrajectoryError:
-            halted_reason, halted_at = "diverged", k
+        except _MEASUREMENT_HALTS as exc:
+            halted_reason, halted_at = exc.halt_reason, k
             break
         fhat = confidence_bounds(base, sigma, delta_bar)
         if not start_checked:
@@ -422,8 +428,8 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
         )
         try:
             pert = oracle.measure_perturbed(x, directions, nu_k, k)
-        except DivergedTrajectoryError:
-            halted_reason, halted_at = "diverged", k
+        except _MEASUREMENT_HALTS as exc:
+            halted_reason, halted_at = exc.halt_reason, k
             break
         batch = MeasurementBatch(
             iteration=k,

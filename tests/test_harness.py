@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -14,7 +16,9 @@ from zobarrier.harness import (
     config_from_mapping,
     expand_preset,
     run_experiment,
+    run_trial,
     verify_properties,
+    write_trace_csv,
 )
 
 BASE_CONFIG = {
@@ -150,6 +154,25 @@ def test_summary_json_round_trip(tmp_path):
         json.loads((cfg.output_dir / "summary.json").read_text())
     )
     assert reloaded == summary
+    # Summaries written before halted_at existed still load.
+    old = summary.to_dict()
+    for trial in old["trials"]:
+        del trial["halted_at"]
+    assert all(t.halted_at is None for t in RunSummary.from_dict(old).trials)
+
+
+def test_budget_cap_halts_every_trial_with_partial_output(tmp_path):
+    # 24 scalar calls per iteration (n = 6, m + 1 = 2): cap 100 runs out at k = 5.
+    cfg = make_config(tmp_path, budget_cap=100)
+    summary = run_experiment(cfg)
+    assert [(t.iterations, t.halted_reason, t.halted_at) for t in summary.trials] == [
+        (4, "budget-exhausted", 5)
+    ] * 2
+    saved = json.loads((cfg.output_dir / "summary.json").read_text())
+    assert [t["halted_at"] for t in saved["trials"]] == [5, 5]
+    for t in range(2):
+        audit = (cfg.output_dir / f"trial{t:03d}_audit.csv").read_text()
+        assert audit.count("\n") == 1 + 4 * (1 + 6)
 
 
 def test_reruns_byte_identical(tmp_path):
@@ -181,6 +204,38 @@ def test_residual_fields_populated(tmp_path):
     assert trial.residual_feasibility is not None
     assert trial.residual_feasibility < 0.0  # truly feasible output
     assert trial.residual_stationarity is not None
+
+
+def legacy_trace_csv(result, problem, path):
+    """The per-row csv.writer serialization the columnar writer replaces."""
+    values = problem.evaluate_all(np.stack([r.x for r in result.trace]))
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(
+            ["k"]
+            + [f"x{i}" for i in range(problem.dim)]
+            + ["alpha_hat", "g_norm", "gamma_k", "weight", "true_objective", "true_max_constraint"]
+        )
+        for rec, row in zip(result.trace, values):
+            w.writerow(
+                [rec.k]
+                + [repr(float(v)) for v in rec.x]
+                + [repr(float(v)) for v in (rec.alpha_hat, rec.g_norm, rec.gamma, rec.weight)]
+                + [repr(float(row[0])), repr(float(row[1:].max()))]
+            )
+
+
+def test_trace_csv_matches_csv_writer_bytes(tmp_path):
+    cfg = make_config(tmp_path, algo={"max_iters": 12})
+    problem = build_problem(cfg.problem_name, cfg.problem_options)
+    result, _ = run_trial(problem, cfg, 0)
+    # A frozen iterate records alpha_hat = nan.
+    result.trace.append(dataclasses.replace(result.trace[-1], k=10**12, alpha_hat=float("nan")))
+    write_trace_csv(result, problem, tmp_path / "columnar.csv")
+    legacy_trace_csv(result, problem, tmp_path / "legacy.csv")
+    got = (tmp_path / "columnar.csv").read_bytes()
+    assert got == (tmp_path / "legacy.csv").read_bytes()
+    assert got.count(b"\r\n") == 1 + 13 and b",nan," in got
 
 
 def test_audit_csv_contents(tmp_path):

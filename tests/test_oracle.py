@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from zobarrier.errors import BudgetExhaustedError, ContractViolationError
 from zobarrier.estimator import sphere_sample
-from zobarrier.oracle import MeasurementBatch, MeasurementOracle, NoiseModel
-from zobarrier.problems import analytic_problem
+from zobarrier.oracle import MeasurementBatch, MeasurementOracle, NoiseModel, write_audit_csv
+from zobarrier.problems import ProblemSpec, analytic_problem
+from zobarrier.solver import AlgoConfig, run
 from zobarrier.streams import SIDE_BASE, SIDE_PERTURBED
 
 
@@ -103,7 +105,7 @@ def test_non_unit_direction_rejected(ball):
 
 def test_empty_audit(ball):
     audit = make_oracle(ball).audit()
-    assert audit.entries == []
+    assert len(audit) == 0
     assert audit.violation_count == 0
     assert audit.total_scalar_calls == 0
 
@@ -113,7 +115,7 @@ def test_audit_records_violation(ball):
     oracle.measure(0, np.array([2.0, 0.0]), (1, 0, SIDE_BASE))  # truly infeasible point
     audit = oracle.audit()
     assert audit.violation_count == 1
-    assert audit.entries[0].true_max_constraint == pytest.approx(3.0)
+    assert audit.true_max_constraint[0] == pytest.approx(3.0)
 
 
 def test_audit_covers_every_point_in_order(ball):
@@ -123,13 +125,12 @@ def test_audit_covers_every_point_in_order(ball):
     oracle.measure_batch(x, dirs, 0.05, iteration=1)
     oracle.measure_batch(x, dirs, 0.05, iteration=2)
     audit = oracle.audit()
-    assert len(audit.entries) == 2 * (1 + 3)
-    keys = [(e.iteration, e.tag, e.sample_index) for e in audit.entries]
-    assert keys == sorted(keys, key=lambda t: (t[0], 0 if t[1] == "base" else 1, t[2]))
-    base = audit.entries[0]
-    assert np.allclose(base.point, x)
+    assert len(audit) == 2 * (1 + 3)
+    keys = list(zip(audit.iterations.tolist(), audit.sides.tolist(), audit.samples.tolist()))
+    assert keys == sorted(keys)
+    assert np.allclose(audit.points[0], x)
     for j in range(3):
-        assert np.allclose(audit.entries[1 + j].point, x + 0.05 * dirs[j])
+        assert np.allclose(audit.points[1 + j], x + 0.05 * dirs[j])
 
 
 def test_audit_determinism(ball):
@@ -141,9 +142,108 @@ def test_audit_determinism(ball):
     a = run_queries(make_oracle(ball, sigma=0.5, seed=33))
     b = run_queries(make_oracle(ball, sigma=0.5, seed=33))
     assert a.total_scalar_calls == b.total_scalar_calls
-    for ea, eb in zip(a.entries, b.entries):
-        assert np.array_equal(ea.point, eb.point)
-        assert ea.true_max_constraint == eb.true_max_constraint
+    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a.true_max_constraint, b.true_max_constraint)
+
+
+def test_audit_sorts_out_of_order_scalar_calls(ball):
+    oracle = make_oracle(ball)
+    keys = [(2, 1, SIDE_PERTURBED), (1, 0, SIDE_PERTURBED), (2, 0, SIDE_BASE), (1, 0, SIDE_BASE)]
+    for n, key in enumerate(keys):
+        oracle.measure(0, np.array([0.1 * n, 0.0]), key)
+    audit = oracle.audit()
+    assert audit.iterations.tolist() == [1, 1, 2, 2]
+    assert audit.sides.tolist() == [SIDE_BASE, SIDE_PERTURBED, SIDE_BASE, SIDE_PERTURBED]
+    assert audit.samples.tolist() == [0, 1, 0, 2]
+    # Each point travels with its key: call n queried x0 = 0.1 * n.
+    assert np.allclose(audit.points[:, 0], [0.3, 0.1, 0.2, 0.0])
+
+
+def test_audit_keeps_points_not_caller_arrays(ball):
+    oracle = make_oracle(ball)
+    x = np.array([0.1, 0.2])
+    oracle.measure_base(x, 2, iteration=1)
+    x[:] = 0.5
+    assert np.array_equal(oracle.audit().points[0], [0.1, 0.2])
+
+
+def non_finite_problem():
+    """2-D problem whose constraint is NaN for x0 < -0.3 and -inf for
+    x0 > 0.3: unknown values, not certificates of safety."""
+
+    def constraint(x):
+        if x[0] < -0.3:
+            return np.nan
+        return -np.inf if x[0] > 0.3 else x[0] + x[1] - 1.0
+
+    return ProblemSpec(
+        name="non-finite",
+        dim=2,
+        num_constraints=1,
+        objective=lambda x: float(x @ x),
+        constraints=(constraint,),
+        lipschitz=2.0,
+        grad_lower=1.0,
+        noise_sigma=0.0,
+        safe_start=np.zeros(2),
+    )
+
+
+def test_non_finite_true_value_counts_as_violation(tmp_path):
+    oracle = make_oracle(non_finite_problem())
+    oracle.measure_base(np.array([-0.5, 0.0]), 1, iteration=1)
+    dirs = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    oracle.measure_perturbed(np.zeros(2), dirs, 0.4, iteration=1)
+    audit = oracle.audit()
+    assert audit.violated.tolist() == [True, True, True, False]
+    assert audit.violation_count == 3
+    write_audit_csv(audit, tmp_path / "audit.csv")
+    rows = (tmp_path / "audit.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[-2:] for r in rows] == [
+        ["nan", "1"],
+        ["nan", "1"],
+        ["-inf", "1"],
+        ["-0.6", "0"],
+    ]
+
+
+def legacy_audit_csv(audit, path):
+    """The per-row csv.writer serialization the columnar writer replaces."""
+    dim = audit.points.shape[1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "tag"] + [f"x{i}" for i in range(dim)] + ["true_fc", "violated"])
+        for k, side, point, fc in zip(
+            audit.iterations, audit.sides, audit.points, audit.true_max_constraint
+        ):
+            writer.writerow(
+                [int(k), "base" if side == SIDE_BASE else "perturbed"]
+                + [repr(float(v)) for v in point]
+                + [repr(float(fc)), int(not (math.isfinite(fc) and fc <= 0.0))]
+            )
+
+
+def test_audit_csv_matches_csv_writer_bytes(ball, tmp_path):
+    oracle = make_oracle(ball, sigma=0.1, seed=3)
+    run(ball, AlgoConfig(eta=0.05, max_iters=4, n_policy="fixed", n_fixed=3, seed=3), oracle)
+    # Signed zero, exponent notation, a large iteration index and a violation.
+    oracle.measure_base(np.array([-0.0, 1e-05]), 1, iteration=10**12)
+    oracle.measure_perturbed(
+        np.array([2.5e-7, -0.0]), np.array([[0.0, 1.0]]), 1e-05, iteration=10**12
+    )
+    oracle.measure_base(np.array([2.0, 0.0]), 1, iteration=10**12 + 1)
+    audit = oracle.audit()
+    assert audit.violation_count == 1
+    write_audit_csv(audit, tmp_path / "columnar.csv")
+    legacy_audit_csv(audit, tmp_path / "legacy.csv")
+    got = (tmp_path / "columnar.csv").read_bytes()
+    assert got == (tmp_path / "legacy.csv").read_bytes()
+    assert b"\r\n" in got and b"-0.0" in got and b"1e-05" in got and b"1000000000000" in got
+
+
+def test_empty_audit_csv_is_header_only(ball, tmp_path):
+    write_audit_csv(make_oracle(ball).audit(), tmp_path / "audit.csv")
+    assert (tmp_path / "audit.csv").read_bytes() == b"k,tag,true_fc,violated\r\n"
 
 
 def test_value_determinism_across_oracles(ball):

@@ -317,6 +317,21 @@ def test_budget_counters_cumulative():
     assert result.audit.total_scalar_calls == 20 * 2 * 8 * m1
 
 
+@pytest.mark.parametrize("cap, calls, audited", [(100, 96, 3 * 9), (112, 112, 3 * 9 + 1)])
+def test_budget_exhaustion_is_a_named_halt(cap, calls, audited):
+    # 32 scalar calls per iteration: cap 100 runs out at the 4th base
+    # measurement, cap 112 at the 4th perturbed one.
+    prob = analytic_problem("linear-ball", noise_sigma=0.02)
+    oracle = MeasurementOracle(prob, NoiseModel(sigma=0.02, master_seed=8), budget_cap=cap)
+    result = run(prob, ball_config(max_iters=20), oracle)
+    assert result.halted_reason == "budget-exhausted"
+    assert result.halted_at == 4
+    assert [rec.k for rec in result.trace] == [1, 2, 3]
+    assert result.certificate is None
+    assert result.audit.total_scalar_calls == calls
+    assert len(result.audit) == audited
+
+
 def test_zero_gradient_records_zero_weight():
     prob = flat_problem()
     result = run(prob, ball_config(max_iters=10, nu_policy="fixed"), make_oracle(prob))
