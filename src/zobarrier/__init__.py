@@ -16,6 +16,7 @@ from .errors import (
     ContractViolationError,
     DivergedTrajectoryError,
     MarginExhaustedError,
+    NonFiniteMeasurementError,
     NoValidOutputError,
     OutsideBarrierDomainError,
     UnknownProblemError,
@@ -23,68 +24,22 @@ from .errors import (
     UnsafeStartError,
     ZobarrierError,
 )
-from .estimator import (
-    GradEstimate,
-    barrier_gradient,
-    build_estimate,
-    confidence_bounds,
-    estimate_gradient,
-    margin,
-    sphere_sample,
-    upper_conf_bound,
-)
 from .harness import (
     ExperimentConfig,
-    PropertyCheck,
-    RunSummary,
-    TrialSummary,
     build_problem,
     config_from_mapping,
     run_experiment,
     verify_properties,
 )
-from .oracle import (
-    MeasurementBatch,
-    MeasurementOracle,
-    NoiseModel,
-    SafetyAudit,
-    write_audit_csv,
-)
+from .oracle import MeasurementOracle, NoiseModel, SafetyAudit, write_audit_csv
 from .problems import (
     ProblemSpec,
     UnicycleConfig,
     analytic_names,
     analytic_problem,
     make_unicycle_problem,
-    simulate_unicycle,
-    unicycle_constraint,
-    unicycle_objective,
 )
-from .smoothing import (
-    SmoothedEval,
-    ball_sample,
-    barrier_value_and_grad,
-    local_smoothness_bound,
-    smoothed_gradient,
-    smoothed_value,
-)
-from .solver import (
-    AlgoConfig,
-    IterateRecord,
-    KktCertificate,
-    KktResiduals,
-    RunResult,
-    certificate_from_record,
-    kkt_multipliers,
-    kkt_residuals,
-    plan_iterations,
-    required_samples,
-    run,
-    select_output,
-    sigma_big,
-    step_size,
-    step_weight,
-)
+from .solver import AlgoConfig, RunResult, run
 
 __version__ = "0.1.0"
 
@@ -95,23 +50,15 @@ __all__ = [
     "ContractViolationError",
     "DivergedTrajectoryError",
     "ExperimentConfig",
-    "GradEstimate",
-    "IterateRecord",
-    "KktCertificate",
-    "KktResiduals",
     "MarginExhaustedError",
-    "MeasurementBatch",
     "MeasurementOracle",
     "NoValidOutputError",
     "NoiseModel",
+    "NonFiniteMeasurementError",
     "OutsideBarrierDomainError",
     "ProblemSpec",
-    "PropertyCheck",
     "RunResult",
-    "RunSummary",
     "SafetyAudit",
-    "SmoothedEval",
-    "TrialSummary",
     "UnicycleConfig",
     "UnknownProblemError",
     "UnknownSuiteError",
@@ -119,35 +66,11 @@ __all__ = [
     "ZobarrierError",
     "analytic_names",
     "analytic_problem",
-    "ball_sample",
-    "barrier_gradient",
-    "barrier_value_and_grad",
-    "build_estimate",
     "build_problem",
-    "certificate_from_record",
     "config_from_mapping",
-    "confidence_bounds",
-    "estimate_gradient",
-    "kkt_multipliers",
-    "kkt_residuals",
-    "local_smoothness_bound",
     "make_unicycle_problem",
-    "margin",
-    "plan_iterations",
-    "required_samples",
     "run",
     "run_experiment",
-    "select_output",
-    "sigma_big",
-    "simulate_unicycle",
-    "smoothed_gradient",
-    "smoothed_value",
-    "sphere_sample",
-    "step_size",
-    "step_weight",
-    "unicycle_constraint",
-    "unicycle_objective",
-    "upper_conf_bound",
     "verify_properties",
     "write_audit_csv",
 ]

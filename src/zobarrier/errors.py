@@ -25,6 +25,12 @@ class BudgetExhaustedError(ZobarrierError):
     halt_reason = "budget-exhausted"
 
 
+class NonFiniteMeasurementError(ZobarrierError):
+    """A measured point's true function values contain NaN or +-inf."""
+
+    halt_reason = "non-finite"
+
+
 class MarginExhaustedError(ZobarrierError):
     """The certified safety margin is gone (upper confidence bound >= 0).
 

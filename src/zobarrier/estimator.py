@@ -1,9 +1,10 @@
-"""Gradient estimation from noisy measurement batches.
+"""Gradient estimation from noisy measurement tables.
 
-Turns one MeasurementBatch into the pieces of the barrier-gradient
-estimate: the randomized objective / max-constraint gradient estimators,
-per-constraint upper confidence bounds, the certified safety margin, and
-their assembly g = G0 + eta * Gc / alpha.
+The pieces of the barrier-gradient estimate, computed from one
+iteration's base and perturbed value tables (n, m+1): the randomized
+gradient estimator, per-constraint upper confidence bounds, the
+certified safety margin, and the combination g = G0 + eta * Gc / alpha.
+The solver assembles them (`solver.barrier_estimate`).
 
 The single-sample estimator for function f from a direction s is
 
@@ -18,29 +19,11 @@ draw on each side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolationError, MarginExhaustedError
-from .oracle import MeasurementBatch
 from .streams import as_generator
-
-OBJECTIVE = "objective"
-MAX_CONSTRAINT = "max-constraint"
-
-
-@dataclass
-class GradEstimate:
-    """Everything estimated from one batch at one iterate."""
-
-    g0: np.ndarray  # objective gradient estimate
-    gc: np.ndarray  # max-constraint gradient estimate
-    fhat: np.ndarray  # per-constraint upper confidence bounds
-    fhat_c_nu: float  # max_i fhat[i] + nu * L
-    alpha_hat: float  # certified margin |fhat_c_nu| (valid branch only)
-    n_used: int
-    nu_used: float
 
 
 def sphere_sample(d: int, n: int, rng) -> np.ndarray:
@@ -60,49 +43,22 @@ def sphere_sample(d: int, n: int, rng) -> np.ndarray:
     return vecs / norms[:, None]
 
 
-def estimate_gradient(batch: MeasurementBatch, which: str = OBJECTIVE) -> np.ndarray:
-    """Averaged randomized gradient estimate from one batch.
+def estimate_gradient(
+    base: np.ndarray, pert: np.ndarray, directions: np.ndarray, radius: float
+) -> np.ndarray:
+    """Averaged randomized gradient estimate from one value column per side.
 
-    which = "objective" differences the objective column; "max-constraint"
-    differences the per-sample noisy max over the constraint columns
-    (base and perturbed sides maxed independently).
+    base[j] = F(x, xi-) and pert[j] = F(x + radius * directions[j], xi+)
+    for samples j = 0..n-1; the column is either a function's own
+    values or the per-sample noisy max over the constraint columns.
     """
-    if batch.radius <= 0.0:
+    if radius <= 0.0:
         raise ContractViolationError("gradient estimation requires radius > 0")
-    if batch.n_samples < 1:
-        raise ContractViolationError("batch is empty")
-    if which == OBJECTIVE:
-        base = batch.base_values[:, 0]
-        pert = batch.perturbed_values[:, 0]
-    elif which == MAX_CONSTRAINT:
-        base = batch.base_values[:, 1:].max(axis=1)
-        pert = batch.perturbed_values[:, 1:].max(axis=1)
-    else:
-        raise ContractViolationError(
-            f"selector must be {OBJECTIVE!r} or {MAX_CONSTRAINT!r}"
-        )
-    d = batch.dim
-    diffs = (pert - base) / batch.radius
-    return d * (diffs @ batch.directions) / batch.n_samples
-
-
-def upper_conf_bound(values, sigma: float, delta_bar: float) -> float:
-    """Sub-Gaussian upper confidence bound on the true function value:
-
-        mean(values) + (sigma / sqrt(n)) * sqrt(ln(1/delta_bar)),
-
-    which holds with probability >= 1 - delta_bar for n independent
-    sigma^2-sub-Gaussian measurements (Hoeffding).
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size < 1:
-        raise ContractViolationError("need at least one measurement")
-    if not 0.0 < delta_bar < 1.0:
-        raise ContractViolationError("delta_bar must lie in (0, 1)")
-    if sigma < 0.0:
-        raise ContractViolationError("sigma must be nonnegative")
-    n = values.size
-    return float(values.mean() + sigma / math.sqrt(n) * math.sqrt(math.log(1.0 / delta_bar)))
+    n, d = directions.shape
+    if n < 1:
+        raise ContractViolationError("need at least one sample")
+    diffs = (pert - base) / radius
+    return d * (diffs @ directions) / n
 
 
 def confidence_bounds(base_values: np.ndarray, sigma: float, delta_bar: float) -> np.ndarray:
@@ -115,6 +71,8 @@ def confidence_bounds(base_values: np.ndarray, sigma: float, delta_bar: float) -
         raise ContractViolationError("sigma must be nonnegative")
     cons = np.asarray(base_values, dtype=float)[:, 1:]
     n = cons.shape[0]
+    if n < 1:
+        raise ContractViolationError("need at least one measurement")
     inflation = sigma / math.sqrt(n) * math.sqrt(math.log(1.0 / delta_bar))
     return cons.mean(axis=0) + inflation
 
@@ -143,20 +101,3 @@ def barrier_gradient(g0: np.ndarray, gc: np.ndarray, eta: float, alpha_hat: floa
     if eta < 0.0:
         raise ContractViolationError("eta must be nonnegative")
     return np.asarray(g0, dtype=float) + (eta / alpha_hat) * np.asarray(gc, dtype=float)
-
-
-def build_estimate(
-    batch: MeasurementBatch, sigma: float, delta_bar: float, lipschitz: float
-) -> GradEstimate:
-    """Assemble the full estimate for one batch (fixed-radius path)."""
-    fhat = confidence_bounds(batch.base_values, sigma, delta_bar)
-    fhat_c_nu, alpha_hat = margin(fhat, batch.radius, lipschitz)
-    return GradEstimate(
-        g0=estimate_gradient(batch, OBJECTIVE),
-        gc=estimate_gradient(batch, MAX_CONSTRAINT),
-        fhat=fhat,
-        fhat_c_nu=fhat_c_nu,
-        alpha_hat=alpha_hat,
-        n_used=batch.n_samples,
-        nu_used=batch.radius,
-    )

@@ -28,6 +28,7 @@ from .smoothing import smoothed_gradient, smoothed_value
 from .solver import (
     AlgoConfig,
     RunResult,
+    barrier_estimate,
     kkt_residuals,
     run,
     select_output,
@@ -503,7 +504,9 @@ def check_estimator_unbiasedness(
     (d^2/n) * (L^2 + 2 sigma^2 / nu^2) bound with n = 1 per estimate.
     All n_estimates single-sample estimates share one measurement batch:
     each (direction, base, perturbed) triple is an independent n = 1
-    estimator, so the batch's per-sample terms are the estimates.
+    estimator, so the batch's per-sample terms are the estimates, and
+    their mean is the solver's estimate for the batch with eta = 0 (the
+    objective term alone).
     """
     problem = analytic_problem("sphere-quadratic", noise_sigma=sigma)
     oracle = MeasurementOracle(
@@ -512,11 +515,12 @@ def check_estimator_unbiasedness(
     x = problem.safe_start
     d = problem.dim
     directions = sphere_sample(d, n_estimates, substream(seed, DOMAIN_MC, 0))
-    batch = oracle.measure_batch(x, directions, nu, iteration=1)
-    diffs = (batch.perturbed_values[:, 0] - batch.base_values[:, 0]) / nu
+    base = oracle.measure_base(x, n_estimates, iteration=1)
+    pert = oracle.measure_perturbed(x, directions, nu, iteration=1)
+    diffs = (pert[:, 0] - base[:, 0]) / nu
     terms = d * diffs[:, None] * directions  # (n, d) single-sample estimates
     target = np.array([2.0, 0.0])
-    mean = terms.mean(axis=0)
+    mean = barrier_estimate(base, pert, directions, nu, eta=0.0, alpha=1.0)
     se = terms.std(axis=0, ddof=1) / math.sqrt(n_estimates)
     gap = np.abs(mean - target) / se
     deviations = np.sum((terms - target) ** 2, axis=1)
@@ -633,12 +637,12 @@ def check_smoothing_properties(
         for _ in range(n_points):
             x = rng.uniform(lo_s, hi_s)
             fb = fields[int(rng.uniform() < 0.5)]
-            sv = smoothed_value(fb, x, nu, n_mc, rng, vectorized=True)
+            sv = smoothed_value(fb, x, nu, n_mc, rng)
             fx = float(fb(x[None, :])[0])
             worst_bias = max(
                 worst_bias, abs(sv.value - fx) - (nu * L + 4.0 * sv.std_err_value)
             )
-            sg = smoothed_gradient(fb, x, nu, n_mc, rng, vectorized=True)
+            sg = smoothed_gradient(fb, x, nu, n_mc, rng)
             worst_norm = max(
                 worst_norm, float(np.linalg.norm(sg.grad)) - (L + 4.0 * sg.std_err_grad)
             )
@@ -648,8 +652,8 @@ def check_smoothing_properties(
             x = rng.uniform(lo_s, hi_s)
             y = rng.uniform(lo_s, hi_s)
             fb = fields[int(rng.uniform() < 0.5)]
-            gx = smoothed_gradient(fb, x, nu, n_mc, rng, vectorized=True)
-            gy = smoothed_gradient(fb, y, nu, n_mc, rng, vectorized=True)
+            gx = smoothed_gradient(fb, x, nu, n_mc, rng)
+            gy = smoothed_gradient(fb, y, nu, n_mc, rng)
             allowance = m_nu * float(np.linalg.norm(x - y)) + 8.0 * max(
                 gx.std_err_grad, gy.std_err_grad
             )

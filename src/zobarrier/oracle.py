@@ -4,8 +4,9 @@ The oracle is the only channel through which the solver sees a problem:
 it serves F_i(x, xi) = f_i(x) + xi with fresh noise per scalar value,
 counts every call against an optional budget cap, and records a
 ground-truth feasibility audit of every queried point. The audit uses
-the problem's exact evaluators -- a test-harness privilege the solver
-never gets.
+the problem's exact evaluator -- a test-harness privilege the solver
+never gets. A measurement whose true values are not finite is audited
+and then refused with NonFiniteMeasurementError.
 
 Noise draws are keyed by (master_seed, iteration, side, sample, function
 index), never by call order, so identical query sequences from two
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExhaustedError, ContractViolationError
+from .errors import BudgetExhaustedError, ContractViolationError, NonFiniteMeasurementError
 from .problems import ProblemSpec
 from .streams import DOMAIN_NOISE, SIDE_BASE, SIDE_PERTURBED, substream
 
@@ -61,45 +62,6 @@ class NoiseModel:
             return rng.normal(0.0, self.sigma, size=(rows, cols))
         half = self.sigma * math.sqrt(3.0)
         return rng.uniform(-half, half, size=(rows, cols))
-
-
-@dataclass
-class MeasurementBatch:
-    """One iteration's worth of noisy values.
-
-    base_values[j, i] = F_i(x, xi-) and perturbed_values[j, i] =
-    F_i(x + radius * directions[j], xi+), for functions i = 0 (objective)
-    through m (constraints) and samples j = 0..n-1. The base point is
-    re-measured with fresh noise for every j (1-point bandit feedback).
-    """
-
-    iteration: int
-    base_point: np.ndarray
-    directions: np.ndarray
-    radius: float
-    base_values: np.ndarray
-    perturbed_values: np.ndarray
-
-    def __post_init__(self):
-        norms = np.linalg.norm(self.directions, axis=1)
-        if np.any(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
-            raise ContractViolationError("directions must be unit vectors")
-        if self.base_values.shape != self.perturbed_values.shape:
-            raise ContractViolationError("base/perturbed tables must match in shape")
-        if self.base_values.shape[0] != self.directions.shape[0]:
-            raise ContractViolationError("one value row per direction required")
-
-    @property
-    def n_samples(self) -> int:
-        return self.directions.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.directions.shape[1]
-
-    @property
-    def scalar_calls(self) -> int:
-        return 2 * self.base_values.size
 
 
 @dataclass
@@ -182,51 +144,31 @@ class MeasurementOracle:
         self._directions += directions
 
     def _record(
-        self, iteration: int, side: int, samples: np.ndarray, points: np.ndarray, fcs: np.ndarray
+        self, iteration: int, side: int, samples: np.ndarray, points: np.ndarray, values: np.ndarray
     ) -> None:
-        """Append one audit chunk; `points` must not alias caller memory."""
-        self._chunks.append((iteration, side, samples, points, fcs))
+        """Append one audit chunk, then refuse values that are not finite.
+
+        `points` must not alias caller memory. The chunk is appended
+        first so that the refused points are still audited (and flagged)."""
+        self._chunks.append((iteration, side, samples, points, values[:, 1:].max(axis=1)))
+        if not np.isfinite(values).all():
+            raise NonFiniteMeasurementError(
+                f"true values at iteration {iteration} are not all finite"
+            )
 
     # -- measurement -------------------------------------------------------
-
-    def measure(self, i: int, x: np.ndarray, stream_key: tuple[int, int, int]) -> float:
-        """Single noisy value F_i(x, xi) on the stream keyed by
-        (iteration, sample index, side)."""
-        x = np.asarray(x, dtype=float)
-        if not np.isfinite(x).all():
-            raise ContractViolationError("query point must be finite")
-        if not 0 <= i <= self.problem.num_constraints:
-            raise ContractViolationError(
-                f"function index {i} outside 0..{self.problem.num_constraints}"
-            )
-        k, j, side = stream_key
-        if side not in (SIDE_BASE, SIDE_PERTURBED):
-            raise ContractViolationError("side must be SIDE_BASE or SIDE_PERTURBED")
-        self._charge(1)
-        table = self.noise.draw(k, side, j + 1, self.problem.num_constraints + 1)
-        if i == 0:
-            true_value = self.problem.objective(x)
-        else:
-            true_value = self.problem.constraints[i - 1](x)
-        self._record(
-            k,
-            side,
-            np.array([0 if side == SIDE_BASE else j + 1]),
-            np.array(x, ndmin=2),
-            np.array([self.problem.max_constraint(x)]),
-        )
-        return float(true_value) + float(table[j, i])
 
     def measure_base(self, x: np.ndarray, n: int, iteration: int) -> np.ndarray:
         """n fresh noisy measurements of every function at x; (n, m+1)."""
         x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            raise ContractViolationError("query point must be finite")
         if n < 1:
             raise ContractViolationError("need n >= 1 base samples")
         m1 = self.problem.num_constraints + 1
         self._charge(n * m1)
         true_vals = self.problem.evaluate_all(x[None, :])  # (1, m+1)
-        fc = true_vals[:, 1:].max(axis=1)
-        self._record(iteration, SIDE_BASE, np.zeros(1, dtype=int), np.array(x, ndmin=2), fc)
+        self._record(iteration, SIDE_BASE, np.zeros(1, dtype=int), np.array(x, ndmin=2), true_vals)
         return true_vals + self.noise.draw(iteration, SIDE_BASE, n, m1)
 
     def measure_perturbed(
@@ -240,29 +182,15 @@ class MeasurementOracle:
         norms = np.linalg.norm(directions, axis=1)
         if np.any(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
             raise ContractViolationError("directions must be unit vectors")
+        points = x[None, :] + radius * directions
+        # Checking the displaced points also catches a NaN radius.
+        if not np.isfinite(points).all():
+            raise ContractViolationError("query points must be finite")
         n, m1 = directions.shape[0], self.problem.num_constraints + 1
         self._charge(n * m1, directions=n)
-        points = x[None, :] + radius * directions
         true_vals = self.problem.evaluate_all(points)  # (n, m+1)
-        self._record(
-            iteration, SIDE_PERTURBED, np.arange(1, n + 1), points, true_vals[:, 1:].max(axis=1)
-        )
+        self._record(iteration, SIDE_PERTURBED, np.arange(1, n + 1), points, true_vals)
         return true_vals + self.noise.draw(iteration, SIDE_PERTURBED, n, m1)
-
-    def measure_batch(
-        self, x: np.ndarray, directions: np.ndarray, radius: float, iteration: int
-    ) -> MeasurementBatch:
-        """Full batch: base and perturbed tables with independent noise."""
-        base = self.measure_base(x, np.asarray(directions).shape[0], iteration)
-        pert = self.measure_perturbed(x, directions, radius, iteration)
-        return MeasurementBatch(
-            iteration=iteration,
-            base_point=np.array(x, dtype=float),
-            directions=np.array(directions, dtype=float),
-            radius=float(radius),
-            base_values=base,
-            perturbed_values=pert,
-        )
 
     # -- audit ---------------------------------------------------------------
 
@@ -270,7 +198,7 @@ class MeasurementOracle:
         """Complete audit so far, in canonical (iteration, side, sample) order.
 
         The solver queries in that order already; the stable sort also
-        orders scalar `measure` calls made out of order."""
+        orders measurements made out of order."""
         totals = dict(
             total_scalar_calls=self._scalar_calls, total_directions=self._directions
         )

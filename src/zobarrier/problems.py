@@ -1,9 +1,10 @@
 """Benchmark problems with exact (noiseless) evaluators.
 
 A problem is an objective plus m constraint fields f_i(x) <= 0 on R^d,
-a strictly feasible start point, and declared Lipschitz constants. The
-exact evaluators are ground truth: the measurement oracle adds noise on
-top of them and the safety audit judges feasibility against them. The
+a strictly feasible start point, and declared Lipschitz constants. One
+batched exact evaluator serves all m+1 fields and is ground truth: the
+measurement oracle adds noise on top of it and the safety audit judges
+feasibility against it. The
 solver itself only ever sees noisy measurements.
 
 Two families live here: the unicycle controller-design task (optimize a
@@ -22,13 +23,13 @@ import numpy as np
 
 from .errors import ContractViolationError, DivergedTrajectoryError, UnknownProblemError
 
-Field = Callable[[np.ndarray], float]
-
 
 @dataclass
 class ProblemSpec:
     """A constrained minimization problem: min f0(x) s.t. f_i(x) <= 0.
 
+    eval_all maps a (P, d) array of points to the (P, m+1) table of
+    [f0, f1, ..., fm] at each row; it is the problem's only evaluator.
     lipschitz is a common Lipschitz bound for the objective and every
     constraint over `box`; grad_lower is the declared lower bound on the
     smoothed max-constraint gradient norm near the boundary. Both are
@@ -38,14 +39,12 @@ class ProblemSpec:
     name: str
     dim: int
     num_constraints: int
-    objective: Field
-    constraints: tuple[Field, ...]
+    eval_all: Callable[[np.ndarray], np.ndarray]
     lipschitz: float
     grad_lower: float
     noise_sigma: float
     safe_start: np.ndarray
     box: tuple[np.ndarray, np.ndarray] | None = None
-    eval_all: Callable[[np.ndarray], np.ndarray] | None = None
     objective_grad: Callable[[np.ndarray], np.ndarray] | None = None
     constraint_grads: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
     solution: dict | None = None
@@ -64,8 +63,6 @@ class ProblemSpec:
             raise ContractViolationError("need 0 < grad_lower <= lipschitz")
         if self.noise_sigma < 0.0:
             raise ContractViolationError("noise_sigma must be nonnegative")
-        if len(self.constraints) != self.num_constraints:
-            raise ContractViolationError("constraints length != num_constraints")
         worst = self.max_constraint(self.safe_start)
         if not worst < 0.0:
             raise ContractViolationError(
@@ -77,19 +74,12 @@ class ProblemSpec:
     def evaluate_all(self, points: np.ndarray) -> np.ndarray:
         """Evaluate [f0, f1, ..., fm] at each row of `points`; (P, m+1)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.eval_all is not None:
-            out = np.asarray(self.eval_all(points), dtype=float)
-            if out.shape != (points.shape[0], self.num_constraints + 1):
-                raise ContractViolationError(
-                    f"eval_all returned shape {out.shape}, expected "
-                    f"({points.shape[0]}, {self.num_constraints + 1})"
-                )
-            return out
-        out = np.empty((points.shape[0], self.num_constraints + 1))
-        for p, x in enumerate(points):
-            out[p, 0] = self.objective(x)
-            for i, g in enumerate(self.constraints):
-                out[p, i + 1] = g(x)
+        out = np.asarray(self.eval_all(points), dtype=float)
+        if out.shape != (points.shape[0], self.num_constraints + 1):
+            raise ContractViolationError(
+                f"eval_all returned shape {out.shape}, expected "
+                f"({points.shape[0]}, {self.num_constraints + 1})"
+            )
         return out
 
     def objective_value(self, x: np.ndarray) -> float:
@@ -165,7 +155,8 @@ def _step(q: np.ndarray, v: np.ndarray, omega: np.ndarray, dt: float) -> np.ndar
 
     with sinc(z) = sin(z)/z, sinc(0) = 1, which reproduces the
     continuous-time arc for any dt (straight line in the omega -> 0
-    limit). Vectorized over leading axes of q / v / omega.
+    limit). Vectorized over leading axes of q / v / omega; a single
+    state (3,) with scalar inputs gives one update.
     """
     half = 0.5 * dt * omega
     ds = v * dt * np.sinc(half / np.pi)  # np.sinc(z/pi) = sin(z)/z
@@ -175,13 +166,9 @@ def _step(q: np.ndarray, v: np.ndarray, omega: np.ndarray, dt: float) -> np.ndar
     )
 
 
-def unicycle_step(q, v: float, omega: float, dt: float) -> np.ndarray:
-    """One exact-integration update for a single state and input pair."""
-    return _step(np.asarray(q, dtype=float), float(v), float(omega), dt)
-
-
 def simulate_unicycle_batch(gains: np.ndarray, cfg: UnicycleConfig) -> np.ndarray:
-    """Simulate a batch of gains; returns states of shape (B, T+1, 3).
+    """Simulate a batch of gains (B, 2, 3), or one 2x3 gain as a batch of
+    one; returns states of shape (B, T+1, 3).
 
     Control is u_{t+1} = U q_t, or U (q_t - q_goal) in error-feedback
     mode, clamped componentwise; the state advances by the exact
@@ -212,27 +199,6 @@ def simulate_unicycle_batch(gains: np.ndarray, cfg: UnicycleConfig) -> np.ndarra
         bad = np.flatnonzero(~np.isfinite(traj).all(axis=(0, 2)))
         raise DivergedTrajectoryError(int(bad[0]))
     return traj
-
-
-def simulate_unicycle(gain: np.ndarray, cfg: UnicycleConfig) -> np.ndarray:
-    """Single-gain trajectory, shape (T+1, 3)."""
-    return simulate_unicycle_batch(np.asarray(gain, dtype=float)[None], cfg)[0]
-
-
-def unicycle_objective(gain: np.ndarray, cfg: UnicycleConfig) -> float:
-    """Mean squared state distance to the goal: (1/T) sum_t |q_t - q_B|^2."""
-    traj = simulate_unicycle(gain, cfg)
-    diff = traj[1:] - np.asarray(cfg.goal, dtype=float)
-    return float(np.mean(np.sum(diff * diff, axis=1)))
-
-
-def unicycle_constraint(gain: np.ndarray, t: int, cfg: UnicycleConfig) -> float:
-    """Obstacle clearance at step t: r^2 - |p_t - center|^2 (negative = safe)."""
-    if not 1 <= t <= cfg.horizon:
-        raise ContractViolationError(f"step index {t} outside 1..{cfg.horizon}")
-    traj = simulate_unicycle(gain, cfg)
-    diff = traj[t, :2] - np.asarray(cfg.obstacle_center, dtype=float)
-    return float(cfg.obstacle_radius**2 - diff @ diff)
 
 
 def make_unicycle_problem(
@@ -270,24 +236,16 @@ def make_unicycle_problem(
         cons = r2 - np.sum(pdiff * pdiff, axis=2)
         return np.concatenate([obj[:, None], cons], axis=1)
 
-    def objective(x: np.ndarray) -> float:
-        return unicycle_objective(x.reshape(2, 3), cfg)
-
-    def make_con(t: int) -> Field:
-        return lambda x: unicycle_constraint(x.reshape(2, 3), t, cfg)
-
     return ProblemSpec(
         name=name,
         dim=6,
         num_constraints=T,
-        objective=objective,
-        constraints=tuple(make_con(t) for t in range(1, T + 1)),
+        eval_all=eval_all,
         lipschitz=lipschitz,
         grad_lower=grad_lower,
         noise_sigma=noise_sigma,
         safe_start=x0,
         box=(x0 - box_halfwidth, x0 + box_halfwidth),
-        eval_all=eval_all,
     )
 
 
@@ -312,14 +270,12 @@ def _linear_ball(noise_sigma: float) -> ProblemSpec:
         name="linear-ball",
         dim=2,
         num_constraints=1,
-        objective=lambda x: float(c @ x),
-        constraints=(lambda x: float(x @ x - 1.0),),
+        eval_all=eval_all,
         lipschitz=3.5,
         grad_lower=1.0,
         noise_sigma=noise_sigma,
         safe_start=np.zeros(2),
         box=(lo, -lo),
-        eval_all=eval_all,
         objective_grad=lambda x: c.copy(),
         constraint_grads=(lambda x: 2.0 * x,),
         solution={
@@ -347,14 +303,12 @@ def _quadratic_halfspace(noise_sigma: float) -> ProblemSpec:
         name="quadratic-halfspace",
         dim=2,
         num_constraints=1,
-        objective=lambda x: float((x - xbar) @ (x - xbar)),
-        constraints=(lambda x: float(a @ x - b),),
+        eval_all=eval_all,
         lipschitz=8.0,
         grad_lower=1.0,
         noise_sigma=noise_sigma,
         safe_start=np.zeros(2),
         box=(lo, -lo),
-        eval_all=eval_all,
         objective_grad=lambda x: 2.0 * (x - xbar),
         constraint_grads=(lambda x: a.copy(),),
         solution={
@@ -391,17 +345,12 @@ def _smooth_two_constraints(noise_sigma: float) -> ProblemSpec:
         name="smooth-2con",
         dim=2,
         num_constraints=2,
-        objective=lambda x: float(-x[1]),
-        constraints=(
-            lambda x: float((x - c1) @ (x - c1) - 1.0),
-            lambda x: float((x - c2) @ (x - c2) - 1.0),
-        ),
+        eval_all=eval_all,
         lipschitz=3.7,
         grad_lower=1.4,
         noise_sigma=noise_sigma,
         safe_start=np.array([0.5, 0.0]),
         box=(np.array([-0.5, -1.05]), np.array([1.5, 1.05])),
-        eval_all=eval_all,
         objective_grad=lambda x: np.array([0.0, -1.0]),
         constraint_grads=(lambda x: 2.0 * (x - c1), lambda x: 2.0 * (x - c2)),
         solution={
@@ -425,14 +374,12 @@ def _sphere_quadratic(noise_sigma: float) -> ProblemSpec:
         name="sphere-quadratic",
         dim=2,
         num_constraints=1,
-        objective=lambda x: float(x @ x),
-        constraints=(lambda x: float(x @ x - 25.0),),
+        eval_all=eval_all,
         lipschitz=3.6,
         grad_lower=2.0,
         noise_sigma=noise_sigma,
         safe_start=np.array([1.0, 0.0]),
         box=(lo, -lo),
-        eval_all=eval_all,
         objective_grad=lambda x: 2.0 * x,
         constraint_grads=(lambda x: 2.0 * x,),
         solution={

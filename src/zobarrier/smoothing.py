@@ -43,23 +43,18 @@ def ball_sample(d: int, n: int, rng) -> np.ndarray:
     return dirs * radii[:, None]
 
 
-def _eval_field(f, points: np.ndarray, vectorized: bool) -> np.ndarray:
-    if vectorized:
-        return np.asarray(f(points), dtype=float)
-    return np.array([f(p) for p in points], dtype=float)
-
-
 def smoothed_value(
-    f, x: np.ndarray, nu: float, n_mc: int, rng, vectorized: bool = False
+    f, x: np.ndarray, nu: float, n_mc: int, rng
 ) -> SmoothedEval:
-    """Monte-Carlo estimate of f_nu(x) over uniform-ball displacements."""
+    """Monte-Carlo estimate of f_nu(x) over uniform-ball displacements;
+    f maps a (P, d) array of points to their (P,) values."""
     if nu < 0.0:
         raise ContractViolationError("nu must be nonnegative")
     if n_mc < 1:
         raise ContractViolationError("n_mc must be >= 1")
     x = np.asarray(x, dtype=float)
     b = ball_sample(x.size, n_mc, rng)
-    vals = _eval_field(f, x[None, :] + nu * b, vectorized)
+    vals = np.asarray(f(x[None, :] + nu * b), dtype=float)
     se = float(vals.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else float("inf")
     return SmoothedEval(
         value=float(vals.mean()), grad=None, n_mc=n_mc, std_err_value=se, std_err_grad=None
@@ -67,9 +62,10 @@ def smoothed_value(
 
 
 def smoothed_gradient(
-    f, x: np.ndarray, nu: float, n_mc: int, rng, vectorized: bool = False
+    f, x: np.ndarray, nu: float, n_mc: int, rng
 ) -> SmoothedEval:
-    """Monte-Carlo estimate of grad f_nu(x) via sphere sampling."""
+    """Monte-Carlo estimate of grad f_nu(x) via sphere sampling; f is
+    batched as in smoothed_value."""
     if nu <= 0.0:
         raise ContractViolationError("gradient smoothing requires nu > 0")
     if n_mc < 1:
@@ -77,8 +73,8 @@ def smoothed_gradient(
     x = np.asarray(x, dtype=float)
     d = x.size
     s = sphere_sample(d, n_mc, rng)
-    fx = _eval_field(f, x[None, :], vectorized)[0]
-    vals = _eval_field(f, x[None, :] + nu * s, vectorized)
+    fx = np.asarray(f(x[None, :]), dtype=float)[0]
+    vals = np.asarray(f(x[None, :] + nu * s), dtype=float)
     terms = (d / nu) * (vals - fx)[:, None] * s  # (n, d)
     grad = terms.mean(axis=0)
     if n_mc > 1:
@@ -104,29 +100,15 @@ def barrier_value_and_grad(
     gen = as_generator(rng)
     f0 = problem.objective_batch
     fc = problem.max_constraint_batch
-    v0 = smoothed_value(f0, x, nu, n_mc, gen, vectorized=True)
-    vc = smoothed_value(fc, x, nu, n_mc, gen, vectorized=True)
+    v0 = smoothed_value(f0, x, nu, n_mc, gen)
+    vc = smoothed_value(fc, x, nu, n_mc, gen)
     if not vc.value + 4.0 * vc.std_err_value < 0.0:
         raise OutsideBarrierDomainError(
             f"smoothed max-constraint {vc.value:.6g} +- {vc.std_err_value:.2g} "
             "not certifiably negative"
         )
-    g0 = smoothed_gradient(f0, x, nu, n_mc, gen, vectorized=True)
-    gc = smoothed_gradient(fc, x, nu, n_mc, gen, vectorized=True)
+    g0 = smoothed_gradient(f0, x, nu, n_mc, gen)
+    gc = smoothed_gradient(fc, x, nu, n_mc, gen)
     value = v0.value - eta * math.log(-vc.value)
     grad = g0.grad + eta * gc.grad / (-vc.value)
     return value, grad
-
-
-def local_smoothness_bound(alpha_hat: float, eta: float, nu: float, lipschitz: float, d: int) -> float:
-    """Bound on the local gradient-Lipschitz constant of the smoothed
-    barrier at a point with certified margin alpha_hat:
-
-        (sqrt(d)*L/nu) * (1 + 2*eta/alpha) + 4*L^2*eta/alpha^2,
-
-    where sqrt(d)*L/nu bounds the smoothness of the smoothed fields.
-    """
-    if alpha_hat <= 0.0 or nu <= 0.0:
-        raise ContractViolationError("alpha_hat and nu must be positive")
-    m_nu = math.sqrt(d) * lipschitz / nu
-    return m_nu * (1.0 + 2.0 * eta / alpha_hat) + 4.0 * lipschitz**2 * eta / alpha_hat**2

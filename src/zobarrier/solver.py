@@ -33,19 +33,18 @@ from .errors import (
     ContractViolationError,
     DivergedTrajectoryError,
     MarginExhaustedError,
+    NonFiniteMeasurementError,
     NoValidOutputError,
     UnsafeStartError,
 )
 from .estimator import (
-    MAX_CONSTRAINT,
-    OBJECTIVE,
     barrier_gradient,
     confidence_bounds,
     estimate_gradient,
     margin,
     sphere_sample,
 )
-from .oracle import MeasurementBatch, MeasurementOracle
+from .oracle import MeasurementOracle
 from .problems import ProblemSpec
 from .smoothing import smoothed_gradient
 from .streams import DOMAIN_DIRECTIONS, DOMAIN_OUTPUT, as_generator, substream
@@ -57,7 +56,7 @@ NU_POLICIES = ("fixed", "adaptive")
 MARGIN_POLICIES = ("halt", "freeze")
 
 # Oracle failures that end a run with a named halt and the partial trace.
-_MEASUREMENT_HALTS = (DivergedTrajectoryError, BudgetExhaustedError)
+_MEASUREMENT_HALTS = (DivergedTrajectoryError, BudgetExhaustedError, NonFiniteMeasurementError)
 
 
 @dataclass
@@ -153,7 +152,7 @@ class RunResult:
     certificate: KktCertificate | None
     audit: object  # SafetyAudit
     residuals: KktResiduals | None = None
-    # None | "margin-exhausted" | "diverged" | "budget-exhausted"
+    # None | "margin-exhausted" | "diverged" | "budget-exhausted" | "non-finite"
     halted_reason: str | None = None
     halted_at: int | None = None
 
@@ -319,13 +318,13 @@ def kkt_residuals(
     else:
         gen = as_generator(rng)
         grad = smoothed_gradient(
-            problem.objective_batch, x, nu, n_mc, gen, vectorized=True
+            problem.objective_batch, x, nu, n_mc, gen
         ).grad.copy()
         for i, lam_i in enumerate(lam):
             if lam_i != 0.0:
                 field_i = lambda pts, i=i: problem.evaluate_all(pts)[:, i + 1]
                 grad += lam_i * smoothed_gradient(
-                    field_i, x, nu, n_mc, gen, vectorized=True
+                    field_i, x, nu, n_mc, gen
                 ).grad
     return KktResiduals(r1, r2, float(np.linalg.norm(grad)))
 
@@ -333,6 +332,18 @@ def kkt_residuals(
 # ---------------------------------------------------------------------------
 # Main loop
 # ---------------------------------------------------------------------------
+
+
+def barrier_estimate(
+    base: np.ndarray, pert: np.ndarray, directions: np.ndarray, nu: float, eta: float, alpha: float
+) -> np.ndarray:
+    """Barrier-gradient estimate g = G0 + (eta / alpha) * Gc from one
+    iteration's base and perturbed tables (n, m+1): G0 differences the
+    objective column, Gc the per-sample noisy max of the constraint
+    columns (each side maxed within its own noise draw)."""
+    g0 = estimate_gradient(base[:, 0], pert[:, 0], directions, nu)
+    gc = estimate_gradient(base[:, 1:].max(axis=1), pert[:, 1:].max(axis=1), directions, nu)
+    return barrier_gradient(g0, gc, eta, alpha)
 
 
 def resolve_sample_count(problem: ProblemSpec, cfg: AlgoConfig, sigma: float) -> int:
@@ -364,8 +375,9 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
     values). Margin exhaustion is handled per cfg.margin_policy: "halt"
     returns a flagged partial trace, "freeze" records a zero-weight
     iterate and re-measures next iteration. A diverged problem
-    evaluation or an exhausted budget cap aborts with the trace and
-    audit collected so far.
+    evaluation, an exhausted budget cap or a measurement whose true
+    values are not finite aborts with the trace and audit collected so
+    far.
     """
     L = problem.lipschitz
     C = cfg.C_override if cfg.C_override is not None else problem.grad_lower**2 / (8.0 * L**2)
@@ -395,6 +407,7 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
                     f"{fhat.max():.6g} >= 0"
                 )
             start_checked = True
+        frozen = False
         try:
             if cfg.nu_policy == "adaptive":
                 nu_k, alpha = _adaptive_margin(float(fhat.max()), cfg.eta, L)
@@ -406,63 +419,24 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
                 logger.warning("margin exhausted at iteration %d: %s", k, exc)
                 halted_reason, halted_at = "margin-exhausted", k
                 break
-            records.append(
-                IterateRecord(
-                    k=k,
-                    x=x.copy(),
-                    alpha_hat=float("nan"),
-                    g=np.zeros_like(x),
-                    g_norm=0.0,
-                    gamma=0.0,
-                    weight=0.0,
-                    nu=float("nan"),
-                    fhat=fhat,
-                    scalar_calls_so_far=oracle.total_scalar_calls,
-                    directions_so_far=oracle.total_directions,
-                    frozen=True,
-                )
+            frozen, nu_k, alpha, g = True, math.nan, math.nan, np.zeros_like(x)
+        if not frozen:
+            directions = sphere_sample(
+                problem.dim, n, substream(cfg.seed, DOMAIN_DIRECTIONS, k)
             )
-            continue
-        directions = sphere_sample(
-            problem.dim, n, substream(cfg.seed, DOMAIN_DIRECTIONS, k)
-        )
-        try:
-            pert = oracle.measure_perturbed(x, directions, nu_k, k)
-        except _MEASUREMENT_HALTS as exc:
-            halted_reason, halted_at = exc.halt_reason, k
-            break
-        batch = MeasurementBatch(
-            iteration=k,
-            base_point=x.copy(),
-            directions=directions,
-            radius=nu_k,
-            base_values=base,
-            perturbed_values=pert,
-        )
-        g0 = estimate_gradient(batch, OBJECTIVE)
-        gc = estimate_gradient(batch, MAX_CONSTRAINT)
-        g = barrier_gradient(g0, gc, cfg.eta, alpha)
+            try:
+                pert = oracle.measure_perturbed(x, directions, nu_k, k)
+            except _MEASUREMENT_HALTS as exc:
+                halted_reason, halted_at = exc.halt_reason, k
+                break
+            g = barrier_estimate(base, pert, directions, nu_k, cfg.eta, alpha)
         g_norm = float(np.linalg.norm(g))
-        if g_norm == 0.0:
-            # No direction information; weight 0 removes it from output sampling.
-            records.append(
-                IterateRecord(
-                    k=k,
-                    x=x.copy(),
-                    alpha_hat=alpha,
-                    g=g,
-                    g_norm=0.0,
-                    gamma=0.0,
-                    weight=0.0,
-                    nu=nu_k,
-                    fhat=fhat,
-                    scalar_calls_so_far=oracle.total_scalar_calls,
-                    directions_so_far=oracle.total_directions,
-                )
-            )
-            continue
-        weight = step_weight(k, alpha, L)
-        gamma = weight / g_norm
+        # A zero gradient (always so when frozen) carries no direction
+        # information; weight 0 removes it from output sampling.
+        weight = gamma = 0.0
+        if g_norm != 0.0:
+            weight = step_weight(k, alpha, L)
+            gamma = weight / g_norm
         records.append(
             IterateRecord(
                 k=k,
@@ -476,9 +450,11 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
                 fhat=fhat,
                 scalar_calls_so_far=oracle.total_scalar_calls,
                 directions_so_far=oracle.total_directions,
+                frozen=frozen,
             )
         )
-        x = x - gamma * g
+        if g_norm != 0.0:
+            x = x - gamma * g
 
     certificate = None
     if halted_reason is None and records:

@@ -214,7 +214,6 @@ def test_criterion_08_convergence_quality(ball_bundle):
             nu_r,
             200_000,
             substream(seed, DOMAIN_MC, 101),
-            vectorized=True,
         )
         complementarities.append(cert.lambda_scalar * (-ref.value))
         r_out = kkt_residuals(problem, cert, nu_r)

@@ -5,32 +5,27 @@ import pytest
 
 from zobarrier.errors import ContractViolationError, MarginExhaustedError
 from zobarrier.estimator import (
-    MAX_CONSTRAINT,
-    OBJECTIVE,
     barrier_gradient,
-    build_estimate,
     confidence_bounds,
     estimate_gradient,
     margin,
     sphere_sample,
-    upper_conf_bound,
 )
-from zobarrier.oracle import MeasurementBatch, MeasurementOracle, NoiseModel
+from zobarrier.oracle import MeasurementOracle, NoiseModel
 from zobarrier.problems import analytic_problem
+from zobarrier.solver import barrier_estimate
 from zobarrier.streams import substream
 
 
-def make_batch(directions, base, pert, radius=0.1, x=None):
-    directions = np.asarray(directions, dtype=float)
-    d = directions.shape[1]
-    return MeasurementBatch(
-        iteration=1,
-        base_point=np.zeros(d) if x is None else np.asarray(x, dtype=float),
-        directions=directions,
-        radius=radius,
-        base_values=np.asarray(base, dtype=float),
-        perturbed_values=np.asarray(pert, dtype=float),
-    )
+def measure_iteration(oracle, x, directions, radius, iteration):
+    """Base and perturbed tables of one iteration, as the solver takes them."""
+    base = oracle.measure_base(x, len(directions), iteration)
+    return base, oracle.measure_perturbed(x, directions, radius, iteration)
+
+
+def max_columns(base, pert):
+    """Per-sample noisy max over the constraint columns, on each side."""
+    return base[:, 1:].max(axis=1), pert[:, 1:].max(axis=1)
 
 
 # -- sphere sampling ---------------------------------------------------------
@@ -70,19 +65,15 @@ def test_sphere_contract_violations():
 def test_constant_function_gives_zero_gradient():
     dirs = sphere_sample(3, 8, 0)
     vals = np.full((8, 2), 4.2)
-    batch = make_batch(dirs, vals, vals)
-    assert np.array_equal(estimate_gradient(batch, OBJECTIVE), np.zeros(3))
-    assert np.array_equal(estimate_gradient(batch, MAX_CONSTRAINT), np.zeros(3))
+    assert np.array_equal(estimate_gradient(vals[:, 0], vals[:, 0], dirs, 0.1), np.zeros(3))
+    assert np.array_equal(estimate_gradient(*max_columns(vals, vals), dirs, 0.1), np.zeros(3))
 
 
 def test_linear_function_single_sample_exact():
     # f(x) = a x in one dimension: d * (f(x + nu s) - f(x))/nu * s = a s^2 = a.
     a = 1.7
     for s in (1.0, -1.0):
-        batch = make_batch(
-            [[s]], [[0.0, -1.0]], [[a * 0.1 * s, -1.0]], radius=0.1
-        )
-        g = estimate_gradient(batch, OBJECTIVE)
+        g = estimate_gradient(np.array([0.0]), np.array([a * 0.1 * s]), np.array([[s]]), 0.1)
         assert g[0] == pytest.approx(a, rel=1e-12)
 
 
@@ -94,58 +85,65 @@ def test_quadratic_mean_matches_true_gradient():
     oracle = MeasurementOracle(prob, NoiseModel(kind="none", sigma=0.0))
     x = np.array([1.0, 0.0])
     dirs = sphere_sample(2, 1_000_000, 3)
-    batch = oracle.measure_batch(x, dirs, 0.1, iteration=1)
-    g = estimate_gradient(batch, OBJECTIVE)
-    terms = 2 * ((batch.perturbed_values[:, 0] - batch.base_values[:, 0]) / 0.1)[
-        :, None
-    ] * dirs
+    base, pert = measure_iteration(oracle, x, dirs, 0.1, 1)
+    g = estimate_gradient(base[:, 0], pert[:, 0], dirs, 0.1)
+    terms = 2 * ((pert[:, 0] - base[:, 0]) / 0.1)[:, None] * dirs
     se = terms.std(axis=0, ddof=1) / math.sqrt(len(dirs))
     assert np.all(np.abs(g - np.array([2.0, 0.0])) <= 3.0 * se)
 
 
 def test_noisy_max_pairing():
-    # The max-constraint selector takes the max across constraint columns
+    # The max-constraint estimate takes the max across constraint columns
     # per sample and per side, then differences.
     dirs = np.array([[1.0, 0.0], [0.0, 1.0]])
     base = np.array([[9.0, -1.0, -3.0], [9.0, -4.0, -2.0]])  # maxes: -1, -2
     pert = np.array([[9.0, -2.0, -0.5], [9.0, -1.0, -6.0]])  # maxes: -0.5, -1
-    batch = make_batch(dirs, base, pert, radius=0.5)
     expected = 2.0 / 0.5 * (
         (-0.5 - -1.0) * dirs[0] + (-1.0 - -2.0) * dirs[1]
     ) / 2.0
-    assert np.allclose(estimate_gradient(batch, MAX_CONSTRAINT), expected, atol=1e-14)
+    assert np.allclose(estimate_gradient(*max_columns(base, pert), dirs, 0.5), expected, atol=1e-14)
+    # The assembled estimate uses the same pairing: with a zero objective
+    # column, g = (eta / alpha) * Gc.
+    base[:, 0] = pert[:, 0] = 0.0
+    g = barrier_estimate(base, pert, dirs, 0.5, eta=0.5, alpha=0.25)
+    assert np.allclose(g, 2.0 * expected, atol=1e-14)
 
 
 def test_estimate_gradient_contracts():
     dirs = sphere_sample(2, 2, 0)
-    batch = make_batch(dirs, np.zeros((2, 2)), np.zeros((2, 2)), radius=0.0)
     with pytest.raises(ContractViolationError):
-        estimate_gradient(batch, OBJECTIVE)
-    good = make_batch(dirs, np.zeros((2, 2)), np.zeros((2, 2)), radius=0.1)
+        estimate_gradient(np.zeros(2), np.zeros(2), dirs, 0.0)
     with pytest.raises(ContractViolationError):
-        estimate_gradient(good, "nope")
+        estimate_gradient(np.zeros(0), np.zeros(0), np.zeros((0, 2)), 0.1)
 
 
 # -- confidence bounds -------------------------------------------------------
 
 
+def one_constraint_table(values):
+    """Base table (n, 2) whose single constraint column holds `values`."""
+    values = np.asarray(values, dtype=float)
+    return np.column_stack([np.zeros(values.size), values])
+
+
 def test_ucb_zero_sigma_is_mean():
-    assert upper_conf_bound([1.0, 3.0], 0.0, 0.5) == 2.0
+    assert confidence_bounds(one_constraint_table([1.0, 3.0]), 0.0, 0.5)[0] == 2.0
 
 
 def test_ucb_formula_value():
     # mean 2 plus (1/sqrt(3)) * sqrt(ln e) = 2 + 1/sqrt(3).
-    got = upper_conf_bound([1.0, 2.0, 3.0], 1.0, math.exp(-1.0))
-    assert got == pytest.approx(2.0 + 1.0 / math.sqrt(3.0), rel=1e-12)
+    got = confidence_bounds(one_constraint_table([1.0, 2.0, 3.0]), 1.0, math.exp(-1.0))
+    assert got.shape == (1,)
+    assert got[0] == pytest.approx(2.0 + 1.0 / math.sqrt(3.0), rel=1e-12)
 
 
 def test_ucb_domain_checks():
     with pytest.raises(ContractViolationError):
-        upper_conf_bound([1.0], 1.0, 0.0)
+        confidence_bounds(one_constraint_table([1.0]), 1.0, 0.0)
     with pytest.raises(ContractViolationError):
-        upper_conf_bound([1.0], 1.0, 1.0)
+        confidence_bounds(one_constraint_table([1.0]), 1.0, 1.0)
     with pytest.raises(ContractViolationError):
-        upper_conf_bound([], 1.0, 0.5)
+        confidence_bounds(one_constraint_table([]), 1.0, 0.5)
 
 
 def test_ucb_coverage_quick():
@@ -240,14 +238,20 @@ def test_barrier_gradient_contracts():
 def test_build_estimate_fields():
     prob = analytic_problem("linear-ball", noise_sigma=0.05)
     oracle = MeasurementOracle(prob, NoiseModel(sigma=0.05, master_seed=8))
-    batch = oracle.measure_batch(np.zeros(2), sphere_sample(2, 16, 8), 0.02, iteration=1)
-    est = build_estimate(batch, sigma=0.05, delta_bar=0.01, lipschitz=prob.lipschitz)
-    assert est.n_used == 16
-    assert est.nu_used == 0.02
-    assert est.fhat.shape == (1,)
-    assert est.fhat_c_nu == est.fhat.max() + 0.02 * prob.lipschitz
-    assert est.alpha_hat == -est.fhat_c_nu > 0.0
-    assert est.g0.shape == (2,)
+    dirs = sphere_sample(2, 16, 8)
+    base, pert = measure_iteration(oracle, np.zeros(2), dirs, 0.02, 1)
+    assert base.shape == pert.shape == (16, 2)
+    fhat = confidence_bounds(base, sigma=0.05, delta_bar=0.01)
+    fhat_c_nu, alpha_hat = margin(fhat, 0.02, prob.lipschitz)
+    assert fhat.shape == (1,)
+    assert fhat_c_nu == fhat.max() + 0.02 * prob.lipschitz
+    assert alpha_hat == -fhat_c_nu > 0.0
+    g = barrier_estimate(base, pert, dirs, 0.02, eta=0.1, alpha=alpha_hat)
+    assert g.shape == (2,)
+    # The assembly is G0 + (eta / alpha) * Gc with both pieces from the same tables.
+    g0 = estimate_gradient(base[:, 0], pert[:, 0], dirs, 0.02)
+    gc = estimate_gradient(*max_columns(base, pert), dirs, 0.02)
+    assert np.array_equal(g, barrier_gradient(g0, gc, 0.1, alpha_hat))
 
 
 def test_barrier_gradient_deviation_bound():
@@ -266,15 +270,10 @@ def test_barrier_gradient_deviation_bound():
     zeta_norms, bounds = [], []
     for k in range(1, 2001):
         dirs = sphere_sample(d, n, substream(31, 7, k))
-        batch = oracle.measure_batch(x, dirs, nu, iteration=k)
-        fhat = confidence_bounds(batch.base_values, sigma, delta_bar)
+        base, pert = measure_iteration(oracle, x, dirs, nu, k)
+        fhat = confidence_bounds(base, sigma, delta_bar)
         _, alpha = margin(fhat, nu, L)
-        g = barrier_gradient(
-            estimate_gradient(batch, OBJECTIVE),
-            estimate_gradient(batch, MAX_CONSTRAINT),
-            eta,
-            alpha,
-        )
+        g = barrier_estimate(base, pert, dirs, nu, eta, alpha)
         zeta_norms.append(np.linalg.norm(g - grad_b))
         bounds.append(
             (d + 1)
@@ -299,8 +298,8 @@ def test_gradient_deviation_high_probability_bound():
     reps = 1000
     for k in range(1, reps + 1):
         dirs = sphere_sample(2, n, substream(57, 3, k))
-        batch = oracle.measure_batch(x, dirs, nu, iteration=k)
-        dev = np.linalg.norm(estimate_gradient(batch, OBJECTIVE) - np.array([1.0, 0.0]))
+        base, pert = measure_iteration(oracle, x, dirs, nu, k)
+        dev = np.linalg.norm(estimate_gradient(base[:, 0], pert[:, 0], dirs, nu) - [1.0, 0.0])
         inside += dev <= threshold
     assert inside / reps >= 1.0 - delta
 
@@ -311,11 +310,9 @@ def test_estimator_unbiased_on_linear_field():
     prob = analytic_problem("linear-ball", noise_sigma=0.1)
     oracle = MeasurementOracle(prob, NoiseModel(sigma=0.1, master_seed=21))
     dirs = sphere_sample(2, 100_000, 13)
-    batch = oracle.measure_batch(np.zeros(2), dirs, 0.05, iteration=1)
-    terms = 2 * ((batch.perturbed_values[:, 0] - batch.base_values[:, 0]) / 0.05)[
-        :, None
-    ] * dirs
+    base, pert = measure_iteration(oracle, np.zeros(2), dirs, 0.05, 1)
+    terms = 2 * ((pert[:, 0] - base[:, 0]) / 0.05)[:, None] * dirs
     mean = terms.mean(axis=0)
     se = terms.std(axis=0, ddof=1) / math.sqrt(len(dirs))
     assert np.all(np.abs(mean - np.array([1.0, 0.0])) <= 3.0 * se)
-    assert np.allclose(estimate_gradient(batch, OBJECTIVE), mean, atol=1e-12)
+    assert np.allclose(estimate_gradient(base[:, 0], pert[:, 0], dirs, 0.05), mean, atol=1e-12)

@@ -4,9 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from zobarrier.errors import BudgetExhaustedError, ContractViolationError
+from zobarrier.errors import (
+    BudgetExhaustedError,
+    ContractViolationError,
+    NonFiniteMeasurementError,
+)
 from zobarrier.estimator import sphere_sample
-from zobarrier.oracle import MeasurementBatch, MeasurementOracle, NoiseModel, write_audit_csv
+from zobarrier.oracle import MeasurementOracle, NoiseModel, write_audit_csv
 from zobarrier.problems import ProblemSpec, analytic_problem
 from zobarrier.solver import AlgoConfig, run
 from zobarrier.streams import SIDE_BASE, SIDE_PERTURBED
@@ -23,41 +27,54 @@ def make_oracle(problem, sigma=0.0, seed=0, kind="gaussian", cap=None):
     )
 
 
+def measure_iteration(oracle, x, directions, radius, iteration):
+    """Base and perturbed tables of one iteration, as the solver takes them."""
+    base = oracle.measure_base(x, len(directions), iteration)
+    return base, oracle.measure_perturbed(x, directions, radius, iteration)
+
+
 def test_zero_noise_returns_exact_values(ball):
     oracle = make_oracle(ball, sigma=0.0)
     x = np.array([0.3, -0.2])
-    assert oracle.measure(0, x, (1, 0, SIDE_BASE)) == ball.objective(x)
-    assert oracle.measure(1, x, (1, 0, SIDE_BASE)) == ball.constraints[0](x)
+    dirs = np.array([[1.0, 0.0]])
+    base, pert = measure_iteration(oracle, x, dirs, 0.1, 1)
+    assert base[0, 0] == 0.3 and base[0, 1] == x @ x - 1.0
+    assert pert[0, 0] == 0.4 and pert[0, 1] == 0.4**2 + 0.2**2 - 1.0
 
 
 def test_identical_stream_key_identical_value(ball):
     a = make_oracle(ball, sigma=1.0, seed=9)
     x = np.array([0.1, 0.1])
-    v1 = a.measure(0, x, (3, 2, SIDE_BASE))
-    v2 = a.measure(0, x, (3, 2, SIDE_BASE))
-    assert v1 == v2
+    v1 = a.measure_base(x, 3, iteration=3)
+    v2 = a.measure_base(x, 3, iteration=3)
+    assert np.array_equal(v1, v2)
 
 
-def test_measure_consistent_with_batch(ball):
-    # Single-value queries and batched queries keyed alike agree bitwise.
+def test_measurement_order_independence(ball):
+    # Noise is keyed by (iteration, side, sample), not call order: an
+    # oracle measuring perturbed before base and iteration 2 before 1
+    # serves bitwise identical tables.
     oracle = make_oracle(ball, sigma=0.7, seed=5)
     other = make_oracle(ball, sigma=0.7, seed=5)
     x = np.array([0.2, 0.0])
     dirs = sphere_sample(2, 4, 11)
-    batch = oracle.measure_batch(x, dirs, 0.05, iteration=2)
-    for j in range(4):
-        for i in range(2):
-            assert batch.base_values[j, i] == other.measure(i, x, (2, j, SIDE_BASE))
-            assert batch.perturbed_values[j, i] == other.measure(
-                i, x + 0.05 * dirs[j], (2, j, SIDE_PERTURBED)
-            )
+    in_order = [measure_iteration(oracle, x, dirs, 0.05, k) for k in (1, 2)]
+    reversed_tables = {}
+    for k in (2, 1):
+        pert = other.measure_perturbed(x, dirs, 0.05, k)
+        reversed_tables[k] = (other.measure_base(x, 4, k), pert)
+    for k, (base, pert) in zip((1, 2), in_order):
+        assert np.array_equal(base, reversed_tables[k][0])
+        assert np.array_equal(pert, reversed_tables[k][1])
+    a, b = oracle.audit(), other.audit()
+    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a.samples, b.samples)
 
 
 def test_batch_scalar_call_count(ball):
     oracle = make_oracle(ball)
-    batch = oracle.measure_batch(np.zeros(2), sphere_sample(2, 1, 0), 0.1, iteration=1)
+    measure_iteration(oracle, np.zeros(2), sphere_sample(2, 1, 0), 0.1, 1)
     # n = 1, m = 1: two functions at two points.
-    assert batch.scalar_calls == 4
     assert oracle.total_scalar_calls == 4
     assert oracle.total_directions == 1
 
@@ -66,17 +83,16 @@ def test_zero_radius_noise_still_independent(ball):
     # With radius 0 the perturbed points coincide with the base point but
     # the noise streams are keyed by side, so values differ when sigma > 0.
     oracle = make_oracle(ball, sigma=1.0, seed=4)
-    batch = oracle.measure_batch(np.zeros(2), sphere_sample(2, 3, 1), 0.0, iteration=1)
-    pts_equal = np.allclose(batch.directions * 0.0, 0.0)
-    assert pts_equal
-    assert not np.allclose(batch.base_values, batch.perturbed_values)
+    base, pert = measure_iteration(oracle, np.zeros(2), sphere_sample(2, 3, 1), 0.0, 1)
+    assert np.array_equal(oracle.audit().points, np.zeros((4, 2)))
+    assert not np.allclose(base, pert)
 
 
 def test_budget_replay_totals(ball):
     # n_k = 7 directions per iteration for K = 500 iterations.
     oracle = make_oracle(ball, sigma=0.1, seed=1)
     for k in range(1, 501):
-        oracle.measure_batch(np.zeros(2), sphere_sample(2, 7, k), 0.01, iteration=k)
+        measure_iteration(oracle, np.zeros(2), sphere_sample(2, 7, k), 0.01, k)
     assert oracle.total_directions == 3500
     assert oracle.total_scalar_calls == 500 * 2 * 7 * 2
 
@@ -93,14 +109,8 @@ def test_non_unit_direction_rejected(ball):
     with pytest.raises(ContractViolationError):
         oracle.measure_perturbed(np.zeros(2), np.array([[1.0, 1.0]]), 0.1, 1)
     with pytest.raises(ContractViolationError):
-        MeasurementBatch(
-            iteration=1,
-            base_point=np.zeros(2),
-            directions=np.array([[0.5, 0.0]]),
-            radius=0.1,
-            base_values=np.zeros((1, 2)),
-            perturbed_values=np.zeros((1, 2)),
-        )
+        oracle.measure_perturbed(np.zeros(2), np.array([[0.5, 0.0]]), 0.1, 1)
+    assert oracle.total_scalar_calls == 0
 
 
 def test_empty_audit(ball):
@@ -112,7 +122,7 @@ def test_empty_audit(ball):
 
 def test_audit_records_violation(ball):
     oracle = make_oracle(ball)
-    oracle.measure(0, np.array([2.0, 0.0]), (1, 0, SIDE_BASE))  # truly infeasible point
+    oracle.measure_base(np.array([2.0, 0.0]), 1, iteration=1)  # truly infeasible point
     audit = oracle.audit()
     assert audit.violation_count == 1
     assert audit.true_max_constraint[0] == pytest.approx(3.0)
@@ -122,8 +132,8 @@ def test_audit_covers_every_point_in_order(ball):
     oracle = make_oracle(ball, sigma=0.3, seed=2)
     x = np.zeros(2)
     dirs = sphere_sample(2, 3, 7)
-    oracle.measure_batch(x, dirs, 0.05, iteration=1)
-    oracle.measure_batch(x, dirs, 0.05, iteration=2)
+    measure_iteration(oracle, x, dirs, 0.05, 1)
+    measure_iteration(oracle, x, dirs, 0.05, 2)
     audit = oracle.audit()
     assert len(audit) == 2 * (1 + 3)
     keys = list(zip(audit.iterations.tolist(), audit.sides.tolist(), audit.samples.tolist()))
@@ -136,7 +146,7 @@ def test_audit_covers_every_point_in_order(ball):
 def test_audit_determinism(ball):
     def run_queries(oracle):
         for k in range(1, 4):
-            oracle.measure_batch(np.zeros(2), sphere_sample(2, 2, k), 0.1, iteration=k)
+            measure_iteration(oracle, np.zeros(2), sphere_sample(2, 2, k), 0.1, k)
         return oracle.audit()
 
     a = run_queries(make_oracle(ball, sigma=0.5, seed=33))
@@ -148,15 +158,19 @@ def test_audit_determinism(ball):
 
 def test_audit_sorts_out_of_order_scalar_calls(ball):
     oracle = make_oracle(ball)
-    keys = [(2, 1, SIDE_PERTURBED), (1, 0, SIDE_PERTURBED), (2, 0, SIDE_BASE), (1, 0, SIDE_BASE)]
-    for n, key in enumerate(keys):
-        oracle.measure(0, np.array([0.1 * n, 0.0]), key)
+    east = np.array([[1.0, 0.0]])
+    oracle.measure_perturbed(np.zeros(2), np.array([[0.0, 1.0], [1.0, 0.0]]), 0.1, 2)
+    oracle.measure_perturbed(np.array([0.1, 0.0]), east, 0.1, 1)
+    oracle.measure_base(np.array([0.2, 0.0]), 1, iteration=2)
+    oracle.measure_base(np.array([0.3, 0.0]), 1, iteration=1)
     audit = oracle.audit()
-    assert audit.iterations.tolist() == [1, 1, 2, 2]
-    assert audit.sides.tolist() == [SIDE_BASE, SIDE_PERTURBED, SIDE_BASE, SIDE_PERTURBED]
-    assert audit.samples.tolist() == [0, 1, 0, 2]
-    # Each point travels with its key: call n queried x0 = 0.1 * n.
-    assert np.allclose(audit.points[:, 0], [0.3, 0.1, 0.2, 0.0])
+    assert audit.iterations.tolist() == [1, 1, 2, 2, 2]
+    assert audit.sides.tolist() == [
+        SIDE_BASE, SIDE_PERTURBED, SIDE_BASE, SIDE_PERTURBED, SIDE_PERTURBED
+    ]
+    assert audit.samples.tolist() == [0, 1, 0, 1, 2]
+    # Each point travels with its key.
+    assert np.allclose(audit.points[:, 0], [0.3, 0.2, 0.2, 0.0, 0.1])
 
 
 def test_audit_keeps_points_not_caller_arrays(ball):
@@ -171,17 +185,16 @@ def non_finite_problem():
     """2-D problem whose constraint is NaN for x0 < -0.3 and -inf for
     x0 > 0.3: unknown values, not certificates of safety."""
 
-    def constraint(x):
-        if x[0] < -0.3:
-            return np.nan
-        return -np.inf if x[0] > 0.3 else x[0] + x[1] - 1.0
+    def eval_all(points):
+        x0 = points[:, 0]
+        con = np.where(x0 < -0.3, np.nan, np.where(x0 > 0.3, -np.inf, x0 + points[:, 1] - 1.0))
+        return np.stack([np.sum(points * points, axis=1), con], axis=1)
 
     return ProblemSpec(
         name="non-finite",
         dim=2,
         num_constraints=1,
-        objective=lambda x: float(x @ x),
-        constraints=(constraint,),
+        eval_all=eval_all,
         lipschitz=2.0,
         grad_lower=1.0,
         noise_sigma=0.0,
@@ -190,10 +203,13 @@ def non_finite_problem():
 
 
 def test_non_finite_true_value_counts_as_violation(tmp_path):
+    # The oracle refuses both measurements, but only after auditing them.
     oracle = make_oracle(non_finite_problem())
-    oracle.measure_base(np.array([-0.5, 0.0]), 1, iteration=1)
+    with pytest.raises(NonFiniteMeasurementError):
+        oracle.measure_base(np.array([-0.5, 0.0]), 1, iteration=1)
     dirs = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    oracle.measure_perturbed(np.zeros(2), dirs, 0.4, iteration=1)
+    with pytest.raises(NonFiniteMeasurementError):
+        oracle.measure_perturbed(np.zeros(2), dirs, 0.4, iteration=1)
     audit = oracle.audit()
     assert audit.violated.tolist() == [True, True, True, False]
     assert audit.violation_count == 3
@@ -250,10 +266,10 @@ def test_value_determinism_across_oracles(ball):
     a = make_oracle(ball, sigma=0.5, seed=33)
     b = make_oracle(ball, sigma=0.5, seed=33)
     dirs = sphere_sample(2, 5, 3)
-    ba = a.measure_batch(np.zeros(2), dirs, 0.1, iteration=1)
-    bb = b.measure_batch(np.zeros(2), dirs, 0.1, iteration=1)
-    assert np.array_equal(ba.base_values, bb.base_values)
-    assert np.array_equal(ba.perturbed_values, bb.perturbed_values)
+    base_a, pert_a = measure_iteration(a, np.zeros(2), dirs, 0.1, 1)
+    base_b, pert_b = measure_iteration(b, np.zeros(2), dirs, 0.1, 1)
+    assert np.array_equal(base_a, base_b)
+    assert np.array_equal(pert_a, pert_b)
 
 
 def test_gaussian_noise_statistics(ball):
@@ -276,7 +292,7 @@ def test_bounded_uniform_noise_statistics(ball):
 
 def test_none_noise_kind(ball):
     oracle = make_oracle(ball, sigma=5.0, kind="none")
-    assert oracle.measure(0, np.zeros(2), (1, 0, SIDE_BASE)) == 0.0
+    assert np.array_equal(oracle.measure_base(np.zeros(2), 3, iteration=1), [[0.0, -1.0]] * 3)
 
 
 def test_repeated_measurement_mean_concentrates(ball):
@@ -284,7 +300,7 @@ def test_repeated_measurement_mean_concentrates(ball):
     # of the true value in at least 99% of seeded trials (the seeds are
     # fixed, so this is a frozen statement about these 200 draws).
     x = np.array([0.25, 0.1])
-    truth = ball.objective(x)
+    truth = ball.objective_value(x)
     hits = 0
     trials = 200
     for seed in range(trials):
@@ -295,8 +311,15 @@ def test_repeated_measurement_mean_concentrates(ball):
 
 
 def test_function_index_validated(ball):
+    # Query points must be finite on both sides; on the perturbed side the
+    # displaced points are checked, which also catches a NaN radius.
     oracle = make_oracle(ball)
+    east = np.array([[1.0, 0.0]])
     with pytest.raises(ContractViolationError):
-        oracle.measure(2, np.zeros(2), (1, 0, SIDE_BASE))
+        oracle.measure_base(np.array([np.nan, 0.0]), 1, iteration=1)
     with pytest.raises(ContractViolationError):
-        oracle.measure(0, np.array([np.nan, 0.0]), (1, 0, SIDE_BASE))
+        oracle.measure_perturbed(np.array([np.inf, 0.0]), east, 0.1, 1)
+    with pytest.raises(ContractViolationError):
+        oracle.measure_perturbed(np.zeros(2), east, np.nan, 1)
+    assert oracle.total_scalar_calls == 0
+    assert len(oracle.audit()) == 0

@@ -7,14 +7,13 @@ from zobarrier.errors import (
     UnknownProblemError,
 )
 from zobarrier.problems import (
+    ProblemSpec,
     UnicycleConfig,
+    _step,
     analytic_names,
     analytic_problem,
     make_unicycle_problem,
-    simulate_unicycle,
-    unicycle_constraint,
-    unicycle_objective,
-    unicycle_step,
+    simulate_unicycle_batch,
 )
 
 # Mean squared goal distance of the default error-feedback configuration
@@ -24,12 +23,12 @@ GOLDEN_BASELINE_COST = 27.72419601789319
 
 def test_straight_line_step():
     # omega = 0, v = 1, theta = 0, dt = 0.1: the sinc(0) = 1 limit.
-    q1 = unicycle_step((0.0, 0.0, 0.0), v=1.0, omega=0.0, dt=0.1)
+    q1 = _step(np.zeros(3), v=1.0, omega=0.0, dt=0.1)
     assert np.allclose(q1, [0.1, 0.0, 0.0], atol=1e-15)
 
 
 def test_theta_update_is_exact():
-    q1 = unicycle_step((0.3, -0.2, 0.7), v=0.5, omega=1.3, dt=0.1)
+    q1 = _step(np.array([0.3, -0.2, 0.7]), v=0.5, omega=1.3, dt=0.1)
     assert q1[2] == 0.7 + 0.1 * 1.3
 
 
@@ -40,7 +39,7 @@ def test_constant_input_traces_circle():
     q = np.zeros(3)
     worst = 0.0
     for _ in range(63):
-        q = unicycle_step(q, v=1.0, omega=1.0, dt=0.1)
+        q = _step(q, v=1.0, omega=1.0, dt=0.1)
         worst = max(worst, abs(np.hypot(q[0], q[1] - 1.0) - 1.0))
     assert worst < 1e-6
 
@@ -48,27 +47,27 @@ def test_constant_input_traces_circle():
 def test_feedback_timing_matches_manual_rollout():
     cfg = UnicycleConfig(error_feedback=True, horizon=5)
     U = cfg.initial_gain
-    traj = simulate_unicycle(U, cfg)
+    traj = simulate_unicycle_batch(U, cfg)[0]
     q = np.asarray(cfg.start, dtype=float)
     goal = np.asarray(cfg.goal, dtype=float)
     for t in range(cfg.horizon):
         u = U @ (q - goal)
         v = np.clip(u[0], -cfg.v_max, cfg.v_max)
         w = np.clip(u[1], -cfg.omega_max, cfg.omega_max)
-        q = unicycle_step(q, v, w, cfg.dt)
+        q = _step(q, v, w, cfg.dt)
         assert np.allclose(traj[t + 1], q, atol=1e-14)
 
 
 def test_objective_zero_at_fixed_goal():
     # Start at the goal with zero gain: the goal is a fixed point.
     cfg = UnicycleConfig(start=(1.0, 1.0, 0.0), goal=(1.0, 1.0, 0.0))
-    assert unicycle_objective(np.zeros((2, 3)), cfg) == 0.0
+    assert make_unicycle_problem(cfg).objective_value(np.zeros(6)) == 0.0
 
 
 def test_objective_single_step_distance():
     # T = 1, stationary trajectory at distance 2 from the goal.
     cfg = UnicycleConfig(horizon=1, start=(0.0, 0.0, 0.0), goal=(2.0, 0.0, 0.0))
-    assert unicycle_objective(np.zeros((2, 3)), cfg) == 4.0
+    assert make_unicycle_problem(cfg).objective_value(np.zeros(6)) == 4.0
 
 
 def test_objective_baseline_regression():
@@ -89,30 +88,36 @@ def test_literal_default_cost():
     [((3.0, 2.0, 0.0), 0.0), ((4.0, 2.0, 0.0), -3.0), ((2.0, 2.0, 0.0), 1.0)],
 )
 def test_constraint_values(start, expected):
-    # Stationary trajectories probe the clearance formula r^2 - dist^2:
-    # on the boundary, at distance 2, and at the obstacle center.
-    cfg = UnicycleConfig(start=start)
-    assert unicycle_constraint(np.zeros((2, 3)), 1, cfg) == pytest.approx(expected)
+    # Stationary trajectories (zero gain) probe the clearance formula
+    # r^2 - dist^2 at every step: on the boundary, at distance 2, and at
+    # the obstacle center. The safe start gain drives straight out of the
+    # obstacle at v = v_max = 20, two units per step.
+    cfg = UnicycleConfig(start=start, v_max=20.0, initial_gain=[[10.0, 0, 0], [0, 0, 0]])
+    values = make_unicycle_problem(cfg).constraint_values(np.zeros(6))
+    assert values == pytest.approx(np.full(cfg.horizon, expected))
 
 
 def test_constraint_step_range():
-    cfg = UnicycleConfig()
-    with pytest.raises(ContractViolationError):
-        unicycle_constraint(np.zeros((2, 3)), 0, cfg)
-    with pytest.raises(ContractViolationError):
-        unicycle_constraint(np.zeros((2, 3)), cfg.horizon + 1, cfg)
+    # One constraint column per trajectory step 1..T, and an evaluator
+    # returning any other column count is rejected.
+    prob = make_unicycle_problem(UnicycleConfig())
+    assert prob.evaluate_all(np.zeros((4, 6))).shape == (4, 1 + prob.num_constraints)
+    for columns in (prob.num_constraints, prob.num_constraints + 2):
+        broken = dict(vars(prob), eval_all=lambda pts, c=columns: np.zeros((len(pts), c)))
+        with pytest.raises(ContractViolationError):
+            ProblemSpec(**broken)
 
 
 def test_diverged_trajectory_reports_step():
     cfg = UnicycleConfig(start=(1.0, 0.0, 0.0), v_max=np.inf, omega_max=np.inf)
     with pytest.raises(DivergedTrajectoryError) as exc:
-        simulate_unicycle(np.array([[1e200, 0.0, 0.0], [0.0, 0.0, 0.0]]), cfg)
+        simulate_unicycle_batch(np.array([[1e200, 0.0, 0.0], [0.0, 0.0, 0.0]]), cfg)
     assert 0 <= exc.value.step <= cfg.horizon
 
 
 def test_nonfinite_gain_rejected():
     with pytest.raises(ContractViolationError):
-        simulate_unicycle(np.full((2, 3), np.nan), UnicycleConfig())
+        simulate_unicycle_batch(np.full((2, 3), np.nan), UnicycleConfig())
 
 
 def test_infeasible_start_rejected():
@@ -127,7 +132,7 @@ def test_dt_refinement_first_order():
     # update rate: endpoint differences shrink linearly in dt.
     def endpoint(dt, horizon):
         cfg = UnicycleConfig(error_feedback=True, dt=dt, horizon=horizon)
-        return simulate_unicycle(cfg.initial_gain, cfg)[-1]
+        return simulate_unicycle_batch(cfg.initial_gain, cfg)[0, -1]
 
     d12 = np.linalg.norm(endpoint(0.1, 30) - endpoint(0.05, 60))
     d23 = np.linalg.norm(endpoint(0.05, 60) - endpoint(0.025, 120))
@@ -154,7 +159,7 @@ def test_linear_ball_solution():
     # Stationarity: grad f0 + lam * grad f1 = 0 at the optimum.
     grad = prob.objective_grad(x_star) + lam[0] * prob.constraint_grads[0](x_star)
     assert np.allclose(grad, 0.0, atol=1e-14)
-    assert prob.objective(x_star) == prob.solution["objective_star"]
+    assert prob.objective_value(x_star) == prob.solution["objective_star"]
 
 
 def test_quadratic_halfspace_projection():
@@ -169,11 +174,11 @@ def test_quadratic_halfspace_projection():
 def test_smooth_2con_fixture():
     prob = analytic_problem("smooth-2con")
     # Declared start is strictly feasible for both constraints.
-    assert all(g(prob.safe_start) < 0.0 for g in prob.constraints)
+    assert np.all(prob.constraint_values(prob.safe_start) < 0.0)
     # Both constraints are active at the declared optimum and the
     # multipliers make the Lagrangian stationary.
     x_star = prob.solution["x_star"]
-    assert np.allclose([g(x_star) for g in prob.constraints], 0.0, atol=1e-14)
+    assert np.allclose(prob.constraint_values(x_star), 0.0, atol=1e-14)
     grad = prob.objective_grad(x_star).copy()
     for lam_i, g_i in zip(prob.solution["lambda_star"], prob.constraint_grads):
         grad += lam_i * g_i(x_star)
@@ -201,25 +206,40 @@ def test_lipschitz_sanity():
         assert ratios.max() <= prob.lipschitz, prob.name
 
 
-def test_evaluate_all_matches_scalar_fields():
+# [f0, f1, ..., fm] of each analytic fixture at one point, written out.
+CLOSED_FORMS = {
+    "linear-ball": lambda x, y: [x, x * x + y * y - 1.0],
+    "quadratic-halfspace": lambda x, y: [(x - 2.0) ** 2 + y * y, x - 1.0],
+    "smooth-2con": lambda x, y: [-y, x * x + y * y - 1.0, (x - 1.0) ** 2 + y * y - 1.0],
+    "sphere-quadratic": lambda x, y: [x * x + y * y, x * x + y * y - 25.0],
+}
+
+
+def test_evaluate_all_matches_closed_forms():
+    assert set(CLOSED_FORMS) == set(analytic_names())
     rng = np.random.default_rng(3)
     for name in analytic_names():
         prob = analytic_problem(name)
         pts = rng.uniform(*prob.box, size=(20, prob.dim))
         table = prob.evaluate_all(pts)
+        assert table.shape == (20, prob.num_constraints + 1)
         for row, x in zip(table, pts):
-            assert row[0] == pytest.approx(prob.objective(x), abs=1e-12)
-            for i, g in enumerate(prob.constraints):
-                assert row[i + 1] == pytest.approx(g(x), abs=1e-12)
+            assert row == pytest.approx(CLOSED_FORMS[name](*x), abs=1e-12)
 
 
 def test_unicycle_eval_all_matches_per_step_constraints():
-    prob = make_unicycle_problem(UnicycleConfig(error_feedback=True))
+    # Reference from one simulated trajectory: the mean squared goal
+    # distance over steps 1..T and the clearance r^2 - |p_t - c|^2 per step.
+    cfg = UnicycleConfig(error_feedback=True)
+    prob = make_unicycle_problem(cfg)
     x = prob.safe_start + 0.01
     row = prob.evaluate_all(x[None, :])[0]
-    assert row[0] == pytest.approx(prob.objective(x), abs=1e-12)
+    traj = simulate_unicycle_batch(x.reshape(2, 3), cfg)[0]
+    goal_dist = np.sum((traj[1:] - np.asarray(cfg.goal)) ** 2, axis=1)
+    assert row[0] == pytest.approx(goal_dist.mean(), abs=1e-12)
     for t in (1, 7, prob.num_constraints):
-        assert row[t] == pytest.approx(prob.constraints[t - 1](x), abs=1e-12)
+        clearance = np.sum((traj[t, :2] - np.asarray(cfg.obstacle_center)) ** 2)
+        assert row[t] == pytest.approx(cfg.obstacle_radius**2 - clearance, abs=1e-12)
 
 
 def test_problem_spec_validation():

@@ -8,7 +8,6 @@ from zobarrier.problems import ProblemSpec, analytic_problem
 from zobarrier.smoothing import (
     ball_sample,
     barrier_value_and_grad,
-    local_smoothness_bound,
     smoothed_gradient,
     smoothed_value,
 )
@@ -24,10 +23,10 @@ def test_ball_sample_law():
 
 def test_constant_field_exact():
     f = lambda pts: np.full(pts.shape[0], 3.25)
-    sv = smoothed_value(f, np.zeros(2), 0.7, 500, 0, vectorized=True)
+    sv = smoothed_value(f, np.zeros(2), 0.7, 500, 0)
     assert sv.value == 3.25
     assert sv.std_err_value == 0.0
-    sg = smoothed_gradient(f, np.zeros(2), 0.7, 500, 0, vectorized=True)
+    sg = smoothed_gradient(f, np.zeros(2), 0.7, 500, 0)
     assert np.array_equal(sg.grad, np.zeros(2))
 
 
@@ -35,9 +34,9 @@ def test_linear_field_within_mc_error():
     a = np.array([1.5, -2.0])
     f = lambda pts: pts @ a
     x = np.array([0.3, 0.4])
-    sv = smoothed_value(f, x, 0.5, 50_000, 1, vectorized=True)
+    sv = smoothed_value(f, x, 0.5, 50_000, 1)
     assert abs(sv.value - a @ x) <= 4.0 * sv.std_err_value
-    sg = smoothed_gradient(f, x, 0.5, 50_000, 2, vectorized=True)
+    sg = smoothed_gradient(f, x, 0.5, 50_000, 2)
     assert np.abs(sg.grad - a).max() <= 4.0 * sg.std_err_grad
 
 
@@ -46,7 +45,7 @@ def test_quadratic_ball_moment():
     # d = 2, nu = 0.5 adds exactly 0.125.
     f = lambda pts: np.sum(pts * pts, axis=1)
     x = np.array([0.7, -0.1])
-    sv = smoothed_value(f, x, 0.5, 100_000, 3, vectorized=True)
+    sv = smoothed_value(f, x, 0.5, 100_000, 3)
     assert abs(sv.value - (x @ x + 0.125)) <= 4.0 * sv.std_err_value
 
 
@@ -54,28 +53,20 @@ def test_absolute_value_smoothed_slope():
     # f(x) = |x| in one dimension smooths to (x^2 + nu^2) / (2 nu) inside
     # |x| <= nu, so the smoothed slope at x = 0.2 with nu = 1 is 0.2.
     f = lambda pts: np.abs(pts[:, 0])
-    sg = smoothed_gradient(f, np.array([0.2]), 1.0, 200_000, 4, vectorized=True)
+    sg = smoothed_gradient(f, np.array([0.2]), 1.0, 200_000, 4)
     assert abs(sg.grad[0] - 0.2) <= 4.0 * sg.std_err_grad
 
 
 def test_zero_radius_value_is_exact():
     f = lambda pts: pts[:, 0] ** 3
-    sv = smoothed_value(f, np.array([2.0, 0.0]), 0.0, 100, 0, vectorized=True)
+    sv = smoothed_value(f, np.array([2.0, 0.0]), 0.0, 100, 0)
     assert sv.value == 8.0
 
 
 def test_gradient_requires_positive_radius():
     f = lambda pts: pts[:, 0]
     with pytest.raises(ContractViolationError):
-        smoothed_gradient(f, np.zeros(2), 0.0, 10, 0, vectorized=True)
-
-
-def test_scalar_field_path_matches_vectorized():
-    prob = analytic_problem("linear-ball")
-    x = np.array([0.2, 0.1])
-    a = smoothed_value(prob.objective, x, 0.3, 2000, (9, 1))
-    b = smoothed_value(prob.objective_batch, x, 0.3, 2000, (9, 1), vectorized=True)
-    assert a.value == pytest.approx(b.value, rel=1e-12)
+        smoothed_gradient(f, np.zeros(2), 0.0, 10, 0)
 
 
 def _constant_zero_problem():
@@ -84,15 +75,13 @@ def _constant_zero_problem():
         name="flat-linear",
         dim=2,
         num_constraints=1,
-        objective=lambda x: 0.0,
-        constraints=(lambda x: float(x[0] - 1.0),),
+        eval_all=lambda pts: np.stack(
+            [np.zeros(pts.shape[0]), pts[:, 0] - 1.0], axis=1
+        ),
         lipschitz=1.0,
         grad_lower=1.0,
         noise_sigma=0.0,
         safe_start=np.zeros(2),
-        eval_all=lambda pts: np.stack(
-            [np.zeros(pts.shape[0]), pts[:, 0] - 1.0], axis=1
-        ),
     )
 
 
@@ -100,7 +89,7 @@ def test_barrier_zero_eta_equals_smoothed_objective():
     prob = analytic_problem("sphere-quadratic")
     x = np.array([0.4, 0.2])
     value, grad = barrier_value_and_grad(prob, x, eta=0.0, nu=0.2, n_mc=50_000, rng=5)
-    ref = smoothed_value(prob.objective_batch, x, 0.2, 200_000, (5, 1), vectorized=True)
+    ref = smoothed_value(prob.objective_batch, x, 0.2, 200_000, (5, 1))
     assert abs(value - ref.value) <= 4.0 * ref.std_err_value + 1e-3
     true_grad = 2.0 * x  # exact smoothed gradient of a quadratic
     assert np.linalg.norm(grad - true_grad) <= 0.05
@@ -141,15 +130,3 @@ def test_barrier_outside_domain():
     prob = analytic_problem("linear-ball")
     with pytest.raises(OutsideBarrierDomainError):
         barrier_value_and_grad(prob, np.array([1.0, 0.0]), 0.1, 0.1, 20_000, rng=8)
-
-
-def test_local_smoothness_bound_values():
-    assert local_smoothness_bound(1.0, 0.0, 1.0, 1.0, 1) == 1.0
-    assert local_smoothness_bound(1.0, 1.0, 1.0, 1.0, 1) == 7.0
-    # Monotone decreasing in the margin.
-    grid = [local_smoothness_bound(a, 0.5, 0.1, 2.0, 3) for a in (0.1, 0.2, 0.5, 1.0, 2.0)]
-    assert all(x > y for x, y in zip(grid, grid[1:]))
-    with pytest.raises(ContractViolationError):
-        local_smoothness_bound(0.0, 0.1, 0.1, 1.0, 2)
-    with pytest.raises(ContractViolationError):
-        local_smoothness_bound(1.0, 0.1, 0.0, 1.0, 2)

@@ -45,15 +45,13 @@ def flat_problem(constraint_level=-1.0):
         name="flat",
         dim=2,
         num_constraints=1,
-        objective=lambda x: 1.0,
-        constraints=(lambda x: m,),
+        eval_all=lambda pts: np.stack(
+            [np.ones(pts.shape[0]), np.full(pts.shape[0], m)], axis=1
+        ),
         lipschitz=1.0,
         grad_lower=1.0,
         noise_sigma=0.0,
         safe_start=np.zeros(2),
-        eval_all=lambda pts: np.stack(
-            [np.ones(pts.shape[0]), np.full(pts.shape[0], m)], axis=1
-        ),
     )
 
 
@@ -330,6 +328,42 @@ def test_budget_exhaustion_is_a_named_halt(cap, calls, audited):
     assert result.certificate is None
     assert result.audit.total_scalar_calls == calls
     assert len(result.audit) == audited
+
+
+def nan_beyond_problem(noise_sigma=0.01):
+    """linear-ball (min x0 in the unit disk, optimum (-1, 0)) with the
+    constraint undefined (NaN) for x0 < -0.3, on the way to the optimum."""
+
+    def eval_all(points):
+        con = np.sum(points * points, axis=1) - 1.0
+        return np.stack([points[:, 0], np.where(points[:, 0] < -0.3, np.nan, con)], axis=1)
+
+    return ProblemSpec(
+        name="nan-beyond",
+        dim=2,
+        num_constraints=1,
+        eval_all=eval_all,
+        lipschitz=3.5,
+        grad_lower=1.0,
+        noise_sigma=noise_sigma,
+        safe_start=np.zeros(2),
+    )
+
+
+def test_non_finite_measurement_is_a_named_halt():
+    prob = nan_beyond_problem()
+    result = run(prob, ball_config(max_iters=300, seed=1), make_oracle(prob, seed=1))
+    assert result.halted_reason == "non-finite"
+    assert 1 < result.halted_at < 300
+    assert [rec.k for rec in result.trace] == list(range(1, result.halted_at))
+    assert result.certificate is None
+    # Every point measured before the halt had finite true values; the
+    # refused measurement is audited, and its NaN rows are flagged.
+    audit = result.audit
+    before = audit.iterations < result.halted_at
+    assert np.all(np.isfinite(audit.true_max_constraint[before]))
+    assert np.isnan(audit.true_max_constraint[~before]).any()
+    assert audit.violation_count == np.count_nonzero(~before & audit.violated) > 0
 
 
 def test_zero_gradient_records_zero_weight():
