@@ -6,7 +6,9 @@ counts every call against an optional budget cap, and records a
 ground-truth feasibility audit of every queried point. The audit uses
 the problem's exact evaluator -- a test-harness privilege the solver
 never gets. A measurement whose true values are not finite is audited
-and then refused with NonFiniteMeasurementError.
+and then refused with NonFiniteMeasurementError; one whose simulation
+diverges is audited with a NaN true value (flagged) and its
+DivergedTrajectoryError re-raised.
 
 Noise draws are keyed by (master_seed, iteration, side, sample, function
 index), never by call order, so identical query sequences from two
@@ -21,7 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExhaustedError, ContractViolationError, NonFiniteMeasurementError
+from .errors import (
+    BudgetExhaustedError,
+    ContractViolationError,
+    DivergedTrajectoryError,
+    NonFiniteMeasurementError,
+)
 from .problems import ProblemSpec
 from .streams import DOMAIN_NOISE, SIDE_BASE, SIDE_PERTURBED, substream
 
@@ -143,18 +150,27 @@ class MeasurementOracle:
         self._scalar_calls += scalar_calls
         self._directions += directions
 
-    def _record(
-        self, iteration: int, side: int, samples: np.ndarray, points: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Append one audit chunk, then refuse values that are not finite.
+    def _evaluate(
+        self, iteration: int, side: int, samples: np.ndarray, points: np.ndarray
+    ) -> np.ndarray:
+        """True values at `points`, appended to the audit as one chunk.
 
         `points` must not alias caller memory. The chunk is appended
-        first so that the refused points are still audited (and flagged)."""
-        self._chunks.append((iteration, side, samples, points, values[:, 1:].max(axis=1)))
-        if not np.isfinite(values).all():
+        before any refusal, so refused points are still audited and
+        flagged: a diverged evaluation is recorded with a NaN true
+        max-constraint and re-raised, and values that are not finite
+        raise NonFiniteMeasurementError."""
+        try:
+            true_vals = self.problem.evaluate_all(points)
+        except DivergedTrajectoryError:
+            self._chunks.append((iteration, side, samples, points, np.full(len(points), np.nan)))
+            raise
+        self._chunks.append((iteration, side, samples, points, true_vals[:, 1:].max(axis=1)))
+        if not np.isfinite(true_vals).all():
             raise NonFiniteMeasurementError(
                 f"true values at iteration {iteration} are not all finite"
             )
+        return true_vals
 
     # -- measurement -------------------------------------------------------
 
@@ -167,8 +183,9 @@ class MeasurementOracle:
             raise ContractViolationError("need n >= 1 base samples")
         m1 = self.problem.num_constraints + 1
         self._charge(n * m1)
-        true_vals = self.problem.evaluate_all(x[None, :])  # (1, m+1)
-        self._record(iteration, SIDE_BASE, np.zeros(1, dtype=int), np.array(x, ndmin=2), true_vals)
+        true_vals = self._evaluate(
+            iteration, SIDE_BASE, np.zeros(1, dtype=int), np.array(x, ndmin=2)
+        )  # (1, m+1)
         return true_vals + self.noise.draw(iteration, SIDE_BASE, n, m1)
 
     def measure_perturbed(
@@ -188,8 +205,7 @@ class MeasurementOracle:
             raise ContractViolationError("query points must be finite")
         n, m1 = directions.shape[0], self.problem.num_constraints + 1
         self._charge(n * m1, directions=n)
-        true_vals = self.problem.evaluate_all(points)  # (n, m+1)
-        self._record(iteration, SIDE_PERTURBED, np.arange(1, n + 1), points, true_vals)
+        true_vals = self._evaluate(iteration, SIDE_PERTURBED, np.arange(1, n + 1), points)
         return true_vals + self.noise.draw(iteration, SIDE_PERTURBED, n, m1)
 
     # -- audit ---------------------------------------------------------------

@@ -166,19 +166,47 @@ def _step(q: np.ndarray, v: np.ndarray, omega: np.ndarray, dt: float) -> np.ndar
     )
 
 
+# Batches up to this many rows take the per-row float kernel. Each numpy
+# call in the vectorized step costs a few microseconds even on a
+# 7-element array, so below the crossover (25 to 45 rows across runs,
+# see BENCH_simulator.json) plain floats are faster. The solver's batches
+# (1 base row, n_k perturbed rows) fall below it; trace evaluation and
+# the Monte-Carlo residuals (hundreds to thousands of rows) stay above.
+_ROW_KERNEL_MAX_ROWS = 16
+
+
 def simulate_unicycle_batch(gains: np.ndarray, cfg: UnicycleConfig) -> np.ndarray:
     """Simulate a batch of gains (B, 2, 3), or one 2x3 gain as a batch of
-    one; returns states of shape (B, T+1, 3).
+    one; returns C-contiguous states of shape (B, T+1, 3).
 
     Control is u_{t+1} = U q_t, or U (q_t - q_goal) in error-feedback
     mode, clamped componentwise; the state advances by the exact
     integration step.
+
+    Two kernels compute the same floating-point operations in the same
+    order, so a row's trajectory is bitwise identical whichever one runs
+    and whatever batch it is in: batches of at most _ROW_KERNEL_MAX_ROWS
+    rows run row by row in Python floats, larger ones run the vectorized
+    numpy loop. Raises DivergedTrajectoryError with the first step at
+    which any row's state is not finite.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.ndim == 2:
         gains = gains[None]
     if not np.isfinite(gains).all():
         raise ContractViolationError("gain matrix must be finite")
+    if gains.shape[0] <= _ROW_KERNEL_MAX_ROWS:
+        traj = _simulate_rows(gains, cfg)
+    else:
+        traj = _simulate_vectorized(gains, cfg)
+    if not np.isfinite(traj).all():
+        bad = np.flatnonzero(~np.isfinite(traj).all(axis=(0, 2)))
+        raise DivergedTrajectoryError(int(bad[0]))
+    return traj
+
+
+def _simulate_vectorized(gains: np.ndarray, cfg: UnicycleConfig) -> np.ndarray:
+    """All rows at once, one numpy step per time step; (B, T+1, 3)."""
     B = gains.shape[0]
     T = cfg.horizon
     goal = np.asarray(cfg.goal, dtype=float)
@@ -186,7 +214,7 @@ def simulate_unicycle_batch(gains: np.ndarray, cfg: UnicycleConfig) -> np.ndarra
     q = np.tile(np.asarray(cfg.start, dtype=float), (B, 1))
     traj[:, 0] = q
     # Overflow from an unstable gain surfaces as the diverged-trajectory
-    # error below, not as runtime warnings.
+    # error, not as runtime warnings.
     with np.errstate(invalid="ignore", over="ignore"):
         for t in range(T):
             feedback = q - goal if cfg.error_feedback else q
@@ -195,10 +223,58 @@ def simulate_unicycle_batch(gains: np.ndarray, cfg: UnicycleConfig) -> np.ndarra
             w = np.clip(u[:, 1], -cfg.omega_max, cfg.omega_max)
             q = _step(q, v, w, cfg.dt)
             traj[:, t + 1] = q
-    if not np.isfinite(traj).all():
-        bad = np.flatnonzero(~np.isfinite(traj).all(axis=(0, 2)))
-        raise DivergedTrajectoryError(int(bad[0]))
     return traj
+
+
+def _simulate_rows(gains: np.ndarray, cfg: UnicycleConfig) -> np.ndarray:
+    """One row at a time in Python floats; (B, T+1, 3).
+
+    Mirrors _simulate_vectorized operation for operation: the gain
+    products are summed in einsum's order, the clamp keeps NaN as
+    np.clip does, np.sinc(z) is sin(pi*z)/(pi*z) with 1 at 0, and
+    math.sin/math.cos round as numpy's float64 sin/cos do. A row whose
+    sine or cosine argument becomes infinite (where math raises and numpy
+    returns NaN) is NaN from that step on, so the diverged step is the
+    one numpy reports.
+    """
+    T, dt, hdt = cfg.horizon, cfg.dt, 0.5 * cfg.dt
+    v_max, w_max = cfg.v_max, cfg.omega_max
+    start = np.asarray(cfg.start, dtype=float).tolist()
+    # Subtracting +0.0 is exact, so literal feedback shares the loop.
+    gx, gy, gt = np.asarray(cfg.goal, dtype=float).tolist() if cfg.error_feedback else (0.0,) * 3
+    sin, cos, pi = math.sin, math.cos, math.pi
+    row_len = 3 * (T + 1)
+    out: list[float] = []
+    for (a0, a1, a2), (b0, b1, b2) in gains.tolist():
+        row_start = len(out)
+        x, y, th = start
+        out += start
+        try:
+            for _ in range(T):
+                ex, ey, et = x - gx, y - gy, th - gt
+                # einsum sums (g0*e0 + g2*e2) + g1*e1 into a zeroed output;
+                # the + 0.0 turns a sum of negative zeros into 0.0 as it does.
+                v = (a0 * ex + a2 * et) + a1 * ey + 0.0
+                w = (b0 * ex + b2 * et) + b1 * ey + 0.0
+                if v < -v_max:
+                    v = -v_max
+                elif v > v_max:
+                    v = v_max
+                if w < -w_max:
+                    w = -w_max
+                elif w > w_max:
+                    w = w_max
+                half = hdt * w
+                z = pi * (half / pi)
+                ds = (v * dt) * (sin(z) / z if z else 1.0)
+                a = th + half
+                x = x + ds * cos(a)
+                y = y + ds * sin(a)
+                th = th + dt * w
+                out += (x, y, th)
+        except ValueError:
+            out += [math.nan] * (row_start + row_len - len(out))
+    return np.array(out).reshape(gains.shape[0], T + 1, 3)
 
 
 def make_unicycle_problem(

@@ -7,11 +7,12 @@ import pytest
 from zobarrier.errors import (
     BudgetExhaustedError,
     ContractViolationError,
+    DivergedTrajectoryError,
     NonFiniteMeasurementError,
 )
 from zobarrier.estimator import sphere_sample
 from zobarrier.oracle import MeasurementOracle, NoiseModel, write_audit_csv
-from zobarrier.problems import ProblemSpec, analytic_problem
+from zobarrier.problems import ProblemSpec, UnicycleConfig, analytic_problem, make_unicycle_problem
 from zobarrier.solver import AlgoConfig, run
 from zobarrier.streams import SIDE_BASE, SIDE_PERTURBED
 
@@ -221,6 +222,32 @@ def test_non_finite_true_value_counts_as_violation(tmp_path):
         ["-inf", "1"],
         ["-0.6", "0"],
     ]
+
+
+def test_diverged_measurement_is_audited_and_flagged(tmp_path):
+    # Unbounded inputs and a radius of 1e200 along the first gain: the
+    # displaced point's trajectory overflows at step 2. The queried point
+    # is charged, audited with a NaN true value (so flagged) and the
+    # error still reaches the caller, where `run` halts "diverged".
+    cfg = UnicycleConfig(start=(1.0, 0.0, 0.0), v_max=math.inf, omega_max=math.inf)
+    oracle = make_oracle(make_unicycle_problem(cfg))
+    x = oracle.problem.safe_start
+    oracle.measure_base(x, 2, iteration=1)
+    direction = np.eye(6)[:1]
+    with pytest.raises(DivergedTrajectoryError) as exc:
+        oracle.measure_perturbed(x, direction, 1e200, iteration=1)
+    assert exc.value.step == 2
+    assert oracle.total_scalar_calls == 3 * 31
+    audit = oracle.audit()
+    assert len(audit) == 2
+    assert audit.sides.tolist() == [SIDE_BASE, SIDE_PERTURBED]
+    assert audit.samples.tolist() == [0, 1]
+    np.testing.assert_array_equal(audit.points[1], x + 1e200 * direction[0])
+    assert math.isnan(audit.true_max_constraint[1])
+    assert audit.violated.tolist() == [False, True]
+    write_audit_csv(audit, tmp_path / "audit.csv")
+    last = (tmp_path / "audit.csv").read_text().splitlines()[-1]
+    assert last.startswith("1,perturbed,") and last.endswith(",nan,1")
 
 
 def legacy_audit_csv(audit, path):

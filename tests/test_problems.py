@@ -7,8 +7,11 @@ from zobarrier.errors import (
     UnknownProblemError,
 )
 from zobarrier.problems import (
+    _ROW_KERNEL_MAX_ROWS,
     ProblemSpec,
     UnicycleConfig,
+    _simulate_rows,
+    _simulate_vectorized,
     _step,
     analytic_names,
     analytic_problem,
@@ -113,6 +116,68 @@ def test_diverged_trajectory_reports_step():
     with pytest.raises(DivergedTrajectoryError) as exc:
         simulate_unicycle_batch(np.array([[1e200, 0.0, 0.0], [0.0, 0.0, 0.0]]), cfg)
     assert 0 <= exc.value.step <= cfg.horizon
+
+
+KERNEL_CONFIGS = {
+    "literal": UnicycleConfig(),
+    "error-feedback": UnicycleConfig(error_feedback=True),
+    "v-max-20": UnicycleConfig(error_feedback=True, v_max=20.0),
+    # Negative zeros in the state: einsum sums into +0.0, so must the rows.
+    "signed-zero-start": UnicycleConfig(start=(0.0, -0.0, -0.0), omega_max=np.inf),
+}
+
+
+def kernel_gains(cfg, rows):
+    """Fixed-seed gains around the config's start gain: small steps, rows
+    scaled up so the clamp is active, and rows with no turn-rate gain."""
+    rng = np.random.default_rng(20261018)
+    gains = cfg.initial_gain + rng.uniform(-0.15, 0.15, size=(rows, 2, 3))
+    gains[1::4] *= 60.0
+    gains[2::5, 1] = 0.0
+    return gains
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CONFIGS))
+def test_row_kernel_bitwise_equals_vectorized(name):
+    # The solver's batches (1 base row, n_k perturbed rows) take the
+    # per-row float kernel, larger ones the vectorized loop. Each row's
+    # trajectory must be byte-identical whichever path and batch it is in;
+    # this also checks that math.sin/math.cos round as numpy's float64
+    # sin/cos do.
+    cfg = KERNEL_CONFIGS[name]
+    big = _ROW_KERNEL_MAX_ROWS + 9
+    gains = kernel_gains(cfg, big)
+    full = simulate_unicycle_batch(gains, cfg)
+    assert full.shape == (big, cfg.horizon + 1, 3) and full.flags.c_contiguous
+    assert full.tobytes() == _simulate_vectorized(gains, cfg).tobytes()
+    assert _simulate_rows(gains, cfg).tobytes() == full.tobytes()
+    seven = simulate_unicycle_batch(gains[:7], cfg)
+    assert seven.flags.c_contiguous and seven.tobytes() == full[:7].tobytes()
+    for b in range(big):
+        alone = simulate_unicycle_batch(gains[b], cfg)
+        assert alone.shape == (1, cfg.horizon + 1, 3) and alone.flags.c_contiguous
+        assert alone.tobytes() == full[b].tobytes()
+
+
+@pytest.mark.parametrize(
+    "start,gain,step",
+    [
+        # Overflow to inf after one finite step.
+        ((1.0, 0.0, 0.0), [[1e200, 0.0, 0.0], [0.0, 0.0, 0.0]], 2),
+        # Infinite turn rate: sin/cos of inf (math raises, numpy gives NaN).
+        ((1e10, 0.0, 0.0), [[0.0, 0.0, 0.0], [1e300, 0.0, 0.0]], 1),
+        # inf - inf: a NaN turn rate passes the clamp.
+        ((1e10, 0.0, 1e10), [[0.0, 0.0, 0.0], [1e300, 0.0, -1e300]], 1),
+    ],
+)
+def test_diverged_step_same_on_both_kernels(start, gain, step):
+    cfg = UnicycleConfig(start=start, v_max=np.inf, omega_max=np.inf)
+    gains = np.zeros((_ROW_KERNEL_MAX_ROWS + 9, 2, 3))
+    gains[5] = gain
+    for batch in (gains[5], gains[:7], gains):
+        with pytest.raises(DivergedTrajectoryError) as exc:
+            simulate_unicycle_batch(batch, cfg)
+        assert exc.value.step == step
 
 
 def test_nonfinite_gain_rejected():

@@ -6,6 +6,7 @@ import pytest
 
 from zobarrier.errors import (
     ContractViolationError,
+    DivergedTrajectoryError,
     MarginExhaustedError,
     NoValidOutputError,
     UnsafeStartError,
@@ -364,6 +365,35 @@ def test_non_finite_measurement_is_a_named_halt():
     assert np.all(np.isfinite(audit.true_max_constraint[before]))
     assert np.isnan(audit.true_max_constraint[~before]).any()
     assert audit.violation_count == np.count_nonzero(~before & audit.violated) > 0
+
+
+def diverge_beyond_problem():
+    """nan_beyond_problem whose evaluator instead raises, as the unicycle
+    simulator does, once any queried point has x0 < -0.3."""
+    inner = nan_beyond_problem()
+
+    def eval_all(points):
+        if (points[:, 0] < -0.3).any():
+            raise DivergedTrajectoryError(3)
+        return inner.eval_all(points)
+
+    return dataclasses.replace(inner, name="diverge-beyond", eval_all=eval_all)
+
+
+def test_diverged_measurement_is_a_named_halt():
+    prob = diverge_beyond_problem()
+    result = run(prob, ball_config(max_iters=300, seed=1), make_oracle(prob, seed=1))
+    assert result.halted_reason == "diverged"
+    assert 1 < result.halted_at < 300
+    assert [rec.k for rec in result.trace] == list(range(1, result.halted_at))
+    assert result.certificate is None
+    # The refused measurement's points are audited with a NaN true value,
+    # and they are the only flagged rows.
+    audit = result.audit
+    unknown = np.isnan(audit.true_max_constraint)
+    assert unknown.any()
+    assert np.all(audit.iterations[unknown] == result.halted_at)
+    assert audit.violation_count == np.count_nonzero(unknown)
 
 
 def test_zero_gradient_records_zero_weight():
