@@ -100,11 +100,10 @@ def _cmd_plan(args) -> int:
     problem = harness.build_problem(cfg.problem_name, cfg.problem_options)
     algo = cfg.algo
     L = problem.lipschitz
-    C = algo.C_override if algo.C_override is not None else problem.grad_lower**2 / (8 * L**2)
-    nu = C * algo.eta / L
+    C, nu = solver.margin_constants(problem, algo)
     sig = solver.sigma_big(problem.dim, algo.delta, algo.max_iters, problem.noise_sigma, L, nu)
     n_req = solver.required_samples(sig, nu, C, L)
-    d_f = float(cfg.plan_options.get("d_f_estimate", 1.0))
+    d_f = cfg.plan.get("d_f_estimate", 1.0)
     plan = solver.plan_iterations(algo.eta, L, C, problem.dim, d_f)
     print(f"problem={problem.name} d={problem.dim} m={problem.num_constraints}")
     print(f"C={C:.6g} nu(fixed)={nu:.6g} Sigma={sig:.6g}")

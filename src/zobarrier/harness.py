@@ -2,14 +2,19 @@
 
 Reads a YAML experiment config (optionally expanded from a named
 preset), executes seeded independent trials, persists per-trial trace
-and audit CSVs plus one summary JSON, and hosts the named
-property-verification suites that back the statistical claims the
-solver relies on.
+and audit CSVs plus one summary JSON (always all three), and hosts the
+named property-verification suites that back the statistical claims
+the solver relies on.
+
+Each config section is checked by the dataclass or constructor it
+builds (`_build`), whose fields or parameters are the accepted keys and
+hold the defaults; anything else is a ConfigError naming the section.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -20,8 +25,8 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from .errors import ConfigError, UnknownSuiteError
-from .estimator import sphere_sample
+from .errors import ConfigError, ContractViolationError, MarginExhaustedError, UnknownSuiteError
+from .estimator import confidence_bounds, margin, sphere_sample
 from .oracle import MeasurementOracle, NoiseModel, write_audit_csv
 from .problems import ProblemSpec, UnicycleConfig, analytic_names, analytic_problem, make_unicycle_problem
 from .smoothing import smoothed_gradient, smoothed_value
@@ -44,167 +49,95 @@ ENV_OUTPUT_DIR = "ZOBARRIER_OUTPUT_DIR"
 
 
 @dataclass
-class EmitFlags:
-    trace_csv: bool = True
-    audit_csv: bool = True
-    summary_json: bool = True
-
-
-@dataclass
 class ExperimentConfig:
+    """One experiment. Its fields are the config's top-level keys, except
+    that the `problem` section is split into problem_name and
+    problem_options. An `algo` mapping is built into an AlgoConfig."""
+
     problem_name: str
     problem_options: dict
-    algo: AlgoConfig
-    trials: int
-    base_seed: int
-    output_dir: Path
-    emit: EmitFlags = field(default_factory=EmitFlags)
+    algo: AlgoConfig | dict
+    trials: int = 1
+    base_seed: int = 0
+    output_dir: Path = Path("out")
     noise_kind: str = "gaussian"
     budget_cap: int | None = None
     residual_mc: int = 2048
     label: str = ""
-    plan_options: dict = field(default_factory=dict)
+    plan: dict = field(default_factory=dict)  # `zobarrier plan` inputs: d_f_estimate
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("trials: must be a positive integer")
+        lower = {"trials": 1, "base_seed": 0, "residual_mc": 0}
+        if self.budget_cap is not None:
+            lower["budget_cap"] = 1
+        for key, low in lower.items():
+            value = getattr(self, key)
+            if not isinstance(value, int) or value < low:
+                raise ContractViolationError(f"{key} must be an integer >= {low}, got {value!r}")
+        NoiseModel(kind=self.noise_kind)  # rejects an unknown noise kind
+        self.plan = {} if self.plan is None else self.plan
+        if not isinstance(self.plan, dict) or set(self.plan) - {"d_f_estimate"}:
+            raise ContractViolationError(f"plan: only d_f_estimate may be set, got {self.plan!r}")
+        self.plan = {key: float(value) for key, value in self.plan.items()}
+        if self.plan.get("d_f_estimate", 0.0) < 0.0:
+            raise ContractViolationError("plan.d_f_estimate must be >= 0")
         self.output_dir = Path(self.output_dir)
+        self.label = str(self.label or self.problem_name)
+        if not isinstance(self.algo, AlgoConfig):
+            self.algo = _build(AlgoConfig, self.algo, "algo")
 
 
-_UNICYCLE_KEYS = {
-    "horizon",
-    "dt",
-    "start",
-    "goal",
-    "obstacle_center",
-    "obstacle_radius",
-    "initial_gain",
-    "v_max",
-    "omega_max",
-    "error_feedback",
-}
-_PROBLEM_EXTRA_KEYS = {"name", "noise_sigma", "lipschitz", "grad_lower", "box_halfwidth"}
+def _build(callee, section, where: str, **fixed):
+    """callee(**section, **fixed) for one config section.
+
+    A section may set the callee's dataclass fields or parameters, less
+    the ones passed as `fixed`. Any other key, and a TypeError/ValueError
+    the callee raises on a value, becomes a ConfigError naming the section.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: must be a mapping, got {section!r}")
+    if dataclasses.is_dataclass(callee):
+        accepted = {f.name for f in dataclasses.fields(callee)}
+    else:
+        accepted = set(inspect.signature(callee).parameters)
+    unknown = set(section) - (accepted - set(fixed))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s) {sorted(unknown)}")
+    try:
+        return callee(**section, **fixed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def build_problem(name: str, options: dict) -> ProblemSpec:
-    """Instantiate a benchmark from its config section."""
-    options = dict(options)
+    """Instantiate a benchmark from its config section, less `name`: a
+    unicycle section splits into UnicycleConfig and make_unicycle_problem."""
     if name == "unicycle":
-        unknown = set(options) - _UNICYCLE_KEYS - _PROBLEM_EXTRA_KEYS
-        if unknown:
-            raise ConfigError(f"problem: unknown unicycle option(s) {sorted(unknown)}")
-        geo = {k: options[k] for k in _UNICYCLE_KEYS if k in options}
-        for key in ("start", "goal", "obstacle_center"):
-            if key in geo:
-                geo[key] = tuple(float(v) for v in geo[key])
-        if "initial_gain" in geo:
-            geo["initial_gain"] = np.asarray(geo["initial_gain"], dtype=float)
-        try:
-            cfg = UnicycleConfig(**geo)
-            return make_unicycle_problem(
-                cfg,
-                noise_sigma=float(options.get("noise_sigma", 1e-4)),
-                lipschitz=float(options.get("lipschitz", 130.0)),
-                grad_lower=float(options.get("grad_lower", 1.0)),
-                box_halfwidth=float(options.get("box_halfwidth", 0.15)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"problem: {exc}") from exc
+        geometry = {f.name for f in dataclasses.fields(UnicycleConfig)}
+        cfg = _build(UnicycleConfig, {k: v for k, v in options.items() if k in geometry}, "problem")
+        rest = {k: v for k, v in options.items() if k not in geometry}
+        return _build(make_unicycle_problem, rest, "problem", cfg=cfg)
     if name in analytic_names():
-        unknown = set(options) - {"name", "noise_sigma"}
-        if unknown:
-            raise ConfigError(f"problem: unknown option(s) {sorted(unknown)} for {name}")
-        return analytic_problem(name, noise_sigma=float(options.get("noise_sigma", 0.01)))
+        return _build(analytic_problem, options, "problem", name=name)
     raise ConfigError(
         f"problem.name: unknown problem {name!r}; choose 'unicycle' or one of "
         f"{', '.join(analytic_names())}"
     )
 
 
-_ALGO_KEYS = {
-    "eta",
-    "delta",
-    "max_iters",
-    "n_policy",
-    "n_fixed",
-    "n_cap",
-    "nu_policy",
-    "C_override",
-    "margin_policy",
-    "seed",
-}
-
-
-def _parse_algo(section: dict) -> AlgoConfig:
-    unknown = set(section) - _ALGO_KEYS
-    if unknown:
-        raise ConfigError(f"algo: unknown option(s) {sorted(unknown)}")
-    try:
-        return AlgoConfig(**section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"algo: {exc}") from exc
-
-
 def config_from_mapping(data: dict) -> ExperimentConfig:
-    """Validate a parsed config mapping; error messages carry field paths."""
+    """Validate a parsed config mapping; error messages name the section."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    data = expand_preset(data)
-    problem = data.get("problem")
+    top = {k: v for k, v in expand_preset(data).items() if k != "preset"}
+    problem = top.pop("problem", None)
     if not isinstance(problem, dict) or "name" not in problem:
         raise ConfigError("problem: required section with a 'name' key")
-    algo = data.get("algo")
-    if not isinstance(algo, dict):
-        raise ConfigError("algo: required section")
-    emit_raw = data.get("emit", {})
-    if not isinstance(emit_raw, dict):
-        raise ConfigError("emit: must be a mapping of flags")
-    unknown_emit = set(emit_raw) - {"trace_csv", "audit_csv", "summary_json"}
-    if unknown_emit:
-        raise ConfigError(f"emit: unknown flag(s) {sorted(unknown_emit)}")
-    known_top = {
-        "preset",
-        "problem",
-        "algo",
-        "trials",
-        "base_seed",
-        "output_dir",
-        "emit",
-        "noise_kind",
-        "budget_cap",
-        "residual_mc",
-        "label",
-        "plan",
-    }
-    unknown_top = set(data) - known_top
-    if unknown_top:
-        raise ConfigError(f"unknown top-level key(s) {sorted(unknown_top)}")
-    try:
-        trials = int(data.get("trials", 1))
-        base_seed = int(data.get("base_seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"trials/base_seed: {exc}") from exc
-    noise_kind = data.get("noise_kind", "gaussian")
-    if noise_kind not in ("gaussian", "bounded-uniform", "none"):
-        raise ConfigError(f"noise_kind: invalid value {noise_kind!r}")
-    budget_cap = data.get("budget_cap")
-    if budget_cap is not None:
-        budget_cap = int(budget_cap)
-    # Build once here so bad problem/algo sections fail at parse time.
-    build_problem(problem["name"], problem)
-    return ExperimentConfig(
-        problem_name=problem["name"],
-        problem_options={k: v for k, v in problem.items() if k != "name"},
-        algo=_parse_algo(algo),
-        trials=trials,
-        base_seed=base_seed,
-        output_dir=Path(data.get("output_dir", "out")),
-        emit=EmitFlags(**{k: bool(v) for k, v in emit_raw.items()}),
-        noise_kind=noise_kind,
-        budget_cap=budget_cap,
-        residual_mc=int(data.get("residual_mc", 2048)),
-        label=str(data.get("label", "") or problem["name"]),
-        plan_options=dict(data.get("plan", {}) or {}),
+    options = {k: v for k, v in problem.items() if k != "name"}
+    # Build once here so a bad problem section fails at parse time.
+    build_problem(problem["name"], options)
+    return _build(
+        ExperimentConfig, top, "top-level", problem_name=problem["name"], problem_options=options
     )
 
 
@@ -431,16 +364,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     summaries = []
     for t in range(cfg.trials):
         result, summary = run_trial(problem, cfg, t)
-        if cfg.emit.trace_csv:
-            _atomic_write(
-                out / f"trial{t:03d}_trace.csv",
-                lambda p, r=result: write_trace_csv(r, problem, p),
-            )
-        if cfg.emit.audit_csv:
-            _atomic_write(
-                out / f"trial{t:03d}_audit.csv",
-                lambda p, r=result: write_audit_csv(r.audit, p),
-            )
+        _atomic_write(
+            out / f"trial{t:03d}_trace.csv",
+            lambda p, r=result: write_trace_csv(r, problem, p),
+        )
+        _atomic_write(
+            out / f"trial{t:03d}_audit.csv",
+            lambda p, r=result: write_audit_csv(r.audit, p),
+        )
         summaries.append(summary)
     finals = [s.final_objective for s in summaries]
     aggregate = {
@@ -451,11 +382,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
         "trials": len(summaries),
     }
     run_summary = RunSummary(label=cfg.label, trials=summaries, aggregate=aggregate)
-    if cfg.emit.summary_json:
-        _atomic_write(
-            out / "summary.json",
-            lambda p: Path(p).write_text(json.dumps(run_summary.to_dict(), indent=2) + "\n"),
-        )
+    _atomic_write(
+        out / "summary.json",
+        lambda p: Path(p).write_text(json.dumps(run_summary.to_dict(), indent=2) + "\n"),
+    )
     return run_summary
 
 
@@ -562,11 +492,16 @@ def check_coverage(
     rng = substream(seed, DOMAIN_MC, 1)
     slack = 3.0 * math.sqrt(delta_bar * (1.0 - delta_bar) / repeats)
     threshold = 1.0 - delta_bar - slack
-    inflation = sigma / math.sqrt(n) * math.sqrt(math.log(1.0 / delta_bar))
+
+    def upper_bounds(true_value: float) -> np.ndarray:
+        # One (n, 1 + repeats) base table: column 0 stands in for the
+        # objective, column j holds repeat j's n noisy constraint values.
+        noise = rng.normal(0.0, sigma, size=(repeats, n)).T
+        table = np.hstack([np.zeros((n, 1)), true_value + noise])
+        return confidence_bounds(table, sigma, delta_bar)
 
     true_value = 0.7
-    means = true_value + rng.normal(0.0, sigma, size=(repeats, n)).mean(axis=1)
-    covered = float(np.mean(true_value <= means + inflation))
+    covered = float(np.mean(true_value <= upper_bounds(true_value)))
 
     problem = analytic_problem("linear-ball")
     x = np.zeros(2)
@@ -575,10 +510,13 @@ def check_coverage(
     # E|x + nu*b|^2 - 1 = nu^2 * d/(d+2) - 1 for the uniform unit ball.
     fc_nu = nu**2 * 2.0 / 4.0 - 1.0
     limit = min(abs(fc_nu), abs(fc))
-    sample_means = fc + rng.normal(0.0, sigma, size=(repeats, n)).mean(axis=1)
-    fhat_c_nu = sample_means + inflation + nu * problem.lipschitz
-    alpha = -fhat_c_nu
-    margin_covered = float(np.mean((fhat_c_nu >= 0.0) | (alpha <= limit)))
+    held = 0
+    for fhat in upper_bounds(fc)[:, None]:
+        try:
+            held += margin(fhat, nu, problem.lipschitz)[1] <= limit
+        except MarginExhaustedError:
+            held += 1
+    margin_covered = held / repeats
 
     return [
         PropertyCheck(

@@ -134,6 +134,9 @@ class UnicycleConfig:
 
     def __post_init__(self):
         self.initial_gain = np.asarray(self.initial_gain, dtype=float)
+        self.start = tuple(float(v) for v in self.start)
+        self.goal = tuple(float(v) for v in self.goal)
+        self.obstacle_center = tuple(float(v) for v in self.obstacle_center)
         if self.horizon < 1:
             raise ContractViolationError("horizon must be a positive integer")
         if self.dt <= 0.0:

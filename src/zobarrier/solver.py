@@ -88,8 +88,8 @@ class AlgoConfig:
             raise ContractViolationError("eta must be positive")
         if not 0.0 < self.delta < 1.0:
             raise ContractViolationError("delta must lie in (0, 1)")
-        if self.max_iters < 0:
-            raise ContractViolationError("max_iters must be >= 0")
+        if not isinstance(self.max_iters, int) or self.max_iters < 0:
+            raise ContractViolationError("max_iters must be an integer >= 0")
         if self.n_policy not in N_POLICIES:
             raise ContractViolationError(f"n_policy must be one of {N_POLICIES}")
         if self.nu_policy not in NU_POLICIES:
@@ -162,6 +162,14 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
+def margin_constants(problem: ProblemSpec, cfg: AlgoConfig) -> tuple[float, float]:
+    """The margin constant C (cfg.C_override, else l^2 / (8 L^2)) and the
+    fixed sampling radius nu = C * eta / L."""
+    L = problem.lipschitz
+    C = cfg.C_override if cfg.C_override is not None else problem.grad_lower**2 / (8.0 * L**2)
+    return C, C * cfg.eta / L
+
+
 def sigma_big(d: int, delta: float, K: int, sigma: float, lipschitz: float, nu: float) -> float:
     """Concentration constant
 
@@ -202,13 +210,6 @@ def step_weight(k: int, alpha_hat: float, lipschitz: float) -> float:
     if alpha_hat <= 0.0:
         raise ContractViolationError("alpha_hat must be positive")
     return min(alpha_hat / (2.0 * lipschitz * k ** (2.0 / 5.0)), 1.0 / k ** (3.0 / 5.0))
-
-
-def step_size(k: int, alpha_hat: float, g_norm: float, lipschitz: float) -> float:
-    """gamma_k = step_weight / |g_k|; the update is x -= gamma_k * g_k."""
-    if g_norm <= 0.0:
-        raise ContractViolationError("degenerate gradient: |g| must be positive")
-    return step_weight(k, alpha_hat, lipschitz) / g_norm
 
 
 def _adaptive_margin(max_fhat: float, eta: float, lipschitz: float) -> tuple[float, float]:
@@ -351,8 +352,7 @@ def resolve_sample_count(problem: ProblemSpec, cfg: AlgoConfig, sigma: float) ->
     if cfg.n_policy == "fixed":
         return int(cfg.n_fixed)
     L = problem.lipschitz
-    C = cfg.C_override if cfg.C_override is not None else problem.grad_lower**2 / (8.0 * L**2)
-    nu = C * cfg.eta / L
+    C, nu = margin_constants(problem, cfg)
     required = required_samples(
         sigma_big(problem.dim, cfg.delta, cfg.max_iters, sigma, L, nu), nu, C, L
     )
@@ -380,10 +380,9 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
     far.
     """
     L = problem.lipschitz
-    C = cfg.C_override if cfg.C_override is not None else problem.grad_lower**2 / (8.0 * L**2)
     K = cfg.max_iters
     delta_bar = cfg.delta / (2 * K + 1)
-    nu_fixed = C * cfg.eta / L
+    _, nu_fixed = margin_constants(problem, cfg)
     sigma = oracle.noise.sigma
     n = resolve_sample_count(problem, cfg, sigma)
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ BASE_CONFIG = {
 }
 
 
-def make_config(tmp_path, **overrides):
+def config_data(tmp_path, **overrides):
     data = {k: (dict(v) if isinstance(v, dict) else v) for k, v in BASE_CONFIG.items()}
     for key, value in overrides.items():
         if isinstance(value, dict) and isinstance(data.get(key), dict):
@@ -45,7 +46,11 @@ def make_config(tmp_path, **overrides):
         else:
             data[key] = value
     data["output_dir"] = str(tmp_path / data["output_dir"])
-    return config_from_mapping(data)
+    return data
+
+
+def make_config(tmp_path, **overrides):
+    return config_from_mapping(config_data(tmp_path, **overrides))
 
 
 # -- config parsing ----------------------------------------------------------
@@ -103,6 +108,50 @@ def test_unknown_emit_flag():
                 "emit": {"pdf": True},
             }
         )
+
+
+MALFORMED = {
+    "budget_cap-not-a-number": {"budget_cap": "abc"},
+    "residual_mc-not-a-number": {"residual_mc": "x"},
+    "residual_mc-negative": {"residual_mc": -5},
+    "budget_cap-zero": {"budget_cap": 0},
+    "plan-not-a-mapping": {"plan": 3},
+    "plan-misspelt-key": {"plan": {"d_f_estimat": 2}},
+    "plan-negative-gap": {"plan": {"d_f_estimate": -1}},
+    "analytic-noise_sigma-not-a-number": {"problem": {"noise_sigma": "abc"}},
+    "algo-max_iters-fractional": {"algo": {"max_iters": 2.5}},
+    "noise_kind-unknown": {"noise_kind": "bogus"},
+    "unicycle-misspelt-key": {"problem": {"name": "unicycle", "horizonn": 3}},
+}
+
+
+@pytest.mark.parametrize("overrides", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_value_is_config_error(tmp_path, capsys, overrides):
+    data = config_data(tmp_path, **overrides)
+    with pytest.raises(ConfigError):
+        config_from_mapping(data)
+    assert cli.main(["run", write_yaml(tmp_path, data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
+def test_shipped_config_parses_and_plans(path, capsys):
+    assert cli._load_config(str(path)).label == path.stem
+    assert cli.main(["plan", str(path)]) == 0
+    assert "sample bound" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_parses_and_plans(tmp_path, capsys, name):
+    cfg = config_from_mapping({"preset": name})
+    assert cfg.label == name and cfg.trials == PRESETS[name]["trials"]
+    path = write_yaml(tmp_path, {"preset": name, "output_dir": str(tmp_path / "out")})
+    assert cli.main(["plan", path]) == 0
+    assert "sample bound" in capsys.readouterr().out
 
 
 def test_preset_expansion_and_override():

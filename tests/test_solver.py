@@ -26,7 +26,6 @@ from zobarrier.solver import (
     run,
     select_output,
     sigma_big,
-    step_size,
     step_weight,
 )
 from zobarrier.streams import substream
@@ -91,15 +90,12 @@ def test_required_samples_quadratic_in_sigma():
         required_samples(0.0, 1.0, 1.0, 1.0)
 
 
-def test_step_size_values():
-    assert step_size(1, 1.0, 2.0, 1.0) == pytest.approx(0.25)
+def test_step_weight_values():
+    assert step_weight(1, 1.0, 1.0) == pytest.approx(0.5)
     # k = 32: k^(2/5) = 4 and k^(3/5) = 8, both branches equal 1/8.
-    assert step_size(32, 1.0, 1.0, 1.0) == pytest.approx(0.125)
     assert step_weight(32, 1.0, 1.0) == pytest.approx(0.125)
     with pytest.raises(ContractViolationError):
-        step_size(1, 1.0, 0.0, 1.0)
-    with pytest.raises(ContractViolationError):
-        step_size(0, 1.0, 1.0, 1.0)
+        step_weight(0, 1.0, 1.0)
     with pytest.raises(ContractViolationError):
         step_weight(1, 0.0, 1.0)
 
@@ -296,7 +292,7 @@ def test_trace_internal_consistency():
             continue
         # Stored step quantities reproduce bitwise from (k, alpha, |g|, L).
         assert rec.weight == step_weight(rec.k, rec.alpha_hat, L)
-        assert rec.gamma == step_size(rec.k, rec.alpha_hat, rec.g_norm, L)
+        assert rec.gamma == step_weight(rec.k, rec.alpha_hat, L) / rec.g_norm
         # Adaptive radius satisfies nu_k = min(eta/L, alpha_k/L) exactly.
         assert rec.nu == min(0.05 / L, rec.alpha_hat / L)
     # Consecutive-iterate displacement equals the recorded weight.
