@@ -1,0 +1,109 @@
+"""Mutation check of the safety-critical formulas.
+
+Each mutant is a one-line change to a formula the safety argument rests
+on, stored as a (file, old, new) triple. For each one the script copies
+`src/` and `tests/` to a temporary directory, applies the change there
+and runs the Tier-1 suite on the copy; the suite must fail. The
+unmutated copy runs first and must pass, so a failure is the mutant's
+doing. Exits 1 if any mutant survives, 2 if the unmutated suite fails.
+The repository itself is never modified.
+
+    python3 bench/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = {
+    "step-bound-without-2": (
+        "src/zobarrier/solver.py",
+        "min(alpha_hat / (2.0 * lipschitz * k ** (2.0 / 5.0)),",
+        "min(alpha_hat / (lipschitz * k ** (2.0 / 5.0)),",
+    ),
+    "no-confidence-inflation": (
+        "src/zobarrier/estimator.py",
+        "return cons.mean(axis=0) + inflation",
+        "return cons.mean(axis=0)",
+    ),
+    "margin-without-nu-L": (
+        "src/zobarrier/estimator.py",
+        "fhat_c_nu = float(np.max(fhat) + nu * lipschitz)",
+        "fhat_c_nu = float(np.max(fhat))",
+    ),
+    "adaptive-margin-alpha-minus-M": (
+        "src/zobarrier/solver.py",
+        "alpha = -max_fhat / 2.0",
+        "alpha = -max_fhat",
+    ),
+    "no-union-bound": (
+        "src/zobarrier/solver.py",
+        "delta_bar = cfg.delta / (2 * K + 1)",
+        "delta_bar = cfg.delta",
+    ),
+}
+
+
+def tier1(copy: Path) -> tuple[int, float]:
+    """Exit code and wall time of Tier-1 on a copy; stops at the first failure."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests"],
+        cwd=copy,
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    return proc.returncode, time.perf_counter() - t0
+
+
+def make_copy(dest: Path, mutant: tuple[str, str, str] | None) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "out")
+    for part in ("src", "tests", "configs", "README.md", "pyproject.toml"):
+        src = ROOT / part
+        if src.is_dir():
+            shutil.copytree(src, dest / part, ignore=ignore)
+        else:
+            shutil.copy2(src, dest / part)
+    if mutant is not None:
+        rel, old, new = mutant
+        path = dest / rel
+        text = path.read_text()
+        if text.count(old) != 1:
+            raise SystemExit(f"{rel}: expected exactly one {old!r}")
+        path.write_text(text.replace(old, new))
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="zobarrier-mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        make_copy(clean, None)
+        code, wall = tier1(clean)
+        print(f"unmutated: exit {code} in {wall:.0f} s", flush=True)
+        if code != 0:
+            return 2
+        survivors = []
+        for name, mutant in MUTANTS.items():
+            copy = Path(tmp) / name
+            make_copy(copy, mutant)
+            code, wall = tier1(copy)
+            verdict = "killed" if code != 0 else "SURVIVED"
+            print(f"{name}: {verdict} (exit {code} in {wall:.0f} s)", flush=True)
+            if code == 0:
+                survivors.append(name)
+            shutil.rmtree(copy)
+    print(f"{len(MUTANTS) - len(survivors)}/{len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,7 +18,6 @@ from .errors import (
     MarginExhaustedError,
     NonFiniteMeasurementError,
     NoValidOutputError,
-    OutsideBarrierDomainError,
     UnknownProblemError,
     UnknownSuiteError,
     UnsafeStartError,
@@ -55,7 +54,6 @@ __all__ = [
     "NoValidOutputError",
     "NoiseModel",
     "NonFiniteMeasurementError",
-    "OutsideBarrierDomainError",
     "ProblemSpec",
     "RunResult",
     "SafetyAudit",

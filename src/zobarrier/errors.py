@@ -50,11 +50,6 @@ class UnsafeStartError(ZobarrierError):
     """The noisy feasibility check at the start point failed."""
 
 
-class OutsideBarrierDomainError(ZobarrierError):
-    """Barrier evaluation requested where the smoothed constraint is not
-    certifiably negative."""
-
-
 class NoValidOutputError(ZobarrierError):
     """Output sampling requested but every iterate weight is zero."""
 

@@ -23,22 +23,20 @@ import math
 import numpy as np
 
 from .errors import ContractViolationError, MarginExhaustedError
-from .streams import as_generator
 
 
-def sphere_sample(d: int, n: int, rng) -> np.ndarray:
+def sphere_sample(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """n points uniform on the unit sphere in R^d, as rows; deterministic
-    given the stream key (standard-normal vector, normalized)."""
+    given the generator's stream key (standard-normal vector, normalized)."""
     if d < 1:
         raise ContractViolationError("dimension must be >= 1")
     if n < 1:
         raise ContractViolationError("sample count must be >= 1")
-    gen = as_generator(rng)
-    vecs = gen.standard_normal((n, d))
+    vecs = rng.standard_normal((n, d))
     norms = np.linalg.norm(vecs, axis=1)
     while np.any(norms < 1e-300):  # essentially impossible; redraw to be safe
         bad = norms < 1e-300
-        vecs[bad] = gen.standard_normal((int(bad.sum()), d))
+        vecs[bad] = rng.standard_normal((int(bad.sum()), d))
         norms = np.linalg.norm(vecs, axis=1)
     return vecs / norms[:, None]
 

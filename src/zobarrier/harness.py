@@ -84,7 +84,8 @@ class ExperimentConfig:
         self.output_dir = Path(self.output_dir)
         self.label = str(self.label or self.problem_name)
         if not isinstance(self.algo, AlgoConfig):
-            self.algo = _build(AlgoConfig, self.algo, "algo")
+            # run_trial sets the seed of trial t to base_seed + t.
+            self.algo = _build(AlgoConfig, self.algo, "algo", seed=0)
 
 
 def _build(callee, section, where: str, **fixed):
@@ -256,14 +257,6 @@ class RunSummary:
             "aggregate": dict(self.aggregate),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunSummary":
-        return cls(
-            label=data["label"],
-            trials=[TrialSummary(**t) for t in data["trials"]],
-            aggregate=dict(data["aggregate"]),
-        )
-
 
 def _atomic_write(path: Path, writer) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
@@ -329,10 +322,8 @@ def run_trial(
         if cfg.residual_mc > 0:
             nu_r = result.trace[cert.iteration - 1].nu
             triple = kkt_residuals(
-                problem, cert, nu_r, n_mc=cfg.residual_mc, rng=(seed, DOMAIN_MC, 1)
+                problem, cert, nu_r, substream(seed, DOMAIN_MC, 1), n_mc=cfg.residual_mc
             )
-            result.residuals = triple
-            cert.stationarity_norm = float(triple.stationarity)
             res = (float(triple[0]), float(triple[1]), float(triple[2]))
     audit = result.audit
     summary = TrialSummary(
@@ -575,29 +566,21 @@ def check_smoothing_properties(
         for _ in range(n_points):
             x = rng.uniform(lo_s, hi_s)
             fb = fields[int(rng.uniform() < 0.5)]
-            sv = smoothed_value(fb, x, nu, n_mc, rng)
+            value, value_se = smoothed_value(fb, x, nu, n_mc, rng)
             fx = float(fb(x[None, :])[0])
-            worst_bias = max(
-                worst_bias, abs(sv.value - fx) - (nu * L + 4.0 * sv.std_err_value)
-            )
-            sg = smoothed_gradient(fb, x, nu, n_mc, rng)
-            worst_norm = max(
-                worst_norm, float(np.linalg.norm(sg.grad)) - (L + 4.0 * sg.std_err_grad)
-            )
+            worst_bias = max(worst_bias, abs(value - fx) - (nu * L + 4.0 * value_se))
+            grad, grad_se = smoothed_gradient(fb, x, nu, n_mc, rng)
+            worst_norm = max(worst_norm, float(np.linalg.norm(grad)) - (L + 4.0 * grad_se))
         worst_lip = -math.inf
         m_nu = math.sqrt(d) * L / nu
         for _ in range(n_points):
             x = rng.uniform(lo_s, hi_s)
             y = rng.uniform(lo_s, hi_s)
             fb = fields[int(rng.uniform() < 0.5)]
-            gx = smoothed_gradient(fb, x, nu, n_mc, rng)
-            gy = smoothed_gradient(fb, y, nu, n_mc, rng)
-            allowance = m_nu * float(np.linalg.norm(x - y)) + 8.0 * max(
-                gx.std_err_grad, gy.std_err_grad
-            )
-            worst_lip = max(
-                worst_lip, float(np.linalg.norm(gx.grad - gy.grad)) - allowance
-            )
+            gx, se_x = smoothed_gradient(fb, x, nu, n_mc, rng)
+            gy, se_y = smoothed_gradient(fb, y, nu, n_mc, rng)
+            allowance = m_nu * float(np.linalg.norm(x - y)) + 8.0 * max(se_x, se_y)
+            worst_lip = max(worst_lip, float(np.linalg.norm(gx - gy)) - allowance)
         checks.extend(
             [
                 PropertyCheck(

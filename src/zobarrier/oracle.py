@@ -34,7 +34,7 @@ from .streams import DOMAIN_NOISE, SIDE_BASE, SIDE_PERTURBED, substream
 
 _UNIT_NORM_TOL = 1e-12
 
-_KINDS = ("gaussian", "bounded-uniform", "none")
+_KINDS = ("gaussian", "bounded-uniform")
 
 
 @dataclass
@@ -42,7 +42,7 @@ class NoiseModel:
     """Zero-mean sub-Gaussian measurement noise.
 
     gaussian: N(0, sigma^2); bounded-uniform: U[-sigma*sqrt(3),
-    sigma*sqrt(3)] (variance sigma^2); none: exact values.
+    sigma*sqrt(3)] (variance sigma^2). sigma = 0 means exact values.
     """
 
     kind: str = "gaussian"
@@ -54,15 +54,11 @@ class NoiseModel:
             raise ContractViolationError(f"noise kind must be one of {_KINDS}")
         if self.sigma < 0.0:
             raise ContractViolationError("sigma must be nonnegative")
-        if self.kind == "none":
-            # Consumers read sigma for their confidence bounds; a noiseless
-            # model must report zero regardless of what was passed in.
-            self.sigma = 0.0
 
     def draw(self, iteration: int, side: int, rows: int, cols: int) -> np.ndarray:
         """Noise table for (iteration, side); entry [j, i] is the draw for
         sample j, function i. Pure function of the key."""
-        if self.kind == "none" or self.sigma == 0.0:
+        if self.sigma == 0.0:
             return np.zeros((rows, cols))
         rng = substream(self.master_seed, DOMAIN_NOISE, iteration, side)
         if self.kind == "gaussian":
@@ -116,13 +112,11 @@ class MeasurementOracle:
     def __init__(
         self,
         problem: ProblemSpec,
-        noise: NoiseModel | None = None,
+        noise: NoiseModel,
         budget_cap: int | None = None,
     ):
         self.problem = problem
-        self.noise = noise if noise is not None else NoiseModel(
-            kind="gaussian", sigma=problem.noise_sigma
-        )
+        self.noise = noise
         self.budget_cap = budget_cap
         self._chunks: list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]] = []
         self._scalar_calls = 0

@@ -287,7 +287,6 @@ def make_unicycle_problem(
     lipschitz: float = 130.0,
     grad_lower: float = 1.0,
     box_halfwidth: float = 0.15,
-    name: str = "unicycle",
 ) -> ProblemSpec:
     """Wrap a unicycle configuration as a ProblemSpec over x = flatten(U).
 
@@ -316,7 +315,7 @@ def make_unicycle_problem(
         return np.concatenate([obj[:, None], cons], axis=1)
 
     return ProblemSpec(
-        name=name,
+        name="unicycle",
         dim=6,
         num_constraints=T,
         eval_all=eval_all,

@@ -47,7 +47,7 @@ from .estimator import (
 from .oracle import MeasurementOracle
 from .problems import ProblemSpec
 from .smoothing import smoothed_gradient
-from .streams import DOMAIN_DIRECTIONS, DOMAIN_OUTPUT, as_generator, substream
+from .streams import DOMAIN_DIRECTIONS, DOMAIN_OUTPUT, substream
 
 logger = logging.getLogger(__name__)
 
@@ -96,8 +96,8 @@ class AlgoConfig:
             raise ContractViolationError(f"nu_policy must be one of {NU_POLICIES}")
         if self.margin_policy not in MARGIN_POLICIES:
             raise ContractViolationError(f"margin_policy must be one of {MARGIN_POLICIES}")
-        if self.n_policy == "fixed" and (self.n_fixed is None or self.n_fixed < 1):
-            raise ContractViolationError("fixed n policy requires n_fixed >= 1")
+        if self.n_policy == "fixed" and not (isinstance(self.n_fixed, int) and self.n_fixed >= 1):
+            raise ContractViolationError("fixed n policy requires an integer n_fixed >= 1")
         if self.n_cap < 1:
             raise ContractViolationError("n_cap must be >= 1")
         if self.C_override is not None and self.C_override <= 0.0:
@@ -131,10 +131,7 @@ class KktCertificate:
     lambda_scalar: float  # eta / alpha_R
     lambda_hat: np.ndarray  # per-constraint multipliers, argmax mass split
     fhat: np.ndarray
-    fhat_c_nu: float
     alpha_hat: float
-    complementarity: np.ndarray  # lambda_hat[i] * (-fhat[i])
-    stationarity_norm: float | None = None
 
 
 class KktResiduals(NamedTuple):
@@ -145,13 +142,11 @@ class KktResiduals(NamedTuple):
 
 @dataclass
 class RunResult:
-    problem_name: str
     config: AlgoConfig
     trace: list[IterateRecord]
     x_final: np.ndarray
     certificate: KktCertificate | None
     audit: object  # SafetyAudit
-    residuals: KktResiduals | None = None
     # None | "margin-exhausted" | "diverged" | "budget-exhausted" | "non-finite"
     halted_reason: str | None = None
     halted_at: int | None = None
@@ -253,7 +248,7 @@ def plan_iterations(
 # ---------------------------------------------------------------------------
 
 
-def select_output(weights, rng) -> int:
+def select_output(weights, rng: np.random.Generator) -> int:
     """Sample an iteration index R with P(R = k) proportional to the
     recorded weight gamma_k * |g_k|; returns a 1-based index."""
     w = np.asarray(weights, dtype=float)
@@ -261,8 +256,7 @@ def select_output(weights, rng) -> int:
         raise NoValidOutputError("no positive weights to sample from")
     if np.any(w < 0.0):
         raise ContractViolationError("weights must be nonnegative")
-    gen = as_generator(rng)
-    return int(gen.choice(w.size, p=w / w.sum())) + 1
+    return int(rng.choice(w.size, p=w / w.sum())) + 1
 
 
 def kkt_multipliers(fhat: np.ndarray, fhat_c_nu: float, eta: float) -> np.ndarray:
@@ -280,17 +274,13 @@ def kkt_multipliers(fhat: np.ndarray, fhat_c_nu: float, eta: float) -> np.ndarra
 
 def certificate_from_record(record: IterateRecord, eta: float) -> KktCertificate:
     """Build the output certificate for one trace entry."""
-    fhat_c_nu = -record.alpha_hat
-    lam = kkt_multipliers(record.fhat, fhat_c_nu, eta)
     return KktCertificate(
         x=record.x.copy(),
         iteration=record.k,
         lambda_scalar=eta / record.alpha_hat,
-        lambda_hat=lam,
+        lambda_hat=kkt_multipliers(record.fhat, -record.alpha_hat, eta),
         fhat=record.fhat.copy(),
-        fhat_c_nu=fhat_c_nu,
         alpha_hat=record.alpha_hat,
-        complementarity=lam * (-record.fhat),
     )
 
 
@@ -298,13 +288,14 @@ def kkt_residuals(
     problem: ProblemSpec,
     certificate: KktCertificate,
     nu: float,
+    rng: np.random.Generator,
     n_mc: int = 4096,
-    rng=0,
 ) -> KktResiduals:
     """Ground-truth diagnostic residuals at the certificate point.
 
     Stationarity uses the problem's analytic gradients when available,
-    otherwise the Monte-Carlo smoothed gradients at radius nu.
+    otherwise the Monte-Carlo smoothed gradients at radius nu, drawn
+    from rng.
     """
     x = certificate.x
     true_cons = problem.constraint_values(x)
@@ -317,16 +308,11 @@ def kkt_residuals(
             if lam_i != 0.0:
                 grad += lam_i * g_i(x)
     else:
-        gen = as_generator(rng)
-        grad = smoothed_gradient(
-            problem.objective_batch, x, nu, n_mc, gen
-        ).grad.copy()
+        grad, _ = smoothed_gradient(problem.objective_batch, x, nu, n_mc, rng)
         for i, lam_i in enumerate(lam):
             if lam_i != 0.0:
                 field_i = lambda pts, i=i: problem.evaluate_all(pts)[:, i + 1]
-                grad += lam_i * smoothed_gradient(
-                    field_i, x, nu, n_mc, gen
-                ).grad
+                grad += lam_i * smoothed_gradient(field_i, x, nu, n_mc, rng)[0]
     return KktResiduals(r1, r2, float(np.linalg.norm(grad)))
 
 
@@ -350,7 +336,7 @@ def barrier_estimate(
 def resolve_sample_count(problem: ProblemSpec, cfg: AlgoConfig, sigma: float) -> int:
     """n_k for the run; theoretical policy clamps to n_cap with a warning."""
     if cfg.n_policy == "fixed":
-        return int(cfg.n_fixed)
+        return cfg.n_fixed
     L = problem.lipschitz
     C, nu = margin_constants(problem, cfg)
     required = required_samples(
@@ -462,7 +448,6 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
             R = select_output(weights, substream(cfg.seed, DOMAIN_OUTPUT))
             certificate = certificate_from_record(records[R - 1], cfg.eta)
     return RunResult(
-        problem_name=problem.name,
         config=cfg,
         trace=records,
         x_final=x,

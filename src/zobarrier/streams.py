@@ -35,13 +35,3 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     words.extend(int(part) & _MASK64 for part in key)
     return np.random.default_rng(np.random.SeedSequence(words))
 
-
-def as_generator(rng) -> np.random.Generator:
-    """Normalize an rng argument: Generator, int seed, or key tuple."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, (int, np.integer)):
-        return substream(int(rng))
-    if isinstance(rng, (tuple, list)):
-        return substream(*rng)
-    raise TypeError(f"expected Generator, int seed, or key tuple, got {type(rng)!r}")

@@ -32,21 +32,22 @@ def max_columns(base, pert):
 
 
 def test_sphere_d1_is_signs():
-    s = sphere_sample(1, 50, 0)
+    s = sphere_sample(1, 50, substream(0))
     assert set(np.unique(s)) == {-1.0, 1.0}
 
 
 def test_sphere_unit_norms():
-    s = sphere_sample(7, 1000, 1)
+    s = sphere_sample(7, 1000, substream(1))
     assert np.abs(np.linalg.norm(s, axis=1) - 1.0).max() < 1e-12
 
 
 def test_sphere_determinism():
-    assert np.array_equal(sphere_sample(3, 10, (5, 6)), sphere_sample(3, 10, (5, 6)))
+    a = sphere_sample(3, 10, substream(5, 6))
+    assert np.array_equal(a, sphere_sample(3, 10, substream(5, 6)))
 
 
 def test_sphere_mean_and_second_moment():
-    s = sphere_sample(3, 100_000, 2)
+    s = sphere_sample(3, 100_000, substream(2))
     assert np.abs(s.mean(axis=0)).max() < 4.0 / math.sqrt(100_000)
     second = s.T @ s / s.shape[0]
     assert np.abs(second - np.eye(3) / 3.0).max() < 0.01
@@ -54,16 +55,16 @@ def test_sphere_mean_and_second_moment():
 
 def test_sphere_contract_violations():
     with pytest.raises(ContractViolationError):
-        sphere_sample(0, 5, 0)
+        sphere_sample(0, 5, substream(0))
     with pytest.raises(ContractViolationError):
-        sphere_sample(3, 0, 0)
+        sphere_sample(3, 0, substream(0))
 
 
 # -- gradient estimation -----------------------------------------------------
 
 
 def test_constant_function_gives_zero_gradient():
-    dirs = sphere_sample(3, 8, 0)
+    dirs = sphere_sample(3, 8, substream(0))
     vals = np.full((8, 2), 4.2)
     assert np.array_equal(estimate_gradient(vals[:, 0], vals[:, 0], dirs, 0.1), np.zeros(3))
     assert np.array_equal(estimate_gradient(*max_columns(vals, vals), dirs, 0.1), np.zeros(3))
@@ -82,9 +83,9 @@ def test_quadratic_mean_matches_true_gradient():
     # the estimate over one large noiseless batch must agree within
     # sampling error.
     prob = analytic_problem("sphere-quadratic", noise_sigma=0.0)
-    oracle = MeasurementOracle(prob, NoiseModel(kind="none", sigma=0.0))
+    oracle = MeasurementOracle(prob, NoiseModel(sigma=0.0))
     x = np.array([1.0, 0.0])
-    dirs = sphere_sample(2, 1_000_000, 3)
+    dirs = sphere_sample(2, 1_000_000, substream(3))
     base, pert = measure_iteration(oracle, x, dirs, 0.1, 1)
     g = estimate_gradient(base[:, 0], pert[:, 0], dirs, 0.1)
     terms = 2 * ((pert[:, 0] - base[:, 0]) / 0.1)[:, None] * dirs
@@ -110,7 +111,7 @@ def test_noisy_max_pairing():
 
 
 def test_estimate_gradient_contracts():
-    dirs = sphere_sample(2, 2, 0)
+    dirs = sphere_sample(2, 2, substream(0))
     with pytest.raises(ContractViolationError):
         estimate_gradient(np.zeros(2), np.zeros(2), dirs, 0.0)
     with pytest.raises(ContractViolationError):
@@ -238,7 +239,7 @@ def test_barrier_gradient_contracts():
 def test_build_estimate_fields():
     prob = analytic_problem("linear-ball", noise_sigma=0.05)
     oracle = MeasurementOracle(prob, NoiseModel(sigma=0.05, master_seed=8))
-    dirs = sphere_sample(2, 16, 8)
+    dirs = sphere_sample(2, 16, substream(8))
     base, pert = measure_iteration(oracle, np.zeros(2), dirs, 0.02, 1)
     assert base.shape == pert.shape == (16, 2)
     fhat = confidence_bounds(base, sigma=0.05, delta_bar=0.01)
@@ -309,7 +310,7 @@ def test_estimator_unbiased_on_linear_field():
     # vector for every radius, an exact independent reference.
     prob = analytic_problem("linear-ball", noise_sigma=0.1)
     oracle = MeasurementOracle(prob, NoiseModel(sigma=0.1, master_seed=21))
-    dirs = sphere_sample(2, 100_000, 13)
+    dirs = sphere_sample(2, 100_000, substream(13))
     base, pert = measure_iteration(oracle, np.zeros(2), dirs, 0.05, 1)
     terms = 2 * ((pert[:, 0] - base[:, 0]) / 0.05)[:, None] * dirs
     mean = terms.mean(axis=0)

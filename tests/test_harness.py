@@ -12,7 +12,6 @@ from zobarrier.errors import ConfigError, UnknownSuiteError
 from zobarrier.harness import (
     PRESETS,
     PropertyCheck,
-    RunSummary,
     build_problem,
     config_from_mapping,
     expand_preset,
@@ -120,7 +119,10 @@ MALFORMED = {
     "plan-negative-gap": {"plan": {"d_f_estimate": -1}},
     "analytic-noise_sigma-not-a-number": {"problem": {"noise_sigma": "abc"}},
     "algo-max_iters-fractional": {"algo": {"max_iters": 2.5}},
+    "algo-n_fixed-fractional": {"algo": {"n_fixed": 2.5}},
+    "algo-seed-set-per-trial": {"algo": {"seed": 123}},
     "noise_kind-unknown": {"noise_kind": "bogus"},
+    "noise_kind-none": {"noise_kind": "none"},
     "unicycle-misspelt-key": {"problem": {"name": "unicycle", "horizonn": 3}},
 }
 
@@ -155,10 +157,10 @@ def test_preset_parses_and_plans(tmp_path, capsys, name):
 
 
 def test_preset_expansion_and_override():
-    merged = expand_preset({"preset": "unicycle-paper", "trials": 3, "algo": {"seed": 9}})
+    merged = expand_preset({"preset": "unicycle-paper", "trials": 3, "algo": {"n_fixed": 9}})
     assert merged["trials"] == 3
     assert merged["algo"]["max_iters"] == 500
-    assert merged["algo"]["seed"] == 9
+    assert merged["algo"]["n_fixed"] == 9
     assert merged["problem"]["name"] == "unicycle"
     with pytest.raises(ConfigError, match="preset"):
         expand_preset({"preset": "nope"})
@@ -199,15 +201,8 @@ def test_run_experiment_files_and_summary(tmp_path):
 def test_summary_json_round_trip(tmp_path):
     cfg = make_config(tmp_path)
     summary = run_experiment(cfg)
-    reloaded = RunSummary.from_dict(
-        json.loads((cfg.output_dir / "summary.json").read_text())
-    )
-    assert reloaded == summary
-    # Summaries written before halted_at existed still load.
-    old = summary.to_dict()
-    for trial in old["trials"]:
-        del trial["halted_at"]
-    assert all(t.halted_at is None for t in RunSummary.from_dict(old).trials)
+    saved = json.loads((cfg.output_dir / "summary.json").read_text())
+    assert saved == summary.to_dict()
 
 
 def test_budget_cap_halts_every_trial_with_partial_output(tmp_path):

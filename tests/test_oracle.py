@@ -14,7 +14,7 @@ from zobarrier.estimator import sphere_sample
 from zobarrier.oracle import MeasurementOracle, NoiseModel, write_audit_csv
 from zobarrier.problems import ProblemSpec, UnicycleConfig, analytic_problem, make_unicycle_problem
 from zobarrier.solver import AlgoConfig, run
-from zobarrier.streams import SIDE_BASE, SIDE_PERTURBED
+from zobarrier.streams import SIDE_BASE, SIDE_PERTURBED, substream
 
 
 @pytest.fixture
@@ -22,9 +22,9 @@ def ball():
     return analytic_problem("linear-ball")
 
 
-def make_oracle(problem, sigma=0.0, seed=0, kind="gaussian", cap=None):
+def make_oracle(problem, sigma=0.0, seed=0, cap=None):
     return MeasurementOracle(
-        problem, NoiseModel(kind=kind, sigma=sigma, master_seed=seed), budget_cap=cap
+        problem, NoiseModel(sigma=sigma, master_seed=seed), budget_cap=cap
     )
 
 
@@ -58,7 +58,7 @@ def test_measurement_order_independence(ball):
     oracle = make_oracle(ball, sigma=0.7, seed=5)
     other = make_oracle(ball, sigma=0.7, seed=5)
     x = np.array([0.2, 0.0])
-    dirs = sphere_sample(2, 4, 11)
+    dirs = sphere_sample(2, 4, substream(11))
     in_order = [measure_iteration(oracle, x, dirs, 0.05, k) for k in (1, 2)]
     reversed_tables = {}
     for k in (2, 1):
@@ -74,7 +74,7 @@ def test_measurement_order_independence(ball):
 
 def test_batch_scalar_call_count(ball):
     oracle = make_oracle(ball)
-    measure_iteration(oracle, np.zeros(2), sphere_sample(2, 1, 0), 0.1, 1)
+    measure_iteration(oracle, np.zeros(2), sphere_sample(2, 1, substream(0)), 0.1, 1)
     # n = 1, m = 1: two functions at two points.
     assert oracle.total_scalar_calls == 4
     assert oracle.total_directions == 1
@@ -84,7 +84,8 @@ def test_zero_radius_noise_still_independent(ball):
     # With radius 0 the perturbed points coincide with the base point but
     # the noise streams are keyed by side, so values differ when sigma > 0.
     oracle = make_oracle(ball, sigma=1.0, seed=4)
-    base, pert = measure_iteration(oracle, np.zeros(2), sphere_sample(2, 3, 1), 0.0, 1)
+    dirs = sphere_sample(2, 3, substream(1))
+    base, pert = measure_iteration(oracle, np.zeros(2), dirs, 0.0, 1)
     assert np.array_equal(oracle.audit().points, np.zeros((4, 2)))
     assert not np.allclose(base, pert)
 
@@ -93,7 +94,7 @@ def test_budget_replay_totals(ball):
     # n_k = 7 directions per iteration for K = 500 iterations.
     oracle = make_oracle(ball, sigma=0.1, seed=1)
     for k in range(1, 501):
-        measure_iteration(oracle, np.zeros(2), sphere_sample(2, 7, k), 0.01, k)
+        measure_iteration(oracle, np.zeros(2), sphere_sample(2, 7, substream(k)), 0.01, k)
     assert oracle.total_directions == 3500
     assert oracle.total_scalar_calls == 500 * 2 * 7 * 2
 
@@ -132,7 +133,7 @@ def test_audit_records_violation(ball):
 def test_audit_covers_every_point_in_order(ball):
     oracle = make_oracle(ball, sigma=0.3, seed=2)
     x = np.zeros(2)
-    dirs = sphere_sample(2, 3, 7)
+    dirs = sphere_sample(2, 3, substream(7))
     measure_iteration(oracle, x, dirs, 0.05, 1)
     measure_iteration(oracle, x, dirs, 0.05, 2)
     audit = oracle.audit()
@@ -147,7 +148,8 @@ def test_audit_covers_every_point_in_order(ball):
 def test_audit_determinism(ball):
     def run_queries(oracle):
         for k in range(1, 4):
-            measure_iteration(oracle, np.zeros(2), sphere_sample(2, 2, k), 0.1, k)
+            dirs = sphere_sample(2, 2, substream(k))
+            measure_iteration(oracle, np.zeros(2), dirs, 0.1, k)
         return oracle.audit()
 
     a = run_queries(make_oracle(ball, sigma=0.5, seed=33))
@@ -292,7 +294,7 @@ def test_empty_audit_csv_is_header_only(ball, tmp_path):
 def test_value_determinism_across_oracles(ball):
     a = make_oracle(ball, sigma=0.5, seed=33)
     b = make_oracle(ball, sigma=0.5, seed=33)
-    dirs = sphere_sample(2, 5, 3)
+    dirs = sphere_sample(2, 5, substream(3))
     base_a, pert_a = measure_iteration(a, np.zeros(2), dirs, 0.1, 1)
     base_b, pert_b = measure_iteration(b, np.zeros(2), dirs, 0.1, 1)
     assert np.array_equal(base_a, base_b)
@@ -315,11 +317,6 @@ def test_bounded_uniform_noise_statistics(ball):
     assert draws.min() >= -half and draws.max() <= half
     assert abs(draws.mean()) < 4 * sigma / math.sqrt(draws.size)
     assert abs(draws.var() - sigma**2) < 0.05 * sigma**2
-
-
-def test_none_noise_kind(ball):
-    oracle = make_oracle(ball, sigma=5.0, kind="none")
-    assert np.array_equal(oracle.measure_base(np.zeros(2), 3, iteration=1), [[0.0, -1.0]] * 3)
 
 
 def test_repeated_measurement_mean_concentrates(ball):

@@ -11,12 +11,13 @@ from zobarrier.errors import (
     NoValidOutputError,
     UnsafeStartError,
 )
+from zobarrier.estimator import confidence_bounds
 from zobarrier.oracle import MeasurementOracle, NoiseModel
 from zobarrier.problems import ProblemSpec, analytic_problem
-from zobarrier.smoothing import barrier_value_and_grad
 from zobarrier.solver import (
     AlgoConfig,
     KktCertificate,
+    _adaptive_margin,
     certificate_from_record,
     kkt_multipliers,
     kkt_residuals,
@@ -30,12 +31,12 @@ from zobarrier.solver import (
 )
 from zobarrier.streams import substream
 
+from barrier_reference import barrier_value_and_grad
 
-def make_oracle(problem, sigma=None, seed=0, kind="gaussian"):
+
+def make_oracle(problem, sigma=None, seed=0):
     sigma = problem.noise_sigma if sigma is None else sigma
-    if sigma == 0.0:
-        kind = "none"
-    return MeasurementOracle(problem, NoiseModel(kind=kind, sigma=sigma, master_seed=seed))
+    return MeasurementOracle(problem, NoiseModel(sigma=sigma, master_seed=seed))
 
 
 def flat_problem(constraint_level=-1.0):
@@ -107,6 +108,22 @@ def test_step_weight_never_exceeds_margin_over_2l():
         alpha = float(rng.uniform(1e-4, 5.0))
         lipschitz = float(rng.uniform(0.1, 50.0))
         assert step_weight(k, alpha, lipschitz) <= alpha / (2.0 * lipschitz)
+
+
+@pytest.mark.parametrize("eta, lipschitz", [(0.05, 3.0), (0.001, 40.0), (0.3, 1.0)])
+def test_adaptive_margin_is_self_consistent(eta, lipschitz):
+    # Both branches: M <= -2*eta (nu = eta/L binds) and -2*eta < M < 0
+    # (nu = alpha/L). The certified margin must be alpha = -(M + nu*L)
+    # with nu = min(eta/L, alpha/L).
+    for ratio in (-50.0, -3.0, -2.0, -1.999, -1.5, -1.0, -0.5, -1e-3):
+        M = ratio * eta
+        nu, alpha = _adaptive_margin(M, eta, lipschitz)
+        assert math.isclose(alpha, -(M + nu * lipschitz), rel_tol=1e-15, abs_tol=1e-15)
+        assert nu == min(eta / lipschitz, alpha / lipschitz)
+        assert alpha > 0.0
+    for M in (0.0, 1e-12, 2.0 * eta):
+        with pytest.raises(MarginExhaustedError):
+            _adaptive_margin(M, eta, lipschitz)
 
 
 def test_resolve_sample_count_policies(caplog):
@@ -196,11 +213,9 @@ def test_kkt_residuals_exact_point():
         lambda_scalar=0.5,
         lambda_hat=prob.solution["lambda_star"],
         fhat=np.array([0.0]),
-        fhat_c_nu=-0.1,
         alpha_hat=0.1,
-        complementarity=np.array([0.0]),
     )
-    res = kkt_residuals(prob, cert, nu=0.01)
+    res = kkt_residuals(prob, cert, nu=0.01, rng=substream(0))
     assert res.feasibility == pytest.approx(0.0, abs=1e-12)
     assert res.complementarity == pytest.approx(0.0, abs=1e-12)
     assert res.stationarity == pytest.approx(0.0, abs=1e-12)
@@ -214,11 +229,9 @@ def test_kkt_residuals_interior_zero_multipliers():
         lambda_scalar=0.0,
         lambda_hat=np.array([0.0]),
         fhat=np.array([-25.0]),
-        fhat_c_nu=-25.0,
         alpha_hat=25.0,
-        complementarity=np.array([0.0]),
     )
-    res = kkt_residuals(prob, cert, nu=0.01)
+    res = kkt_residuals(prob, cert, nu=0.01, rng=substream(0))
     assert res.complementarity == 0.0
     assert res.stationarity == pytest.approx(0.0, abs=1e-12)
 
@@ -233,12 +246,10 @@ def test_kkt_residuals_smoothing_fallback():
         lambda_scalar=0.2,
         lambda_hat=np.array([0.2]),
         fhat=np.array([-0.7]),
-        fhat_c_nu=-0.7,
         alpha_hat=0.7,
-        complementarity=np.array([0.14]),
     )
-    got = kkt_residuals(stripped, cert, nu=0.05, n_mc=200_000, rng=9)
-    want = kkt_residuals(prob, cert, nu=0.05)
+    got = kkt_residuals(stripped, cert, nu=0.05, rng=substream(9), n_mc=200_000)
+    want = kkt_residuals(prob, cert, nu=0.05, rng=substream(0))
     assert got.feasibility == want.feasibility
     assert got.stationarity == pytest.approx(want.stationarity, abs=0.02)
 
@@ -300,6 +311,21 @@ def test_trace_internal_consistency():
         step = np.linalg.norm(nxt.x - prev.x)
         assert step == pytest.approx(prev.weight, rel=1e-12)
         assert step <= prev.alpha_hat / (2.0 * L * prev.k ** 0.4) * (1 + 1e-12)
+
+
+def test_recorded_bounds_use_the_union_bound_confidence():
+    # Each iteration's fhat is the confidence bound of its own base table at
+    # delta_bar = delta / (2K + 1); a fresh oracle with the same seed serves
+    # the identical table again.
+    prob = analytic_problem("linear-ball", noise_sigma=0.02)
+    cfg = ball_config(max_iters=60)
+    result = run(prob, cfg, make_oracle(prob, seed=14))
+    assert len(result.trace) == 60
+    replay = make_oracle(prob, seed=14)
+    delta_bar = cfg.delta / (2 * cfg.max_iters + 1)
+    for rec in result.trace:
+        table = replay.measure_base(rec.x, cfg.n_fixed, rec.k)
+        assert np.array_equal(confidence_bounds(table, 0.02, delta_bar), rec.fhat)
 
 
 def test_budget_counters_cumulative():
@@ -450,7 +476,6 @@ def test_certificate_structure():
     assert cert.lambda_scalar == 0.05 / rec.alpha_hat
     assert cert.lambda_hat.shape == (1,)
     assert cert.lambda_hat[0] >= 0.0
-    assert np.allclose(cert.complementarity, cert.lambda_hat * (-cert.fhat))
     rebuilt = certificate_from_record(rec, 0.05)
     assert np.array_equal(rebuilt.lambda_hat, cert.lambda_hat)
 
@@ -483,7 +508,7 @@ def test_barrier_descent_noiseless():
     L = prob.lipschitz
     C = prob.grad_lower**2 / (8.0 * L * L)
     nu = C * cfg.eta / L
-    b0, _ = barrier_value_and_grad(prob, prob.safe_start, cfg.eta, nu, 200_000, rng=1)
-    bk, _ = barrier_value_and_grad(prob, result.x_final, cfg.eta, nu, 200_000, rng=2)
+    b0, _ = barrier_value_and_grad(prob, prob.safe_start, cfg.eta, nu, 200_000, substream(1))
+    bk, _ = barrier_value_and_grad(prob, result.x_final, cfg.eta, nu, 200_000, substream(2))
     assert bk < b0 - 0.1
     assert result.audit.violation_count == 0

@@ -1,7 +1,6 @@
 import numpy as np
-import pytest
 
-from zobarrier.streams import as_generator, substream
+from zobarrier.streams import substream
 
 
 def test_same_key_same_sequence():
@@ -31,13 +30,3 @@ def test_negative_seed_masked():
     b = substream(-1).standard_normal(3)
     assert np.array_equal(a, b)
 
-
-def test_as_generator_forms():
-    g = np.random.default_rng(0)
-    assert as_generator(g) is g
-    assert np.array_equal(as_generator(5).standard_normal(3), substream(5).standard_normal(3))
-    assert np.array_equal(
-        as_generator((5, 6)).standard_normal(3), substream(5, 6).standard_normal(3)
-    )
-    with pytest.raises(TypeError):
-        as_generator("nope")
