@@ -31,8 +31,8 @@ MUTANTS = {
     ),
     "no-confidence-inflation": (
         "src/zobarrier/estimator.py",
-        "return cons.mean(axis=0) + inflation",
-        "return cons.mean(axis=0)",
+        "return cons.sum(axis=0) / n + inflation",
+        "return cons.sum(axis=0) / n",
     ),
     "margin-without-nu-L": (
         "src/zobarrier/estimator.py",

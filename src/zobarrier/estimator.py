@@ -33,11 +33,11 @@ def sphere_sample(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     if n < 1:
         raise ContractViolationError("sample count must be >= 1")
     vecs = rng.standard_normal((n, d))
-    norms = np.linalg.norm(vecs, axis=1)
-    while np.any(norms < 1e-300):  # essentially impossible; redraw to be safe
+    norms = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
+    while (norms < 1e-300).any():  # essentially impossible; redraw to be safe
         bad = norms < 1e-300
         vecs[bad] = rng.standard_normal((int(bad.sum()), d))
-        norms = np.linalg.norm(vecs, axis=1)
+        norms = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
     return vecs / norms[:, None]
 
 
@@ -72,7 +72,8 @@ def confidence_bounds(base_values: np.ndarray, sigma: float, delta_bar: float) -
     if n < 1:
         raise ContractViolationError("need at least one measurement")
     inflation = sigma / math.sqrt(n) * math.sqrt(math.log(1.0 / delta_bar))
-    return cons.mean(axis=0) + inflation
+    # The sum over n divided by n is bitwise what `mean` computes.
+    return cons.sum(axis=0) / n + inflation
 
 
 def margin(fhat: np.ndarray, nu: float, lipschitz: float) -> tuple[float, float]:

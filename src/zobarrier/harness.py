@@ -35,6 +35,7 @@ from .solver import (
     RunResult,
     barrier_estimate,
     kkt_residuals,
+    require_integer,
     run,
     select_output,
 )
@@ -71,9 +72,7 @@ class ExperimentConfig:
         if self.budget_cap is not None:
             lower["budget_cap"] = 1
         for key, low in lower.items():
-            value = getattr(self, key)
-            if not isinstance(value, int) or value < low:
-                raise ContractViolationError(f"{key} must be an integer >= {low}, got {value!r}")
+            setattr(self, key, require_integer(key, getattr(self, key), low))
         NoiseModel(kind=self.noise_kind)  # rejects an unknown noise kind
         self.plan = {} if self.plan is None else self.plan
         if not isinstance(self.plan, dict) or set(self.plan) - {"d_f_estimate"}:

@@ -57,7 +57,11 @@ class NoiseModel:
 
     def draw(self, iteration: int, side: int, rows: int, cols: int) -> np.ndarray:
         """Noise table for (iteration, side); entry [j, i] is the draw for
-        sample j, function i. Pure function of the key."""
+        sample j, function i. Pure function of the key: the table is read
+        in row order from the Philox stream
+        substream(master_seed, DOMAIN_NOISE, iteration, side), whose key
+        is (master_seed, DOMAIN_NOISE) and whose counter starts at
+        (0, 3, iteration, side), so a larger table extends a smaller one."""
         if self.sigma == 0.0:
             return np.zeros((rows, cols))
         rng = substream(self.master_seed, DOMAIN_NOISE, iteration, side)
@@ -190,8 +194,8 @@ class MeasurementOracle:
         directions = np.asarray(directions, dtype=float)
         if radius < 0.0:
             raise ContractViolationError("radius must be nonnegative")
-        norms = np.linalg.norm(directions, axis=1)
-        if np.any(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
+        norms = np.sqrt(np.einsum("ij,ij->i", directions, directions))
+        if (np.abs(norms - 1.0) > _UNIT_NORM_TOL).any():
             raise ContractViolationError("directions must be unit vectors")
         points = x[None, :] + radius * directions
         # Checking the displaced points also catches a NaN radius.

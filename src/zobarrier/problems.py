@@ -73,7 +73,8 @@ class ProblemSpec:
 
     def evaluate_all(self, points: np.ndarray) -> np.ndarray:
         """Evaluate [f0, f1, ..., fm] at each row of `points`; (P, m+1)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if not (type(points) is np.ndarray and points.ndim == 2 and points.dtype == np.float64):
+            points = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.asarray(self.eval_all(points), dtype=float)
         if out.shape != (points.shape[0], self.num_constraints + 1):
             raise ContractViolationError(
@@ -306,13 +307,17 @@ def make_unicycle_problem(
     T = cfg.horizon
 
     def eval_all(points: np.ndarray) -> np.ndarray:
-        gains = points.reshape(points.shape[0], 2, 3)
-        traj = simulate_unicycle_batch(gains, cfg)
-        diff = traj[:, 1:] - goal
-        obj = np.mean(np.sum(diff * diff, axis=2), axis=1)
-        pdiff = traj[:, 1:, :2] - center
-        cons = r2 - np.sum(pdiff * pdiff, axis=2)
-        return np.concatenate([obj[:, None], cons], axis=1)
+        P = points.shape[0]
+        traj = simulate_unicycle_batch(points.reshape(P, 2, 3), cfg)[:, 1:]
+        out = np.empty((P, T + 1))
+        sq = traj - goal
+        sq *= sq
+        # A row sum divided by T is bitwise what `mean` computes.
+        out[:, 0] = sq.sum(axis=2).sum(axis=1) / T
+        sq = traj[:, :, :2] - center
+        sq *= sq
+        np.subtract(r2, sq.sum(axis=2), out=out[:, 1:])
+        return out
 
     return ProblemSpec(
         name="unicycle",
@@ -339,9 +344,10 @@ def _linear_ball(noise_sigma: float) -> ProblemSpec:
     c = np.array([1.0, 0.0])
 
     def eval_all(points):
-        return np.stack(
-            [points @ c, np.sum(points * points, axis=1) - 1.0], axis=1
-        )
+        out = np.empty((points.shape[0], 2))
+        out[:, 0] = points @ c
+        out[:, 1] = (points * points).sum(axis=1) - 1.0
+        return out
 
     lo = np.array([-1.2, -1.2])
     return ProblemSpec(
@@ -374,7 +380,10 @@ def _quadratic_halfspace(noise_sigma: float) -> ProblemSpec:
 
     def eval_all(points):
         d = points - xbar
-        return np.stack([np.sum(d * d, axis=1), points @ a - b], axis=1)
+        out = np.empty((points.shape[0], 2))
+        out[:, 0] = (d * d).sum(axis=1)
+        out[:, 1] = points @ a - b
+        return out
 
     lo = np.array([-1.5, -1.5])
     return ProblemSpec(
@@ -409,14 +418,11 @@ def _smooth_two_constraints(noise_sigma: float) -> ProblemSpec:
     def eval_all(points):
         d1 = points - c1
         d2 = points - c2
-        return np.stack(
-            [
-                -points[:, 1],
-                np.sum(d1 * d1, axis=1) - 1.0,
-                np.sum(d2 * d2, axis=1) - 1.0,
-            ],
-            axis=1,
-        )
+        out = np.empty((points.shape[0], 3))
+        out[:, 0] = -points[:, 1]
+        out[:, 1] = (d1 * d1).sum(axis=1) - 1.0
+        out[:, 2] = (d2 * d2).sum(axis=1) - 1.0
+        return out
 
     root3 = math.sqrt(3.0)
     return ProblemSpec(
@@ -444,8 +450,10 @@ def _sphere_quadratic(noise_sigma: float) -> ProblemSpec:
     # unconstrained optimum x* = 0, lam* = 0. Fixture for estimator
     # statistics at points like (1, 0) where grad f0 = (2, 0) exactly.
     def eval_all(points):
-        sq = np.sum(points * points, axis=1)
-        return np.stack([sq, sq - 25.0], axis=1)
+        out = np.empty((points.shape[0], 2))
+        out[:, 0] = (points * points).sum(axis=1)
+        out[:, 1] = out[:, 0] - 25.0
+        return out
 
     lo = np.array([-1.25, -1.25])
     return ProblemSpec(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,6 +60,14 @@ MARGIN_POLICIES = ("halt", "freeze")
 _MEASUREMENT_HALTS = (DivergedTrajectoryError, BudgetExhaustedError, NonFiniteMeasurementError)
 
 
+def require_integer(name: str, value, low: int) -> int:
+    """`value` as an int, if it is an integer (a Python or numpy integer,
+    not a bool) of at least `low`; otherwise ContractViolationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ContractViolationError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class AlgoConfig:
     """Run parameters.
@@ -88,18 +97,16 @@ class AlgoConfig:
             raise ContractViolationError("eta must be positive")
         if not 0.0 < self.delta < 1.0:
             raise ContractViolationError("delta must lie in (0, 1)")
-        if not isinstance(self.max_iters, int) or self.max_iters < 0:
-            raise ContractViolationError("max_iters must be an integer >= 0")
+        self.max_iters = require_integer("max_iters", self.max_iters, 0)
         if self.n_policy not in N_POLICIES:
             raise ContractViolationError(f"n_policy must be one of {N_POLICIES}")
         if self.nu_policy not in NU_POLICIES:
             raise ContractViolationError(f"nu_policy must be one of {NU_POLICIES}")
         if self.margin_policy not in MARGIN_POLICIES:
             raise ContractViolationError(f"margin_policy must be one of {MARGIN_POLICIES}")
-        if self.n_policy == "fixed" and not (isinstance(self.n_fixed, int) and self.n_fixed >= 1):
-            raise ContractViolationError("fixed n policy requires an integer n_fixed >= 1")
-        if self.n_cap < 1:
-            raise ContractViolationError("n_cap must be >= 1")
+        if self.n_policy == "fixed":
+            self.n_fixed = require_integer("n_fixed (fixed n policy)", self.n_fixed, 1)
+        self.n_cap = require_integer("n_cap", self.n_cap, 1)
         if self.C_override is not None and self.C_override <= 0.0:
             raise ContractViolationError("C_override must be positive")
 
@@ -415,7 +422,7 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
                 halted_reason, halted_at = exc.halt_reason, k
                 break
             g = barrier_estimate(base, pert, directions, nu_k, cfg.eta, alpha)
-        g_norm = float(np.linalg.norm(g))
+        g_norm = math.sqrt(float(g @ g))  # bitwise np.linalg.norm of a vector
         # A zero gradient (always so when frozen) carries no direction
         # information; weight 0 removes it from output sampling.
         weight = gamma = 0.0

@@ -120,6 +120,10 @@ MALFORMED = {
     "analytic-noise_sigma-not-a-number": {"problem": {"noise_sigma": "abc"}},
     "algo-max_iters-fractional": {"algo": {"max_iters": 2.5}},
     "algo-n_fixed-fractional": {"algo": {"n_fixed": 2.5}},
+    "algo-n_cap-fractional": {"algo": {"n_cap": 2.5}},
+    # YAML reads `yes` and `true` as booleans, which are not counts.
+    "algo-max_iters-yes": {"algo": yaml.safe_load("max_iters: yes")},
+    "trials-true": yaml.safe_load("trials: true"),
     "algo-seed-set-per-trial": {"algo": {"seed": 123}},
     "noise_kind-unknown": {"noise_kind": "bogus"},
     "noise_kind-none": {"noise_kind": "none"},
@@ -135,6 +139,22 @@ def test_malformed_value_is_config_error(tmp_path, capsys, overrides):
     assert cli.main(["run", write_yaml(tmp_path, data)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_numpy_integers_are_accepted(tmp_path):
+    i = np.int64
+    cfg = make_config(
+        tmp_path,
+        trials=i(2),
+        base_seed=i(3),
+        residual_mc=i(0),
+        budget_cap=i(10_000),
+        algo={"max_iters": i(40), "n_fixed": i(6), "n_cap": i(64)},
+    )
+    values = (cfg.trials, cfg.base_seed, cfg.residual_mc, cfg.budget_cap)
+    values += (cfg.algo.max_iters, cfg.algo.n_fixed, cfg.algo.n_cap)
+    assert values == (2, 3, 0, 10_000, 40, 6, 64)
+    assert all(type(v) is int for v in values)
 
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
