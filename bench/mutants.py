@@ -49,6 +49,18 @@ MUTANTS = {
         "delta_bar = cfg.delta / (2 * K + 1)",
         "delta_bar = cfg.delta",
     ),
+    # The audit CSV is the safety record: orjson's output is kept only where
+    # it equals `repr` byte for byte.
+    "float-reprs-lower-bound-1e-5": (
+        "src/zobarrier/oracle.py",
+        "(mag >= 1e-4)",
+        "(mag >= 1e-5)",
+    ),
+    "float-reprs-upper-bound-1e17": (
+        "src/zobarrier/oracle.py",
+        "(mag < 1e16)",
+        "(mag < 1e17)",
+    ),
 }
 
 

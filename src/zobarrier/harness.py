@@ -27,7 +27,7 @@ from scipy import stats
 
 from .errors import ConfigError, ContractViolationError, MarginExhaustedError, UnknownSuiteError
 from .estimator import confidence_bounds, margin, sphere_sample
-from .oracle import MeasurementOracle, NoiseModel, write_audit_csv
+from .oracle import MeasurementOracle, NoiseModel, float_reprs, write_audit_csv
 from .problems import ProblemSpec, UnicycleConfig, analytic_names, analytic_problem, make_unicycle_problem
 from .smoothing import smoothed_gradient, smoothed_value
 from .solver import (
@@ -263,10 +263,23 @@ def _atomic_write(path: Path, writer) -> None:
     os.replace(tmp, path)
 
 
+def _trace_truth(result: RunResult, problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Trace points and their true [f0, ..., fm] rows; the trace must not be
+    empty. The table is kept on the result and reused while the trace's
+    points are unchanged, so each trace is evaluated once."""
+    points = np.stack([r.x for r in result.trace])
+    kept = result.trace_truth
+    if kept is None or not np.array_equal(kept[0], points):
+        kept = result.trace_truth = (points, problem.evaluate_all(points))
+    return kept
+
+
 def write_trace_csv(result: RunResult, problem: ProblemSpec, path: Path) -> None:
     """Trace as CSV with ground-truth objective/constraint columns.
 
-    Bytes match `csv.writer` output: CRLF line ends, floats as `repr`."""
+    Bytes match `csv.writer` output: CRLF line ends, floats as `repr`,
+    formatted by `float_reprs` (orjson for 1e-4 <= |v| < 1e16 and +-0.0,
+    `repr` elsewhere)."""
     dim = problem.dim
     header = (
         ["k"]
@@ -275,17 +288,16 @@ def write_trace_csv(result: RunResult, problem: ProblemSpec, path: Path) -> None
     )
     columns = []
     if result.trace:
-        points = np.stack([r.x for r in result.trace])
-        values = problem.evaluate_all(points)
+        points, values = _trace_truth(result, problem)
         steps = np.array(
             [(r.alpha_hat, r.g_norm, r.gamma, r.weight) for r in result.trace], dtype=float
         )
         columns = [
             map(str, [r.k for r in result.trace]),
-            *(map(repr, col) for col in points.T.tolist()),
-            *(map(repr, col) for col in steps.T.tolist()),
-            map(repr, values[:, 0].tolist()),
-            map(repr, values[:, 1:].max(axis=1).tolist()),
+            *map(float_reprs, points.T),
+            *map(float_reprs, steps.T),
+            float_reprs(values[:, 0]),
+            float_reprs(values[:, 1:].max(axis=1)),
         ]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
@@ -310,8 +322,7 @@ def run_trial(
     final_obj = problem.objective_value(result.x_final)
     best_obj = final_obj
     if result.trace:
-        points = np.stack([r.x for r in result.trace])
-        best_obj = min(best_obj, float(problem.objective_batch(points).min()))
+        best_obj = min(best_obj, float(_trace_truth(result, problem)[1][:, 0].min()))
     x_r = lam_r = None
     res = (None, None, None)
     if result.certificate is not None:

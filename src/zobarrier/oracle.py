@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .errors import (
     BudgetExhaustedError,
@@ -237,21 +238,61 @@ class MeasurementOracle:
 
 _TAGS = {SIDE_BASE: "base", SIDE_PERTURBED: "perturbed"}
 
+# Rows formatted per write: bounds the strings alive at once.
+_CSV_CHUNK_ROWS = 4096
+
+
+def float_reprs(values: np.ndarray) -> list[str]:
+    """`repr(float(v))` for each value of a 1-D float array, formatted in bulk.
+
+    orjson prints the shortest decimal that round-trips (Ryu), byte for
+    byte as `repr` does for 1e-4 <= |v| < 1e16 and for +-0.0. Outside
+    that range it prints `null`, `0.00001` or `1e16` where `repr` prints
+    `nan`/`inf`, `1e-05` or `1e+16`, so those values go through `repr`."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ContractViolationError("float_reprs takes a 1-D array")
+    if values.size == 0:
+        return []
+    out = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    mag = np.abs(values)
+    outside = np.flatnonzero(~(((mag >= 1e-4) & (mag < 1e16)) | (values == 0.0)))
+    for i, v in zip(outside.tolist(), values[outside].tolist()):
+        out[i] = repr(v)
+    return out
+
+
+def _row_labels(iterations: np.ndarray, sides: np.ndarray) -> list[str]:
+    """The "k,tag" field pair of each audit row, formatted once per run of
+    equal (iteration, side): a measurement's rows share one label."""
+    new_run = (iterations[1:] != iterations[:-1]) | (sides[1:] != sides[:-1])
+    starts = np.flatnonzero(np.r_[True, new_run])
+    labels = np.array(
+        [f"{k},{_TAGS[s]}" for k, s in zip(iterations[starts].tolist(), sides[starts].tolist())],
+        dtype=object,
+    )
+    return np.repeat(labels, np.diff(np.r_[starts, len(iterations)])).tolist()
+
 
 def write_audit_csv(audit: SafetyAudit, path) -> None:
     """Audit as CSV: k, tag, point components, true_fc, violated.
 
-    Bytes match `csv.writer` output: CRLF line ends, floats as `repr`."""
+    Bytes match `csv.writer` output: CRLF line ends, floats as `repr`.
+    Floats are formatted by `float_reprs` (orjson for 1e-4 <= |v| < 1e16
+    and +-0.0, `repr` elsewhere), in chunks of rows so that memory stays
+    bounded however long the audit is."""
     dim = audit.points.shape[1]
     header = ["k", "tag"] + [f"x{i}" for i in range(dim)] + ["true_fc", "violated"]
-    columns = [
-        map(str, audit.iterations.tolist()),
-        map(_TAGS.__getitem__, audit.sides.tolist()),
-        *(map(repr, col) for col in audit.points.T.tolist()),
-        map(repr, audit.true_max_constraint.tolist()),
-        # The last column carries the line end, saving a concatenation per row.
-        map(("0\r\n", "1\r\n").__getitem__, audit.violated.tolist()),
-    ]
+    violated = audit.violated
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(map(",".join, zip(*columns)))
+        for lo in range(0, len(audit), _CSV_CHUNK_ROWS):
+            rows = slice(lo, lo + _CSV_CHUNK_ROWS)
+            columns = [
+                _row_labels(audit.iterations[rows], audit.sides[rows]),
+                *map(float_reprs, audit.points[rows].T),
+                float_reprs(audit.true_max_constraint[rows]),
+                # The last column carries the line end, saving a concatenation per row.
+                map(("0\r\n", "1\r\n").__getitem__, violated[rows].tolist()),
+            ]
+            fh.write("".join(map(",".join, zip(*columns))))

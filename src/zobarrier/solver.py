@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -157,6 +157,11 @@ class RunResult:
     # None | "margin-exhausted" | "diverged" | "budget-exhausted" | "non-finite"
     halted_reason: str | None = None
     halted_at: int | None = None
+    # (trace points, their true [f0, ..., fm] rows), kept by the harness so
+    # the trial summary and the trace CSV share one evaluation.
+    trace_truth: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,13 @@ from zobarrier.errors import (
     NonFiniteMeasurementError,
 )
 from zobarrier.estimator import sphere_sample
-from zobarrier.oracle import MeasurementOracle, NoiseModel, write_audit_csv
+from zobarrier.oracle import (
+    MeasurementOracle,
+    NoiseModel,
+    SafetyAudit,
+    float_reprs,
+    write_audit_csv,
+)
 from zobarrier.problems import ProblemSpec, UnicycleConfig, analytic_problem, make_unicycle_problem
 from zobarrier.solver import AlgoConfig, run
 from zobarrier.streams import SIDE_BASE, SIDE_PERTURBED, substream
@@ -289,6 +296,57 @@ def test_audit_csv_matches_csv_writer_bytes(ball, tmp_path):
 def test_empty_audit_csv_is_header_only(ball, tmp_path):
     write_audit_csv(make_oracle(ball).audit(), tmp_path / "audit.csv")
     assert (tmp_path / "audit.csv").read_bytes() == b"k,tag,true_fc,violated\r\n"
+
+
+def test_float_reprs_is_repr_byte_for_byte():
+    # Pins orjson's formatting: an upgrade that changes it fails here
+    # instead of changing the audit CSV. Random bit patterns cover
+    # subnormals, huge values and NaN payloads; `repr` takes about 3 us on
+    # such a value, so there are 200k of them.
+    rng = np.random.default_rng(20261018)
+    bit_patterns = np.frombuffer(rng.bytes(8 * 200_000), dtype=np.float64)
+    log_uniform = 10.0 ** rng.uniform(-6.0, 18.0, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+    powers = np.array([float(f"1e{e}") for e in range(-6, 19)])
+    neighbours = [powers]
+    for toward in (np.inf, 0.0):
+        step = powers
+        for _ in range(3):
+            step = np.nextafter(step, toward)
+            neighbours.append(step)
+    neighbours = np.concatenate(neighbours)
+    max_float = np.finfo(np.float64).max
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, max_float, -max_float])
+    for values in (bit_patterns, log_uniform, neighbours, -neighbours, specials):
+        assert float_reprs(values) == list(map(repr, values.tolist()))
+    points = rng.normal(size=(1000, 3)) * 1e-3
+    assert float_reprs(points.T[0]) == list(map(repr, points[:, 0].tolist()))
+    assert float_reprs(np.zeros(0)) == []
+    with pytest.raises(ContractViolationError):
+        float_reprs(np.zeros((2, 2)))
+
+
+def test_audit_csv_memory_is_bounded(tmp_path):
+    # 100k rows in 50 measurements of 1 base + 1999 perturbed points. The
+    # writer formats a bounded chunk of rows at a time, so its peak does
+    # not grow with the audit.
+    rng = np.random.default_rng(8)
+    sides = np.full(2000, SIDE_PERTURBED, dtype=np.int8)
+    sides[0] = SIDE_BASE
+    audit = SafetyAudit(
+        iterations=np.repeat(np.arange(1, 51, dtype=np.int64), 2000),
+        sides=np.tile(sides, 50),
+        samples=np.tile(np.arange(2000), 50),
+        points=rng.normal(size=(100_000, 2)),
+        true_max_constraint=rng.normal(size=100_000),
+    )
+    tracemalloc.start()
+    try:
+        write_audit_csv(audit, tmp_path / "audit.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    assert (tmp_path / "audit.csv").read_bytes().count(b"\r\n") == 1 + 100_000
 
 
 def test_value_determinism_across_oracles(ball):
