@@ -61,6 +61,13 @@ MUTANTS = {
         "(mag < 1e16)",
         "(mag < 1e17)",
     ),
+    # Audit rows are the queries in the order they were made: perturbed
+    # row j of iteration k is x_k + nu_k * s_j.
+    "audit-perturbed-rows-reversed": (
+        "src/zobarrier/oracle.py",
+        "self._chunks.append((iteration, side, points, true_vals[:, 1:].max(axis=1)))",
+        "self._chunks.append((iteration, side, points[::-1], true_vals[:, 1:].max(axis=1)[::-1]))",
+    ),
 }
 
 

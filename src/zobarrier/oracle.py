@@ -12,8 +12,9 @@ DivergedTrajectoryError re-raised.
 
 Noise draws are keyed by (master_seed, iteration, side, sample, function
 index), never by call order, so identical query sequences from two
-oracles with equal seeds are bitwise identical and base/perturbed halves
-may be served in any order.
+oracles with equal seeds are bitwise identical and a noise table may be
+served in any order. The audit is the log of the queries in the order
+they were made.
 """
 
 from __future__ import annotations
@@ -77,14 +78,13 @@ class SafetyAudit:
     """Ground-truth record of every point the oracle was queried at.
 
     Row r is one queried point: its iteration, side (SIDE_BASE or
-    SIDE_PERTURBED), sample index (0 for the base point, 1..n for
-    perturbed points), coordinates and true max-constraint value. Rows
-    are in canonical (iteration, side, sample) order.
+    SIDE_PERTURBED), coordinates and true max-constraint value. Rows are
+    in query order; the solver's iteration k gives its base row, then
+    its perturbed rows j = 1..n.
     """
 
     iterations: np.ndarray  # (P,) int
     sides: np.ndarray  # (P,) int
-    samples: np.ndarray  # (P,) int
     points: np.ndarray  # (P, d)
     true_max_constraint: np.ndarray  # (P,)
     total_scalar_calls: int = 0
@@ -110,8 +110,8 @@ class MeasurementOracle:
 
     Value computation is pure given the stream key. The oracle is
     single-threaded: each measurement appends one chunk of audit columns
-    (iteration, side, sample indices, points, true max-constraint), and
-    `audit` reads them back in canonical (iteration, side, sample) order.
+    (iteration, side, points, true max-constraint), and `audit`
+    concatenates them in query order.
     """
 
     def __init__(
@@ -123,7 +123,7 @@ class MeasurementOracle:
         self.problem = problem
         self.noise = noise
         self.budget_cap = budget_cap
-        self._chunks: list[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]] = []
+        self._chunks: list[tuple[int, int, np.ndarray, np.ndarray]] = []
         self._scalar_calls = 0
         self._directions = 0
 
@@ -149,9 +149,7 @@ class MeasurementOracle:
         self._scalar_calls += scalar_calls
         self._directions += directions
 
-    def _evaluate(
-        self, iteration: int, side: int, samples: np.ndarray, points: np.ndarray
-    ) -> np.ndarray:
+    def _evaluate(self, iteration: int, side: int, points: np.ndarray) -> np.ndarray:
         """True values at `points`, appended to the audit as one chunk.
 
         `points` must not alias caller memory. The chunk is appended
@@ -162,9 +160,9 @@ class MeasurementOracle:
         try:
             true_vals = self.problem.evaluate_all(points)
         except DivergedTrajectoryError:
-            self._chunks.append((iteration, side, samples, points, np.full(len(points), np.nan)))
+            self._chunks.append((iteration, side, points, np.full(len(points), np.nan)))
             raise
-        self._chunks.append((iteration, side, samples, points, true_vals[:, 1:].max(axis=1)))
+        self._chunks.append((iteration, side, points, true_vals[:, 1:].max(axis=1)))
         if not np.isfinite(true_vals).all():
             raise NonFiniteMeasurementError(
                 f"true values at iteration {iteration} are not all finite"
@@ -182,9 +180,7 @@ class MeasurementOracle:
             raise ContractViolationError("need n >= 1 base samples")
         m1 = self.problem.num_constraints + 1
         self._charge(n * m1)
-        true_vals = self._evaluate(
-            iteration, SIDE_BASE, np.zeros(1, dtype=int), np.array(x, ndmin=2)
-        )  # (1, m+1)
+        true_vals = self._evaluate(iteration, SIDE_BASE, np.array(x, ndmin=2))  # (1, m+1)
         return true_vals + self.noise.draw(iteration, SIDE_BASE, n, m1)
 
     def measure_perturbed(
@@ -204,35 +200,25 @@ class MeasurementOracle:
             raise ContractViolationError("query points must be finite")
         n, m1 = directions.shape[0], self.problem.num_constraints + 1
         self._charge(n * m1, directions=n)
-        true_vals = self._evaluate(iteration, SIDE_PERTURBED, np.arange(1, n + 1), points)
+        true_vals = self._evaluate(iteration, SIDE_PERTURBED, points)
         return true_vals + self.noise.draw(iteration, SIDE_PERTURBED, n, m1)
 
     # -- audit ---------------------------------------------------------------
 
     def audit(self) -> SafetyAudit:
-        """Complete audit so far, in canonical (iteration, side, sample) order.
-
-        The solver queries in that order already; the stable sort also
-        orders measurements made out of order."""
-        totals = dict(
-            total_scalar_calls=self._scalar_calls, total_directions=self._directions
+        """Complete audit so far, rows in query order. The leading empty
+        chunk gives an audit of no queries its (0, dim) point shape."""
+        ks, sides, points, fcs = zip(
+            (0, 0, np.zeros((0, self.problem.dim)), np.zeros(0)), *self._chunks
         )
-        if not self._chunks:
-            empty = np.zeros(0, dtype=int)
-            return SafetyAudit(empty, empty, empty, np.zeros((0, 0)), np.zeros(0), **totals)
-        ks, sides, samples, points, fcs = zip(*self._chunks)
-        rows = [len(s) for s in samples]
-        iterations = np.repeat(np.array(ks, dtype=np.int64), rows)
-        sides = np.repeat(np.array(sides, dtype=np.int8), rows)
-        samples = np.concatenate(samples)
-        order = np.lexsort((samples, sides, iterations))
+        rows = [len(p) for p in points]
         return SafetyAudit(
-            iterations=iterations[order],
-            sides=sides[order],
-            samples=samples[order],
-            points=np.concatenate(points)[order],
-            true_max_constraint=np.concatenate(fcs)[order],
-            **totals,
+            iterations=np.repeat(np.array(ks, dtype=np.int64), rows),
+            sides=np.repeat(np.array(sides, dtype=np.int8), rows),
+            points=np.concatenate(points),
+            true_max_constraint=np.concatenate(fcs),
+            total_scalar_calls=self._scalar_calls,
+            total_directions=self._directions,
         )
 
 

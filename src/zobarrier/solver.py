@@ -118,7 +118,6 @@ class IterateRecord:
     k: int
     x: np.ndarray
     alpha_hat: float
-    g: np.ndarray
     g_norm: float
     gamma: float
     weight: float  # gamma * |g| = min(alpha/(2 L k^0.4), k^-0.6)
@@ -306,8 +305,8 @@ def kkt_residuals(
     """Ground-truth diagnostic residuals at the certificate point.
 
     Stationarity uses the problem's analytic gradients when available,
-    otherwise the Monte-Carlo smoothed gradients at radius nu, drawn
-    from rng.
+    otherwise one Monte-Carlo smoothed gradient of the Lagrangian
+    f0 + sum lambda_hat[i] f_i at radius nu, drawn from rng.
     """
     x = certificate.x
     true_cons = problem.constraint_values(x)
@@ -320,11 +319,10 @@ def kkt_residuals(
             if lam_i != 0.0:
                 grad += lam_i * g_i(x)
     else:
-        grad, _ = smoothed_gradient(problem.objective_batch, x, nu, n_mc, rng)
-        for i, lam_i in enumerate(lam):
-            if lam_i != 0.0:
-                field_i = lambda pts, i=i: problem.evaluate_all(pts)[:, i + 1]
-                grad += lam_i * smoothed_gradient(field_i, x, nu, n_mc, rng)[0]
+        weights = np.r_[1.0, lam]
+        grad, _ = smoothed_gradient(
+            lambda pts: problem.evaluate_all(pts) @ weights, x, nu, n_mc, rng
+        )
     return KktResiduals(r1, r2, float(np.linalg.norm(grad)))
 
 
@@ -439,7 +437,6 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
                 k=k,
                 x=x.copy(),
                 alpha_hat=alpha,
-                g=g,
                 g_norm=g_norm,
                 gamma=gamma,
                 weight=weight,

@@ -239,6 +239,18 @@ def test_budget_cap_halts_every_trial_with_partial_output(tmp_path):
         assert audit.count("\n") == 1 + 4 * (1 + 6)
 
 
+def test_empty_audit_csv_keeps_coordinate_columns(tmp_path):
+    # A cap of 1 halts before the first query, so the audit has no rows;
+    # its header still names one column per coordinate.
+    cfg = config_from_mapping(
+        {"preset": "linear-ball-demo", "budget_cap": 1, "trials": 1, "output_dir": str(tmp_path)}
+    )
+    summary = run_experiment(cfg)
+    assert summary.trials[0].halted_reason == "budget-exhausted"
+    audit = (tmp_path / "trial000_audit.csv").read_bytes()
+    assert audit == b"k,tag,x0,x1,true_fc,violated\r\n"
+
+
 def test_reruns_byte_identical(tmp_path):
     cfg_a = make_config(tmp_path / "a")
     cfg_b = make_config(tmp_path / "b")

@@ -11,7 +11,7 @@ from zobarrier.errors import (
     NoValidOutputError,
     UnsafeStartError,
 )
-from zobarrier.estimator import confidence_bounds
+from zobarrier.estimator import confidence_bounds, sphere_sample
 from zobarrier.oracle import MeasurementOracle, NoiseModel
 from zobarrier.problems import ProblemSpec, analytic_problem
 from zobarrier.solver import (
@@ -29,7 +29,7 @@ from zobarrier.solver import (
     sigma_big,
     step_weight,
 )
-from zobarrier.streams import substream
+from zobarrier.streams import DOMAIN_DIRECTIONS, SIDE_BASE, SIDE_PERTURBED, substream
 
 from barrier_reference import barrier_value_and_grad
 
@@ -254,6 +254,27 @@ def test_kkt_residuals_smoothing_fallback():
     assert got.stationarity == pytest.approx(want.stationarity, abs=0.02)
 
 
+def test_kkt_residuals_smoothing_fallback_two_multipliers():
+    # Both constraints active at x*, multipliers 1% short of lambda*: the
+    # Monte-Carlo Lagrangian gradient must weigh each constraint by its own
+    # multiplier. Dropping either one moves stationarity by about 0.6.
+    prob = analytic_problem("smooth-2con")
+    stripped = dataclasses.replace(prob, objective_grad=None, constraint_grads=None)
+    lam = 0.99 * prob.solution["lambda_star"]
+    cert = KktCertificate(
+        x=prob.solution["x_star"],
+        iteration=1,
+        lambda_scalar=float(lam.sum()),
+        lambda_hat=lam,
+        fhat=np.array([-0.1, -0.1]),
+        alpha_hat=0.1,
+    )
+    got = kkt_residuals(stripped, cert, nu=0.05, rng=substream(9), n_mc=200_000)
+    want = kkt_residuals(prob, cert, nu=0.05, rng=substream(0))
+    assert want.stationarity == pytest.approx(0.01)
+    assert got.stationarity == pytest.approx(want.stationarity, abs=1e-3)
+
+
 # -- run loop ----------------------------------------------------------------
 
 
@@ -287,11 +308,27 @@ def test_run_is_deterministic():
     assert len(a.trace) == len(b.trace)
     for ra, rb in zip(a.trace, b.trace):
         assert np.array_equal(ra.x, rb.x)
-        assert np.array_equal(ra.g, rb.g)
         assert ra.gamma == rb.gamma and ra.alpha_hat == rb.alpha_hat
     assert np.array_equal(a.x_final, b.x_final)
     assert a.certificate.iteration == b.certificate.iteration
     assert np.array_equal(a.certificate.x, b.certificate.x)
+
+
+def test_audit_rows_are_the_queries_in_order():
+    # Iteration k queries its base point, then x + nu * s_j for the
+    # directions j = 1..n in the order they were drawn.
+    prob = analytic_problem("linear-ball", noise_sigma=0.02)
+    cfg = ball_config(max_iters=30)
+    result = run(prob, cfg, make_oracle(prob, seed=5))
+    audit, n = result.audit, cfg.n_fixed
+    assert len(result.trace) == 30 and not any(rec.frozen for rec in result.trace)
+    assert len(audit) == 30 * (1 + n)
+    for rec, rows in zip(result.trace, np.split(np.arange(len(audit)), 30)):
+        assert audit.iterations[rows].tolist() == [rec.k] * (1 + n)
+        assert audit.sides[rows].tolist() == [SIDE_BASE] + [SIDE_PERTURBED] * n
+        directions = sphere_sample(prob.dim, n, substream(cfg.seed, DOMAIN_DIRECTIONS, rec.k))
+        np.testing.assert_array_equal(audit.points[rows[0]], rec.x)
+        np.testing.assert_array_equal(audit.points[rows[1:]], rec.x + rec.nu * directions)
 
 
 def test_trace_internal_consistency():
