@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConfigError, ContractViolationError, MarginExhaustedError, UnknownSuiteError
 from .estimator import confidence_bounds, margin, sphere_sample
@@ -78,8 +77,8 @@ class ExperimentConfig:
         if not isinstance(self.plan, dict) or set(self.plan) - {"d_f_estimate"}:
             raise ContractViolationError(f"plan: only d_f_estimate may be set, got {self.plan!r}")
         self.plan = {key: float(value) for key, value in self.plan.items()}
-        if self.plan.get("d_f_estimate", 0.0) < 0.0:
-            raise ContractViolationError("plan.d_f_estimate must be >= 0")
+        if not 0.0 <= self.plan.get("d_f_estimate", 0.0) < math.inf:
+            raise ContractViolationError("plan.d_f_estimate must be finite and >= 0")
         self.output_dir = Path(self.output_dir)
         self.label = str(self.label or self.problem_name)
         if not isinstance(self.algo, AlgoConfig):
@@ -623,6 +622,8 @@ def check_output_law(
     seed: int = 20260809, draws: int = 100_000, weights: tuple = (1.0, 2.0, 3.0, 4.0)
 ) -> list[PropertyCheck]:
     """Chi-square goodness of fit of output sampling against its weights."""
+    from scipy import stats  # about 1 s to import, and only this suite needs it
+
     rng = substream(seed, DOMAIN_MC, 3)
     w = np.asarray(weights, dtype=float)
     counts = np.zeros(w.size)

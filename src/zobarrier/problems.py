@@ -59,10 +59,12 @@ class ProblemSpec:
             raise ContractViolationError(
                 f"safe_start has shape {self.safe_start.shape}, expected ({self.dim},)"
             )
-        if not (0.0 < self.grad_lower <= self.lipschitz):
-            raise ContractViolationError("need 0 < grad_lower <= lipschitz")
-        if self.noise_sigma < 0.0:
-            raise ContractViolationError("noise_sigma must be nonnegative")
+        if not 0.0 < self.grad_lower <= self.lipschitz < math.inf:
+            raise ContractViolationError("need 0 < grad_lower <= lipschitz < inf")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ContractViolationError("noise_sigma must be nonnegative and finite")
+        if self.box is not None and not np.all(np.isfinite(self.box) & (self.box[0] < self.box[1])):
+            raise ContractViolationError("box must have finite bounds lo < hi")
         worst = self.max_constraint(self.safe_start)
         if not worst < 0.0:
             raise ContractViolationError(
@@ -140,13 +142,19 @@ class UnicycleConfig:
         self.obstacle_center = tuple(float(v) for v in self.obstacle_center)
         if self.horizon < 1:
             raise ContractViolationError("horizon must be a positive integer")
-        if self.dt <= 0.0:
-            raise ContractViolationError("dt must be positive")
-        if self.obstacle_radius <= 0.0:
-            raise ContractViolationError("obstacle_radius must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ContractViolationError("dt must be positive and finite")
+        if not 0.0 < self.obstacle_radius < math.inf:
+            raise ContractViolationError("obstacle_radius must be positive and finite")
         if self.initial_gain.shape != (2, 3):
             raise ContractViolationError("initial_gain must be a 2x3 matrix")
-        if self.v_max <= 0.0 or self.omega_max <= 0.0:
+        coords = (*self.start, *self.goal, *self.obstacle_center, *self.initial_gain.flat)
+        if not all(map(math.isfinite, coords)):
+            raise ContractViolationError(
+                "start, goal, obstacle_center and initial_gain must be finite"
+            )
+        # inf means no clamp; NaN would clamp every input to NaN.
+        if not (self.v_max > 0.0 and self.omega_max > 0.0):
             raise ContractViolationError("input bounds must be positive")
 
 

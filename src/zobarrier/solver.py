@@ -93,8 +93,8 @@ class AlgoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta <= 0.0:
-            raise ContractViolationError("eta must be positive")
+        if not 0.0 < self.eta < math.inf:
+            raise ContractViolationError("eta must be positive and finite")
         if not 0.0 < self.delta < 1.0:
             raise ContractViolationError("delta must lie in (0, 1)")
         self.max_iters = require_integer("max_iters", self.max_iters, 0)
@@ -107,8 +107,8 @@ class AlgoConfig:
         if self.n_policy == "fixed":
             self.n_fixed = require_integer("n_fixed (fixed n policy)", self.n_fixed, 1)
         self.n_cap = require_integer("n_cap", self.n_cap, 1)
-        if self.C_override is not None and self.C_override <= 0.0:
-            raise ContractViolationError("C_override must be positive")
+        if self.C_override is not None and not 0.0 < self.C_override < math.inf:
+            raise ContractViolationError("C_override must be positive and finite")
 
 
 @dataclass

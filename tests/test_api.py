@@ -1,11 +1,16 @@
 """The public API and the README's library example stay in step."""
 
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import zobarrier
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -22,3 +27,28 @@ def test_readme_library_usage_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     # The last print is result.audit.violation_count.
     assert lines[-1] == "0"
+
+
+def test_run_path_does_not_import_scipy(tmp_path):
+    """scipy.stats costs about 1 s of start-up; only the output-law suite
+    imports it. A fresh interpreter shows what the run path loads."""
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from zobarrier import cli
+        from zobarrier.harness import check_output_law, config_from_mapping, run_experiment
+
+        assert cli.main(["presets"]) == 0
+        cfg = config_from_mapping(
+            {{"preset": "linear-ball-demo", "trials": 1, "algo": {{"max_iters": 3}},
+              "output_dir": {str(tmp_path)!r}}}
+        )
+        assert run_experiment(cfg).trials[0].iterations == 3
+        assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)[:5]
+        assert all(check.passed for check in check_output_law(draws=1000))
+        assert "scipy" in sys.modules
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -109,6 +109,8 @@ def test_unknown_emit_flag():
         )
 
 
+NAN, INF = yaml.safe_load("[.nan, .inf]")
+
 MALFORMED = {
     "budget_cap-not-a-number": {"budget_cap": "abc"},
     "residual_mc-not-a-number": {"residual_mc": "x"},
@@ -128,6 +130,33 @@ MALFORMED = {
     "noise_kind-unknown": {"noise_kind": "bogus"},
     "noise_kind-none": {"noise_kind": "none"},
     "unicycle-misspelt-key": {"problem": {"name": "unicycle", "horizonn": 3}},
+    # Non-finite floats, written as YAML spells them.
+    "algo-eta-nan": {"algo": {"eta": NAN}},
+    "algo-eta-inf": {"algo": {"eta": INF}},
+    "algo-C_override-nan": {"algo": {"C_override": NAN}},
+    "algo-C_override-inf": {"algo": {"C_override": INF}},
+    "analytic-noise_sigma-nan": {"problem": {"noise_sigma": NAN}},
+    "analytic-noise_sigma-inf": {"problem": {"noise_sigma": INF}},
+    "unicycle-noise_sigma-nan": {"problem": {"name": "unicycle", "noise_sigma": NAN}},
+    "unicycle-lipschitz-inf": {"problem": {"name": "unicycle", "lipschitz": INF}},
+    "unicycle-grad_lower-nan": {"problem": {"name": "unicycle", "grad_lower": NAN}},
+    "unicycle-dt-nan": {"problem": {"name": "unicycle", "dt": NAN}},
+    "unicycle-dt-inf": {"problem": {"name": "unicycle", "dt": INF}},
+    "unicycle-obstacle_radius-inf": {"problem": {"name": "unicycle", "obstacle_radius": INF}},
+    "unicycle-start-inf": {"problem": {"name": "unicycle", "start": [0.0, -INF, 0.0]}},
+    "unicycle-goal-nan": {"problem": {"name": "unicycle", "goal": [NAN, 4.0, 0.0]}},
+    "unicycle-obstacle_center-nan": {
+        "problem": {"name": "unicycle", "obstacle_center": [2.0, NAN]}
+    },
+    "unicycle-initial_gain-nan": {
+        "problem": {"name": "unicycle", "initial_gain": [[-0.05, NAN, 0.0], [0.0, 0.0, -0.2]]}
+    },
+    "unicycle-box_halfwidth-nan": {"problem": {"name": "unicycle", "box_halfwidth": NAN}},
+    "unicycle-box_halfwidth-inf": {"problem": {"name": "unicycle", "box_halfwidth": INF}},
+    "unicycle-v_max-nan": {"problem": {"name": "unicycle", "v_max": NAN}},
+    "unicycle-omega_max-nan": {"problem": {"name": "unicycle", "omega_max": NAN}},
+    "plan-nan-gap": {"plan": {"d_f_estimate": NAN}},
+    "plan-inf-gap": {"plan": {"d_f_estimate": INF}},
 }
 
 
@@ -136,9 +165,11 @@ def test_malformed_value_is_config_error(tmp_path, capsys, overrides):
     data = config_data(tmp_path, **overrides)
     with pytest.raises(ConfigError):
         config_from_mapping(data)
-    assert cli.main(["run", write_yaml(tmp_path, data)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    path = write_yaml(tmp_path, data)
+    for command in ("run", "plan"):
+        assert cli.main([command, path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_numpy_integers_are_accepted(tmp_path):
