@@ -65,8 +65,21 @@ MUTANTS = {
     # row j of iteration k is x_k + nu_k * s_j.
     "audit-perturbed-rows-reversed": (
         "src/zobarrier/oracle.py",
-        "self._chunks.append((iteration, side, points, true_vals[:, 1:].max(axis=1)))",
-        "self._chunks.append((iteration, side, points[::-1], true_vals[:, 1:].max(axis=1)[::-1]))",
+        "self._chunks.append((iteration, side, points, fc))",
+        "self._chunks.append((iteration, side, points[::-1], fc[::-1]))",
+    ),
+    # The start point must be certified feasible before the first step.
+    "no-start-check": (
+        "src/zobarrier/solver.py",
+        "if k == 1 and fhat.max() >= 0.0:",
+        "if k == 0 and fhat.max() >= 0.0:",
+    ),
+    # Observations exist only at feasible points: an infeasible query ends
+    # the trial.
+    "unsafe-query-not-raised": (
+        "src/zobarrier/oracle.py",
+        "if (fc > 0.0).any():",
+        "if False:",
     ),
 }
 

@@ -20,6 +20,7 @@ from .errors import (
     NoValidOutputError,
     UnknownProblemError,
     UnknownSuiteError,
+    UnsafeQueryError,
     UnsafeStartError,
     ZobarrierError,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "UnicycleConfig",
     "UnknownProblemError",
     "UnknownSuiteError",
+    "UnsafeQueryError",
     "UnsafeStartError",
     "ZobarrierError",
     "analytic_names",

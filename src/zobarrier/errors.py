@@ -31,12 +31,20 @@ class NonFiniteMeasurementError(ZobarrierError):
     halt_reason = "non-finite"
 
 
+class UnsafeQueryError(ZobarrierError):
+    """A measured point is truly infeasible (true max-constraint > 0)."""
+
+    halt_reason = "unsafe-query"
+
+
 class MarginExhaustedError(ZobarrierError):
     """The certified safety margin is gone (upper confidence bound >= 0).
 
-    Never clamped into a fake positive margin: the caller decides whether
-    to halt or freeze.
+    Never clamped into a fake positive margin: with no certifiably safe
+    next query, the solver halts.
     """
+
+    halt_reason = "margin-exhausted"
 
     def __init__(self, fhat_c_nu: float):
         self.fhat_c_nu = float(fhat_c_nu)

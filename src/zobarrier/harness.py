@@ -171,7 +171,6 @@ PRESETS: dict[str, dict] = {
             "n_policy": "fixed",
             "n_fixed": 7,
             "nu_policy": "adaptive",
-            "margin_policy": "halt",
         },
         "trials": 20,
         "base_seed": 2026,
@@ -187,7 +186,6 @@ PRESETS: dict[str, dict] = {
             "n_policy": "fixed",
             "n_fixed": 16,
             "nu_policy": "adaptive",
-            "margin_policy": "halt",
         },
         "trials": 10,
         "base_seed": 7,
@@ -410,10 +408,6 @@ def containment_violations(result: RunResult, lipschitz: float, rel_tol: float =
     for i in range(len(trace) - 1):
         rec = trace[i]
         step = float(np.linalg.norm(trace[i + 1].x - rec.x))
-        if rec.frozen:
-            if step != 0.0:
-                bad += 1
-            continue
         bound = rec.alpha_hat / (2.0 * lipschitz * rec.k ** (2.0 / 5.0))
         if step > bound * (1.0 + rel_tol):
             bad += 1

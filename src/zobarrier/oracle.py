@@ -5,10 +5,11 @@ it serves F_i(x, xi) = f_i(x) + xi with fresh noise per scalar value,
 counts every call against an optional budget cap, and records a
 ground-truth feasibility audit of every queried point. The audit uses
 the problem's exact evaluator -- a test-harness privilege the solver
-never gets. A measurement whose true values are not finite is audited
-and then refused with NonFiniteMeasurementError; one whose simulation
-diverges is audited with a NaN true value (flagged) and its
-DivergedTrajectoryError re-raised.
+never gets. A measurement is audited, then refused with
+NonFiniteMeasurementError if its true values are not finite and with
+UnsafeQueryError if a point is truly infeasible (observations exist only
+at feasible points); a diverged simulation is audited with a NaN true
+value (flagged) and its DivergedTrajectoryError re-raised.
 
 Noise draws are keyed by (master_seed, iteration, side, sample, function
 index), never by call order, so identical query sequences from two
@@ -30,6 +31,7 @@ from .errors import (
     ContractViolationError,
     DivergedTrajectoryError,
     NonFiniteMeasurementError,
+    UnsafeQueryError,
 )
 from .problems import ProblemSpec
 from .streams import DOMAIN_NOISE, SIDE_BASE, SIDE_PERTURBED, substream
@@ -155,18 +157,21 @@ class MeasurementOracle:
         `points` must not alias caller memory. The chunk is appended
         before any refusal, so refused points are still audited and
         flagged: a diverged evaluation is recorded with a NaN true
-        max-constraint and re-raised, and values that are not finite
-        raise NonFiniteMeasurementError."""
+        max-constraint and re-raised; non-finite values, then infeasible
+        points, raise NonFiniteMeasurementError and UnsafeQueryError."""
         try:
             true_vals = self.problem.evaluate_all(points)
         except DivergedTrajectoryError:
             self._chunks.append((iteration, side, points, np.full(len(points), np.nan)))
             raise
-        self._chunks.append((iteration, side, points, true_vals[:, 1:].max(axis=1)))
+        fc = true_vals[:, 1:].max(axis=1)
+        self._chunks.append((iteration, side, points, fc))
         if not np.isfinite(true_vals).all():
             raise NonFiniteMeasurementError(
                 f"true values at iteration {iteration} are not all finite"
             )
+        if (fc > 0.0).any():
+            raise UnsafeQueryError(f"iteration {iteration} queried a truly infeasible point")
         return true_vals
 
     # -- measurement -------------------------------------------------------

@@ -289,13 +289,16 @@ def _simulate_rows(gains: np.ndarray, cfg: UnicycleConfig) -> np.ndarray:
     return np.array(out).reshape(gains.shape[0], T + 1, 3)
 
 
+# Half-width of the search box around the initial gain where L = 130 was measured.
+UNICYCLE_BOX_HALFWIDTH = 0.15
+
+
 def make_unicycle_problem(
     cfg: UnicycleConfig | None = None,
     *,
     noise_sigma: float = 1e-4,
     lipschitz: float = 130.0,
     grad_lower: float = 1.0,
-    box_halfwidth: float = 0.15,
 ) -> ProblemSpec:
     """Wrap a unicycle configuration as a ProblemSpec over x = flatten(U).
 
@@ -336,7 +339,7 @@ def make_unicycle_problem(
         grad_lower=grad_lower,
         noise_sigma=noise_sigma,
         safe_start=x0,
-        box=(x0 - box_halfwidth, x0 + box_halfwidth),
+        box=(x0 - UNICYCLE_BOX_HALFWIDTH, x0 + UNICYCLE_BOX_HALFWIDTH),
     )
 
 

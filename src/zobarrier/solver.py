@@ -6,7 +6,7 @@ k = 1..K at the current iterate:
 
   1. measures every function n_k times at the iterate (base side),
   2. forms per-constraint upper confidence bounds and the certified
-     margin alpha_k (halting or freezing if the margin is exhausted),
+     margin alpha_k (halting if the margin is exhausted),
   3. measures at nu_k-displaced sphere points (perturbed side),
   4. assembles the barrier-gradient estimate
      g_k = G0 + eta * Gc / alpha_k,
@@ -36,6 +36,7 @@ from .errors import (
     MarginExhaustedError,
     NonFiniteMeasurementError,
     NoValidOutputError,
+    UnsafeQueryError,
     UnsafeStartError,
 )
 from .estimator import (
@@ -54,10 +55,16 @@ logger = logging.getLogger(__name__)
 
 N_POLICIES = ("fixed", "theoretical")
 NU_POLICIES = ("fixed", "adaptive")
-MARGIN_POLICIES = ("halt", "freeze")
+MARGIN_POLICIES = ("halt",)
 
-# Oracle failures that end a run with a named halt and the partial trace.
-_MEASUREMENT_HALTS = (DivergedTrajectoryError, BudgetExhaustedError, NonFiniteMeasurementError)
+# Errors that end a run with their halt_reason and the partial trace.
+_HALTS = (
+    MarginExhaustedError,
+    UnsafeQueryError,
+    DivergedTrajectoryError,
+    BudgetExhaustedError,
+    NonFiniteMeasurementError,
+)
 
 
 def require_integer(name: str, value, low: int) -> int:
@@ -78,7 +85,7 @@ class AlgoConfig:
     "adaptive" re-derives nu_k = min(eta/L, alpha_k/L) each iteration
     from that iteration's own base measurements. n_policy "theoretical"
     derives n_k from the concentration bound and clamps it to n_cap with
-    a warning; "fixed" uses n_fixed.
+    a warning; "fixed" uses n_fixed. margin_policy has one value, "halt".
     """
 
     eta: float
@@ -125,7 +132,6 @@ class IterateRecord:
     fhat: np.ndarray
     scalar_calls_so_far: int
     directions_so_far: int
-    frozen: bool = False
 
 
 @dataclass
@@ -136,8 +142,6 @@ class KktCertificate:
     iteration: int
     lambda_scalar: float  # eta / alpha_R
     lambda_hat: np.ndarray  # per-constraint multipliers, argmax mass split
-    fhat: np.ndarray
-    alpha_hat: float
 
 
 class KktResiduals(NamedTuple):
@@ -153,7 +157,8 @@ class RunResult:
     x_final: np.ndarray
     certificate: KktCertificate | None
     audit: object  # SafetyAudit
-    # None | "margin-exhausted" | "diverged" | "budget-exhausted" | "non-finite"
+    # None, or the halt_reason of the error that ended the run:
+    # "margin-exhausted" | "unsafe-query" | "diverged" | "budget-exhausted" | "non-finite"
     halted_reason: str | None = None
     halted_at: int | None = None
     # (trace points, their true [f0, ..., fm] rows), kept by the harness so
@@ -290,8 +295,6 @@ def certificate_from_record(record: IterateRecord, eta: float) -> KktCertificate
         iteration=record.k,
         lambda_scalar=eta / record.alpha_hat,
         lambda_hat=kkt_multipliers(record.fhat, -record.alpha_hat, eta),
-        fhat=record.fhat.copy(),
-        alpha_hat=record.alpha_hat,
     )
 
 
@@ -343,14 +346,14 @@ def barrier_estimate(
     return barrier_gradient(g0, gc, eta, alpha)
 
 
-def resolve_sample_count(problem: ProblemSpec, cfg: AlgoConfig, sigma: float) -> int:
+def resolve_sample_count(problem: ProblemSpec, cfg: AlgoConfig) -> int:
     """n_k for the run; theoretical policy clamps to n_cap with a warning."""
     if cfg.n_policy == "fixed":
         return cfg.n_fixed
     L = problem.lipschitz
     C, nu = margin_constants(problem, cfg)
     required = required_samples(
-        sigma_big(problem.dim, cfg.delta, cfg.max_iters, sigma, L, nu), nu, C, L
+        sigma_big(problem.dim, cfg.delta, cfg.max_iters, problem.noise_sigma, L, nu), nu, C, L
     )
     if required > cfg.n_cap:
         logger.warning(
@@ -366,68 +369,49 @@ def resolve_sample_count(problem: ProblemSpec, cfg: AlgoConfig, sigma: float) ->
 def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> RunResult:
     """Execute K iterations and sample the output pair.
 
+    L and sigma are the problem's declared `lipschitz` and `noise_sigma`.
     The start point is accepted only if every constraint's upper
     confidence bound at it is negative (the solver cannot see true
-    values). Margin exhaustion is handled per cfg.margin_policy: "halt"
-    returns a flagged partial trace, "freeze" records a zero-weight
-    iterate and re-measures next iteration. A diverged problem
-    evaluation, an exhausted budget cap or a measurement whose true
-    values are not finite aborts with the trace and audit collected so
-    far.
+    values); otherwise UnsafeStartError propagates. Any error in _HALTS
+    (exhausted margin, infeasible query, divergence, budget cap,
+    non-finite true values) ends the run with its halt_reason, the trace
+    and audit so far, and no certificate.
     """
     L = problem.lipschitz
     K = cfg.max_iters
     delta_bar = cfg.delta / (2 * K + 1)
     _, nu_fixed = margin_constants(problem, cfg)
-    sigma = oracle.noise.sigma
-    n = resolve_sample_count(problem, cfg, sigma)
+    sigma = problem.noise_sigma
+    n = resolve_sample_count(problem, cfg)
 
     x = np.asarray(problem.safe_start, dtype=float).copy()
     records: list[IterateRecord] = []
     halted_reason: str | None = None
     halted_at: int | None = None
-    start_checked = False
 
     for k in range(1, K + 1):
         try:
             base = oracle.measure_base(x, n, k)
-        except _MEASUREMENT_HALTS as exc:
-            halted_reason, halted_at = exc.halt_reason, k
-            break
-        fhat = confidence_bounds(base, sigma, delta_bar)
-        if not start_checked:
-            if fhat.max() >= 0.0:
+            fhat = confidence_bounds(base, sigma, delta_bar)
+            if k == 1 and fhat.max() >= 0.0:
                 raise UnsafeStartError(
                     f"start point not certifiably feasible: max upper bound "
                     f"{fhat.max():.6g} >= 0"
                 )
-            start_checked = True
-        frozen = False
-        try:
             if cfg.nu_policy == "adaptive":
                 nu_k, alpha = _adaptive_margin(float(fhat.max()), cfg.eta, L)
             else:
                 nu_k = nu_fixed
                 _, alpha = margin(fhat, nu_k, L)
-        except MarginExhaustedError as exc:
-            if cfg.margin_policy == "halt":
-                logger.warning("margin exhausted at iteration %d: %s", k, exc)
-                halted_reason, halted_at = "margin-exhausted", k
-                break
-            frozen, nu_k, alpha, g = True, math.nan, math.nan, np.zeros_like(x)
-        if not frozen:
-            directions = sphere_sample(
-                problem.dim, n, substream(cfg.seed, DOMAIN_DIRECTIONS, k)
-            )
-            try:
-                pert = oracle.measure_perturbed(x, directions, nu_k, k)
-            except _MEASUREMENT_HALTS as exc:
-                halted_reason, halted_at = exc.halt_reason, k
-                break
-            g = barrier_estimate(base, pert, directions, nu_k, cfg.eta, alpha)
+            directions = sphere_sample(problem.dim, n, substream(cfg.seed, DOMAIN_DIRECTIONS, k))
+            pert = oracle.measure_perturbed(x, directions, nu_k, k)
+        except _HALTS as exc:
+            logger.warning("halted at iteration %d (%s): %s", k, exc.halt_reason, exc)
+            halted_reason, halted_at = exc.halt_reason, k
+            break
+        g = barrier_estimate(base, pert, directions, nu_k, cfg.eta, alpha)
         g_norm = math.sqrt(float(g @ g))  # bitwise np.linalg.norm of a vector
-        # A zero gradient (always so when frozen) carries no direction
-        # information; weight 0 removes it from output sampling.
+        # A zero gradient has no direction; weight 0 keeps it out of output sampling.
         weight = gamma = 0.0
         if g_norm != 0.0:
             weight = step_weight(k, alpha, L)
@@ -444,7 +428,6 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
                 fhat=fhat,
                 scalar_calls_so_far=oracle.total_scalar_calls,
                 directions_so_far=oracle.total_directions,
-                frozen=frozen,
             )
         )
         if g_norm != 0.0:

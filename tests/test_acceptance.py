@@ -187,9 +187,7 @@ def test_criterion_07_safety_margin(margin_bundle, caplog):
     # The theoretical sample bound is astronomically above the cap here;
     # the run uses the largest feasible n_k and logs a warning.
     with caplog.at_level("WARNING"):
-        n_used = resolve_sample_count(
-            margin_bundle["problem"], margin_bundle["cfg"], sigma=0.01
-        )
+        n_used = resolve_sample_count(margin_bundle["problem"], margin_bundle["cfg"])
     warned = any("exceeds cap" in rec.message for rec in caplog.records)
     report(
         "7 safety-margin",

@@ -127,6 +127,7 @@ MALFORMED = {
     "algo-max_iters-yes": {"algo": yaml.safe_load("max_iters: yes")},
     "trials-true": yaml.safe_load("trials: true"),
     "algo-seed-set-per-trial": {"algo": {"seed": 123}},
+    "algo-margin_policy-freeze": {"algo": {"margin_policy": "freeze"}},
     "noise_kind-unknown": {"noise_kind": "bogus"},
     "noise_kind-none": {"noise_kind": "none"},
     "unicycle-misspelt-key": {"problem": {"name": "unicycle", "horizonn": 3}},
@@ -151,8 +152,8 @@ MALFORMED = {
     "unicycle-initial_gain-nan": {
         "problem": {"name": "unicycle", "initial_gain": [[-0.05, NAN, 0.0], [0.0, 0.0, -0.2]]}
     },
-    "unicycle-box_halfwidth-nan": {"problem": {"name": "unicycle", "box_halfwidth": NAN}},
-    "unicycle-box_halfwidth-inf": {"problem": {"name": "unicycle", "box_halfwidth": INF}},
+    "unicycle-lipschitz-nan": {"problem": {"name": "unicycle", "lipschitz": NAN}},
+    "unicycle-grad_lower-inf": {"problem": {"name": "unicycle", "grad_lower": INF}},
     "unicycle-v_max-nan": {"problem": {"name": "unicycle", "v_max": NAN}},
     "unicycle-omega_max-nan": {"problem": {"name": "unicycle", "omega_max": NAN}},
     "plan-nan-gap": {"plan": {"d_f_estimate": NAN}},
@@ -270,6 +271,29 @@ def test_budget_cap_halts_every_trial_with_partial_output(tmp_path):
         assert audit.count("\n") == 1 + 4 * (1 + 6)
 
 
+def test_infeasible_query_ends_the_trial(tmp_path, capsys):
+    # L = 2 is far below the constraints' true slope (about 40), so the
+    # second iteration's perturbed points leave the feasible set. The
+    # oracle refuses them: the trial halts with no certificate, the audit
+    # keeps the flagged rows and the CLI reports a run failure.
+    data = {
+        "preset": "unicycle-paper",
+        "problem": {"lipschitz": 2.0, "grad_lower": 0.01},
+        "algo": {"eta": 0.05, "max_iters": 300},
+        "trials": 1,
+        "base_seed": 2027,
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert cli.main(["run", write_yaml(tmp_path, data)]) == 2
+    assert "flagged trials (halted): [0]" in capsys.readouterr().out
+    trial = json.loads((tmp_path / "out" / "summary.json").read_text())["trials"][0]
+    assert (trial["halted_reason"], trial["halted_at"]) == ("unsafe-query", 2)
+    assert trial["iterations"] == 1 and trial["x_r"] is None
+    assert trial["violation_count"] > 0
+    rows = (tmp_path / "out" / "trial000_audit.csv").read_text().splitlines()[1:]
+    assert all(r.startswith("2,") for r in rows if r.endswith(",1"))
+
+
 def test_empty_audit_csv_keeps_coordinate_columns(tmp_path):
     # A cap of 1 halts before the first query, so the audit has no rows;
     # its header still names one column per coordinate.
@@ -336,7 +360,7 @@ def test_trace_csv_matches_csv_writer_bytes(tmp_path):
     cfg = make_config(tmp_path, algo={"max_iters": 12})
     problem = build_problem(cfg.problem_name, cfg.problem_options)
     result, _ = run_trial(problem, cfg, 0)
-    # A frozen iterate records alpha_hat = nan.
+    # A NaN value must take `repr`'s spelling too.
     result.trace.append(dataclasses.replace(result.trace[-1], k=10**12, alpha_hat=float("nan")))
     write_trace_csv(result, problem, tmp_path / "columnar.csv")
     legacy_trace_csv(result, problem, tmp_path / "legacy.csv")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ from zobarrier.errors import (
     ContractViolationError,
     DivergedTrajectoryError,
     NonFiniteMeasurementError,
+    UnsafeQueryError,
 )
 from zobarrier.estimator import sphere_sample
 from zobarrier.oracle import (
@@ -128,10 +130,16 @@ def test_empty_audit(ball):
 
 
 def test_audit_records_violation(ball):
+    # The oracle refuses a truly infeasible query, but only after auditing
+    # it; a perturbed measurement is refused if any of its points is.
     oracle = make_oracle(ball)
-    oracle.measure_base(np.array([2.0, 0.0]), 1, iteration=1)  # truly infeasible point
+    with pytest.raises(UnsafeQueryError):
+        oracle.measure_base(np.array([2.0, 0.0]), 1, iteration=1)
+    dirs = np.array([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(UnsafeQueryError):
+        oracle.measure_perturbed(np.array([0.5, 0.0]), dirs, 0.6, iteration=1)
     audit = oracle.audit()
-    assert audit.violation_count == 1
+    assert audit.violated.tolist() == [True, True, False]
     assert audit.true_max_constraint[0] == pytest.approx(3.0)
 
 
@@ -256,6 +264,7 @@ def legacy_audit_csv(audit, path):
 
 
 def test_audit_csv_matches_csv_writer_bytes(ball, tmp_path):
+    ball = dataclasses.replace(ball, noise_sigma=0.1)
     oracle = make_oracle(ball, sigma=0.1, seed=3)
     run(ball, AlgoConfig(eta=0.05, max_iters=4, n_policy="fixed", n_fixed=3, seed=3), oracle)
     # Signed zero, exponent notation, a large iteration index and a violation.
@@ -263,7 +272,8 @@ def test_audit_csv_matches_csv_writer_bytes(ball, tmp_path):
     oracle.measure_perturbed(
         np.array([2.5e-7, -0.0]), np.array([[0.0, 1.0]]), 1e-05, iteration=10**12
     )
-    oracle.measure_base(np.array([2.0, 0.0]), 1, iteration=10**12 + 1)
+    with pytest.raises(UnsafeQueryError):
+        oracle.measure_base(np.array([2.0, 0.0]), 1, iteration=10**12 + 1)
     audit = oracle.audit()
     assert audit.violation_count == 1
     write_audit_csv(audit, tmp_path / "columnar.csv")

@@ -129,10 +129,10 @@ def test_adaptive_margin_is_self_consistent(eta, lipschitz):
 def test_resolve_sample_count_policies(caplog):
     prob = analytic_problem("smooth-2con")
     fixed = AlgoConfig(eta=0.3, max_iters=10, n_policy="fixed", n_fixed=9)
-    assert resolve_sample_count(prob, fixed, sigma=0.01) == 9
+    assert resolve_sample_count(prob, fixed) == 9
     theo = AlgoConfig(eta=0.3, max_iters=10, n_policy="theoretical", n_cap=512)
     with caplog.at_level("WARNING"):
-        n = resolve_sample_count(prob, theo, sigma=0.01)
+        n = resolve_sample_count(prob, theo)
     assert n == 512
     assert any("exceeds cap" in r.message for r in caplog.records)
 
@@ -212,8 +212,6 @@ def test_kkt_residuals_exact_point():
         iteration=1,
         lambda_scalar=0.5,
         lambda_hat=prob.solution["lambda_star"],
-        fhat=np.array([0.0]),
-        alpha_hat=0.1,
     )
     res = kkt_residuals(prob, cert, nu=0.01, rng=substream(0))
     assert res.feasibility == pytest.approx(0.0, abs=1e-12)
@@ -228,8 +226,6 @@ def test_kkt_residuals_interior_zero_multipliers():
         iteration=1,
         lambda_scalar=0.0,
         lambda_hat=np.array([0.0]),
-        fhat=np.array([-25.0]),
-        alpha_hat=25.0,
     )
     res = kkt_residuals(prob, cert, nu=0.01, rng=substream(0))
     assert res.complementarity == 0.0
@@ -245,8 +241,6 @@ def test_kkt_residuals_smoothing_fallback():
         iteration=1,
         lambda_scalar=0.2,
         lambda_hat=np.array([0.2]),
-        fhat=np.array([-0.7]),
-        alpha_hat=0.7,
     )
     got = kkt_residuals(stripped, cert, nu=0.05, rng=substream(9), n_mc=200_000)
     want = kkt_residuals(prob, cert, nu=0.05, rng=substream(0))
@@ -266,8 +260,6 @@ def test_kkt_residuals_smoothing_fallback_two_multipliers():
         iteration=1,
         lambda_scalar=float(lam.sum()),
         lambda_hat=lam,
-        fhat=np.array([-0.1, -0.1]),
-        alpha_hat=0.1,
     )
     got = kkt_residuals(stripped, cert, nu=0.05, rng=substream(9), n_mc=200_000)
     want = kkt_residuals(prob, cert, nu=0.05, rng=substream(0))
@@ -321,7 +313,7 @@ def test_audit_rows_are_the_queries_in_order():
     cfg = ball_config(max_iters=30)
     result = run(prob, cfg, make_oracle(prob, seed=5))
     audit, n = result.audit, cfg.n_fixed
-    assert len(result.trace) == 30 and not any(rec.frozen for rec in result.trace)
+    assert len(result.trace) == 30
     assert len(audit) == 30 * (1 + n)
     for rec, rows in zip(result.trace, np.split(np.arange(len(audit)), 30)):
         assert audit.iterations[rows].tolist() == [rec.k] * (1 + n)
@@ -336,7 +328,7 @@ def test_trace_internal_consistency():
     result = run(prob, ball_config(max_iters=100), make_oracle(prob, seed=6))
     L = prob.lipschitz
     for rec in result.trace:
-        if rec.g_norm == 0.0 or rec.frozen:
+        if rec.g_norm == 0.0:
             continue
         # Stored step quantities reproduce bitwise from (k, alpha, |g|, L).
         assert rec.weight == step_weight(rec.k, rec.alpha_hat, L)
@@ -479,21 +471,6 @@ def test_margin_policy_halt():
     assert result.certificate is None
 
 
-def test_margin_policy_freeze():
-    prob = flat_problem(constraint_level=-0.05)
-    cfg = ball_config(
-        max_iters=10, nu_policy="fixed", C_override=1.0, eta=0.1, margin_policy="freeze"
-    )
-    result = run(prob, cfg, make_oracle(prob))
-    assert result.halted_reason is None
-    assert len(result.trace) == 10
-    assert all(rec.frozen and rec.weight == 0.0 for rec in result.trace)
-    assert np.array_equal(result.x_final, prob.safe_start)
-    # Frozen iterations take base measurements only.
-    assert result.audit.total_directions == 0
-    assert result.audit.total_scalar_calls == 10 * 8 * 2
-
-
 def test_unsafe_start_detected():
     # Feasible in truth but far from certifiable under huge noise.
     prob = flat_problem(constraint_level=-0.01)
@@ -503,13 +480,21 @@ def test_unsafe_start_detected():
         run(prob, cfg, make_oracle(prob, sigma=100.0, seed=3))
 
 
+def test_confidence_bounds_use_the_declared_sigma():
+    # The oracle draws no noise, but the problem declares sigma = 100, and
+    # the solver trusts the declaration: the start is not certifiable.
+    prob = dataclasses.replace(flat_problem(constraint_level=-0.01), noise_sigma=100.0)
+    cfg = ball_config(max_iters=5, nu_policy="fixed")
+    with pytest.raises(UnsafeStartError):
+        run(prob, cfg, make_oracle(prob, sigma=0.0, seed=3))
+
+
 def test_certificate_structure():
     prob = analytic_problem("linear-ball", noise_sigma=0.02)
     result = run(prob, ball_config(), make_oracle(prob, seed=12))
     cert = result.certificate
     rec = result.trace[cert.iteration - 1]
     assert np.array_equal(cert.x, rec.x)
-    assert cert.alpha_hat == rec.alpha_hat
     assert cert.lambda_scalar == 0.05 / rec.alpha_hat
     assert cert.lambda_hat.shape == (1,)
     assert cert.lambda_hat[0] >= 0.0
@@ -522,7 +507,8 @@ def test_nonmaximizer_multipliers_zero():
     cfg = ball_config(eta=0.2, max_iters=120, seed=2)
     result = run(prob, cfg, make_oracle(prob, seed=2))
     cert = result.certificate
-    argmax = np.flatnonzero(cert.fhat == cert.fhat.max())
+    fhat = result.trace[cert.iteration - 1].fhat
+    argmax = np.flatnonzero(fhat == fhat.max())
     for i in range(2):
         if i not in argmax:
             assert cert.lambda_hat[i] == 0.0
