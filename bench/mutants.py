@@ -65,8 +65,15 @@ MUTANTS = {
     # row j of iteration k is x_k + nu_k * s_j.
     "audit-perturbed-rows-reversed": (
         "src/zobarrier/oracle.py",
-        "self._chunks.append((iteration, side, points, fc))",
-        "self._chunks.append((iteration, side, points[::-1], fc[::-1]))",
+        "self._chunks.append((iteration, side, points, truth))",
+        "self._chunks.append((iteration, side, points[::-1], truth[::-1]))",
+    ),
+    # The trace's truth columns are the audit's base rows: iteration k's
+    # base measurement queried x_k. Every other row is a perturbed one.
+    "trace-truth-from-perturbed-rows": (
+        "src/zobarrier/harness.py",
+        "audit.sides == SIDE_BASE",
+        "audit.sides != SIDE_BASE",
     ),
     # The start point must be certified feasible before the first step.
     "no-start-check": (
@@ -78,7 +85,7 @@ MUTANTS = {
     # the trial.
     "unsafe-query-not-raised": (
         "src/zobarrier/oracle.py",
-        "if (fc > 0.0).any():",
+        "if (truth[:, 1] > 0.0).any():",
         "if False:",
     ),
 }

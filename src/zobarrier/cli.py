@@ -63,9 +63,10 @@ def _cmd_run(args) -> int:
         f"min={agg['objective_min']:.6g} max={agg['objective_max']:.6g}"
     )
     print(f"  ground-truth constraint violations: {agg['total_violations']}")
-    halted = [t.trial for t in summary.trials if t.halted_reason]
+    halted = [t for t in summary.trials if t.halted_reason]
     if halted:
-        print(f"  flagged trials (halted): {halted}")
+        reasons = ", ".join(f"{t.trial} {t.halted_reason} at k={t.halted_at}" for t in halted)
+        print(f"  flagged trials (halted): {reasons}")
         return EXIT_RUN_FAILURE
     return EXIT_OK
 
@@ -99,12 +100,9 @@ def _cmd_plan(args) -> int:
     cfg = _load_config(args.config)
     problem = harness.build_problem(cfg.problem_name, cfg.problem_options)
     algo = cfg.algo
-    L = problem.lipschitz
-    C, nu = solver.margin_constants(problem, algo)
-    sig = solver.sigma_big(problem.dim, algo.delta, algo.max_iters, problem.noise_sigma, L, nu)
-    n_req = solver.required_samples(sig, nu, C, L)
+    C, nu, sig, n_req = solver.sample_bound(problem, algo)
     d_f = cfg.plan.get("d_f_estimate", 1.0)
-    plan = solver.plan_iterations(algo.eta, L, C, problem.dim, d_f)
+    plan = solver.plan_iterations(algo.eta, problem.lipschitz, C, problem.dim, d_f)
     print(f"problem={problem.name} d={problem.dim} m={problem.num_constraints}")
     print(f"C={C:.6g} nu(fixed)={nu:.6g} Sigma={sig:.6g}")
     print(f"sample bound n_k={n_req} (configured cap {algo.n_cap})")

@@ -38,7 +38,7 @@ from .solver import (
     run,
     select_output,
 )
-from .streams import DOMAIN_MC, substream
+from .streams import DOMAIN_MC, SIDE_BASE, substream
 
 ENV_OUTPUT_DIR = "ZOBARRIER_OUTPUT_DIR"
 
@@ -246,13 +246,6 @@ class RunSummary:
     trials: list[TrialSummary]
     aggregate: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "trials": [dataclasses.asdict(t) for t in self.trials],
-            "aggregate": dict(self.aggregate),
-        }
-
 
 def _atomic_write(path: Path, writer) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
@@ -260,24 +253,27 @@ def _atomic_write(path: Path, writer) -> None:
     os.replace(tmp, path)
 
 
-def _trace_truth(result: RunResult, problem: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Trace points and their true [f0, ..., fm] rows; the trace must not be
-    empty. The table is kept on the result and reused while the trace's
-    points are unchanged, so each trace is evaluated once."""
-    points = np.stack([r.x for r in result.trace])
-    kept = result.trace_truth
-    if kept is None or not np.array_equal(kept[0], points):
-        kept = result.trace_truth = (points, problem.evaluate_all(points))
-    return kept
+def _iterate_truth(result: RunResult) -> tuple[np.ndarray, np.ndarray]:
+    """True objective and max-constraint at each trace point, read from the
+    audit: iteration k's base measurement queried x_k, so trace record k
+    is the k-th SIDE_BASE row. A trace the audit does not cover raises."""
+    audit = result.audit
+    rows = np.flatnonzero(audit.sides == SIDE_BASE)[: len(result.trace)]
+    if len(rows) < len(result.trace):
+        raise ContractViolationError(
+            f"trace has {len(result.trace)} records, the audit {len(rows)} base rows"
+        )
+    return audit.true_objective[rows], audit.true_max_constraint[rows]
 
 
-def write_trace_csv(result: RunResult, problem: ProblemSpec, path: Path) -> None:
-    """Trace as CSV with ground-truth objective/constraint columns.
+def write_trace_csv(result: RunResult, path: Path) -> None:
+    """Trace as CSV with ground-truth objective/constraint columns, which are
+    the audit's base rows.
 
     Bytes match `csv.writer` output: CRLF line ends, floats as `repr`,
     formatted by `float_reprs` (orjson for 1e-4 <= |v| < 1e16 and +-0.0,
     `repr` elsewhere)."""
-    dim = problem.dim
+    dim = len(result.x_final)
     header = (
         ["k"]
         + [f"x{i}" for i in range(dim)]
@@ -285,7 +281,7 @@ def write_trace_csv(result: RunResult, problem: ProblemSpec, path: Path) -> None
     )
     columns = []
     if result.trace:
-        points, values = _trace_truth(result, problem)
+        points = np.stack([r.x for r in result.trace])
         steps = np.array(
             [(r.alpha_hat, r.g_norm, r.gamma, r.weight) for r in result.trace], dtype=float
         )
@@ -293,8 +289,7 @@ def write_trace_csv(result: RunResult, problem: ProblemSpec, path: Path) -> None
             map(str, [r.k for r in result.trace]),
             *map(float_reprs, points.T),
             *map(float_reprs, steps.T),
-            float_reprs(values[:, 0]),
-            float_reprs(values[:, 1:].max(axis=1)),
+            *map(float_reprs, _iterate_truth(result)),
         ]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
@@ -319,7 +314,7 @@ def run_trial(
     final_obj = problem.objective_value(result.x_final)
     best_obj = final_obj
     if result.trace:
-        best_obj = min(best_obj, float(_trace_truth(result, problem)[1][:, 0].min()))
+        best_obj = min(best_obj, float(_iterate_truth(result)[0].min()))
     x_r = lam_r = None
     res = (None, None, None)
     if result.certificate is not None:
@@ -328,10 +323,9 @@ def run_trial(
         lam_r = float(cert.lambda_scalar)
         if cfg.residual_mc > 0:
             nu_r = result.trace[cert.iteration - 1].nu
-            triple = kkt_residuals(
+            res = kkt_residuals(
                 problem, cert, nu_r, substream(seed, DOMAIN_MC, 1), n_mc=cfg.residual_mc
             )
-            res = (float(triple[0]), float(triple[1]), float(triple[2]))
     audit = result.audit
     summary = TrialSummary(
         trial=trial,
@@ -364,7 +358,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
         result, summary = run_trial(problem, cfg, t)
         _atomic_write(
             out / f"trial{t:03d}_trace.csv",
-            lambda p, r=result: write_trace_csv(r, problem, p),
+            lambda p, r=result: write_trace_csv(r, p),
         )
         _atomic_write(
             out / f"trial{t:03d}_audit.csv",
@@ -382,7 +376,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     run_summary = RunSummary(label=cfg.label, trials=summaries, aggregate=aggregate)
     _atomic_write(
         out / "summary.json",
-        lambda p: Path(p).write_text(json.dumps(run_summary.to_dict(), indent=2) + "\n"),
+        lambda p: Path(p).write_text(json.dumps(dataclasses.asdict(run_summary), indent=2) + "\n"),
     )
     return run_summary
 

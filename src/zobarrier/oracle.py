@@ -3,13 +3,14 @@
 The oracle is the only channel through which the solver sees a problem:
 it serves F_i(x, xi) = f_i(x) + xi with fresh noise per scalar value,
 counts every call against an optional budget cap, and records a
-ground-truth feasibility audit of every queried point. The audit uses
-the problem's exact evaluator -- a test-harness privilege the solver
-never gets. A measurement is audited, then refused with
-NonFiniteMeasurementError if its true values are not finite and with
-UnsafeQueryError if a point is truly infeasible (observations exist only
-at feasible points); a diverged simulation is audited with a NaN true
-value (flagged) and its DivergedTrajectoryError re-raised.
+ground-truth audit of every queried point: its true objective and
+max-constraint. The audit uses the problem's exact evaluator -- a
+test-harness privilege the solver never gets. A measurement is audited,
+then refused with NonFiniteMeasurementError if its true values are not
+finite and with UnsafeQueryError if a point is truly infeasible
+(observations exist only at feasible points); a diverged simulation is
+audited with NaN true values (flagged) and its DivergedTrajectoryError
+re-raised.
 
 Noise draws are keyed by (master_seed, iteration, side, sample, function
 index), never by call order, so identical query sequences from two
@@ -80,14 +81,16 @@ class SafetyAudit:
     """Ground-truth record of every point the oracle was queried at.
 
     Row r is one queried point: its iteration, side (SIDE_BASE or
-    SIDE_PERTURBED), coordinates and true max-constraint value. Rows are
-    in query order; the solver's iteration k gives its base row, then
-    its perturbed rows j = 1..n.
+    SIDE_PERTURBED), coordinates, true objective and true max-constraint
+    (both NaN where the evaluation diverged). Rows are in query order;
+    the solver's iteration k gives its base row x_k, then its perturbed
+    rows j = 1..n.
     """
 
     iterations: np.ndarray  # (P,) int
     sides: np.ndarray  # (P,) int
     points: np.ndarray  # (P, d)
+    true_objective: np.ndarray  # (P,)
     true_max_constraint: np.ndarray  # (P,)
     total_scalar_calls: int = 0
     total_directions: int = 0
@@ -112,8 +115,8 @@ class MeasurementOracle:
 
     Value computation is pure given the stream key. The oracle is
     single-threaded: each measurement appends one chunk of audit columns
-    (iteration, side, points, true max-constraint), and `audit`
-    concatenates them in query order.
+    (iteration, side, points, [true objective, true max-constraint]),
+    and `audit` concatenates them in query order.
     """
 
     def __init__(
@@ -151,28 +154,34 @@ class MeasurementOracle:
         self._scalar_calls += scalar_calls
         self._directions += directions
 
-    def _evaluate(self, iteration: int, side: int, points: np.ndarray) -> np.ndarray:
-        """True values at `points`, appended to the audit as one chunk.
+    def _measure(self, iteration: int, side: int, points: np.ndarray, n: int, directions: int):
+        """Charge, audit and serve one measurement: n noisy rows (n, m+1) of
+        the true values at `points`, (1, d) for a base and (n, d) for a
+        perturbed measurement; `points` must not alias caller memory.
 
-        `points` must not alias caller memory. The chunk is appended
-        before any refusal, so refused points are still audited and
-        flagged: a diverged evaluation is recorded with a NaN true
-        max-constraint and re-raised; non-finite values, then infeasible
+        The chunk is appended before any refusal, so refused points are
+        still audited and flagged: a diverged evaluation is recorded with
+        NaN true values and re-raised; non-finite values, then infeasible
         points, raise NonFiniteMeasurementError and UnsafeQueryError."""
+        m1 = self.problem.num_constraints + 1
+        self._charge(n * m1, directions)
         try:
             true_vals = self.problem.evaluate_all(points)
         except DivergedTrajectoryError:
-            self._chunks.append((iteration, side, points, np.full(len(points), np.nan)))
+            self._chunks.append((iteration, side, points, np.full((len(points), 2), np.nan)))
             raise
-        fc = true_vals[:, 1:].max(axis=1)
-        self._chunks.append((iteration, side, points, fc))
+        # [f0, max_i fi] as a new (P, 2) array: a view of true_vals would keep
+        # the whole table alive, and one array per chunk holds least memory.
+        truth = true_vals[:, :2].copy()
+        true_vals[:, 1:].max(axis=1, out=truth[:, 1])
+        self._chunks.append((iteration, side, points, truth))
         if not np.isfinite(true_vals).all():
             raise NonFiniteMeasurementError(
                 f"true values at iteration {iteration} are not all finite"
             )
-        if (fc > 0.0).any():
+        if (truth[:, 1] > 0.0).any():
             raise UnsafeQueryError(f"iteration {iteration} queried a truly infeasible point")
-        return true_vals
+        return true_vals + self.noise.draw(iteration, side, n, m1)
 
     # -- measurement -------------------------------------------------------
 
@@ -183,10 +192,7 @@ class MeasurementOracle:
             raise ContractViolationError("query point must be finite")
         if n < 1:
             raise ContractViolationError("need n >= 1 base samples")
-        m1 = self.problem.num_constraints + 1
-        self._charge(n * m1)
-        true_vals = self._evaluate(iteration, SIDE_BASE, np.array(x, ndmin=2))  # (1, m+1)
-        return true_vals + self.noise.draw(iteration, SIDE_BASE, n, m1)
+        return self._measure(iteration, SIDE_BASE, np.array(x, ndmin=2), n, directions=0)
 
     def measure_perturbed(
         self, x: np.ndarray, directions: np.ndarray, radius: float, iteration: int
@@ -203,25 +209,25 @@ class MeasurementOracle:
         # Checking the displaced points also catches a NaN radius.
         if not np.isfinite(points).all():
             raise ContractViolationError("query points must be finite")
-        n, m1 = directions.shape[0], self.problem.num_constraints + 1
-        self._charge(n * m1, directions=n)
-        true_vals = self._evaluate(iteration, SIDE_PERTURBED, points)
-        return true_vals + self.noise.draw(iteration, SIDE_PERTURBED, n, m1)
+        n = len(directions)
+        return self._measure(iteration, SIDE_PERTURBED, points, n, directions=n)
 
     # -- audit ---------------------------------------------------------------
 
     def audit(self) -> SafetyAudit:
         """Complete audit so far, rows in query order. The leading empty
         chunk gives an audit of no queries its (0, dim) point shape."""
-        ks, sides, points, fcs = zip(
-            (0, 0, np.zeros((0, self.problem.dim)), np.zeros(0)), *self._chunks
+        ks, sides, points, truths = zip(
+            (0, 0, np.zeros((0, self.problem.dim)), np.zeros((0, 2))), *self._chunks
         )
         rows = [len(p) for p in points]
+        truth = np.concatenate(truths)
         return SafetyAudit(
             iterations=np.repeat(np.array(ks, dtype=np.int64), rows),
             sides=np.repeat(np.array(sides, dtype=np.int8), rows),
             points=np.concatenate(points),
-            true_max_constraint=np.concatenate(fcs),
+            true_objective=truth[:, 0],
+            true_max_constraint=truth[:, 1],
             total_scalar_calls=self._scalar_calls,
             total_directions=self._directions,
         )

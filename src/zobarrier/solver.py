@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -161,11 +161,6 @@ class RunResult:
     # "margin-exhausted" | "unsafe-query" | "diverged" | "budget-exhausted" | "non-finite"
     halted_reason: str | None = None
     halted_at: int | None = None
-    # (trace points, their true [f0, ..., fm] rows), kept by the harness so
-    # the trial summary and the trace CSV share one evaluation.
-    trace_truth: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +206,16 @@ def required_samples(sigma_bound: float, nu: float, C: float, lipschitz: float) 
         raise ContractViolationError("all arguments must be positive")
     bound = 4.0 * sigma_bound**2 * (C + 1.0) ** 2 / (nu**2 * C**2 * lipschitz**2)
     return max(1, math.ceil(bound))
+
+
+def sample_bound(problem: ProblemSpec, cfg: AlgoConfig) -> tuple[float, float, float, int]:
+    """(C, nu, Sigma, n_k): the margin constant, the fixed sampling radius,
+    the concentration constant and the sample count `required_samples`
+    derives from them for cfg's run on problem."""
+    L = problem.lipschitz
+    C, nu = margin_constants(problem, cfg)
+    sig = sigma_big(problem.dim, cfg.delta, cfg.max_iters, problem.noise_sigma, L, nu)
+    return C, nu, sig, required_samples(sig, nu, C, L)
 
 
 def step_weight(k: int, alpha_hat: float, lipschitz: float) -> float:
@@ -350,11 +355,7 @@ def resolve_sample_count(problem: ProblemSpec, cfg: AlgoConfig) -> int:
     """n_k for the run; theoretical policy clamps to n_cap with a warning."""
     if cfg.n_policy == "fixed":
         return cfg.n_fixed
-    L = problem.lipschitz
-    C, nu = margin_constants(problem, cfg)
-    required = required_samples(
-        sigma_big(problem.dim, cfg.delta, cfg.max_iters, problem.noise_sigma, L, nu), nu, C, L
-    )
+    required = sample_bound(problem, cfg)[3]
     if required > cfg.n_cap:
         logger.warning(
             "theoretical sample bound n_k = %d exceeds cap %d; clamping "

@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from zobarrier import cli
-from zobarrier.errors import ConfigError, UnknownSuiteError
+from zobarrier.errors import ConfigError, ContractViolationError, UnknownSuiteError
 from zobarrier.harness import (
     PRESETS,
     PropertyCheck,
@@ -254,7 +254,7 @@ def test_summary_json_round_trip(tmp_path):
     cfg = make_config(tmp_path)
     summary = run_experiment(cfg)
     saved = json.loads((cfg.output_dir / "summary.json").read_text())
-    assert saved == summary.to_dict()
+    assert saved == dataclasses.asdict(summary)
 
 
 def test_budget_cap_halts_every_trial_with_partial_output(tmp_path):
@@ -285,7 +285,7 @@ def test_infeasible_query_ends_the_trial(tmp_path, capsys):
         "output_dir": str(tmp_path / "out"),
     }
     assert cli.main(["run", write_yaml(tmp_path, data)]) == 2
-    assert "flagged trials (halted): [0]" in capsys.readouterr().out
+    assert "flagged trials (halted): 0 unsafe-query at k=2\n" in capsys.readouterr().out
     trial = json.loads((tmp_path / "out" / "summary.json").read_text())["trials"][0]
     assert (trial["halted_reason"], trial["halted_at"]) == ("unsafe-query", 2)
     assert trial["iterations"] == 1 and trial["x_r"] is None
@@ -361,12 +361,22 @@ def test_trace_csv_matches_csv_writer_bytes(tmp_path):
     problem = build_problem(cfg.problem_name, cfg.problem_options)
     result, _ = run_trial(problem, cfg, 0)
     # A NaN value must take `repr`'s spelling too.
-    result.trace.append(dataclasses.replace(result.trace[-1], k=10**12, alpha_hat=float("nan")))
-    write_trace_csv(result, problem, tmp_path / "columnar.csv")
+    result.trace[-1] = dataclasses.replace(result.trace[-1], k=10**12, alpha_hat=float("nan"))
+    write_trace_csv(result, tmp_path / "columnar.csv")
     legacy_trace_csv(result, problem, tmp_path / "legacy.csv")
     got = (tmp_path / "columnar.csv").read_bytes()
     assert got == (tmp_path / "legacy.csv").read_bytes()
-    assert got.count(b"\r\n") == 1 + 13 and b",nan," in got
+    assert got.count(b"\r\n") == 1 + 12 and b",nan," in got
+
+
+def test_trace_csv_refuses_a_trace_the_audit_does_not_cover(tmp_path):
+    # Trace truth is read from the audit's base rows, one per iteration:
+    # a record past them has no recorded truth.
+    cfg = make_config(tmp_path, algo={"max_iters": 3})
+    result, _ = run_trial(build_problem(cfg.problem_name, cfg.problem_options), cfg, 0)
+    result.trace.append(dataclasses.replace(result.trace[-1], k=4))
+    with pytest.raises(ContractViolationError):
+        write_trace_csv(result, tmp_path / "trace.csv")
 
 
 def test_audit_csv_contents(tmp_path):

@@ -172,6 +172,27 @@ def test_audit_determinism(ball):
     assert np.array_equal(a.true_max_constraint, b.true_max_constraint)
 
 
+@pytest.mark.parametrize(
+    "problem",
+    [
+        analytic_problem("smooth-2con", noise_sigma=0.01),
+        make_unicycle_problem(UnicycleConfig(error_feedback=True), lipschitz=40.0),
+    ],
+    ids=["smooth-2con", "unicycle"],
+)
+def test_audit_true_values_are_the_evaluated_rows(problem):
+    # Each measurement is evaluated once, as its own batch; one batch of
+    # every audited point gives the same values bit for bit.
+    oracle = make_oracle(problem, sigma=problem.noise_sigma, seed=5)
+    cfg = AlgoConfig(eta=0.01, max_iters=15, n_policy="fixed", n_fixed=7, seed=5)
+    assert run(problem, cfg, oracle).halted_reason is None
+    audit = oracle.audit()
+    values = problem.evaluate_all(audit.points)
+    assert len(audit) == 15 * (1 + 7)
+    np.testing.assert_array_equal(audit.true_objective, values[:, 0])
+    np.testing.assert_array_equal(audit.true_max_constraint, values[:, 1:].max(axis=1))
+
+
 def test_audit_keeps_points_not_caller_arrays(ball):
     oracle = make_oracle(ball)
     x = np.array([0.1, 0.2])
@@ -240,7 +261,8 @@ def test_diverged_measurement_is_audited_and_flagged(tmp_path):
     assert len(audit) == 2
     assert audit.sides.tolist() == [SIDE_BASE, SIDE_PERTURBED]
     np.testing.assert_array_equal(audit.points[1], x + 1e200 * direction[0])
-    assert math.isnan(audit.true_max_constraint[1])
+    assert math.isnan(audit.true_max_constraint[1]) and math.isnan(audit.true_objective[1])
+    assert audit.true_objective[0] == oracle.problem.objective_value(x)
     assert audit.violated.tolist() == [False, True]
     write_audit_csv(audit, tmp_path / "audit.csv")
     last = (tmp_path / "audit.csv").read_text().splitlines()[-1]
@@ -326,6 +348,7 @@ def test_audit_csv_memory_is_bounded(tmp_path):
         iterations=np.repeat(np.arange(1, 51, dtype=np.int64), 2000),
         sides=np.tile(sides, 50),
         points=rng.normal(size=(100_000, 2)),
+        true_objective=rng.normal(size=100_000),
         true_max_constraint=rng.normal(size=100_000),
     )
     tracemalloc.start()
