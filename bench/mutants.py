@@ -75,6 +75,13 @@ MUTANTS = {
         "audit.sides == SIDE_BASE",
         "audit.sides != SIDE_BASE",
     ),
+    # A helper process runs share w of the trials (w, w + W, ...); the
+    # outputs must not depend on how many processes ran them.
+    "helper-runs-the-wrong-trials": (
+        "src/zobarrier/harness.py",
+        "summaries, error = _run_share(problem, cfg, share, workers)",
+        "summaries, error = _run_share(problem, cfg, share - 1, workers)",
+    ),
     # The start point must be certified feasible before the first step.
     "no-start-check": (
         "src/zobarrier/solver.py",

@@ -18,6 +18,9 @@ class DivergedTrajectoryError(ZobarrierError):
         self.step = step
         super().__init__(message or f"trajectory diverged at step {step}")
 
+    def __reduce__(self):  # pickle rebuilds from the constructor's arguments
+        return type(self), (self.step, self.args[0]), self.__dict__
+
 
 class BudgetExhaustedError(ZobarrierError):
     """The configured measurement budget cap was hit."""
@@ -52,6 +55,9 @@ class MarginExhaustedError(ZobarrierError):
             f"certified margin exhausted: smoothed-constraint upper bound "
             f"{self.fhat_c_nu:.6g} >= 0"
         )
+
+    def __reduce__(self):
+        return type(self), (self.fhat_c_nu,), self.__dict__
 
 
 class UnsafeStartError(ZobarrierError):

@@ -18,13 +18,24 @@ import inspect
 import json
 import math
 import os
+import pickle
+import sys
+import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolationError, MarginExhaustedError, UnknownSuiteError
+from .errors import (
+    ConfigError,
+    ContractViolationError,
+    DivergedTrajectoryError,
+    MarginExhaustedError,
+    UnknownSuiteError,
+    ZobarrierError,
+)
 from .estimator import confidence_bounds, margin, sphere_sample
 from .oracle import MeasurementOracle, NoiseModel, float_reprs, write_audit_csv
 from .problems import ProblemSpec, UnicycleConfig, analytic_names, analytic_problem, make_unicycle_problem
@@ -311,10 +322,13 @@ def run_trial(
     result = run(problem, algo, oracle)
     wall = time.perf_counter() - t0
 
-    final_obj = problem.objective_value(result.x_final)
+    try:
+        final_obj = problem.objective_value(result.x_final)
+    except DivergedTrajectoryError:  # x_final itself diverged: unknown, as in the audit
+        final_obj = math.nan
     best_obj = final_obj
     if result.trace:
-        best_obj = min(best_obj, float(_iterate_truth(result)[0].min()))
+        best_obj = float(np.fmin(best_obj, _iterate_truth(result)[0].min()))
     x_r = lam_r = None
     res = (None, None, None)
     if result.certificate is not None:
@@ -348,23 +362,122 @@ def run_trial(
     return result, summary
 
 
-def run_experiment(cfg: ExperimentConfig) -> RunSummary:
-    """Execute all trials, persist trace/audit/summary files, return the summary."""
-    problem = build_problem(cfg.problem_name, cfg.problem_options)
-    out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+def _worker_count(trials: int) -> int:
+    """Processes for `trials` trials: one per usable CPU, at most one per
+    trial, and 1 where fork or CPU affinity is unavailable or where other
+    threads run (a forked child keeps only the forking thread, so a lock
+    another thread held would never be released in it)."""
+    if (
+        trials < 2
+        or not hasattr(os, "fork")
+        or not hasattr(os, "sched_getaffinity")
+        or threading.active_count() > 1
+    ):
+        return 1
+    return min(trials, len(os.sched_getaffinity(0)))
+
+
+def _run_share(problem: ProblemSpec, cfg: ExperimentConfig, share: int, workers: int):
+    """Run trials share, share + workers, ... in order and write their CSVs.
+
+    Returns their summaries and, if one raised, (trial, error) for it;
+    the share stops there, as a serial run stops at its first error.
+    """
     summaries = []
-    for t in range(cfg.trials):
-        result, summary = run_trial(problem, cfg, t)
-        _atomic_write(
-            out / f"trial{t:03d}_trace.csv",
-            lambda p, r=result: write_trace_csv(r, p),
-        )
-        _atomic_write(
-            out / f"trial{t:03d}_audit.csv",
-            lambda p, r=result: write_audit_csv(r.audit, p),
-        )
+    for t in range(share, cfg.trials, workers):
+        try:
+            result, summary = run_trial(problem, cfg, t)
+            _atomic_write(
+                cfg.output_dir / f"trial{t:03d}_trace.csv",
+                lambda p, r=result: write_trace_csv(r, p),
+            )
+            _atomic_write(
+                cfg.output_dir / f"trial{t:03d}_audit.csv",
+                lambda p, r=result: write_audit_csv(r.audit, p),
+            )
+        except Exception as exc:
+            return summaries, (t, exc)
         summaries.append(summary)
+    return summaries, None
+
+
+def _fork_share(problem: ProblemSpec, cfg: ExperimentConfig, share: int, workers: int):
+    """Fork a helper that runs one share and sends its pickled
+    `_run_share` report through a pipe; returns (pid, read end)."""
+    sys.stdout.flush()  # or the helper would print the caller's buffered output again
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    try:  # the helper: it never returns into the caller's stack
+        os.close(read_fd)
+        summaries, error = _run_share(problem, cfg, share, workers)
+        try:
+            report = pickle.dumps((summaries, error))
+        except Exception:  # an error pickle cannot carry crosses as its traceback
+            trial, exc = error
+            text = "".join(traceback.format_exception(exc)).rstrip()
+            report = pickle.dumps((summaries, (trial, ZobarrierError(f"trial {trial}: {text}"))))
+        sys.stdout.flush()
+        sys.stderr.flush()
+        with open(write_fd, "wb") as fh:
+            fh.write(report)
+        os._exit(0)
+    except BaseException:
+        traceback.print_exc()  # the caller learns only that no report came
+        sys.stderr.flush()
+    finally:
+        os._exit(1)
+
+
+def _collect(pid: int, read_fd: int):
+    """The report a helper sent; a helper that ended without one raises."""
+    with open(read_fd, "rb", closefd=False) as fh:
+        data = fh.read()
+    try:
+        return pickle.loads(data)
+    except Exception as exc:
+        raise ZobarrierError(f"trial process {pid} ended without a readable report") from exc
+
+
+def run_experiment(cfg: ExperimentConfig) -> RunSummary:
+    """Execute all trials, persist trace/audit/summary files, return the summary.
+
+    The trials run in W = min(trials, usable CPUs) processes; W = 1 where
+    fork or CPU affinity is unavailable, or other threads run. Share w is
+    trials w, w + W, w + 2W, ...: the calling process runs share 0 itself,
+    and a forked helper runs each other share, writes its trials' CSVs and
+    sends their summaries back through a pipe. Each trial's seed and
+    streams are keyed by its index, so every output file is the same for
+    any W. A failing trial stops its share; once every share has ended,
+    the error of the lowest-numbered failing trial is raised and no
+    summary.json is written.
+    """
+    problem = build_problem(cfg.problem_name, cfg.problem_options)
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    workers = _worker_count(cfg.trials)
+    helpers = []
+    try:
+        for share in range(1, workers):
+            helpers.append(_fork_share(problem, cfg, share, workers))
+        reports = [_run_share(problem, cfg, 0, workers)]
+        reports += [_collect(pid, read_fd) for pid, read_fd in helpers]
+    except BaseException:
+        from signal import SIGKILL  # only this path needs the module
+
+        for pid, _ in helpers:  # none is reaped yet, so each pid is still its own
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        for pid, read_fd in helpers:
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+    errors = [error for _, error in reports if error is not None]
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    summaries = sorted((s for done, _ in reports for s in done), key=lambda s: s.trial)
     finals = [s.final_objective for s in summaries]
     aggregate = {
         "objective_median": float(np.median(finals)),
@@ -375,7 +488,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     }
     run_summary = RunSummary(label=cfg.label, trials=summaries, aggregate=aggregate)
     _atomic_write(
-        out / "summary.json",
+        cfg.output_dir / "summary.json",
         lambda p: Path(p).write_text(json.dumps(dataclasses.asdict(run_summary), indent=2) + "\n"),
     )
     return run_summary

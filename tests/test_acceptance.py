@@ -5,8 +5,10 @@ failure) and asserts the criterion. Expensive run bundles are shared
 module-scoped fixtures.
 """
 
+import csv
 import dataclasses
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from zobarrier.harness import (
     config_from_mapping,
     containment_violations,
     run_experiment,
-    run_trial,
 )
 from zobarrier.oracle import MeasurementOracle, NoiseModel
 from zobarrier.problems import analytic_problem
@@ -45,22 +46,39 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def trace_from_csv(path):
+    """The trace records of a trace CSV, with the fields containment_violations
+    reads; the CSV holds each float at full round-trip precision."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    coords = [name for name in rows[0] if name.startswith("x")]
+    trace = [
+        SimpleNamespace(
+            k=int(row["k"]),
+            x=np.array([float(row[name]) for name in coords]),
+            alpha_hat=float(row["alpha_hat"]),
+        )
+        for row in rows
+    ]
+    return SimpleNamespace(trace=trace)
+
+
 @pytest.fixture(scope="module")
-def unicycle_bundle():
-    cfg = config_from_mapping({"preset": "unicycle-paper", "residual_mc": 0})
+def unicycle_bundle(tmp_path_factory):
+    # The paper preset as `zobarrier run` executes it.
+    out = tmp_path_factory.mktemp("unicycle-paper")
+    cfg = config_from_mapping(
+        {"preset": "unicycle-paper", "residual_mc": 0, "output_dir": str(out)}
+    )
     problem = build_problem(cfg.problem_name, cfg.problem_options)
     baseline = problem.objective_value(problem.safe_start)
-    results, summaries = [], []
     t0 = time.perf_counter()
-    for t in range(cfg.trials):
-        result, summary = run_trial(problem, cfg, t)
-        results.append(result)
-        summaries.append(summary)
+    summaries = run_experiment(cfg).trials
     elapsed = time.perf_counter() - t0
     return dict(
         problem=problem,
         baseline=baseline,
-        results=results,
+        results=[trace_from_csv(out / f"trial{t:03d}_trace.csv") for t in range(cfg.trials)],
         summaries=summaries,
         elapsed=elapsed,
     )

@@ -1,6 +1,7 @@
 """The public API and the README's library example stay in step."""
 
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -17,6 +18,32 @@ def test_every_exported_name_resolves():
     missing = [name for name in zobarrier.__all__ if not hasattr(zobarrier, name)]
     assert missing == []
     assert len(set(zobarrier.__all__)) == len(zobarrier.__all__)
+
+
+# Constructor arguments of the errors that take more than a message.
+ERROR_ARGS = {
+    "DivergedTrajectoryError": [(3,), (3, "simulated state overflowed at step 3")],
+    "MarginExhaustedError": [(0.5,)],
+}
+
+
+def test_package_errors_survive_pickling():
+    # A trial's error crosses a pipe from the process that ran it.
+    names = [
+        name
+        for name in zobarrier.__all__
+        if isinstance(getattr(zobarrier, name), type)
+        and issubclass(getattr(zobarrier, name), zobarrier.ZobarrierError)
+    ]
+    assert len(names) == 12
+    for name in names:
+        cls = getattr(zobarrier, name)
+        for args in ERROR_ARGS.get(name, [("a message",)]):
+            error = cls(*args)
+            back = pickle.loads(pickle.dumps(error))
+            assert type(back) is cls
+            assert str(back) == str(error)
+            assert vars(back) == vars(error)
 
 
 def test_readme_library_usage_runs(capsys):
@@ -45,6 +72,7 @@ def test_run_path_does_not_import_scipy(tmp_path):
         )
         assert run_experiment(cfg).trials[0].iterations == 3
         assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)[:5]
+        assert not {{"multiprocessing", "concurrent"}} & {{m.split(".")[0] for m in sys.modules}}
         assert all(check.passed for check in check_output_law(draws=1000))
         assert "scipy" in sys.modules
         """

@@ -1,14 +1,24 @@
 import csv
 import dataclasses
 import json
+import math
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from zobarrier import cli
-from zobarrier.errors import ConfigError, ContractViolationError, UnknownSuiteError
+from test_solver import ball_config, diverge_beyond_problem
+from zobarrier import cli, harness
+from zobarrier.errors import (
+    ConfigError,
+    ContractViolationError,
+    MarginExhaustedError,
+    UnknownSuiteError,
+    ZobarrierError,
+)
 from zobarrier.harness import (
     PRESETS,
     PropertyCheck,
@@ -390,6 +400,164 @@ def test_audit_csv_contents(tmp_path):
         fields = row.split(",")
         assert fields[1] in ("base", "perturbed")
         assert float(fields[4]) < 0.0 and fields[5] == "0"
+
+
+def test_diverged_base_point_leaves_the_final_objective_unknown(tmp_path, monkeypatch):
+    # Seeds 1 and 3 halt "diverged" with x_final itself past the point where
+    # the evaluator raises, so the final objective is unknown (NaN, as the
+    # audit records a diverged chunk); the other trials and summary.json
+    # are kept, and NaN carries into the objective aggregates.
+    problem = diverge_beyond_problem()
+    monkeypatch.setattr(harness, "build_problem", lambda name, options: problem)
+    cfg = harness.ExperimentConfig(
+        problem_name=problem.name,
+        problem_options={},
+        algo=ball_config(max_iters=300),
+        trials=5,
+        base_seed=1,
+        output_dir=tmp_path,
+        residual_mc=0,
+    )
+    summary = run_experiment(cfg)
+    assert {t.halted_reason for t in summary.trials} == {"diverged"}
+    unknown = [t.seed for t in summary.trials if math.isnan(t.final_objective)]
+    assert unknown == [1, 3]
+    for t in summary.trials:
+        # best_objective is the best known one: the trace's truth, all finite.
+        with open(tmp_path / f"trial{t.trial:03d}_trace.csv", newline="") as fh:
+            truth = [float(row["true_objective"]) for row in csv.DictReader(fh)]
+        assert t.best_objective == min(truth + [t.final_objective] * (t.seed not in unknown))
+    saved = json.loads((tmp_path / "summary.json").read_text())
+    assert math.isnan(saved["trials"][0]["final_objective"])
+    assert all(math.isnan(saved["aggregate"][k]) for k in ("objective_median", "objective_min"))
+
+
+# -- parallel trials ---------------------------------------------------------
+
+
+def with_cpus(monkeypatch, count):
+    """Make `count` CPUs usable, so run_experiment forks count - 1 helpers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def without_wall_time(summary):
+    data = dataclasses.asdict(summary)
+    for trial in data["trials"]:
+        trial.pop("wall_time")
+    return data
+
+
+def test_trials_are_the_same_in_one_process_and_in_two(tmp_path, monkeypatch):
+    runs = {}
+    for cpus in (1, 2):
+        with_cpus(monkeypatch, cpus)
+        cfg = make_config(tmp_path / f"cpus{cpus}", trials=3)
+        runs[cpus] = (run_experiment(cfg), cfg.output_dir)
+        assert_no_children()
+    (serial, serial_dir), (parallel, parallel_dir) = runs[1], runs[2]
+    assert [t.trial for t in parallel.trials] == [0, 1, 2]
+    assert without_wall_time(parallel) == without_wall_time(serial)
+    names = sorted(p.name for p in serial_dir.iterdir())
+    assert names == sorted(p.name for p in parallel_dir.iterdir())
+    assert len(names) == 2 * 3 + 1
+    for name in names:
+        if name != "summary.json":
+            assert (serial_dir / name).read_bytes() == (parallel_dir / name).read_bytes()
+
+
+def test_a_process_with_other_threads_forks_nothing(tmp_path, monkeypatch):
+    # A forked child would hold only the forking thread, so any lock the
+    # other thread held would stay locked in it.
+    with_cpus(monkeypatch, 2)
+
+    def fork():
+        raise AssertionError("forked with another thread running")
+
+    monkeypatch.setattr(os, "fork", fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        summary = run_experiment(make_config(tmp_path))
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert [t.trial for t in summary.trials] == [0, 1]
+    assert not thread.is_alive()
+
+
+def fail_trials(monkeypatch, errors):
+    """Make run_trial raise errors[t] for each trial t in `errors`."""
+    real = harness.run_trial
+
+    def run_trial(problem, cfg, trial):
+        if trial in errors:
+            raise errors[trial]
+        return real(problem, cfg, trial)
+
+    monkeypatch.setattr(harness, "run_trial", run_trial)
+
+
+def test_an_error_in_a_helper_reaches_the_caller(tmp_path, monkeypatch):
+    # With two processes the caller runs trials 0 and 2, a helper trial 1.
+    with_cpus(monkeypatch, 2)
+    fail_trials(monkeypatch, {1: MarginExhaustedError(0.25)})
+    cfg = make_config(tmp_path, trials=3)
+    with pytest.raises(MarginExhaustedError) as raised:
+        run_experiment(cfg)
+    assert str(raised.value) == str(MarginExhaustedError(0.25))
+    assert raised.value.fhat_c_nu == 0.25
+    assert not (cfg.output_dir / "summary.json").exists()
+    assert_no_children()
+
+
+def test_the_lowest_numbered_failing_trial_is_raised(tmp_path, monkeypatch):
+    # Trial 2 fails in the caller's share, trial 1 in the helper's.
+    with_cpus(monkeypatch, 2)
+    fail_trials(
+        monkeypatch, {1: ContractViolationError("trial one"), 2: ConfigError("trial two")}
+    )
+    cfg = make_config(tmp_path, trials=3)
+    with pytest.raises(ContractViolationError, match="^trial one$"):
+        run_experiment(cfg)
+    assert not (cfg.output_dir / "summary.json").exists()
+    assert_no_children()
+
+
+class TwoPartError(Exception):
+    """Pickles, but unpickling calls it with one argument and fails."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} {second}")
+
+
+def test_an_error_pickle_cannot_carry_crosses_as_its_traceback(tmp_path, monkeypatch):
+    class LocalError(Exception):  # a class defined in a function does not pickle
+        pass
+
+    with_cpus(monkeypatch, 2)
+    fail_trials(monkeypatch, {1: LocalError("not picklable")})
+    cfg = make_config(tmp_path, trials=2)
+    message = r"^trial 1: Traceback[\s\S]*LocalError: not picklable$"
+    with pytest.raises(ZobarrierError, match=message):
+        run_experiment(cfg)
+    assert not (cfg.output_dir / "summary.json").exists()
+    assert_no_children()
+
+
+def test_a_helper_without_a_readable_report_fails_the_run(tmp_path, monkeypatch):
+    with_cpus(monkeypatch, 2)
+    fail_trials(monkeypatch, {1: TwoPartError("two", "parts")})
+    cfg = make_config(tmp_path, trials=2)
+    with pytest.raises(ZobarrierError, match="without a readable report"):
+        run_experiment(cfg)
+    assert not (cfg.output_dir / "summary.json").exists()
+    assert_no_children()
 
 
 # -- verification suites -----------------------------------------------------
