@@ -1,13 +1,13 @@
 """Cost of writing the audit CSV: per-value `repr` against bulk formatting.
 
-"before" is the audit writer the package had before `oracle.float_reprs`:
+"before" is the audit writer the package had before bulk formatting:
 every float column went through `map(repr, column.tolist())` over the
 whole audit at once. "after" is `oracle.write_audit_csv`, which formats
-chunks of rows with `float_reprs` (orjson's shortest round-trip output
+chunks of rows with `float_rows` (orjson's shortest round-trip output
 where it equals `repr`, `repr` elsewhere). Both write the audits of
 fixed-seed smooth-2con-wide and linear-ball-demo trials (the perfbench
 configs), in alternating rounds, and must write equal bytes. The report
-also gives the cost per value of `repr` and of `float_reprs` on one
+also gives the cost per value of `repr` and of `float_rows` on one
 audit column, the share of values that fall back to `repr`, and each
 writer's tracemalloc peak.
 
@@ -35,7 +35,7 @@ from streams import alternate  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 from zobarrier import harness  # noqa: E402
-from zobarrier.oracle import _TAGS, float_reprs, write_audit_csv  # noqa: E402
+from zobarrier.oracle import _TAGS, float_rows, write_audit_csv  # noqa: E402
 
 SEED = 20261018
 WORKLOAD_NAMES = ("smooth-2con-wide", "linear-ball-demo")
@@ -77,7 +77,7 @@ def traced_peak(writer, audit, path) -> int:
 
 
 def fallback_share(values: np.ndarray) -> float:
-    """Share of values that `float_reprs` formats with `repr`."""
+    """Share of values that `float_rows` formats with `repr`."""
     mag = np.abs(values)
     return float(np.mean(~(((mag >= 1e-4) & (mag < 1e16)) | (values == 0.0))))
 
@@ -125,19 +125,19 @@ def main() -> None:
                 column = np.ascontiguousarray(audit.points[:, 0])
                 fmt = alternate({
                     "repr": (lambda: list(map(repr, column.tolist())), column.size),
-                    "float_reprs": (lambda: float_reprs(column), column.size),
+                    "float_rows": (lambda: float_rows(column[:, None]), column.size),
                 })
                 column_report = {
                     "values": int(column.size),
                     "what": f"{name} audit column x0",
                     "repr_ns_per_value": round(1e9 * fmt["repr"], 1),
-                    "float_reprs_ns_per_value": round(1e9 * fmt["float_reprs"], 1),
+                    "float_rows_ns_per_value": round(1e9 * fmt["float_rows"], 1),
                     "fallback_share": round(fallback_share(column), 6),
                 }
 
     report = {
         "what": "audit CSV writer, per-value repr over whole columns (before) against "
-        "float_reprs over chunks of rows (after)",
+        "float_rows over chunks of rows (after)",
         "command": "PYTHONPATH=src python3 bench/csv_format.py",
         "machine": {**machine(), "orjson": orjson.__version__},
         "seed": SEED,

@@ -68,6 +68,13 @@ MUTANTS = {
         "self._chunks.append((iteration, side, points, truth))",
         "self._chunks.append((iteration, side, points[::-1], truth[::-1]))",
     ),
+    # The audit's max-constraint reads every constraint column: a point
+    # that violates only the last constraint is still flagged.
+    "audit-max-skips-last-constraint": (
+        "src/zobarrier/oracle.py",
+        "constraint_max(true_vals, out=truth[:, 1])",
+        "constraint_max(true_vals[:, :-1], out=truth[:, 1])",
+    ),
     # The trace's truth columns are the audit's base rows: iteration k's
     # base measurement queried x_k. Every other row is a perturbed one.
     "trace-truth-from-perturbed-rows": (

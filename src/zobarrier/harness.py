@@ -37,7 +37,7 @@ from .errors import (
     ZobarrierError,
 )
 from .estimator import confidence_bounds, margin, sphere_sample
-from .oracle import MeasurementOracle, NoiseModel, float_reprs, write_audit_csv
+from .oracle import MeasurementOracle, NoiseModel, csv_text, write_audit_csv
 from .problems import ProblemSpec, UnicycleConfig, analytic_names, analytic_problem, make_unicycle_problem
 from .smoothing import smoothed_gradient, smoothed_value
 from .solver import (
@@ -282,29 +282,24 @@ def write_trace_csv(result: RunResult, path: Path) -> None:
     the audit's base rows.
 
     Bytes match `csv.writer` output: CRLF line ends, floats as `repr`,
-    formatted by `float_reprs` (orjson for 1e-4 <= |v| < 1e16 and +-0.0,
-    `repr` elsewhere)."""
+    formatted by `float_rows` (orjson for 1e-4 <= |v| < 1e16 and +-0.0,
+    `repr` elsewhere) and assembled as the audit CSV is."""
     dim = len(result.x_final)
     header = (
         ["k"]
         + [f"x{i}" for i in range(dim)]
         + ["alpha_hat", "g_norm", "gamma_k", "weight", "true_objective", "true_max_constraint"]
     )
-    columns = []
-    if result.trace:
-        points = np.stack([r.x for r in result.trace])
-        steps = np.array(
-            [(r.alpha_hat, r.g_norm, r.gamma, r.weight) for r in result.trace], dtype=float
-        )
-        columns = [
-            map(str, [r.k for r in result.trace]),
-            *map(float_reprs, points.T),
-            *map(float_reprs, steps.T),
-            *map(float_reprs, _iterate_truth(result)),
-        ]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
+        if result.trace:
+            table = np.column_stack((
+                np.stack([r.x for r in result.trace]),
+                [(r.alpha_hat, r.g_norm, r.gamma, r.weight) for r in result.trace],
+                *_iterate_truth(result),
+            ))
+            ks = [r.k for r in result.trace]
+            fh.write(csv_text([f"{ks[0]},", *[f"\r\n{k}," for k in ks[1:]], "\r\n"], table))
 
 
 def run_trial(

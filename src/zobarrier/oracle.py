@@ -34,7 +34,7 @@ from .errors import (
     NonFiniteMeasurementError,
     UnsafeQueryError,
 )
-from .problems import ProblemSpec
+from .problems import ProblemSpec, constraint_max
 from .streams import DOMAIN_NOISE, SIDE_BASE, SIDE_PERTURBED, substream
 
 _UNIT_NORM_TOL = 1e-12
@@ -173,7 +173,7 @@ class MeasurementOracle:
         # [f0, max_i fi] as a new (P, 2) array: a view of true_vals would keep
         # the whole table alive, and one array per chunk holds least memory.
         truth = true_vals[:, :2].copy()
-        true_vals[:, 1:].max(axis=1, out=truth[:, 1])
+        constraint_max(true_vals, out=truth[:, 1])
         self._chunks.append((iteration, side, points, truth))
         if not np.isfinite(true_vals).all():
             raise NonFiniteMeasurementError(
@@ -239,45 +239,65 @@ _TAGS = {SIDE_BASE: "base", SIDE_PERTURBED: "perturbed"}
 _CSV_CHUNK_ROWS = 4096
 
 
-def float_reprs(values: np.ndarray) -> list[str]:
-    """`repr(float(v))` for each value of a 1-D float array, formatted in bulk.
+def float_rows(table: np.ndarray) -> list[str]:
+    """The rows of a 2-D float table as strings: each row's values as
+    `repr(float(v))`, joined by commas. One orjson call formats the table.
 
     orjson prints the shortest decimal that round-trips (Ryu), byte for
     byte as `repr` does for 1e-4 <= |v| < 1e16 and for +-0.0. Outside
     that range it prints `null`, `0.00001` or `1e16` where `repr` prints
-    `nan`/`inf`, `1e-05` or `1e+16`, so those values go through `repr`."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.ndim != 1:
-        raise ContractViolationError("float_reprs takes a 1-D array")
-    if values.size == 0:
-        return []
-    out = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
-    mag = np.abs(values)
-    outside = np.flatnonzero(~(((mag >= 1e-4) & (mag < 1e16)) | (values == 0.0)))
-    for i, v in zip(outside.tolist(), values[outside].tolist()):
-        out[i] = repr(v)
-    return out
+    `nan`/`inf`, `1e-05` or `1e+16`, so those values are replaced by
+    their `repr` in their rows."""
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    if table.ndim != 2:
+        raise ContractViolationError("float_rows takes a 2-D array")
+    if table.size == 0:
+        return [""] * len(table)
+    rows = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
+    mag = np.abs(table)
+    outside = ~(((mag >= 1e-4) & (mag < 1e16)) | (table == 0.0))
+    at_rows, at_cols = np.nonzero(outside)
+    fields = {r: rows[r].split(",") for r in at_rows.tolist()}
+    for r, c, v in zip(at_rows.tolist(), at_cols.tolist(), table[outside].tolist()):
+        fields[r][c] = repr(v)
+    for r, row in fields.items():
+        rows[r] = ",".join(row)
+    return rows
 
 
-def _row_labels(iterations: np.ndarray, sides: np.ndarray) -> list[str]:
-    """The "k,tag" field pair of each audit row, formatted once per run of
-    equal (iteration, side): a measurement's rows share one label."""
+def csv_text(separators: list[str], table: np.ndarray) -> str:
+    """separators[0], row 0 of `table`, separators[1], ..., row P-1,
+    separators[P], with rows formatted by `float_rows`: CSV lines whose
+    float fields sit between the separators, built with one join."""
+    tokens = [""] * (2 * len(separators) - 1)
+    tokens[0::2] = separators
+    tokens[1::2] = float_rows(table)
+    return "".join(tokens)
+
+
+def _separators(iterations: np.ndarray, sides: np.ndarray, violated: np.ndarray) -> list[str]:
+    """The text around the float fields of a chunk of audit rows: "k,tag,"
+    before row 0, ",flag\r\nk,tag," between rows and ",flag\r\n" after the
+    last. A measurement's rows share one label, so each separator is
+    formatted once per run of equal (iteration, side) and flag."""
     new_run = (iterations[1:] != iterations[:-1]) | (sides[1:] != sides[:-1])
     starts = np.flatnonzero(np.r_[True, new_run])
-    labels = np.array(
-        [f"{k},{_TAGS[s]}" for k, s in zip(iterations[starts].tolist(), sides[starts].tolist())],
-        dtype=object,
-    )
-    return np.repeat(labels, np.diff(np.r_[starts, len(iterations)])).tolist()
+    labels = [
+        f"{k},{_TAGS[s]}," for k, s in zip(iterations[starts].tolist(), sides[starts].tolist())
+    ]
+    between = np.array([f",{flag}\r\n{label}" for label in labels for flag in "01"], dtype=object)
+    run = np.cumsum(new_run)
+    flags = violated.astype(np.intp)
+    return [labels[0], *between[2 * run + flags[:-1]].tolist(), f",{flags[-1]}\r\n"]
 
 
 def write_audit_csv(audit: SafetyAudit, path) -> None:
     """Audit as CSV: k, tag, point components, true_fc, violated.
 
     Bytes match `csv.writer` output: CRLF line ends, floats as `repr`.
-    Floats are formatted by `float_reprs` (orjson for 1e-4 <= |v| < 1e16
+    Floats are formatted by `float_rows` (orjson for 1e-4 <= |v| < 1e16
     and +-0.0, `repr` elsewhere), in chunks of rows so that memory stays
-    bounded however long the audit is."""
+    bounded however long the audit is; each chunk is one join."""
     dim = audit.points.shape[1]
     header = ["k", "tag"] + [f"x{i}" for i in range(dim)] + ["true_fc", "violated"]
     violated = audit.violated
@@ -285,11 +305,6 @@ def write_audit_csv(audit: SafetyAudit, path) -> None:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, len(audit), _CSV_CHUNK_ROWS):
             rows = slice(lo, lo + _CSV_CHUNK_ROWS)
-            columns = [
-                _row_labels(audit.iterations[rows], audit.sides[rows]),
-                *map(float_reprs, audit.points[rows].T),
-                float_reprs(audit.true_max_constraint[rows]),
-                # The last column carries the line end, saving a concatenation per row.
-                map(("0\r\n", "1\r\n").__getitem__, violated[rows].tolist()),
-            ]
-            fh.write("".join(map(",".join, zip(*columns))))
+            seps = _separators(audit.iterations[rows], audit.sides[rows], violated[rows])
+            table = np.column_stack((audit.points[rows], audit.true_max_constraint[rows]))
+            fh.write(csv_text(seps, table))

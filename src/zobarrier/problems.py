@@ -99,7 +99,50 @@ class ProblemSpec:
         return self.evaluate_all(points)[:, 0]
 
     def max_constraint_batch(self, points: np.ndarray) -> np.ndarray:
-        return self.evaluate_all(points)[:, 1:].max(axis=1)
+        return constraint_max(self.evaluate_all(points))
+
+
+# A reduction along rows makes one inner-loop call per row, about 45 ns;
+# a column-wise form makes one ufunc call per column, about 1 us. So a
+# column costs about as much as this many rows.
+_ROWS_PER_COLUMN_CALL = 24
+
+
+def constraint_max(table: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-row max of the constraint columns of a (P, m+1) table
+    [f0, f1, ..., fm], into `out` if given: `table[:, 1:].max(axis=1)` bit
+    for bit, except that a NaN's sign may differ (no output reads it).
+
+    A table with few constraints for its rows (smooth-2con at n = 2048)
+    is maxed a column at a time, comparing left to right as the row loop
+    does. Many constraints over few rows (the unicycle's 30 at n = 7)
+    keep the row reduction, where one call per column would cost more."""
+    rows, m = table.shape[0], table.shape[1] - 1
+    if rows < _ROWS_PER_COLUMN_CALL * (m - 2):
+        return table[:, 1:].max(axis=1, out=out)
+    # With one constraint this is the max of column 1 with itself.
+    out = np.maximum(table[:, 1], table[:, min(2, m)], out=out)
+    for j in range(3, m + 1):
+        np.maximum(out, table[:, j], out=out)
+    return out
+
+
+def _sum_columns(a: np.ndarray) -> np.ndarray:
+    """`a.sum(axis=-1)` bit for bit, for a last axis of 2 to 7 entries,
+    except that a row holding NaNs of both signs may sum to either.
+
+    numpy adds a row that short left to right onto +0.0 (its pairwise
+    blocks start at 8 entries). Over enough rows, adding whole columns
+    in that order is cheaper; the final + 0.0 turns an all -0.0 row into
+    +0.0, as numpy's start value does."""
+    cols = a.shape[-1]
+    if a.size // cols < _ROWS_PER_COLUMN_CALL * (cols - 1):
+        return a.sum(axis=-1)
+    total = a[..., 0] + a[..., 1]
+    for j in range(2, cols):
+        total += a[..., j]
+    total += 0.0
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +367,10 @@ def make_unicycle_problem(
         sq = traj - goal
         sq *= sq
         # A row sum divided by T is bitwise what `mean` computes.
-        out[:, 0] = sq.sum(axis=2).sum(axis=1) / T
+        out[:, 0] = _sum_columns(sq).sum(axis=1) / T
         sq = traj[:, :, :2] - center
         sq *= sq
-        np.subtract(r2, sq.sum(axis=2), out=out[:, 1:])
+        np.subtract(r2, _sum_columns(sq), out=out[:, 1:])
         return out
 
     return ProblemSpec(
@@ -357,7 +400,7 @@ def _linear_ball(noise_sigma: float) -> ProblemSpec:
     def eval_all(points):
         out = np.empty((points.shape[0], 2))
         out[:, 0] = points @ c
-        out[:, 1] = (points * points).sum(axis=1) - 1.0
+        out[:, 1] = _sum_columns(points * points) - 1.0
         return out
 
     lo = np.array([-1.2, -1.2])
@@ -392,7 +435,7 @@ def _quadratic_halfspace(noise_sigma: float) -> ProblemSpec:
     def eval_all(points):
         d = points - xbar
         out = np.empty((points.shape[0], 2))
-        out[:, 0] = (d * d).sum(axis=1)
+        out[:, 0] = _sum_columns(d * d)
         out[:, 1] = points @ a - b
         return out
 
@@ -431,8 +474,8 @@ def _smooth_two_constraints(noise_sigma: float) -> ProblemSpec:
         d2 = points - c2
         out = np.empty((points.shape[0], 3))
         out[:, 0] = -points[:, 1]
-        out[:, 1] = (d1 * d1).sum(axis=1) - 1.0
-        out[:, 2] = (d2 * d2).sum(axis=1) - 1.0
+        out[:, 1] = _sum_columns(d1 * d1) - 1.0
+        out[:, 2] = _sum_columns(d2 * d2) - 1.0
         return out
 
     root3 = math.sqrt(3.0)
@@ -462,7 +505,7 @@ def _sphere_quadratic(noise_sigma: float) -> ProblemSpec:
     # statistics at points like (1, 0) where grad f0 = (2, 0) exactly.
     def eval_all(points):
         out = np.empty((points.shape[0], 2))
-        out[:, 0] = (points * points).sum(axis=1)
+        out[:, 0] = _sum_columns(points * points)
         out[:, 1] = out[:, 0] - 25.0
         return out
 

@@ -21,6 +21,8 @@ with multiplier lambda_R = eta / alpha_R.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import logging
 import math
 import numbers
@@ -47,7 +49,7 @@ from .estimator import (
     sphere_sample,
 )
 from .oracle import MeasurementOracle
-from .problems import ProblemSpec
+from .problems import ProblemSpec, constraint_max
 from .smoothing import smoothed_gradient
 from .streams import DOMAIN_DIRECTIONS, DOMAIN_OUTPUT, substream
 
@@ -271,13 +273,20 @@ def plan_iterations(
 
 def select_output(weights, rng: np.random.Generator) -> int:
     """Sample an iteration index R with P(R = k) proportional to the
-    recorded weight gamma_k * |g_k|; returns a 1-based index."""
+    recorded weight gamma_k * |g_k|; returns a 1-based index.
+
+    One uniform draw u is placed among the cumulative weights: R is the
+    entry whose interval [W_{k-1}, W_k) holds u * W_K, so a zero weight is
+    never drawn. Should u * W_K round up to W_K, R is the last entry with
+    positive weight."""
     w = np.asarray(weights, dtype=float)
     if w.size == 0 or np.all(w <= 0.0):
         raise NoValidOutputError("no positive weights to sample from")
     if np.any(w < 0.0):
         raise ContractViolationError("weights must be nonnegative")
-    return int(rng.choice(w.size, p=w / w.sum())) + 1
+    cum = list(itertools.accumulate(w.tolist()))
+    total = cum[-1]
+    return bisect.bisect_right(cum, rng.random() * total, 0, bisect.bisect_left(cum, total)) + 1
 
 
 def kkt_multipliers(fhat: np.ndarray, fhat_c_nu: float, eta: float) -> np.ndarray:
@@ -347,7 +356,7 @@ def barrier_estimate(
     objective column, Gc the per-sample noisy max of the constraint
     columns (each side maxed within its own noise draw)."""
     g0 = estimate_gradient(base[:, 0], pert[:, 0], directions, nu)
-    gc = estimate_gradient(base[:, 1:].max(axis=1), pert[:, 1:].max(axis=1), directions, nu)
+    gc = estimate_gradient(constraint_max(base), constraint_max(pert), directions, nu)
     return barrier_gradient(g0, gc, eta, alpha)
 
 

@@ -18,7 +18,7 @@ from zobarrier.oracle import (
     MeasurementOracle,
     NoiseModel,
     SafetyAudit,
-    float_reprs,
+    float_rows,
     write_audit_csv,
 )
 from zobarrier.problems import ProblemSpec, UnicycleConfig, analytic_problem, make_unicycle_problem
@@ -141,6 +141,14 @@ def test_audit_records_violation(ball):
     audit = oracle.audit()
     assert audit.violated.tolist() == [True, True, False]
     assert audit.true_max_constraint[0] == pytest.approx(3.0)
+
+
+def test_audit_flags_a_point_that_violates_only_the_last_constraint():
+    # (-0.5, 0) is inside smooth-2con's first disk and outside its second.
+    oracle = make_oracle(analytic_problem("smooth-2con"))
+    with pytest.raises(UnsafeQueryError):
+        oracle.measure_base(np.array([-0.5, 0.0]), 1, iteration=1)
+    assert oracle.audit().true_max_constraint.tolist() == [1.25]
 
 
 def test_audit_covers_every_point_in_order(ball):
@@ -286,7 +294,14 @@ def legacy_audit_csv(audit, path):
 
 
 def test_audit_csv_matches_csv_writer_bytes(ball, tmp_path):
-    ball = dataclasses.replace(ball, noise_sigma=0.1)
+    exact = ball.eval_all
+
+    def diverging(points):
+        if (points[:, 1] > 5.0).any():
+            raise DivergedTrajectoryError(3)
+        return exact(points)
+
+    ball = dataclasses.replace(ball, noise_sigma=0.1, eval_all=diverging)
     oracle = make_oracle(ball, sigma=0.1, seed=3)
     run(ball, AlgoConfig(eta=0.05, max_iters=4, n_policy="fixed", n_fixed=3, seed=3), oracle)
     # Signed zero, exponent notation, a large iteration index and a violation.
@@ -296,13 +311,29 @@ def test_audit_csv_matches_csv_writer_bytes(ball, tmp_path):
     )
     with pytest.raises(UnsafeQueryError):
         oracle.measure_base(np.array([2.0, 0.0]), 1, iteration=10**12 + 1)
+    # A perturbed run of 4100 rows across the 4096-row chunk boundary whose
+    # row 2000 alone (direction (1, 0)) leaves the ball.
+    angles = 2.0 * np.pi * (np.arange(4100) - 2000) / 4100
+    dirs = np.column_stack((np.cos(angles), np.sin(angles)))
+    with pytest.raises(UnsafeQueryError):
+        oracle.measure_perturbed(np.array([0.9, 0.0]), dirs, 0.1 + 1e-7, iteration=7)
+    # A value of 1e16 or more, and a diverged row with NaN truth.
+    with pytest.raises(UnsafeQueryError):
+        oracle.measure_base(np.array([1e16, -2.5e17]), 1, iteration=8)
+    with pytest.raises(DivergedTrajectoryError):
+        oracle.measure_base(np.array([0.0, 6.0]), 1, iteration=9)
     audit = oracle.audit()
-    assert audit.violation_count == 1
+    long_run = np.flatnonzero(audit.iterations == 7)
+    assert long_run[0] < 4096 < long_run[-1]
+    assert np.flatnonzero(audit.violated).tolist() == [
+        long_run[0] - 1, long_run[2000], len(audit) - 2, len(audit) - 1
+    ]
     write_audit_csv(audit, tmp_path / "columnar.csv")
     legacy_audit_csv(audit, tmp_path / "legacy.csv")
     got = (tmp_path / "columnar.csv").read_bytes()
     assert got == (tmp_path / "legacy.csv").read_bytes()
     assert b"\r\n" in got and b"-0.0" in got and b"1e-05" in got and b"1000000000000" in got
+    assert b"1e+16,-2.5e+17," in got and got.endswith(b"9,base,0.0,6.0,nan,1\r\n")
 
 
 def test_empty_audit_csv_is_header_only(ball, tmp_path):
@@ -310,11 +341,13 @@ def test_empty_audit_csv_is_header_only(ball, tmp_path):
     assert (tmp_path / "audit.csv").read_bytes() == b"k,tag,x0,x1,true_fc,violated\r\n"
 
 
-def test_float_reprs_is_repr_byte_for_byte():
+def test_float_rows_is_repr_byte_for_byte():
     # Pins orjson's formatting: an upgrade that changes it fails here
     # instead of changing the audit CSV. Random bit patterns cover
     # subnormals, huge values and NaN payloads; `repr` takes about 3 us on
-    # such a value, so there are 200k of them.
+    # such a value, so there are 200k of them. Each value is checked as a
+    # one-column row; rows of four mix values orjson formats with ones it
+    # does not.
     rng = np.random.default_rng(20261018)
     bit_patterns = np.frombuffer(rng.bytes(8 * 200_000), dtype=np.float64)
     log_uniform = 10.0 ** rng.uniform(-6.0, 18.0, 200_000) * rng.choice([-1.0, 1.0], 200_000)
@@ -329,12 +362,13 @@ def test_float_reprs_is_repr_byte_for_byte():
     max_float = np.finfo(np.float64).max
     specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, max_float, -max_float])
     for values in (bit_patterns, log_uniform, neighbours, -neighbours, specials):
-        assert float_reprs(values) == list(map(repr, values.tolist()))
-    points = rng.normal(size=(1000, 3)) * 1e-3
-    assert float_reprs(points.T[0]) == list(map(repr, points[:, 0].tolist()))
-    assert float_reprs(np.zeros(0)) == []
+        assert float_rows(values[:, None]) == list(map(repr, values.tolist()))
+    mixed = rng.permutation(np.concatenate((log_uniform[:30_000], bit_patterns[:10_000])))
+    for table in (mixed.reshape(-1, 4), rng.normal(size=(3, 1000)).T * 1e-3):
+        assert float_rows(table) == [",".join(map(repr, row)) for row in table.tolist()]
+    assert float_rows(np.zeros((0, 3))) == []
     with pytest.raises(ContractViolationError):
-        float_reprs(np.zeros((2, 2)))
+        float_rows(np.zeros(2))
 
 
 def test_audit_csv_memory_is_bounded(tmp_path):

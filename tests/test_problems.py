@@ -13,8 +13,10 @@ from zobarrier.problems import (
     _simulate_rows,
     _simulate_vectorized,
     _step,
+    _sum_columns,
     analytic_names,
     analytic_problem,
+    constraint_max,
     make_unicycle_problem,
     simulate_unicycle_batch,
 )
@@ -305,6 +307,42 @@ def test_unicycle_eval_all_matches_per_step_constraints():
     for t in (1, 7, prob.num_constraints):
         clearance = np.sum((traj[t, :2] - np.asarray(cfg.obstacle_center)) ** 2)
         assert row[t] == pytest.approx(cfg.obstacle_radius**2 - clearance, abs=1e-12)
+
+
+def special_table(rng, shape):
+    """Random entries over many magnitudes, a fifth replaced by NaN, +-inf,
+    +-0.0 or subnormals; NaNs of both signs."""
+    table = rng.standard_normal(shape) * rng.choice([1e-300, 1e-5, 1.0, 1e10, 1e300], size=shape)
+    specials = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, -1e-310]
+    mask = rng.random(shape) < 0.2
+    table[mask] = rng.choice(specials, size=int(mask.sum()))
+    return table
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 2), (1, 3), (1, 31), (7, 31), (16, 2), (64, 31), (2048, 3), (4096, 31)]
+)
+def test_column_wise_reductions_are_numpy_reductions_bit_for_bit(shape):
+    # Bit for bit except for the sign of a NaN, which numpy's own
+    # reductions keep for some entries and not others: a row max of
+    # [-nan, 1.0] gives +nan and of [1.0, -nan] gives -nan.
+    def assert_same_bits(got, expected):
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+    rows = shape[0]
+    rng = np.random.default_rng(100 * rows + shape[1])
+    for _ in range(20):
+        table = special_table(rng, shape)
+        out = np.full((rows, 2), 7.0)
+        for got in (constraint_max(table), constraint_max(table, out=out[:, 1])):
+            assert_same_bits(got, table[:, 1:].max(axis=1))
+        assert (out[:, 0] == 7.0).all()
+        cubes = (special_table(rng, (rows, 30, 2)), special_table(rng, (rows, 30, 3)))
+        with np.errstate(invalid="ignore", over="ignore"):
+            for a in (table[:, :2], table[:, :3], *cubes):
+                assert_same_bits(_sum_columns(a), a.sum(axis=-1))
 
 
 def test_problem_spec_validation():
