@@ -102,6 +102,20 @@ MUTANTS = {
         "if (truth[:, 1] > 0.0).any():",
         "if False:",
     ),
+    # Each iteration reads its own slot of a page of noise or directions:
+    # reusing the first slot repeats one table across the page.
+    "page-slot-dropped": (
+        "src/zobarrier/streams.py",
+        "return self._page[slot * rows : (slot + 1) * rows]",
+        "return self._page[:rows]",
+    ),
+    # Base and perturbed noise come from streams tagged by side: without the
+    # side, both sides of an iteration draw the same noise.
+    "stream-tag-without-side": (
+        "src/zobarrier/streams.py",
+        "rng = substream(master_seed, domain, page, side + 2 * rows * cols)",
+        "rng = substream(master_seed, domain, page, 2 * rows * cols)",
+    ),
 }
 
 

@@ -5,8 +5,9 @@
 seeded through SeedSequence hashing); "after" is `streams.substream`, a
 Philox4x64-10 generator keyed by (seed, domain) with the rest of the key
 in its counter. Construction is timed on the noise keys the oracle
-builds, (seed, DOMAIN_NOISE, k, side) for k = 1..KEYS and both sides;
-the solver builds three such keys per iteration. Draw throughput is
+built before its tables were paged (`bench/paged_streams.py`),
+(seed, DOMAIN_NOISE, k, side) for k = 1..KEYS and both sides, three
+keys per iteration with the directions. Draw throughput is
 `normal(0, sigma, shape)` on a live generator at the table shapes the
 benchmarks draw: (16, 2) for linear-ball-demo, (7, 31) for
 unicycle-paper (horizon 30), (7, 101) for the same at horizon 100 and

@@ -12,17 +12,18 @@ finite and with UnsafeQueryError if a point is truly infeasible
 audited with NaN true values (flagged) and its DivergedTrajectoryError
 re-raised.
 
-Noise draws are keyed by (master_seed, iteration, side, sample, function
-index), never by call order, so identical query sequences from two
+A noise table is a pure function of (master_seed, iteration, side,
+rows, cols), never of call order, so identical query sequences from two
 oracles with equal seeds are bitwise identical and a noise table may be
-served in any order. The audit is the log of the queries in the order
-they were made.
+served in any order. Small tables are paged (`streams.TablePages`): one
+generator serves the tables of several consecutive iterations. The audit
+is the log of the queries in the order they were made.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import orjson
@@ -35,24 +36,29 @@ from .errors import (
     UnsafeQueryError,
 )
 from .problems import ProblemSpec, constraint_max
-from .streams import DOMAIN_NOISE, SIDE_BASE, SIDE_PERTURBED, substream
+# `substream` stays importable here: perfbench's tracer wraps it at every
+# module that bound it, this one included.
+from .streams import DOMAIN_NOISE, SIDE_BASE, SIDE_PERTURBED, TablePages, substream  # noqa: F401
 
 _UNIT_NORM_TOL = 1e-12
 
 _KINDS = ("gaussian", "bounded-uniform")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseModel:
     """Zero-mean sub-Gaussian measurement noise.
 
     gaussian: N(0, sigma^2); bounded-uniform: U[-sigma*sqrt(3),
     sigma*sqrt(3)] (variance sigma^2). sigma = 0 means exact values.
+    Frozen, because the pages it keeps were drawn with its fields.
     """
 
     kind: str = "gaussian"
     sigma: float = 0.0
     master_seed: int = 0
+    # The page last drawn per (side, rows, cols).
+    _pages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -60,20 +66,28 @@ class NoiseModel:
         if self.sigma < 0.0:
             raise ContractViolationError("sigma must be nonnegative")
 
-    def draw(self, iteration: int, side: int, rows: int, cols: int) -> np.ndarray:
-        """Noise table for (iteration, side); entry [j, i] is the draw for
-        sample j, function i. Pure function of the key: the table is read
-        in row order from the Philox stream
-        substream(master_seed, DOMAIN_NOISE, iteration, side), whose key
-        is (master_seed, DOMAIN_NOISE) and whose counter starts at
-        (0, 3, iteration, side), so a larger table extends a smaller one."""
-        if self.sigma == 0.0:
-            return np.zeros((rows, cols))
-        rng = substream(self.master_seed, DOMAIN_NOISE, iteration, side)
+    def _fill(self, rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
         if self.kind == "gaussian":
             return rng.normal(0.0, self.sigma, size=(rows, cols))
         half = self.sigma * math.sqrt(3.0)
         return rng.uniform(-half, half, size=(rows, cols))
+
+    def draw(self, iteration: int, side: int, rows: int, cols: int) -> np.ndarray:
+        """Noise table for (iteration, side), read-only; entry [j, i] is the
+        draw for sample j, function i. A pure function of (master_seed,
+        iteration, side, rows, cols), paged by `streams.TablePages`: with
+        per_page = max(1, PAGE_VALUES // (rows * cols)) and page, slot =
+        divmod(iteration, per_page), the table is rows slot * rows :
+        (slot + 1) * rows of the (per_page * rows, cols) table read in row
+        order from substream(master_seed, DOMAIN_NOISE, page,
+        side + 2 * rows * cols). Tables of different value counts on one
+        side never share values."""
+        if self.sigma == 0.0:
+            return np.broadcast_to(0.0, (rows, cols))
+        pages = self._pages.get((side, rows, cols))
+        if pages is None:
+            pages = self._pages[side, rows, cols] = TablePages(self._fill)
+        return pages.table(self.master_seed, DOMAIN_NOISE, iteration, side, rows, cols)
 
 
 @dataclass

@@ -77,6 +77,10 @@ class ProblemSpec:
         """Evaluate [f0, f1, ..., fm] at each row of `points`; (P, m+1)."""
         if not (type(points) is np.ndarray and points.ndim == 2 and points.dtype == np.float64):
             points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.shape[1] != self.dim:
+            raise ContractViolationError(
+                f"points have {points.shape[1]} columns, expected dim = {self.dim}"
+            )
         out = np.asarray(self.eval_all(points), dtype=float)
         if out.shape != (points.shape[0], self.num_constraints + 1):
             raise ContractViolationError(

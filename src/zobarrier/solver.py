@@ -51,7 +51,7 @@ from .estimator import (
 from .oracle import MeasurementOracle
 from .problems import ProblemSpec, constraint_max
 from .smoothing import smoothed_gradient
-from .streams import DOMAIN_DIRECTIONS, DOMAIN_OUTPUT, substream
+from .streams import DOMAIN_DIRECTIONS, DOMAIN_OUTPUT, TablePages, substream
 
 logger = logging.getLogger(__name__)
 
@@ -376,6 +376,13 @@ def resolve_sample_count(problem: ProblemSpec, cfg: AlgoConfig) -> int:
     return required
 
 
+def direction_pages() -> TablePages:
+    """The solver's sampling directions: iteration k's n unit vectors in
+    R^d are `direction_pages().table(seed, DOMAIN_DIRECTIONS, k, 0, n, d)`,
+    each page one `sphere_sample`."""
+    return TablePages(lambda rng, rows, cols: sphere_sample(cols, rows, rng))
+
+
 def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> RunResult:
     """Execute K iterations and sample the output pair.
 
@@ -394,6 +401,7 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
     sigma = problem.noise_sigma
     n = resolve_sample_count(problem, cfg)
 
+    direction_tables = direction_pages()
     x = np.asarray(problem.safe_start, dtype=float).copy()
     records: list[IterateRecord] = []
     halted_reason: str | None = None
@@ -413,7 +421,7 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
             else:
                 nu_k = nu_fixed
                 _, alpha = margin(fhat, nu_k, L)
-            directions = sphere_sample(problem.dim, n, substream(cfg.seed, DOMAIN_DIRECTIONS, k))
+            directions = direction_tables.table(cfg.seed, DOMAIN_DIRECTIONS, k, 0, n, problem.dim)
             pert = oracle.measure_perturbed(x, directions, nu_k, k)
         except _HALTS as exc:
             logger.warning("halted at iteration %d (%s): %s", k, exc.halt_reason, exc)

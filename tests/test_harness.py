@@ -282,10 +282,10 @@ def test_budget_cap_halts_every_trial_with_partial_output(tmp_path):
 
 
 def test_infeasible_query_ends_the_trial(tmp_path, capsys):
-    # L = 2 is far below the constraints' true slope (about 40), so the
-    # second iteration's perturbed points leave the feasible set. The
-    # oracle refuses them: the trial halts with no certificate, the audit
-    # keeps the flagged rows and the CLI reports a run failure.
+    # L = 2 is far below the constraints' true slope (about 40), so
+    # iteration 13's perturbed points leave the feasible set. The oracle
+    # refuses them: the trial halts with no certificate, the audit keeps
+    # the flagged rows and the CLI reports a run failure.
     data = {
         "preset": "unicycle-paper",
         "problem": {"lipschitz": 2.0, "grad_lower": 0.01},
@@ -295,13 +295,13 @@ def test_infeasible_query_ends_the_trial(tmp_path, capsys):
         "output_dir": str(tmp_path / "out"),
     }
     assert cli.main(["run", write_yaml(tmp_path, data)]) == 2
-    assert "flagged trials (halted): 0 unsafe-query at k=2\n" in capsys.readouterr().out
+    assert "flagged trials (halted): 0 unsafe-query at k=13\n" in capsys.readouterr().out
     trial = json.loads((tmp_path / "out" / "summary.json").read_text())["trials"][0]
-    assert (trial["halted_reason"], trial["halted_at"]) == ("unsafe-query", 2)
-    assert trial["iterations"] == 1 and trial["x_r"] is None
+    assert (trial["halted_reason"], trial["halted_at"]) == ("unsafe-query", 13)
+    assert trial["iterations"] == 12 and trial["x_r"] is None
     assert trial["violation_count"] > 0
     rows = (tmp_path / "out" / "trial000_audit.csv").read_text().splitlines()[1:]
-    assert all(r.startswith("2,") for r in rows if r.endswith(",1"))
+    assert all(r.startswith("13,") for r in rows if r.endswith(",1"))
 
 
 def test_empty_audit_csv_keeps_coordinate_columns(tmp_path):
@@ -403,7 +403,7 @@ def test_audit_csv_contents(tmp_path):
 
 
 def test_diverged_base_point_leaves_the_final_objective_unknown(tmp_path, monkeypatch):
-    # Seeds 1 and 3 halt "diverged" with x_final itself past the point where
+    # Seeds 1 and 4 halt "diverged" with x_final itself past the point where
     # the evaluator raises, so the final objective is unknown (NaN, as the
     # audit records a diverged chunk); the other trials and summary.json
     # are kept, and NaN carries into the objective aggregates.
@@ -421,7 +421,7 @@ def test_diverged_base_point_leaves_the_final_objective_unknown(tmp_path, monkey
     summary = run_experiment(cfg)
     assert {t.halted_reason for t in summary.trials} == {"diverged"}
     unknown = [t.seed for t in summary.trials if math.isnan(t.final_objective)]
-    assert unknown == [1, 3]
+    assert unknown == [1, 4]
     for t in summary.trials:
         # best_objective is the best known one: the trace's truth, all finite.
         with open(tmp_path / f"trial{t.trial:03d}_trace.csv", newline="") as fh:

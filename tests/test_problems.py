@@ -182,6 +182,16 @@ def test_diverged_step_same_on_both_kernels(start, gain, step):
         assert exc.value.step == step
 
 
+def test_points_of_the_wrong_dimension_are_refused():
+    # Both problems are in R^2: the sum over 3 columns and the lookup of a
+    # second column that is not there both end as a contract violation.
+    for name, points in [("sphere-quadratic", np.ones((4, 3))), ("smooth-2con", np.ones((4, 1)))]:
+        with pytest.raises(ContractViolationError, match="expected dim = 2"):
+            analytic_problem(name).evaluate_all(points)
+    with pytest.raises(ContractViolationError):
+        analytic_problem("linear-ball").objective_value(np.zeros(3))
+
+
 def test_nonfinite_gain_rejected():
     with pytest.raises(ContractViolationError):
         simulate_unicycle_batch(np.full((2, 3), np.nan), UnicycleConfig())

@@ -11,7 +11,7 @@ from zobarrier.errors import (
     NoValidOutputError,
     UnsafeStartError,
 )
-from zobarrier.estimator import confidence_bounds, sphere_sample
+from zobarrier.estimator import confidence_bounds
 from zobarrier.oracle import MeasurementOracle, NoiseModel
 from zobarrier.problems import ProblemSpec, analytic_problem
 from zobarrier.solver import (
@@ -19,6 +19,7 @@ from zobarrier.solver import (
     KktCertificate,
     _adaptive_margin,
     certificate_from_record,
+    direction_pages,
     kkt_multipliers,
     kkt_residuals,
     plan_iterations,
@@ -29,7 +30,13 @@ from zobarrier.solver import (
     sigma_big,
     step_weight,
 )
-from zobarrier.streams import DOMAIN_DIRECTIONS, SIDE_BASE, SIDE_PERTURBED, substream
+from zobarrier.streams import (
+    DOMAIN_DIRECTIONS,
+    PAGE_VALUES,
+    SIDE_BASE,
+    SIDE_PERTURBED,
+    substream,
+)
 
 from barrier_reference import barrier_value_and_grad
 
@@ -308,17 +315,21 @@ def test_run_is_deterministic():
 
 def test_audit_rows_are_the_queries_in_order():
     # Iteration k queries its base point, then x + nu * s_j for the
-    # directions j = 1..n in the order they were drawn.
+    # directions j = 1..n in the order they were drawn: k's table of the
+    # paged (seed, DOMAIN_DIRECTIONS) stream. 256 directions in R^2 make
+    # 8 iterations a page, so the 30 iterations read 4 pages.
     prob = analytic_problem("linear-ball", noise_sigma=0.02)
-    cfg = ball_config(max_iters=30)
+    cfg = ball_config(max_iters=30, n_fixed=256)
     result = run(prob, cfg, make_oracle(prob, seed=5))
     audit, n = result.audit, cfg.n_fixed
     assert len(result.trace) == 30
     assert len(audit) == 30 * (1 + n)
+    assert len({rec.k // (PAGE_VALUES // (n * prob.dim)) for rec in result.trace}) == 4
+    pages = direction_pages()
     for rec, rows in zip(result.trace, np.split(np.arange(len(audit)), 30)):
         assert audit.iterations[rows].tolist() == [rec.k] * (1 + n)
         assert audit.sides[rows].tolist() == [SIDE_BASE] + [SIDE_PERTURBED] * n
-        directions = sphere_sample(prob.dim, n, substream(cfg.seed, DOMAIN_DIRECTIONS, rec.k))
+        directions = pages.table(cfg.seed, DOMAIN_DIRECTIONS, rec.k, 0, n, prob.dim)
         np.testing.assert_array_equal(audit.points[rows[0]], rec.x)
         np.testing.assert_array_equal(audit.points[rows[1:]], rec.x + rec.nu * directions)
 

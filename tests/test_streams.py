@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 
 from zobarrier.errors import ContractViolationError
+from zobarrier.estimator import sphere_sample
+from zobarrier.oracle import MeasurementOracle, NoiseModel
+from zobarrier.problems import analytic_problem
+from zobarrier.solver import direction_pages
 from zobarrier.streams import (
     DOMAIN_DIRECTIONS,
     DOMAIN_MC,
     DOMAIN_NOISE,
     DOMAIN_OUTPUT,
+    PAGE_VALUES,
     SIDE_BASE,
     SIDE_PERTURBED,
     substream,
@@ -28,8 +33,7 @@ def test_different_keys_differ():
 
 
 def test_prefix_property():
-    # Drawing a larger block from the same key extends the same sequence;
-    # the batched oracle relies on this to serve single values.
+    # Drawing a larger block from the same key extends the same sequence.
     small = substream(7, 1).standard_normal(6)
     large = substream(7, 1).standard_normal((5, 3)).ravel()
     assert np.array_equal(small, large[:6])
@@ -99,3 +103,95 @@ def test_key_shapes_map_to_own_streams():
     for offset, key in enumerate([(7, SIDE_BASE), (7, SIDE_PERTURBED), (7, SIDE_BASE)]):
         alone = substream(s, DOMAIN_NOISE, *key).standard_normal(15)
         assert np.array_equal(np.concatenate(mixed[offset::3]), alone)
+
+
+# -- paged tables ------------------------------------------------------------
+
+# linear-ball-demo's tables: n = 16 rows of 2 values, 128 iterations a page.
+N, COLS = 16, 2
+PER_PAGE = PAGE_VALUES // (N * COLS)
+
+
+def test_a_table_is_its_rows_of_the_page_stream():
+    noise = NoiseModel(sigma=0.5, master_seed=9)
+    directions = direction_pages()
+    assert PER_PAGE == 128
+    for k in (1, 127, 128, 129, 300):
+        page, slot = divmod(k, PER_PAGE)
+        rows = slice(slot * N, (slot + 1) * N)
+        for side in (SIDE_BASE, SIDE_PERTURBED):
+            rng = substream(9, DOMAIN_NOISE, page, side + 2 * N * COLS)
+            want = rng.normal(0.0, 0.5, size=(PER_PAGE * N, COLS))[rows]
+            assert np.array_equal(noise.draw(k, side, N, COLS), want)
+        rng = substream(9, DOMAIN_DIRECTIONS, page, 2 * N * COLS)
+        want = sphere_sample(COLS, PER_PAGE * N, rng)[rows]
+        assert np.array_equal(directions.table(9, DOMAIN_DIRECTIONS, k, 0, N, COLS), want)
+    # A table of more than half a page has a page to itself.
+    rng = substream(9, DOMAIN_NOISE, 40, SIDE_PERTURBED + 2 * 2048 * 3)
+    want = rng.normal(0.0, 0.5, size=(2048, 3))
+    assert np.array_equal(noise.draw(40, SIDE_PERTURBED, 2048, 3), want)
+
+
+def test_measurement_order_does_not_matter_across_a_page_boundary():
+    # Iteration 127 ends page 0; 128 and 129 start page 1.
+    problem = analytic_problem("linear-ball")
+    x = np.array([0.1, -0.2])
+    tables = []
+    for order in ((127, 128, 129), (129, 127, 128)):
+        oracle = MeasurementOracle(problem, NoiseModel(sigma=0.3, master_seed=4))
+        pages = direction_pages()
+        got = {}
+        for k in order:
+            dirs = pages.table(4, DOMAIN_DIRECTIONS, k, 0, N, COLS)
+            got[k] = (oracle.measure_base(x, N, k), oracle.measure_perturbed(x, dirs, 0.01, k))
+        tables.append(got)
+    for k in (127, 128, 129):
+        for a, b in zip(tables[0][k], tables[1][k]):
+            assert np.array_equal(a, b)
+
+
+def test_sides_and_table_sizes_never_share_values():
+    noise = NoiseModel(sigma=1.0, master_seed=3)
+    drawn = [
+        np.concatenate([noise.draw(k, side, rows, COLS).ravel() for k in range(1, 300)])
+        for side in (SIDE_BASE, SIDE_PERTURBED)
+        for rows in (N, N // 2)
+    ]
+    values = np.concatenate(drawn)
+    assert len(np.unique(values)) == len(values)
+
+
+def test_consecutive_iterations_in_a_page_get_fresh_tables():
+    noise = NoiseModel(sigma=1.0, master_seed=5)
+    directions = direction_pages()
+    for k in range(1, PER_PAGE - 1):
+        for side in (SIDE_BASE, SIDE_PERTURBED):
+            a, b = noise.draw(k, side, N, COLS), noise.draw(k + 1, side, N, COLS)
+            assert not np.intersect1d(a, b).size
+        a = directions.table(5, DOMAIN_DIRECTIONS, k, 0, N, COLS)
+        b = directions.table(5, DOMAIN_DIRECTIONS, k + 1, 0, N, COLS)
+        assert not np.intersect1d(a, b).size
+
+
+def test_a_served_table_cannot_be_written():
+    # Each table is read-only, so a caller cannot change the cached page
+    # that later iterations (here 3 and 4 share page 0) are served from.
+    noise = NoiseModel(sigma=1.0, master_seed=8)
+    directions = direction_pages()
+
+    def serve(k):
+        return [
+            noise.draw(k, SIDE_BASE, N, COLS),
+            noise.draw(k, SIDE_PERTURBED, 2048, 3),
+            NoiseModel(sigma=0.0).draw(k, SIDE_BASE, N, COLS),
+            directions.table(8, DOMAIN_DIRECTIONS, k, 0, N, COLS),
+        ]
+
+    fresh = [t.copy() for t in serve(3)] + [t.copy() for t in serve(4)]
+    for table in serve(3):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            table += 1.0
+    for a, b in zip(fresh, serve(3) + serve(4)):
+        assert np.array_equal(a, b)
