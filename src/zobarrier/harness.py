@@ -13,6 +13,7 @@ hold the defaults; anything else is a ConfigError naming the section.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import inspect
 import json
@@ -437,8 +438,38 @@ def _collect(pid: int, read_fd: int):
         raise ZobarrierError(f"trial process {pid} ended without a readable report") from exc
 
 
+# glibc's mallopt parameter number for the mmap threshold.
+_M_MMAP_THRESHOLD = -3
+
+
+def _pin_mmap_threshold() -> None:
+    """Fix glibc's mmap threshold at its default, 128 KiB, in this process.
+
+    Otherwise glibc raises the threshold to the size of each mapped block
+    freed, up to 32 MiB. Once a run has freed a multi-megabyte block
+    (audit columns, CSV text, a read of the audit file), later blocks up
+    to that size come from the heap, and how much of the heap stays
+    resident depends on where its holes fell: the peak resident size of
+    repeated smooth-2con-wide runs sat in two modes 2.6 MB apart, picked
+    by details as small as the length of the output path. With the
+    threshold fixed, each block of 128 KiB or more is mapped when
+    allocated and returned when freed. A C library without mallopt
+    (not glibc) is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 128 * 1024)
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     """Execute all trials, persist trace/audit/summary files, return the summary.
+
+    First fixes the process's mmap threshold (`_pin_mmap_threshold`), so
+    that its resident size does not depend on heap layout.
 
     The trials run in W = min(trials, usable CPUs) processes; W = 1 where
     fork or CPU affinity is unavailable, or other threads run. Share w is
@@ -450,6 +481,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     the error of the lowest-numbered failing trial is raised and no
     summary.json is written.
     """
+    _pin_mmap_threshold()
     problem = build_problem(cfg.problem_name, cfg.problem_options)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     workers = _worker_count(cfg.trials)

@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import dataclasses
 import json
 import math
@@ -489,6 +490,34 @@ def test_a_process_with_other_threads_forks_nothing(tmp_path, monkeypatch):
         thread.join(timeout=10)
     assert [t.trial for t in summary.trials] == [0, 1]
     assert not thread.is_alive()
+
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [
+        (name, ctypes.c_size_t)
+        for name in (
+            "arena", "ordblks", "smblks", "hblks", "hblkhd",
+            "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost",
+        )
+    ]
+
+
+def test_after_a_run_a_freed_large_block_moves_no_later_block_onto_the_heap(tmp_path):
+    # glibc's dynamic threshold would serve the 1 MiB block from the heap
+    # once an 8 MiB mapped block was freed; a pinned threshold maps it.
+    try:
+        mallinfo2 = ctypes.CDLL(None).mallinfo2
+    except (AttributeError, OSError, TypeError):
+        pytest.skip("needs glibc's mallinfo2")
+    mallinfo2.argtypes = ()
+    mallinfo2.restype = MallInfo2
+    run_experiment(make_config(tmp_path, trials=1))
+    big = bytearray(8 << 20)
+    del big
+    mapped = mallinfo2().hblkhd
+    block = bytearray(1 << 20)
+    assert mallinfo2().hblkhd - mapped >= 1 << 20
+    del block
 
 
 def fail_trials(monkeypatch, errors):
