@@ -3,10 +3,11 @@
 Each mutant is a one-line change to a formula the safety argument rests
 on, stored as a (file, old, new) triple. For each one the script copies
 `src/` and `tests/` to a temporary directory, applies the change there
-and runs the Tier-1 suite on the copy; the suite must fail. The
-unmutated copy runs first and must pass, so a failure is the mutant's
-doing. Exits 1 if any mutant survives, 2 if the unmutated suite fails.
-The repository itself is never modified.
+and runs the Tier-1 suite on the copy; the suite must fail, and the
+first failing test is printed. The unmutated copy runs first and must
+pass, so a failure is the mutant's doing. Exits 1 if any mutant
+survives, 2 if the unmutated suite fails. The repository itself is
+never modified.
 
     python3 bench/mutants.py
 """
@@ -31,13 +32,13 @@ MUTANTS = {
     ),
     "no-confidence-inflation": (
         "src/zobarrier/estimator.py",
-        "return cons.sum(axis=0) / n + inflation",
-        "return cons.sum(axis=0) / n",
+        "return np.add.reduce(cons, 0) / n + inflation",
+        "return np.add.reduce(cons, 0) / n",
     ),
     "margin-without-nu-L": (
         "src/zobarrier/estimator.py",
-        "fhat_c_nu = float(np.max(fhat) + nu * lipschitz)",
-        "fhat_c_nu = float(np.max(fhat))",
+        "fhat_c_nu = float(np.maximum.reduce(fhat) + nu * lipschitz)",
+        "fhat_c_nu = float(np.maximum.reduce(fhat))",
     ),
     "adaptive-margin-alpha-minus-M": (
         "src/zobarrier/solver.py",
@@ -99,8 +100,33 @@ MUTANTS = {
     # the trial.
     "unsafe-query-not-raised": (
         "src/zobarrier/oracle.py",
-        "if (truth[:, 1] > 0.0).any():",
+        "if np.count_nonzero(truth[:, 1] > 0.0):",
         "if False:",
+    ),
+    # Every other refusal of the oracle: true values must be finite, the
+    # query point and the displaced points finite, and directions of unit
+    # length to within 1e-12.
+    "non-finite-true-values-not-raised": (
+        "src/zobarrier/oracle.py",
+        "if np.count_nonzero(np.isfinite(true_vals)) < true_vals.size:",
+        "if False:",
+    ),
+    "non-finite-query-point-accepted": (
+        "src/zobarrier/oracle.py",
+        "if np.count_nonzero(np.isfinite(points)) < points.size:\n"
+        '            raise ContractViolationError("query point must be finite")',
+        'if False:\n            raise ContractViolationError("query point must be finite")',
+    ),
+    "non-finite-displaced-points-accepted": (
+        "src/zobarrier/oracle.py",
+        "if np.count_nonzero(np.isfinite(points)) < points.size:\n"
+        '            raise ContractViolationError("query points must be finite")',
+        'if False:\n            raise ContractViolationError("query points must be finite")',
+    ),
+    "unit-norm-tolerance-1e-9": (
+        "src/zobarrier/oracle.py",
+        "_UNIT_NORM_TOL = 1e-12",
+        "_UNIT_NORM_TOL = 1e-9",
     ),
     # Each iteration reads its own slot of a page of noise or directions:
     # reusing the first slot repeats one table across the page.
@@ -119,18 +145,22 @@ MUTANTS = {
 }
 
 
-def tier1(copy: Path) -> tuple[int, float]:
-    """Exit code and wall time of Tier-1 on a copy; stops at the first failure."""
+def tier1(copy: Path) -> tuple[int, float, str]:
+    """Exit code, wall time and the first failing test's id (or "") of
+    Tier-1 on a copy; stops at the first failure."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src")}
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests"],
         cwd=copy,
         env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
     )
-    return proc.returncode, time.perf_counter() - t0
+    # pytest's short summary names each failure: "FAILED <id> - <message>".
+    failed = [line for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    first = failed[0].split(" - ")[0].split(" ", 1)[1] if failed else ""
+    return proc.returncode, time.perf_counter() - t0, first
 
 
 def make_copy(dest: Path, mutant: tuple[str, str, str] | None) -> None:
@@ -154,16 +184,16 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="zobarrier-mutants-") as tmp:
         clean = Path(tmp) / "clean"
         make_copy(clean, None)
-        code, wall = tier1(clean)
-        print(f"unmutated: exit {code} in {wall:.0f} s", flush=True)
+        code, wall, first = tier1(clean)
+        print(f"unmutated: exit {code} in {wall:.0f} s {first}".rstrip(), flush=True)
         if code != 0:
             return 2
         survivors = []
         for name, mutant in MUTANTS.items():
             copy = Path(tmp) / name
             make_copy(copy, mutant)
-            code, wall = tier1(copy)
-            verdict = "killed" if code != 0 else "SURVIVED"
+            code, wall, first = tier1(copy)
+            verdict = f"killed by {first or '?'}" if code != 0 else "SURVIVED"
             print(f"{name}: {verdict} (exit {code} in {wall:.0f} s)", flush=True)
             if code == 0:
                 survivors.append(name)

@@ -72,8 +72,9 @@ def confidence_bounds(base_values: np.ndarray, sigma: float, delta_bar: float) -
     if n < 1:
         raise ContractViolationError("need at least one measurement")
     inflation = sigma / math.sqrt(n) * math.sqrt(math.log(1.0 / delta_bar))
-    # The sum over n divided by n is bitwise what `mean` computes.
-    return cons.sum(axis=0) / n + inflation
+    # The sum over n divided by n is bitwise what `mean` computes; the
+    # ufunc's own reduce skips `sum`'s Python wrapper.
+    return np.add.reduce(cons, 0) / n + inflation
 
 
 def margin(fhat: np.ndarray, nu: float, lipschitz: float) -> tuple[float, float]:
@@ -87,7 +88,7 @@ def margin(fhat: np.ndarray, nu: float, lipschitz: float) -> tuple[float, float]
     """
     if nu < 0.0:
         raise ContractViolationError("nu must be nonnegative")
-    fhat_c_nu = float(np.max(fhat) + nu * lipschitz)
+    fhat_c_nu = float(np.maximum.reduce(fhat) + nu * lipschitz)
     if fhat_c_nu >= 0.0:
         raise MarginExhaustedError(fhat_c_nu)
     return fhat_c_nu, -fhat_c_nu

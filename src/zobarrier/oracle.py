@@ -189,11 +189,12 @@ class MeasurementOracle:
         truth = true_vals[:, :2].copy()
         constraint_max(true_vals, out=truth[:, 1])
         self._chunks.append((iteration, side, points, truth))
-        if not np.isfinite(true_vals).all():
+        # np.count_nonzero is one C call; .any() and .all() are ufunc reductions.
+        if np.count_nonzero(np.isfinite(true_vals)) < true_vals.size:
             raise NonFiniteMeasurementError(
                 f"true values at iteration {iteration} are not all finite"
             )
-        if (truth[:, 1] > 0.0).any():
+        if np.count_nonzero(truth[:, 1] > 0.0):
             raise UnsafeQueryError(f"iteration {iteration} queried a truly infeasible point")
         return true_vals + self.noise.draw(iteration, side, n, m1)
 
@@ -201,12 +202,12 @@ class MeasurementOracle:
 
     def measure_base(self, x: np.ndarray, n: int, iteration: int) -> np.ndarray:
         """n fresh noisy measurements of every function at x; (n, m+1)."""
-        x = np.asarray(x, dtype=float)
-        if not np.isfinite(x).all():
+        points = np.array(x, dtype=float, ndmin=2)
+        if np.count_nonzero(np.isfinite(points)) < points.size:
             raise ContractViolationError("query point must be finite")
         if n < 1:
             raise ContractViolationError("need n >= 1 base samples")
-        return self._measure(iteration, SIDE_BASE, np.array(x, ndmin=2), n, directions=0)
+        return self._measure(iteration, SIDE_BASE, points, n, directions=0)
 
     def measure_perturbed(
         self, x: np.ndarray, directions: np.ndarray, radius: float, iteration: int
@@ -216,12 +217,14 @@ class MeasurementOracle:
         directions = np.asarray(directions, dtype=float)
         if radius < 0.0:
             raise ContractViolationError("radius must be nonnegative")
-        norms = np.sqrt(np.einsum("ij,ij->i", directions, directions))
-        if (np.abs(norms - 1.0) > _UNIT_NORM_TOL).any():
+        if directions.ndim != 2:
+            raise ContractViolationError("directions must be a 2-D array of rows")
+        norms = np.sqrt(np.vecdot(directions, directions))
+        if np.count_nonzero(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
             raise ContractViolationError("directions must be unit vectors")
         points = x[None, :] + radius * directions
         # Checking the displaced points also catches a NaN radius.
-        if not np.isfinite(points).all():
+        if np.count_nonzero(np.isfinite(points)) < points.size:
             raise ContractViolationError("query points must be finite")
         n = len(directions)
         return self._measure(iteration, SIDE_PERTURBED, points, n, directions=n)

@@ -120,12 +120,18 @@ def constraint_max(table: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     A table with few constraints for its rows (smooth-2con at n = 2048)
     is maxed a column at a time, comparing left to right as the row loop
     does. Many constraints over few rows (the unicycle's 30 at n = 7)
-    keep the row reduction, where one call per column would cost more."""
+    keep the row reduction, where one call per column would cost more.
+    With one constraint the max is column 1, returned as a view if no
+    `out` is given."""
     rows, m = table.shape[0], table.shape[1] - 1
+    if m == 1:
+        if out is None:
+            return table[:, 1]
+        out[...] = table[:, 1]
+        return out
     if rows < _ROWS_PER_COLUMN_CALL * (m - 2):
-        return table[:, 1:].max(axis=1, out=out)
-    # With one constraint this is the max of column 1 with itself.
-    out = np.maximum(table[:, 1], table[:, min(2, m)], out=out)
+        return np.maximum.reduce(table[:, 1:], 1, out=out)
+    out = np.maximum(table[:, 1], table[:, 2], out=out)
     for j in range(3, m + 1):
         np.maximum(out, table[:, j], out=out)
     return out
@@ -141,7 +147,7 @@ def _sum_columns(a: np.ndarray) -> np.ndarray:
     +0.0, as numpy's start value does."""
     cols = a.shape[-1]
     if a.size // cols < _ROWS_PER_COLUMN_CALL * (cols - 1):
-        return a.sum(axis=-1)
+        return np.add.reduce(a, -1)
     total = a[..., 0] + a[..., 1]
     for j in range(2, cols):
         total += a[..., j]

@@ -417,7 +417,7 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
                     f"{fhat.max():.6g} >= 0"
                 )
             if cfg.nu_policy == "adaptive":
-                nu_k, alpha = _adaptive_margin(float(fhat.max()), cfg.eta, L)
+                nu_k, alpha = _adaptive_margin(float(np.maximum.reduce(fhat)), cfg.eta, L)
             else:
                 nu_k = nu_fixed
                 _, alpha = margin(fhat, nu_k, L)
@@ -437,7 +437,7 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
         records.append(
             IterateRecord(
                 k=k,
-                x=x.copy(),
+                x=x,  # rebound below, never written in place
                 alpha_hat=alpha,
                 g_norm=g_norm,
                 gamma=gamma,

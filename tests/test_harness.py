@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -492,6 +494,12 @@ def test_a_process_with_other_threads_forks_nothing(tmp_path, monkeypatch):
     assert not thread.is_alive()
 
 
+# Runs a small experiment, frees an 8 MiB block, then prints how many bytes
+# glibc mapped for a 1 MiB block.
+MMAP_PROBE = """
+import ctypes, json, sys
+from zobarrier.harness import config_from_mapping, run_experiment
+
 class MallInfo2(ctypes.Structure):
     _fields_ = [
         (name, ctypes.c_size_t)
@@ -501,23 +509,35 @@ class MallInfo2(ctypes.Structure):
         )
     ]
 
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.argtypes = ()
+mallinfo2.restype = MallInfo2
+run_experiment(config_from_mapping(json.loads(sys.argv[1])))
+big = bytearray(8 << 20)
+del big
+mapped = mallinfo2().hblkhd
+block = bytearray(1 << 20)
+print(mallinfo2().hblkhd - mapped)
+"""
+
 
 def test_after_a_run_a_freed_large_block_moves_no_later_block_onto_the_heap(tmp_path):
     # glibc's dynamic threshold would serve the 1 MiB block from the heap
-    # once an 8 MiB mapped block was freed; a pinned threshold maps it.
+    # once an 8 MiB mapped block was freed; a pinned threshold maps it. The
+    # probe runs in a fresh interpreter, whose heap holds only the run's
+    # blocks: a free hole that earlier tests left could serve the block
+    # from the heap whatever the threshold.
     try:
-        mallinfo2 = ctypes.CDLL(None).mallinfo2
+        ctypes.CDLL(None).mallinfo2
     except (AttributeError, OSError, TypeError):
         pytest.skip("needs glibc's mallinfo2")
-    mallinfo2.argtypes = ()
-    mallinfo2.restype = MallInfo2
-    run_experiment(make_config(tmp_path, trials=1))
-    big = bytearray(8 << 20)
-    del big
-    mapped = mallinfo2().hblkhd
-    block = bytearray(1 << 20)
-    assert mallinfo2().hblkhd - mapped >= 1 << 20
-    del block
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])}
+    config = json.dumps(config_data(tmp_path, trials=1))
+    proc = subprocess.run(
+        [sys.executable, "-c", MMAP_PROBE, config], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) >= 1 << 20
 
 
 def fail_trials(monkeypatch, errors):

@@ -22,8 +22,8 @@ from zobarrier.oracle import (
     write_audit_csv,
 )
 from zobarrier.problems import ProblemSpec, UnicycleConfig, analytic_problem, make_unicycle_problem
-from zobarrier.solver import AlgoConfig, run
-from zobarrier.streams import SIDE_BASE, SIDE_PERTURBED, substream
+from zobarrier.solver import AlgoConfig, direction_pages, run
+from zobarrier.streams import DOMAIN_DIRECTIONS, PAGE_VALUES, SIDE_BASE, SIDE_PERTURBED, substream
 
 
 @pytest.fixture
@@ -113,12 +113,37 @@ def test_budget_cap(ball):
 
 
 def test_non_unit_direction_rejected(ball):
+    # The tolerance is 1e-12: a direction 1e-10 off unit length is refused,
+    # and so is a single direction not given as a row.
     oracle = make_oracle(ball)
-    with pytest.raises(ContractViolationError):
-        oracle.measure_perturbed(np.zeros(2), np.array([[1.0, 1.0]]), 0.1, 1)
-    with pytest.raises(ContractViolationError):
-        oracle.measure_perturbed(np.zeros(2), np.array([[0.5, 0.0]]), 0.1, 1)
+    for direction in ([1.0, 1.0], [0.5, 0.0], [0.0, 1.0 + 1e-10], [0.0, 1.0 - 1e-10]):
+        with pytest.raises(ContractViolationError, match="unit vectors"):
+            oracle.measure_perturbed(np.zeros(2), np.array([direction]), 0.1, 1)
+    with pytest.raises(ContractViolationError, match="2-D"):
+        oracle.measure_perturbed(np.zeros(2), np.array([1.0, 0.0]), 0.1, 1)
     assert oracle.total_scalar_calls == 0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 6])
+def test_every_solver_direction_passes_the_unit_norm_check(dim):
+    # Each table of one page the solver reads, for n = 16 in R^dim.
+    problem = ProblemSpec(
+        name="flat",
+        dim=dim,
+        num_constraints=1,
+        eval_all=lambda points: np.full((len(points), 2), -1.0),
+        lipschitz=1.0,
+        grad_lower=1.0,
+        noise_sigma=0.0,
+        safe_start=np.zeros(dim),
+    )
+    oracle = make_oracle(problem)
+    pages = direction_pages()
+    per_page = PAGE_VALUES // (16 * dim)
+    for k in range(per_page):
+        directions = pages.table(5, DOMAIN_DIRECTIONS, k, 0, 16, dim)
+        oracle.measure_perturbed(np.zeros(dim), directions, 0.1, k)
+    assert oracle.total_directions == 16 * per_page
 
 
 def test_empty_audit(ball):
