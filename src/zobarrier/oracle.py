@@ -217,9 +217,7 @@ class MeasurementOracle:
         directions = np.asarray(directions, dtype=float)
         if radius < 0.0:
             raise ContractViolationError("radius must be nonnegative")
-        if directions.ndim != 2:
-            raise ContractViolationError("directions must be a 2-D array of rows")
-        norms = np.sqrt(np.vecdot(directions, directions))
+        norms = np.sqrt(np.einsum("ij,ij->i", directions, directions))
         if np.count_nonzero(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
             raise ContractViolationError("directions must be unit vectors")
         points = x[None, :] + radius * directions

@@ -121,8 +121,8 @@ def constraint_max(table: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     is maxed a column at a time, comparing left to right as the row loop
     does. Many constraints over few rows (the unicycle's 30 at n = 7)
     keep the row reduction, where one call per column would cost more.
-    With one constraint the max is column 1, returned as a view if no
-    `out` is given."""
+    Without `out` the result may be a view of `table`, for any m: with
+    one constraint it is column 1 itself."""
     rows, m = table.shape[0], table.shape[1] - 1
     if m == 1:
         if out is None:

@@ -122,7 +122,9 @@ class AlgoConfig:
 
 @dataclass
 class IterateRecord:
-    """Per-iteration trace entry; x is the point the iteration measured at."""
+    """Per-iteration trace entry; x is the point the iteration measured at.
+    A step with g_norm == 0 keeps x, so the next record shares its array:
+    read x, never write it."""
 
     k: int
     x: np.ndarray
@@ -460,7 +462,7 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
     return RunResult(
         config=cfg,
         trace=records,
-        x_final=x,
+        x_final=x.copy(),  # records keep x itself
         certificate=certificate,
         audit=oracle.audit(),
         halted_reason=halted_reason,

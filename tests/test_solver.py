@@ -300,6 +300,24 @@ def test_run_zero_iterations():
     assert result.audit.total_scalar_calls == 0
 
 
+def test_final_point_is_not_a_trace_records_array():
+    # Every gradient is zero, so x is never rebound and the records share it.
+    prob = ProblemSpec(
+        name="flat",
+        dim=2,
+        num_constraints=1,
+        eval_all=lambda points: np.full((len(points), 2), -1.0),
+        lipschitz=1.0,
+        grad_lower=1.0,
+        noise_sigma=0.0,
+        safe_start=np.zeros(2),
+    )
+    result = run(prob, ball_config(max_iters=3), make_oracle(prob, seed=1))
+    assert [r.g_norm for r in result.trace] == [0.0, 0.0, 0.0]
+    result.x_final[:] = 7.0
+    assert all(np.array_equal(r.x, prob.safe_start) for r in result.trace)
+
+
 def test_run_is_deterministic():
     prob = analytic_problem("linear-ball", noise_sigma=0.02)
     a = run(prob, ball_config(), make_oracle(prob, seed=5))
