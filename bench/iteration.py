@@ -52,6 +52,8 @@ import tempfile
 import time
 from pathlib import Path
 
+from simulator import machine
+
 ROOT = Path(__file__).resolve().parent.parent
 # perfbench's mappings for these two workloads, at a fixed seed.
 WORKLOADS = {
@@ -236,10 +238,6 @@ def main() -> int:
             write_outputs(workload, rest[0])
         return 0
     sources = dict(args.src or [("src", ROOT / "src")])
-    # Not imported at the top: `simulator` puts this checkout's src first on
-    # sys.path, and a worker must import the tree it was given.
-    from simulator import machine
-
     samples = {w: {label: [] for label in sources} for w in WORKLOADS}
     for r in range(ROUNDS):
         for workload in WORKLOADS:

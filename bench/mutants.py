@@ -74,7 +74,10 @@ MUTANTS = {
     "audit-max-skips-last-constraint": (
         "src/zobarrier/oracle.py",
         "constraint_max(true_vals, out=truth[:, 1])",
-        "constraint_max(true_vals[:, :-1], out=truth[:, 1])",
+        # A one-constraint table keeps its column, so the mutant does not
+        # fail every problem at once with an IndexError.
+        "constraint_max(true_vals[:, :-1] if true_vals.shape[1] > 2 else true_vals, "
+        "out=truth[:, 1])",
     ),
     # The trace's truth columns are the audit's base rows: iteration k's
     # base measurement queried x_k. Every other row is a perturbed one.
@@ -127,6 +130,20 @@ MUTANTS = {
         "src/zobarrier/oracle.py",
         "_UNIT_NORM_TOL = 1e-12",
         "_UNIT_NORM_TOL = 1e-9",
+    ),
+    # The unicycle's small batches are evaluated row by row in Python floats,
+    # bit for bit as the vectorized path: the constraint subtracts the sum
+    # of the two squares, and a row whose state stops being finite falls
+    # through to the vectorized path, which raises the error and its step.
+    "row-kernel-constraint-reassociated": (
+        "src/zobarrier/problems.py",
+        "cons.append(r2 - (px * px + py * py))",
+        "cons.append(r2 - px * px - py * py)",
+    ),
+    "row-kernel-divergence-not-raised": (
+        "src/zobarrier/problems.py",
+        "if not math.isfinite(x + y + th + a0 + a1 + a2 + b0 + b1 + b2):",
+        "if False:",
     ),
     # Each iteration reads its own slot of a page of noise or directions:
     # reusing the first slot repeats one table across the page.

@@ -1,17 +1,20 @@
-"""Per-call cost of the two unicycle simulator kernels, by batch size.
+"""Per-call cost of the two unicycle evaluation paths, by batch size.
 
-Times `problems._simulate_rows` (per-row Python floats) and
-`problems._simulate_vectorized` (one numpy step per time step) on the
-unicycle-paper geometry at fixed batch sizes, with gains drawn from a
-fixed seed inside the preset's search box. "before" is the vectorized
-kernel alone, which was the simulator's only path before the per-row
-kernel existed; "after" is `simulate_unicycle_batch`, which picks a
-kernel by batch size. Every size also checks that both kernels return
-byte-identical trajectories. The JSON names the machine and justifies
+Times `problems._evaluate_rows` (per-row Python floats, writing the
+(P, T+1) evaluation table itself) and `problems._evaluate_vectorized`
+(one numpy simulation step per time step, then numpy reductions to the
+table) on the unicycle-paper geometry at fixed batch sizes, with gains
+drawn from a fixed seed inside the preset's search box. "before" is the
+vectorized path alone; "after" is what the unicycle `eval_all` runs,
+which picks a path by batch size. Every size also checks that both paths
+return byte-identical tables. The JSON names the machine and justifies
 the dispatch threshold: the per-row kernel must win at every size up to
 it, and the largest such size is reported as the measured crossover.
 
-    PYTHONPATH=src python3 bench/simulator.py [--out BENCH_simulator.json]
+    python3 bench/simulator.py [--out BENCH_simulator.json]
+
+Run as a script it puts this checkout's `src` first on `sys.path`;
+imported (other bench scripts take `machine` from it) it changes nothing.
 """
 
 from __future__ import annotations
@@ -28,32 +31,28 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
-from zobarrier import problems  # noqa: E402
-
 SIZES = (1, 7, 8, 16, 24, 32, 48, 64, 160, 1600)
 SEED = 20261018
 ROUNDS = 9
 ROUND_S = 0.05
 
 
-def per_call_ms(kernels, gains, cfg) -> list[float]:
+def per_call_ms(kernels, points, cfg) -> list[float]:
     """Per-call time of each kernel: the median over ROUNDS of the mean
     time per call in a round of at least ROUND_S. The kernels' rounds
     alternate, so a change in host speed reaches all of them alike."""
     calls = []
     for fn in kernels:
-        fn(gains, cfg)
+        fn(points, cfg)
         t0 = time.perf_counter()
-        fn(gains, cfg)
+        fn(points, cfg)
         calls.append(max(1, int(ROUND_S / max(time.perf_counter() - t0, 1e-9))))
     rounds = [[] for _ in kernels]
     for _ in range(ROUNDS):
         for fn, n, times in zip(kernels, calls, rounds):
             t0 = time.perf_counter()
             for _ in range(n):
-                fn(gains, cfg)
+                fn(points, cfg)
             times.append((time.perf_counter() - t0) / n)
     return [1e3 * statistics.median(times) for times in rounds]
 
@@ -75,6 +74,8 @@ def machine() -> dict:
 
 
 def main() -> None:
+    from zobarrier import problems
+
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_simulator.json")
     args = parser.parse_args()
@@ -84,19 +85,19 @@ def main() -> None:
     x0 = cfg.initial_gain.ravel()
     rows = []
     for size in SIZES:
-        gains = (x0 + rng.uniform(-0.15, 0.15, size=(size, 6))).reshape(size, 2, 3)
+        points = x0 + rng.uniform(-0.15, 0.15, size=(size, 6))
         same = (
-            problems._simulate_rows(gains, cfg).tobytes()
-            == problems._simulate_vectorized(gains, cfg).tobytes()
+            problems._evaluate_rows(points, cfg).tobytes()
+            == problems._evaluate_vectorized(points, cfg).tobytes()
         )
         row_ms, vec_ms = per_call_ms(
-            (problems._simulate_rows, problems._simulate_vectorized), gains, cfg
+            (problems._evaluate_rows, problems._evaluate_vectorized), points, cfg
         )
         rows.append(
             {
                 "batch": size,
                 "rows_kernel_ms": round(row_ms, 4),
-                "vectorized_kernel_ms": round(vec_ms, 4),
+                "vectorized_ms": round(vec_ms, 4),
                 "rows_speedup": round(vec_ms / row_ms, 2),
                 "bitwise_equal": same,
             }
@@ -113,21 +114,21 @@ def main() -> None:
     dispatched = [
         {
             "batch": r["batch"],
-            "kernel": "rows" if r["batch"] <= threshold else "vectorized",
-            "before_ms": r["vectorized_kernel_ms"],
-            "after_ms": r["rows_kernel_ms"] if r["batch"] <= threshold else r["vectorized_kernel_ms"],
+            "path": "rows" if r["batch"] <= threshold else "vectorized",
+            "before_ms": r["vectorized_ms"],
+            "after_ms": r["rows_kernel_ms"] if r["batch"] <= threshold else r["vectorized_ms"],
         }
         for r in rows
     ]
     report = {
-        "what": "unicycle simulator per-call time by batch size (horizon 30, "
+        "what": "unicycle evaluation table per-call time by batch size (horizon 30, "
         "unicycle-paper geometry, error feedback)",
-        "command": "PYTHONPATH=src python3 bench/simulator.py",
+        "command": "python3 bench/simulator.py",
         "machine": machine(),
         "seed": SEED,
         "timing": f"median of {ROUNDS} rounds of >= {ROUND_S} s, mean per call in each round; "
-        "the two kernels' rounds alternate",
-        "kernels": rows,
+        "the two paths' rounds alternate",
+        "paths": rows,
         "threshold": {
             "row_kernel_max_rows": threshold,
             "largest_size_rows_kernel_wins_up_to": crossover,
@@ -144,4 +145,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
     main()

@@ -231,49 +231,22 @@ def _step(q: np.ndarray, v: np.ndarray, omega: np.ndarray, dt: float) -> np.ndar
     )
 
 
-# Batches up to this many rows take the per-row float kernel. Each numpy
-# call in the vectorized step costs a few microseconds even on a
-# 7-element array, so below the crossover (25 to 45 rows across runs,
-# see BENCH_simulator.json) plain floats are faster. The solver's batches
-# (1 base row, n_k perturbed rows) fall below it; trace evaluation and
-# the Monte-Carlo residuals (hundreds to thousands of rows) stay above.
-_ROW_KERNEL_MAX_ROWS = 16
-
-
 def simulate_unicycle_batch(gains: np.ndarray, cfg: UnicycleConfig) -> np.ndarray:
     """Simulate a batch of gains (B, 2, 3), or one 2x3 gain as a batch of
     one; returns C-contiguous states of shape (B, T+1, 3).
 
     Control is u_{t+1} = U q_t, or U (q_t - q_goal) in error-feedback
     mode, clamped componentwise; the state advances by the exact
-    integration step.
-
-    Two kernels compute the same floating-point operations in the same
-    order, so a row's trajectory is bitwise identical whichever one runs
-    and whatever batch it is in: batches of at most _ROW_KERNEL_MAX_ROWS
-    rows run row by row in Python floats, larger ones run the vectorized
-    numpy loop. Raises DivergedTrajectoryError with the first step at
-    which any row's state is not finite.
+    integration step, one numpy step per time step for all rows at once.
+    Raises DivergedTrajectoryError with the first step at which any
+    row's state is not finite.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.ndim == 2:
         gains = gains[None]
     if not np.isfinite(gains).all():
         raise ContractViolationError("gain matrix must be finite")
-    if gains.shape[0] <= _ROW_KERNEL_MAX_ROWS:
-        traj = _simulate_rows(gains, cfg)
-    else:
-        traj = _simulate_vectorized(gains, cfg)
-    if not np.isfinite(traj).all():
-        bad = np.flatnonzero(~np.isfinite(traj).all(axis=(0, 2)))
-        raise DivergedTrajectoryError(int(bad[0]))
-    return traj
-
-
-def _simulate_vectorized(gains: np.ndarray, cfg: UnicycleConfig) -> np.ndarray:
-    """All rows at once, one numpy step per time step; (B, T+1, 3)."""
-    B = gains.shape[0]
-    T = cfg.horizon
+    B, T = gains.shape[0], cfg.horizon
     goal = np.asarray(cfg.goal, dtype=float)
     traj = np.empty((B, T + 1, 3))
     q = np.tile(np.asarray(cfg.start, dtype=float), (B, 1))
@@ -288,39 +261,67 @@ def _simulate_vectorized(gains: np.ndarray, cfg: UnicycleConfig) -> np.ndarray:
             w = np.clip(u[:, 1], -cfg.omega_max, cfg.omega_max)
             q = _step(q, v, w, cfg.dt)
             traj[:, t + 1] = q
+    if not np.isfinite(traj).all():
+        bad = np.flatnonzero(~np.isfinite(traj).all(axis=(0, 2)))
+        raise DivergedTrajectoryError(int(bad[0]))
     return traj
 
 
-def _simulate_rows(gains: np.ndarray, cfg: UnicycleConfig) -> np.ndarray:
-    """One row at a time in Python floats; (B, T+1, 3).
+def _evaluate_vectorized(points: np.ndarray, cfg: UnicycleConfig) -> np.ndarray:
+    """The unicycle's (P, T+1) table from one simulated batch: the mean
+    squared goal distance over steps 1..T, then r^2 - |p_t - c|^2 for
+    t = 1..T."""
+    P, T = points.shape[0], cfg.horizon
+    traj = simulate_unicycle_batch(points.reshape(P, 2, 3), cfg)[:, 1:]
+    out = np.empty((P, T + 1))
+    sq = traj - np.asarray(cfg.goal)
+    sq *= sq
+    # A row sum divided by T is bitwise what `mean` computes.
+    out[:, 0] = _sum_columns(sq).sum(axis=1) / T
+    sq = traj[:, :, :2] - np.asarray(cfg.obstacle_center)
+    sq *= sq
+    np.subtract(cfg.obstacle_radius**2, _sum_columns(sq), out=out[:, 1:])
+    return out
 
-    Mirrors _simulate_vectorized operation for operation: the gain
-    products are summed in einsum's order, the clamp keeps NaN as
-    np.clip does, np.sinc(z) is sin(pi*z)/(pi*z) with 1 at 0, and
-    math.sin/math.cos round as numpy's float64 sin/cos do. A row whose
-    sine or cosine argument becomes infinite (where math raises and numpy
-    returns NaN) is NaN from that step on, so the diverged step is the
-    one numpy reports.
+
+# Batches up to this many rows are evaluated row by row in Python floats.
+# Each numpy call costs a few microseconds even on a 7-element array, so
+# below the crossover (see BENCH_simulator.json) plain floats are faster.
+# The solver's batches (1 base row, n_k perturbed rows) fall below it;
+# trace evaluation and the Monte-Carlo residuals stay above.
+_ROW_KERNEL_MAX_ROWS = 16
+
+
+def _evaluate_rows(points: np.ndarray, cfg: UnicycleConfig) -> np.ndarray | None:
+    """_evaluate_vectorized's table bit for bit, one row at a time in
+    Python floats; None if a row's state stops being finite, so that the
+    vectorized path raises what it raises.
+
+    Each operation is the vectorized path's, in its order: the gain
+    products are summed in einsum's order, the clamp keeps NaN as np.clip
+    does, np.sinc(z) is sin(pi*z)/(pi*z) with 1 at 0, math.sin/math.cos
+    round as numpy's float64 sin/cos do, a step's squares are summed left
+    to right as numpy sums 2 or 3 columns, and the sum over T is numpy's
+    own. A zero may differ in sign from einsum's (which sums onto +0.0),
+    but only zeros follow from it, and every entry squares them. Every
+    update adds to the state, so a state that is not finite stays so; math
+    raises on sin/cos of inf where numpy gives NaN.
     """
-    T, dt, hdt = cfg.horizon, cfg.dt, 0.5 * cfg.dt
-    v_max, w_max = cfg.v_max, cfg.omega_max
-    start = np.asarray(cfg.start, dtype=float).tolist()
+    P, T, dt, hdt = points.shape[0], cfg.horizon, cfg.dt, 0.5 * cfg.dt
+    v_max, w_max, r2 = cfg.v_max, cfg.omega_max, cfg.obstacle_radius**2
+    (gx, gy, gt), (cx, cy) = cfg.goal, cfg.obstacle_center
     # Subtracting +0.0 is exact, so literal feedback shares the loop.
-    gx, gy, gt = np.asarray(cfg.goal, dtype=float).tolist() if cfg.error_feedback else (0.0,) * 3
+    fx, fy, ft = cfg.goal if cfg.error_feedback else (0.0, 0.0, 0.0)
     sin, cos, pi = math.sin, math.cos, math.pi
-    row_len = 3 * (T + 1)
-    out: list[float] = []
-    for (a0, a1, a2), (b0, b1, b2) in gains.tolist():
-        row_start = len(out)
-        x, y, th = start
-        out += start
+    cons: list[float] = []
+    terms: list[float] = []
+    for a0, a1, a2, b0, b1, b2 in points.tolist():
+        x, y, th = cfg.start
         try:
             for _ in range(T):
-                ex, ey, et = x - gx, y - gy, th - gt
-                # einsum sums (g0*e0 + g2*e2) + g1*e1 into a zeroed output;
-                # the + 0.0 turns a sum of negative zeros into 0.0 as it does.
-                v = (a0 * ex + a2 * et) + a1 * ey + 0.0
-                w = (b0 * ex + b2 * et) + b1 * ey + 0.0
+                ex, ey, et = x - fx, y - fy, th - ft
+                v = (a0 * ex + a2 * et) + a1 * ey
+                w = (b0 * ex + b2 * et) + b1 * ey
                 if v < -v_max:
                     v = -v_max
                 elif v > v_max:
@@ -336,10 +337,18 @@ def _simulate_rows(gains: np.ndarray, cfg: UnicycleConfig) -> np.ndarray:
                 x = x + ds * cos(a)
                 y = y + ds * sin(a)
                 th = th + dt * w
-                out += (x, y, th)
+                px, py, dx, dy, dz = x - cx, y - cy, x - gx, y - gy, th - gt
+                cons.append(r2 - (px * px + py * py))
+                terms.append((dx * dx + dy * dy) + dz * dz)
         except ValueError:
-            out += [math.nan] * (row_start + row_len - len(out))
-    return np.array(out).reshape(gains.shape[0], T + 1, 3)
+            x = math.nan
+        # Also catches a gain that is not finite, which the clamp can hide.
+        if not math.isfinite(x + y + th + a0 + a1 + a2 + b0 + b1 + b2):
+            return None
+    table = np.empty((P, T + 1))
+    table[:, 1:] = np.fromiter(cons, float, P * T).reshape(P, T)
+    np.divide(np.add.reduce(np.fromiter(terms, float, P * T).reshape(P, T), 1), T, out=table[:, 0])
+    return table
 
 
 # Half-width of the search box around the initial gain where L = 130 was measured.
@@ -357,7 +366,10 @@ def make_unicycle_problem(
 
     One constraint per trajectory step (m = T); no pre-aggregation, the
     algorithm's noisy max does that. The batch evaluator shares one
-    simulation per query point across all m+1 fields. The default
+    simulation per query point across all m+1 fields: batches of at most
+    _ROW_KERNEL_MAX_ROWS rows run row by row in Python floats
+    (_evaluate_rows), larger ones through simulate_unicycle_batch
+    (_evaluate_vectorized), with bitwise-equal tables. The default
     lipschitz value holds empirically on the default box with margin;
     a caller passing a smaller tuned value (as benchmark presets do)
     trades the containment guarantee for larger steps and must judge
@@ -365,28 +377,15 @@ def make_unicycle_problem(
     """
     cfg = cfg or UnicycleConfig()
     x0 = cfg.initial_gain.ravel().copy()
-    center = np.asarray(cfg.obstacle_center, dtype=float)
-    goal = np.asarray(cfg.goal, dtype=float)
-    r2 = cfg.obstacle_radius**2
-    T = cfg.horizon
 
     def eval_all(points: np.ndarray) -> np.ndarray:
-        P = points.shape[0]
-        traj = simulate_unicycle_batch(points.reshape(P, 2, 3), cfg)[:, 1:]
-        out = np.empty((P, T + 1))
-        sq = traj - goal
-        sq *= sq
-        # A row sum divided by T is bitwise what `mean` computes.
-        out[:, 0] = _sum_columns(sq).sum(axis=1) / T
-        sq = traj[:, :, :2] - center
-        sq *= sq
-        np.subtract(r2, _sum_columns(sq), out=out[:, 1:])
-        return out
+        table = _evaluate_rows(points, cfg) if len(points) <= _ROW_KERNEL_MAX_ROWS else None
+        return _evaluate_vectorized(points, cfg) if table is None else table
 
     return ProblemSpec(
         name="unicycle",
         dim=6,
-        num_constraints=T,
+        num_constraints=cfg.horizon,
         eval_all=eval_all,
         lipschitz=lipschitz,
         grad_lower=grad_lower,

@@ -10,8 +10,8 @@ from zobarrier.problems import (
     _ROW_KERNEL_MAX_ROWS,
     ProblemSpec,
     UnicycleConfig,
-    _simulate_rows,
-    _simulate_vectorized,
+    _evaluate_rows,
+    _evaluate_vectorized,
     _step,
     _sum_columns,
     analytic_names,
@@ -121,12 +121,14 @@ def test_diverged_trajectory_reports_step():
 
 
 KERNEL_CONFIGS = {
-    "literal": UnicycleConfig(),
-    "error-feedback": UnicycleConfig(error_feedback=True),
-    "v-max-20": UnicycleConfig(error_feedback=True, v_max=20.0),
-    # Negative zeros in the state: einsum sums into +0.0, so must the rows.
-    "signed-zero-start": UnicycleConfig(start=(0.0, -0.0, -0.0), omega_max=np.inf),
+    "literal": {},
+    "error-feedback": {"error_feedback": True},
+    "v-max-20": {"error_feedback": True, "v_max": 20.0},
+    "v-max-inf": {"v_max": np.inf},
+    # Negative zeros in the state reach no table entry: each is squared.
+    "signed-zero-start": {"start": (0.0, -0.0, -0.0), "omega_max": np.inf},
 }
+KERNEL_HORIZONS = (1, 5, 8, 30, 200)
 
 
 def kernel_gains(cfg, rows):
@@ -142,23 +144,36 @@ def kernel_gains(cfg, rows):
 @pytest.mark.parametrize("name", sorted(KERNEL_CONFIGS))
 def test_row_kernel_bitwise_equals_vectorized(name):
     # The solver's batches (1 base row, n_k perturbed rows) take the
-    # per-row float kernel, larger ones the vectorized loop. Each row's
-    # trajectory must be byte-identical whichever path and batch it is in;
-    # this also checks that math.sin/math.cos round as numpy's float64
-    # sin/cos do.
-    cfg = KERNEL_CONFIGS[name]
+    # per-row float kernel, larger ones the vectorized path. Each row's
+    # table must be byte-identical whichever path and batch it is in; this
+    # also checks that math.sin/math.cos round as numpy's float64 sin/cos
+    # do, and that the sum over T is numpy's pairwise one.
     big = _ROW_KERNEL_MAX_ROWS + 9
-    gains = kernel_gains(cfg, big)
-    full = simulate_unicycle_batch(gains, cfg)
-    assert full.shape == (big, cfg.horizon + 1, 3) and full.flags.c_contiguous
-    assert full.tobytes() == _simulate_vectorized(gains, cfg).tobytes()
-    assert _simulate_rows(gains, cfg).tobytes() == full.tobytes()
-    seven = simulate_unicycle_batch(gains[:7], cfg)
-    assert seven.flags.c_contiguous and seven.tobytes() == full[:7].tobytes()
-    for b in range(big):
-        alone = simulate_unicycle_batch(gains[b], cfg)
-        assert alone.shape == (1, cfg.horizon + 1, 3) and alone.flags.c_contiguous
-        assert alone.tobytes() == full[b].tobytes()
+    for horizon in KERNEL_HORIZONS:
+        cfg = UnicycleConfig(horizon=horizon, **KERNEL_CONFIGS[name])
+        evaluate = make_unicycle_problem(cfg).evaluate_all
+        points = kernel_gains(cfg, big).reshape(big, 6)
+        full = evaluate(points)
+        assert full.shape == (big, horizon + 1)
+        assert full.tobytes() == _evaluate_vectorized(points, cfg).tobytes()
+        assert _evaluate_rows(points, cfg).tobytes() == full.tobytes()
+        assert evaluate(points[:7]).tobytes() == full[:7].tobytes()
+        for b in range(big):
+            assert evaluate(points[b : b + 1]).tobytes() == full[b].tobytes()
+
+
+def test_trajectory_bitwise_the_same_in_any_batch():
+    for params in KERNEL_CONFIGS.values():
+        cfg = UnicycleConfig(**params)
+        gains = kernel_gains(cfg, _ROW_KERNEL_MAX_ROWS + 9)
+        full = simulate_unicycle_batch(gains, cfg)
+        assert full.shape == (len(gains), cfg.horizon + 1, 3) and full.flags.c_contiguous
+        seven = simulate_unicycle_batch(gains[:7], cfg)
+        assert seven.flags.c_contiguous and seven.tobytes() == full[:7].tobytes()
+        for b in range(len(gains)):
+            alone = simulate_unicycle_batch(gains[b], cfg)
+            assert alone.shape == (1, cfg.horizon + 1, 3) and alone.flags.c_contiguous
+            assert alone.tobytes() == full[b].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -173,12 +188,13 @@ def test_row_kernel_bitwise_equals_vectorized(name):
     ],
 )
 def test_diverged_step_same_on_both_kernels(start, gain, step):
-    cfg = UnicycleConfig(start=start, v_max=np.inf, omega_max=np.inf)
-    gains = np.zeros((_ROW_KERNEL_MAX_ROWS + 9, 2, 3))
-    gains[5] = gain
-    for batch in (gains[5], gains[:7], gains):
+    cfg = UnicycleConfig(start=start, v_max=np.inf, omega_max=np.inf, initial_gain=np.zeros((2, 3)))
+    evaluate = make_unicycle_problem(cfg).evaluate_all
+    points = np.zeros((_ROW_KERNEL_MAX_ROWS + 9, 6))
+    points[5] = np.ravel(gain)
+    for batch in (points[5:6], points[:7], points):
         with pytest.raises(DivergedTrajectoryError) as exc:
-            simulate_unicycle_batch(batch, cfg)
+            evaluate(batch)
         assert exc.value.step == step
 
 
@@ -195,6 +211,16 @@ def test_points_of_the_wrong_dimension_are_refused():
 def test_nonfinite_gain_rejected():
     with pytest.raises(ContractViolationError):
         simulate_unicycle_batch(np.full((2, 3), np.nan), UnicycleConfig())
+    # In error feedback an infinite gain meets a nonzero error, and the
+    # clamp turns the infinite input into a finite one.
+    cfg = UnicycleConfig(error_feedback=True)
+    evaluate = make_unicycle_problem(cfg).evaluate_all
+    for value in (np.inf, -np.inf, np.nan):
+        points = np.tile(cfg.initial_gain.ravel(), (7, 1))
+        points[3, 0] = value
+        for batch in (points[3:4], points):
+            with pytest.raises(ContractViolationError, match="gain matrix must be finite"):
+                evaluate(batch)
 
 
 def test_infeasible_start_rejected():
