@@ -20,8 +20,10 @@ whole cost (loop_us), and REPS times with each step wrapped in a timer:
                       cost, calibrated on an empty function
 
 Each figure is microseconds per iteration, the median over REPS runs in a
-worker and then over ROUNDS workers; the rounds alternate between the
-trees so that a drift in host speed reaches each alike, and each run is
+worker and then the median and quartiles (q1, q3) over ROUNDS workers, so
+that a reader can tell a change from drift between workers; the rounds
+alternate between the trees so that a drift in host speed reaches each
+alike, and each run is
 rescaled by perfbench's reference loop, timed in the same worker before
 and after it, to perfbench's reference host speed (raw times on a shared
 host swing up to 2x within minutes). BLAS and OpenMP threads are pinned
@@ -80,6 +82,13 @@ THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 def source(arg: str) -> tuple[str, Path]:
     label, _, path = arg.rpartition("=")
     return label or path, Path(path).resolve()
+
+
+def quartiles(values: list[float]) -> dict:
+    """q1, median and q3 of `values`, by the inclusive method (each within
+    the data's range), rounded to 0.01."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": round(q1, 2), "median": round(median, 2), "q3": round(q3, 2)}
 
 
 def _config(workload: str, output_dir):
@@ -251,7 +260,7 @@ def main() -> int:
             results[workload] = {}
             for label, rows in samples[workload].items():
                 results[workload][label] = {
-                    key: round(statistics.median(row[key] for row in rows), 2) for key in rows[0]
+                    key: quartiles([row[key] for row in rows]) for key in rows[0]
                 }
                 print(f"{workload} {label}: {results[workload][label]}", flush=True)
             dirs = []
@@ -268,10 +277,10 @@ def main() -> int:
         + " ".join(f"--src {label}=DIR" for label in sources),
         "machine": machine(),
         "workloads": {w: {**m, "base_seed": SEED, "trial": 0} for w, m in WORKLOADS.items()},
-        "timing": f"median of {REPS} runs per worker, then of {ROUNDS} fresh workers per source "
-        "and workload, rounds alternating between sources; each run rescaled by perfbench's "
-        f"reference loop to a host where it takes {REFERENCE_S} s (timer_overhead_us is raw); "
-        "BLAS/OpenMP threads pinned to 1",
+        "timing": f"median of {REPS} runs per worker, then q1, median and q3 over {ROUNDS} fresh "
+        "workers per source and workload, rounds alternating between sources; each run "
+        f"rescaled by perfbench's reference loop to a host where it takes {REFERENCE_S} s "
+        "(timer_overhead_us is raw); BLAS/OpenMP threads pinned to 1",
         "results": results,
         "csvs_byte_equal": identical,
     }

@@ -63,11 +63,23 @@ MUTANTS = {
         "(mag < 1e17)",
     ),
     # Audit rows are the queries in the order they were made: perturbed
-    # row j of iteration k is x_k + nu_k * s_j.
+    # row j of iteration k is x_k + nu_k * s_j. The mutant writes each
+    # measurement's rows into the log reversed, each point with its truth.
     "audit-perturbed-rows-reversed": (
         "src/zobarrier/oracle.py",
-        "self._chunks.append((iteration, side, points, truth))",
-        "self._chunks.append((iteration, side, points[::-1], truth[::-1]))",
+        "ks[lo:hi], sides[lo:hi], logged[lo:hi] = iteration, side, points\n"
+        "        self._rows = hi\n"
+        "        return truth[lo:hi]",
+        "ks[lo:hi], sides[lo:hi], logged[lo:hi] = iteration, side, points[::-1]\n"
+        "        self._rows = hi\n"
+        "        return truth[lo:hi][::-1]",
+    ),
+    # The CSV writers take every row, a chunk of rows at a time: a chunk
+    # that stops one row short drops the last row of each chunk.
+    "csv-chunk-drops-its-last-row": (
+        "src/zobarrier/oracle.py",
+        "rows = slice(lo, lo + step)",
+        "rows = slice(lo, lo + step - 1)",
     ),
     # The audit's max-constraint reads every constraint column: a point
     # that violates only the last constraint is still flagged.

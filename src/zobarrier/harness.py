@@ -38,7 +38,7 @@ from .errors import (
     ZobarrierError,
 )
 from .estimator import confidence_bounds, margin, sphere_sample
-from .oracle import MeasurementOracle, NoiseModel, csv_text, write_audit_csv
+from .oracle import MeasurementOracle, NoiseModel, write_audit_csv, write_csv
 from .problems import ProblemSpec, UnicycleConfig, analytic_names, analytic_problem, make_unicycle_problem
 from .smoothing import smoothed_gradient, smoothed_value
 from .solver import (
@@ -284,23 +284,19 @@ def write_trace_csv(result: RunResult, path: Path) -> None:
 
     Bytes match `csv.writer` output: CRLF line ends, floats as `repr`,
     formatted by `float_rows` (orjson for 1e-4 <= |v| < 1e16 and +-0.0,
-    `repr` elsewhere) and assembled as the audit CSV is."""
+    `repr` elsewhere) in chunks of rows, as the audit CSV is (`write_csv`)."""
     dim = len(result.x_final)
     header = (
         ["k"]
         + [f"x{i}" for i in range(dim)]
         + ["alpha_hat", "g_norm", "gamma_k", "weight", "true_objective", "true_max_constraint"]
     )
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        if result.trace:
-            table = np.column_stack((
-                np.stack([r.x for r in result.trace]),
-                [(r.alpha_hat, r.g_norm, r.gamma, r.weight) for r in result.trace],
-                *_iterate_truth(result),
-            ))
-            ks = [r.k for r in result.trace]
-            fh.write(csv_text([f"{ks[0]},", *[f"\r\n{k}," for k in ks[1:]], "\r\n"], table))
+    trace = result.trace
+    ks = [r.k for r in trace]
+    x = np.array([r.x for r in trace]).reshape(len(ks), dim)
+    steps = np.array([(r.alpha_hat, r.g_norm, r.gamma, r.weight) for r in trace]).reshape(-1, 4)
+    write_csv(path, header, [x, steps, *_iterate_truth(result)], lambda rows: [
+        f"{ks[rows.start]},", *[f"\r\n{k}," for k in ks[rows][1:]], "\r\n"])
 
 
 def run_trial(
@@ -447,14 +443,15 @@ def _pin_mmap_threshold() -> None:
 
     Otherwise glibc raises the threshold to the size of each mapped block
     freed, up to 32 MiB. Once a run has freed a multi-megabyte block
-    (audit columns, CSV text, a read of the audit file), later blocks up
+    (the audit log as it grows, a read of the audit file), later blocks up
     to that size come from the heap, and how much of the heap stays
     resident depends on where its holes fell: the peak resident size of
     repeated smooth-2con-wide runs sat in two modes 2.6 MB apart, picked
     by details as small as the length of the output path. With the
     threshold fixed, each block of 128 KiB or more is mapped when
-    allocated and returned when freed. A C library without mallopt
-    (not glibc) is left as it is.
+    allocated and returned when freed; the CSV writers keep their text
+    blocks under it (`oracle._CSV_CHUNK_VALUES`). A C library without
+    mallopt (not glibc) is left as it is.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

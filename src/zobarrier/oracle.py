@@ -98,7 +98,7 @@ class SafetyAudit:
     SIDE_PERTURBED), coordinates, true objective and true max-constraint
     (both NaN where the evaluation diverged). Rows are in query order;
     the solver's iteration k gives its base row x_k, then its perturbed
-    rows j = 1..n.
+    rows j = 1..n. An oracle's audit holds read-only views of its log.
     """
 
     iterations: np.ndarray  # (P,) int
@@ -128,21 +128,20 @@ class MeasurementOracle:
     """Serves noisy measurements of one problem and audits every query.
 
     Value computation is pure given the stream key. The oracle is
-    single-threaded: each measurement appends one chunk of audit columns
-    (iteration, side, points, [true objective, true max-constraint]),
-    and `audit` concatenates them in query order.
+    single-threaded. Its audit is one log of four columns (iteration,
+    side, points, [true objective, true max-constraint]): each
+    measurement writes its rows in place after the last, and a
+    measurement that does not fit doubles the capacity (or grows it to
+    fit). `audit` returns read-only views of the rows written so far.
     """
 
-    def __init__(
-        self,
-        problem: ProblemSpec,
-        noise: NoiseModel,
-        budget_cap: int | None = None,
-    ):
+    def __init__(self, problem: ProblemSpec, noise: NoiseModel, budget_cap: int | None = None):
         self.problem = problem
         self.noise = noise
         self.budget_cap = budget_cap
-        self._chunks: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+        self._log = [np.empty(0, np.int64), np.empty(0, np.int8)]  # iterations, sides
+        self._log += [np.empty((0, problem.dim)), np.empty((0, 2))]  # points, truth
+        self._rows = 0
         self._scalar_calls = 0
         self._directions = 0
 
@@ -168,12 +167,27 @@ class MeasurementOracle:
         self._scalar_calls += scalar_calls
         self._directions += directions
 
+    def _log_rows(self, iteration: int, side: int, points: np.ndarray) -> np.ndarray:
+        """Write a measurement's rows after the last in the log, growing it
+        where they do not fit; returns their (P, 2) truth rows to fill."""
+        lo, capacity = self._rows, len(self._log[0])
+        hi = lo + len(points)
+        if hi > capacity:
+            grown = [np.empty((max(hi, 2 * capacity), *a.shape[1:]), a.dtype) for a in self._log]
+            for new, old in zip(grown, self._log):
+                new[:lo] = old[:lo]
+            self._log = grown
+        ks, sides, logged, truth = self._log
+        ks[lo:hi], sides[lo:hi], logged[lo:hi] = iteration, side, points
+        self._rows = hi
+        return truth[lo:hi]
+
     def _measure(self, iteration: int, side: int, points: np.ndarray, n: int, directions: int):
         """Charge, audit and serve one measurement: n noisy rows (n, m+1) of
         the true values at `points`, (1, d) for a base and (n, d) for a
-        perturbed measurement; `points` must not alias caller memory.
+        perturbed measurement.
 
-        The chunk is appended before any refusal, so refused points are
+        The rows are logged before any refusal, so refused points are
         still audited and flagged: a diverged evaluation is recorded with
         NaN true values and re-raised; non-finite values, then infeasible
         points, raise NonFiniteMeasurementError and UnsafeQueryError."""
@@ -182,13 +196,11 @@ class MeasurementOracle:
         try:
             true_vals = self.problem.evaluate_all(points)
         except DivergedTrajectoryError:
-            self._chunks.append((iteration, side, points, np.full((len(points), 2), np.nan)))
+            self._log_rows(iteration, side, points).fill(np.nan)
             raise
-        # [f0, max_i fi] as a new (P, 2) array: a view of true_vals would keep
-        # the whole table alive, and one array per chunk holds least memory.
-        truth = true_vals[:, :2].copy()
+        truth = self._log_rows(iteration, side, points)
+        truth[:, 0] = true_vals[:, 0]
         constraint_max(true_vals, out=truth[:, 1])
-        self._chunks.append((iteration, side, points, truth))
         # np.count_nonzero is one C call; .any() and .all() are ufunc reductions.
         if np.count_nonzero(np.isfinite(true_vals)) < true_vals.size:
             raise NonFiniteMeasurementError(
@@ -230,33 +242,32 @@ class MeasurementOracle:
     # -- audit ---------------------------------------------------------------
 
     def audit(self) -> SafetyAudit:
-        """Complete audit so far, rows in query order. The leading empty
-        chunk gives an audit of no queries its (0, dim) point shape."""
-        ks, sides, points, truths = zip(
-            (0, 0, np.zeros((0, self.problem.dim)), np.zeros((0, 2))), *self._chunks
-        )
-        rows = [len(p) for p in points]
-        truth = np.concatenate(truths)
-        return SafetyAudit(
-            iterations=np.repeat(np.array(ks, dtype=np.int64), rows),
-            sides=np.repeat(np.array(sides, dtype=np.int8), rows),
-            points=np.concatenate(points),
-            true_objective=truth[:, 0],
-            true_max_constraint=truth[:, 1],
-            total_scalar_calls=self._scalar_calls,
-            total_directions=self._directions,
-        )
+        """Complete audit so far, rows in query order: read-only views of
+        the log's first rows, which later measurements never write."""
+        views = [a[: self._rows] for a in self._log]
+        for view in views:
+            view.flags.writeable = False
+        ks, sides, points, truth = views
+        calls = self._scalar_calls, self._directions
+        return SafetyAudit(ks, sides, points, truth[:, 0], truth[:, 1], *calls)
 
 
 _TAGS = {SIDE_BASE: "base", SIDE_PERTURBED: "perturbed"}
 
-# Rows formatted per write: bounds the strings alive at once.
-_CSV_CHUNK_ROWS = 4096
+# Float values formatted per CSV write, and per orjson call. At 25 bytes a
+# value at most, plus row labels, a chunk's joined lines and orjson's
+# buffer, which doubles as it fills, stay under the 128 KiB mmap threshold
+# that `harness._pin_mmap_threshold` fixes: the heap serves them and reuses
+# them from chunk to chunk, where a mapped block would be faulted in page
+# by page and unmapped every time.
+_CSV_CHUNK_VALUES = 4096
+_ORJSON_VALUES = 2048
 
 
 def float_rows(table: np.ndarray) -> list[str]:
     """The rows of a 2-D float table as strings: each row's values as
-    `repr(float(v))`, joined by commas. One orjson call formats the table.
+    `repr(float(v))`, joined by commas, formatted by orjson
+    `_ORJSON_VALUES` values at a time.
 
     orjson prints the shortest decimal that round-trips (Ryu), byte for
     byte as `repr` does for 1e-4 <= |v| < 1e16 and for +-0.0. Outside
@@ -268,7 +279,10 @@ def float_rows(table: np.ndarray) -> list[str]:
         raise ContractViolationError("float_rows takes a 2-D array")
     if table.size == 0:
         return [""] * len(table)
-    rows = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
+    step, rows = max(1, _ORJSON_VALUES // table.shape[1]), []
+    for lo in range(0, len(table), step):
+        text = orjson.dumps(table[lo : lo + step], option=orjson.OPT_SERIALIZE_NUMPY)
+        rows += text[2:-2].decode().split("],[")
     mag = np.abs(table)
     outside = ~(((mag >= 1e-4) & (mag < 1e16)) | (table == 0.0))
     at_rows, at_cols = np.nonzero(outside)
@@ -280,30 +294,35 @@ def float_rows(table: np.ndarray) -> list[str]:
     return rows
 
 
-def csv_text(separators: list[str], table: np.ndarray) -> str:
-    """separators[0], row 0 of `table`, separators[1], ..., row P-1,
-    separators[P], with rows formatted by `float_rows`: CSV lines whose
-    float fields sit between the separators, built with one join."""
-    tokens = [""] * (2 * len(separators) - 1)
-    tokens[0::2] = separators
-    tokens[1::2] = float_rows(table)
-    return "".join(tokens)
-
-
-def _separators(iterations: np.ndarray, sides: np.ndarray, violated: np.ndarray) -> list[str]:
+def _separators(ks: np.ndarray, sides: np.ndarray, violated: np.ndarray) -> list[str]:
     """The text around the float fields of a chunk of audit rows: "k,tag,"
     before row 0, ",flag\r\nk,tag," between rows and ",flag\r\n" after the
     last. A measurement's rows share one label, so each separator is
     formatted once per run of equal (iteration, side) and flag."""
-    new_run = (iterations[1:] != iterations[:-1]) | (sides[1:] != sides[:-1])
-    starts = np.flatnonzero(np.r_[True, new_run])
-    labels = [
-        f"{k},{_TAGS[s]}," for k, s in zip(iterations[starts].tolist(), sides[starts].tolist())
-    ]
+    new_run = (ks[1:] != ks[:-1]) | (sides[1:] != sides[:-1])
+    starts = np.flatnonzero(np.concatenate(([True], new_run)))
+    labels = [f"{k},{_TAGS[s]}," for k, s in zip(ks[starts].tolist(), sides[starts].tolist())]
     between = np.array([f",{flag}\r\n{label}" for label in labels for flag in "01"], dtype=object)
-    run = np.cumsum(new_run)
-    flags = violated.astype(np.intp)
-    return [labels[0], *between[2 * run + flags[:-1]].tolist(), f",{flags[-1]}\r\n"]
+    flags = violated.view(np.int8)
+    return [labels[0], *between[2 * new_run.cumsum() + flags[:-1]].tolist(), f",{flags[-1]}\r\n"]
+
+
+def write_csv(path, header: list[str], columns: list[np.ndarray], separators) -> None:
+    """CSV file of a header line, then the rows of `columns` side by side
+    (a 1-D column is one field) formatted by `float_rows`: for a slice of
+    rows, `separators(rows)` is the text before row 0's float fields,
+    between each two rows' and after the last's. Rows are written
+    max(1, _CSV_CHUNK_VALUES // fields) at a time, each chunk one join."""
+    step = max(1, _CSV_CHUNK_VALUES // sum(math.prod(c.shape[1:]) for c in columns))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(columns[0]), step):
+            rows = slice(lo, lo + step)
+            text = separators(rows)
+            tokens = [""] * (2 * len(text) - 1)
+            tokens[0::2] = text
+            tokens[1::2] = float_rows(np.column_stack([c[rows] for c in columns]))
+            fh.write("".join(tokens))
 
 
 def write_audit_csv(audit: SafetyAudit, path) -> None:
@@ -311,15 +330,9 @@ def write_audit_csv(audit: SafetyAudit, path) -> None:
 
     Bytes match `csv.writer` output: CRLF line ends, floats as `repr`.
     Floats are formatted by `float_rows` (orjson for 1e-4 <= |v| < 1e16
-    and +-0.0, `repr` elsewhere), in chunks of rows so that memory stays
-    bounded however long the audit is; each chunk is one join."""
+    and +-0.0, `repr` elsewhere), in chunks of rows (`write_csv`)."""
     dim = audit.points.shape[1]
     header = ["k", "tag"] + [f"x{i}" for i in range(dim)] + ["true_fc", "violated"]
     violated = audit.violated
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, len(audit), _CSV_CHUNK_ROWS):
-            rows = slice(lo, lo + _CSV_CHUNK_ROWS)
-            seps = _separators(audit.iterations[rows], audit.sides[rows], violated[rows])
-            table = np.column_stack((audit.points[rows], audit.true_max_constraint[rows]))
-            fh.write(csv_text(seps, table))
+    write_csv(path, header, [audit.points, audit.true_max_constraint], lambda rows: _separators(
+        audit.iterations[rows], audit.sides[rows], violated[rows]))

@@ -33,6 +33,7 @@ from zobarrier.harness import (
     verify_properties,
     write_trace_csv,
 )
+from zobarrier.oracle import _CSV_CHUNK_VALUES
 
 BASE_CONFIG = {
     "problem": {"name": "linear-ball", "noise_sigma": 0.02},
@@ -380,6 +381,25 @@ def test_trace_csv_matches_csv_writer_bytes(tmp_path):
     got = (tmp_path / "columnar.csv").read_bytes()
     assert got == (tmp_path / "legacy.csv").read_bytes()
     assert got.count(b"\r\n") == 1 + 12 and b",nan," in got
+
+
+def test_a_trace_csv_of_several_chunks_matches_csv_writer_bytes(tmp_path):
+    # The trace is written a chunk of rows at a time, as the audit is:
+    # max(1, _CSV_CHUNK_VALUES // fields) rows, with d + 6 float fields.
+    chunk = max(1, _CSV_CHUNK_VALUES // (2 + 6))
+    cfg = make_config(tmp_path, algo={"max_iters": 2 * chunk + 5, "n_fixed": 2})
+    problem = build_problem(cfg.problem_name, cfg.problem_options)
+    result, _ = run_trial(problem, cfg, 0)
+    assert len(result.trace) == 2 * chunk + 5
+    # A NaN as the first value of the second chunk.
+    result.trace[chunk] = dataclasses.replace(result.trace[chunk], alpha_hat=float("nan"))
+    write_trace_csv(result, tmp_path / "columnar.csv")
+    legacy_trace_csv(result, problem, tmp_path / "legacy.csv")
+    got = (tmp_path / "columnar.csv").read_bytes()
+    assert got == (tmp_path / "legacy.csv").read_bytes()
+    assert got.count(b"\r\n") == 1 + 2 * chunk + 5
+    line = got.split(b"\r\n")[1 + chunk]
+    assert line.startswith(b"%d," % (chunk + 1)) and b",nan," in line
 
 
 def test_trace_csv_refuses_a_trace_the_audit_does_not_cover(tmp_path):

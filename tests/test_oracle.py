@@ -15,6 +15,7 @@ from zobarrier.errors import (
 )
 from zobarrier.estimator import sphere_sample
 from zobarrier.oracle import (
+    _CSV_CHUNK_VALUES,
     MeasurementOracle,
     NoiseModel,
     SafetyAudit,
@@ -226,6 +227,43 @@ def test_audit_true_values_are_the_evaluated_rows(problem):
     np.testing.assert_array_equal(audit.true_max_constraint, values[:, 1:].max(axis=1))
 
 
+def test_an_audit_is_a_read_only_view_that_later_measurements_leave_as_it_is(ball):
+    # The log grows in place; an audit taken before it grows keeps its
+    # rows, and neither audit can be written through.
+    oracle = make_oracle(ball)
+    dirs = sphere_sample(2, 3, substream(7))
+    measure_iteration(oracle, np.zeros(2), dirs, 0.05, 1)
+    first = oracle.audit()
+    columns = ("iterations", "sides", "points", "true_objective", "true_max_constraint")
+    kept = {name: getattr(first, name).copy() for name in columns}
+    xs = [np.array([0.01 * k, -0.02 * k]) for k in range(2, 40)]
+    for k, x in enumerate(xs, start=2):
+        measure_iteration(oracle, x, dirs, 0.05, k)
+    wide = sphere_sample(2, 1000, substream(8))
+    oracle.measure_perturbed(np.zeros(2), wide, 0.05, 40)
+    second = oracle.audit()
+    assert not np.shares_memory(first.points, second.points)  # the log grew
+    for name in columns:
+        np.testing.assert_array_equal(getattr(first, name), kept[name])
+        for audit in (first, second):
+            assert not getattr(audit, name).flags.writeable
+            with pytest.raises(ValueError):
+                getattr(audit, name)[0] = 1
+    # The second audit's rows are every query in order, the first's leading.
+    points = [np.zeros((1, 2)), 0.05 * dirs]
+    for x in xs:
+        points += [x[None, :], x[None, :] + 0.05 * dirs]
+    points.append(0.05 * wide)
+    np.testing.assert_array_equal(second.points, np.concatenate(points))
+    assert second.iterations.tolist() == [k for k in range(1, 40) for _ in range(4)] + [40] * 1000
+    sides = [SIDE_BASE, *[SIDE_PERTURBED] * 3] * 39 + [SIDE_PERTURBED] * 1000
+    assert second.sides.tolist() == sides
+    values = ball.evaluate_all(second.points)
+    np.testing.assert_array_equal(second.true_objective, values[:, 0])
+    np.testing.assert_array_equal(second.true_max_constraint, values[:, 1])
+    assert len(second) == 39 * 4 + 1000 and second.total_scalar_calls == 2 * (39 * 6 + 1000)
+
+
 def test_audit_keeps_points_not_caller_arrays(ball):
     oracle = make_oracle(ball)
     x = np.array([0.1, 0.2])
@@ -336,9 +374,15 @@ def test_audit_csv_matches_csv_writer_bytes(ball, tmp_path):
     )
     with pytest.raises(UnsafeQueryError):
         oracle.measure_base(np.array([2.0, 0.0]), 1, iteration=10**12 + 1)
-    # A perturbed run of 4100 rows across the 4096-row chunk boundary whose
-    # row 2000 alone (direction (1, 0)) leaves the ball.
-    angles = 2.0 * np.pi * (np.arange(4100) - 2000) / 4100
+    # A perturbed run across two boundaries of the writer's chunks (three
+    # float fields a row) that ends a chunk past the second. Its one row
+    # that leaves the ball (direction (1, 0); the others point left) is the
+    # first row of a chunk: the flag flips exactly at a chunk boundary.
+    chunk = max(1, _CSV_CHUNK_VALUES // 3)
+    start = len(oracle.audit())
+    boundary = (start // chunk + 2) * chunk
+    angles = np.linspace(0.5 * np.pi, 1.5 * np.pi, boundary + chunk - start)
+    angles[boundary - start] = 0.0
     dirs = np.column_stack((np.cos(angles), np.sin(angles)))
     with pytest.raises(UnsafeQueryError):
         oracle.measure_perturbed(np.array([0.9, 0.0]), dirs, 0.1 + 1e-7, iteration=7)
@@ -349,9 +393,9 @@ def test_audit_csv_matches_csv_writer_bytes(ball, tmp_path):
         oracle.measure_base(np.array([0.0, 6.0]), 1, iteration=9)
     audit = oracle.audit()
     long_run = np.flatnonzero(audit.iterations == 7)
-    assert long_run[0] < 4096 < long_run[-1]
+    assert long_run[0] < boundary - chunk and long_run[-1] == boundary + chunk - 1
     assert np.flatnonzero(audit.violated).tolist() == [
-        long_run[0] - 1, long_run[2000], len(audit) - 2, len(audit) - 1
+        long_run[0] - 1, boundary, len(audit) - 2, len(audit) - 1
     ]
     write_audit_csv(audit, tmp_path / "columnar.csv")
     legacy_audit_csv(audit, tmp_path / "legacy.csv")
