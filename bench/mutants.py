@@ -98,12 +98,23 @@ MUTANTS = {
         "audit.sides == SIDE_BASE",
         "audit.sides != SIDE_BASE",
     ),
-    # A helper process runs share w of the trials (w, w + W, ...); the
-    # outputs must not depend on how many processes ran them.
+    # The fork map: a helper runs share w of the items (w, w + W, ...), the
+    # results come back in item order, and the lowest-index error is raised.
+    # No output may depend on how many processes ran the items.
     "helper-runs-the-wrong-trials": (
         "src/zobarrier/harness.py",
-        "summaries, error = _run_share(problem, cfg, share, workers)",
-        "summaries, error = _run_share(problem, cfg, share - 1, workers)",
+        "done, error = share(w)",
+        "done, error = share(w - 1)",
+    ),
+    "map-results-out-of-item-order": (
+        "src/zobarrier/harness.py",
+        "return [reports[i % workers][0][i // workers] for i in range(len(items))]",
+        "return [result for done, _ in reports for result in done]",
+    ),
+    "map-raises-the-highest-index-error": (
+        "src/zobarrier/harness.py",
+        "raise min(errors, key=lambda error: error[0])[1]",
+        "raise max(errors, key=lambda error: error[0])[1]",
     ),
     # The start point must be certified feasible before the first step.
     "no-start-check": (

@@ -354,84 +354,94 @@ def run_trial(
     return result, summary
 
 
-def _worker_count(trials: int) -> int:
-    """Processes for `trials` trials: one per usable CPU, at most one per
-    trial, and 1 where fork or CPU affinity is unavailable or where other
+def _worker_count(items: int) -> int:
+    """Processes for `items` items: one per usable CPU, at most one per
+    item, and 1 where fork or CPU affinity is unavailable or where other
     threads run (a forked child keeps only the forking thread, so a lock
     another thread held would never be released in it)."""
     if (
-        trials < 2
+        items < 2
         or not hasattr(os, "fork")
         or not hasattr(os, "sched_getaffinity")
         or threading.active_count() > 1
     ):
         return 1
-    return min(trials, len(os.sched_getaffinity(0)))
+    return min(items, len(os.sched_getaffinity(0)))
 
 
-def _run_share(problem: ProblemSpec, cfg: ExperimentConfig, share: int, workers: int):
-    """Run trials share, share + workers, ... in order and write their CSVs.
+def _fork_map(fn, items) -> list:
+    """[fn(item) for item in items] for a sequence `items`, run in
+    W = _worker_count(len(items)) processes.
 
-    Returns their summaries and, if one raised, (trial, error) for it;
-    the share stops there, as a serial run stops at its first error.
+    Share w is items w, w + W, w + 2W, ...: the caller runs share 0, and a
+    forked helper runs each other share and pickles back (results,
+    (index, error) | None) through a pipe. An error stops its share; once
+    every share has ended, the lowest-index error is raised, and one that
+    pickle cannot carry crosses as a ZobarrierError holding its traceback.
+    Every helper is reaped, and killed if the caller is interrupted.
     """
-    summaries = []
-    for t in range(share, cfg.trials, workers):
-        try:
-            result, summary = run_trial(problem, cfg, t)
-            _atomic_write(
-                cfg.output_dir / f"trial{t:03d}_trace.csv",
-                lambda p, r=result: write_trace_csv(r, p),
-            )
-            _atomic_write(
-                cfg.output_dir / f"trial{t:03d}_audit.csv",
-                lambda p, r=result: write_audit_csv(r.audit, p),
-            )
-        except Exception as exc:
-            return summaries, (t, exc)
-        summaries.append(summary)
-    return summaries, None
+    workers = _worker_count(len(items))
 
+    def share(w):
+        done = []
+        for i in range(w, len(items), workers):
+            try:
+                done.append(fn(items[i]))
+            except Exception as exc:
+                return done, (i, exc)
+        return done, None
 
-def _fork_share(problem: ProblemSpec, cfg: ExperimentConfig, share: int, workers: int):
-    """Fork a helper that runs one share and sends its pickled
-    `_run_share` report through a pipe; returns (pid, read end)."""
-    sys.stdout.flush()  # or the helper would print the caller's buffered output again
-    sys.stderr.flush()
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    try:  # the helper: it never returns into the caller's stack
-        os.close(read_fd)
-        summaries, error = _run_share(problem, cfg, share, workers)
-        try:
-            report = pickle.dumps((summaries, error))
-        except Exception:  # an error pickle cannot carry crosses as its traceback
-            trial, exc = error
-            text = "".join(traceback.format_exception(exc)).rstrip()
-            report = pickle.dumps((summaries, (trial, ZobarrierError(f"trial {trial}: {text}"))))
-        sys.stdout.flush()
-        sys.stderr.flush()
-        with open(write_fd, "wb") as fh:
-            fh.write(report)
-        os._exit(0)
-    except BaseException:
-        traceback.print_exc()  # the caller learns only that no report came
-        sys.stderr.flush()
-    finally:
-        os._exit(1)
-
-
-def _collect(pid: int, read_fd: int):
-    """The report a helper sent; a helper that ended without one raises."""
-    with open(read_fd, "rb", closefd=False) as fh:
-        data = fh.read()
+    helpers = []
     try:
-        return pickle.loads(data)
-    except Exception as exc:
-        raise ZobarrierError(f"trial process {pid} ended without a readable report") from exc
+        for w in range(1, workers):
+            sys.stdout.flush()  # or the helper would print the caller's buffered output again
+            sys.stderr.flush()
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if not pid:  # the helper: it never returns into the caller's stack
+                try:
+                    os.close(read_fd)
+                    done, error = share(w)
+                    try:
+                        report = pickle.dumps((done, error))
+                    except Exception:
+                        i, exc = error
+                        text = "".join(traceback.format_exception(exc)).rstrip()
+                        report = pickle.dumps((done, (i, ZobarrierError(f"item {i}: {text}"))))
+                    sys.stdout.flush()
+                    sys.stderr.flush()
+                    with open(write_fd, "wb") as fh:
+                        fh.write(report)
+                    os._exit(0)
+                except BaseException:
+                    traceback.print_exc()  # the caller learns only that no report came
+                    sys.stderr.flush()
+                finally:
+                    os._exit(1)
+            os.close(write_fd)
+            helpers.append((pid, read_fd))
+        reports = [share(0)]
+        for pid, read_fd in helpers:
+            with open(read_fd, "rb", closefd=False) as fh:
+                data = fh.read()
+            try:
+                reports.append(pickle.loads(data))
+            except Exception as exc:
+                raise ZobarrierError(f"helper {pid} ended without a readable report") from exc
+    except BaseException:
+        from signal import SIGKILL  # only this path needs the module
+
+        for pid, _ in helpers:  # none is reaped yet, so each pid is still its own
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        for pid, read_fd in helpers:
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+    errors = [error for _, error in reports if error is not None]
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    return [reports[i % workers][0][i // workers] for i in range(len(items))]
 
 
 # glibc's mallopt parameter number for the mmap threshold.
@@ -468,40 +478,26 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     First fixes the process's mmap threshold (`_pin_mmap_threshold`), so
     that its resident size does not depend on heap layout.
 
-    The trials run in W = min(trials, usable CPUs) processes; W = 1 where
-    fork or CPU affinity is unavailable, or other threads run. Share w is
-    trials w, w + W, w + 2W, ...: the calling process runs share 0 itself,
-    and a forked helper runs each other share, writes its trials' CSVs and
-    sends their summaries back through a pipe. Each trial's seed and
-    streams are keyed by its index, so every output file is the same for
-    any W. A failing trial stops its share; once every share has ended,
-    the error of the lowest-numbered failing trial is raised and no
-    summary.json is written.
+    The trials run through `_fork_map`, each process writing its own
+    trials' CSVs. Each trial's seed and streams are keyed by its index, so
+    every output file is the same in any number of processes. If a trial
+    fails, its error is raised and no summary.json is written.
     """
     _pin_mmap_threshold()
     problem = build_problem(cfg.problem_name, cfg.problem_options)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    workers = _worker_count(cfg.trials)
-    helpers = []
-    try:
-        for share in range(1, workers):
-            helpers.append(_fork_share(problem, cfg, share, workers))
-        reports = [_run_share(problem, cfg, 0, workers)]
-        reports += [_collect(pid, read_fd) for pid, read_fd in helpers]
-    except BaseException:
-        from signal import SIGKILL  # only this path needs the module
 
-        for pid, _ in helpers:  # none is reaped yet, so each pid is still its own
-            os.kill(pid, SIGKILL)
-        raise
-    finally:
-        for pid, read_fd in helpers:
-            os.close(read_fd)
-            os.waitpid(pid, 0)
-    errors = [error for _, error in reports if error is not None]
-    if errors:
-        raise min(errors, key=lambda error: error[0])[1]
-    summaries = sorted((s for done, _ in reports for s in done), key=lambda s: s.trial)
+    def trial(t):
+        result, summary = run_trial(problem, cfg, t)
+        _atomic_write(
+            cfg.output_dir / f"trial{t:03d}_trace.csv", lambda p: write_trace_csv(result, p)
+        )
+        _atomic_write(
+            cfg.output_dir / f"trial{t:03d}_audit.csv", lambda p: write_audit_csv(result.audit, p)
+        )
+        return summary
+
+    summaries = _fork_map(trial, range(cfg.trials))
     finals = [s.final_objective for s in summaries]
     aggregate = {
         "objective_median": float(np.median(finals)),
@@ -682,9 +678,12 @@ def check_smoothing_properties(
       value bias    |f_nu(x) - f(x)| <= nu*L + 4*SE
       gradient norm |grad f_nu(x)|  <= L + 4*SE
       smoothness    |grad f_nu(x) - grad f_nu(y)| <= (sqrt(d)*L/nu)|x-y| + 8*SE
+    The benchmarks run through `_fork_map`, each on its own stream, so
+    the checks are the same, in benchmark order, in any number of processes.
     """
-    checks = []
-    for bench_idx, bench in enumerate(_SMOOTHING_BENCHMARKS):
+
+    def bench_checks(bench_idx):
+        bench = _SMOOTHING_BENCHMARKS[bench_idx]
         problem = analytic_problem(bench)
         L = problem.lipschitz
         d = problem.dim
@@ -715,32 +714,32 @@ def check_smoothing_properties(
             gy, se_y = smoothed_gradient(fb, y, nu, n_mc, rng)
             allowance = m_nu * float(np.linalg.norm(x - y)) + 8.0 * max(se_x, se_y)
             worst_lip = max(worst_lip, float(np.linalg.norm(gx - gy)) - allowance)
-        checks.extend(
-            [
-                PropertyCheck(
-                    name=f"smoothing/{bench}/value-bias",
-                    passed=worst_bias <= 0.0,
-                    statistic=worst_bias,
-                    threshold=0.0,
-                    detail=f"max |f_nu - f| excess over nu*L + 4*SE, nu={nu}",
-                ),
-                PropertyCheck(
-                    name=f"smoothing/{bench}/gradient-norm",
-                    passed=worst_norm <= 0.0,
-                    statistic=worst_norm,
-                    threshold=0.0,
-                    detail="max |grad f_nu| excess over L + 4*SE",
-                ),
-                PropertyCheck(
-                    name=f"smoothing/{bench}/gradient-lipschitz",
-                    passed=worst_lip <= 0.0,
-                    statistic=worst_lip,
-                    threshold=0.0,
-                    detail="max gradient-difference excess over (sqrt(d)L/nu)|x-y| + 8*SE",
-                ),
-            ]
-        )
-    return checks
+        return [
+            PropertyCheck(
+                name=f"smoothing/{bench}/value-bias",
+                passed=worst_bias <= 0.0,
+                statistic=worst_bias,
+                threshold=0.0,
+                detail=f"max |f_nu - f| excess over nu*L + 4*SE, nu={nu}",
+            ),
+            PropertyCheck(
+                name=f"smoothing/{bench}/gradient-norm",
+                passed=worst_norm <= 0.0,
+                statistic=worst_norm,
+                threshold=0.0,
+                detail="max |grad f_nu| excess over L + 4*SE",
+            ),
+            PropertyCheck(
+                name=f"smoothing/{bench}/gradient-lipschitz",
+                passed=worst_lip <= 0.0,
+                statistic=worst_lip,
+                threshold=0.0,
+                detail="max gradient-difference excess over (sqrt(d)L/nu)|x-y| + 8*SE",
+            ),
+        ]
+
+    per_bench = _fork_map(bench_checks, range(len(_SMOOTHING_BENCHMARKS)))
+    return [check for checks in per_bench for check in checks]
 
 
 def check_output_law(

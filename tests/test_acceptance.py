@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from zobarrier.harness import (
+    _fork_map,
     build_problem,
     check_coverage,
     check_estimator_unbiasedness,
@@ -84,6 +85,12 @@ def unicycle_bundle(tmp_path_factory):
     )
 
 
+def seeded_run(problem, cfg, seed):
+    """One run with noise and algo seed `seed`, as a trial of that seed runs."""
+    oracle = MeasurementOracle(problem, NoiseModel(kind="gaussian", sigma=0.01, master_seed=seed))
+    return run(problem, dataclasses.replace(cfg, seed=seed), oracle)
+
+
 @pytest.fixture(scope="module")
 def ball_bundle():
     problem = analytic_problem("linear-ball", noise_sigma=0.01)
@@ -97,13 +104,7 @@ def ball_bundle():
         nu_policy="adaptive",
         margin_policy="halt",
     )
-    results = []
-    for t in range(10):
-        seed = 7 + t
-        oracle = MeasurementOracle(
-            problem, NoiseModel(kind="gaussian", sigma=0.01, master_seed=seed)
-        )
-        results.append(run(problem, dataclasses.replace(cfg, seed=seed), oracle))
+    results = _fork_map(lambda seed: seeded_run(problem, cfg, seed), range(7, 17))
     return dict(problem=problem, eta=eta, results=results)
 
 
@@ -120,13 +121,7 @@ def margin_bundle():
         nu_policy="fixed",
         margin_policy="halt",
     )
-    results = []
-    for t in range(50):
-        seed = 500 + t
-        oracle = MeasurementOracle(
-            problem, NoiseModel(kind="gaussian", sigma=0.01, master_seed=seed)
-        )
-        results.append(run(problem, dataclasses.replace(cfg, seed=seed), oracle))
+    results = _fork_map(lambda seed: seeded_run(problem, cfg, seed), range(500, 550))
     C = problem.grad_lower**2 / (8.0 * problem.lipschitz**2)
     return dict(problem=problem, eta=eta, C=C, cfg=cfg, results=results)
 

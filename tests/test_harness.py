@@ -26,6 +26,7 @@ from zobarrier.harness import (
     PRESETS,
     PropertyCheck,
     build_problem,
+    check_smoothing_properties,
     config_from_mapping,
     expand_preset,
     run_experiment,
@@ -459,7 +460,8 @@ def test_diverged_base_point_leaves_the_final_objective_unknown(tmp_path, monkey
 
 
 def with_cpus(monkeypatch, count):
-    """Make `count` CPUs usable, so run_experiment forks count - 1 helpers."""
+    """Make `count` CPUs usable, so a map over `count` or more items forks
+    count - 1 helpers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
@@ -491,6 +493,30 @@ def test_trials_are_the_same_in_one_process_and_in_two(tmp_path, monkeypatch):
     for name in names:
         if name != "summary.json":
             assert (serial_dir / name).read_bytes() == (parallel_dir / name).read_bytes()
+
+
+def test_the_smoothing_suite_is_the_same_in_one_process_and_in_two(monkeypatch):
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        forks.append(None)  # the child's copy of the list is its own
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    runs = {}
+    for cpus in (1, 2):
+        with_cpus(monkeypatch, cpus)
+        runs[cpus] = check_smoothing_properties(n_points=3, n_mc=500)
+        assert len(forks) == cpus - 1
+        assert_no_children()
+    benchmarks = ("linear-ball", "quadratic-halfspace", "smooth-2con", "sphere-quadratic")
+    properties = ("value-bias", "gradient-norm", "gradient-lipschitz")
+    assert [c.name for c in runs[2]] == [
+        f"smoothing/{bench}/{prop}" for bench in benchmarks for prop in properties
+    ]
+    assert runs[2] == runs[1]
+    assert [c.statistic.hex() for c in runs[2]] == [c.statistic.hex() for c in runs[1]]
 
 
 def test_a_process_with_other_threads_forks_nothing(tmp_path, monkeypatch):
@@ -612,7 +638,7 @@ def test_an_error_pickle_cannot_carry_crosses_as_its_traceback(tmp_path, monkeyp
     with_cpus(monkeypatch, 2)
     fail_trials(monkeypatch, {1: LocalError("not picklable")})
     cfg = make_config(tmp_path, trials=2)
-    message = r"^trial 1: Traceback[\s\S]*LocalError: not picklable$"
+    message = r"^item 1: Traceback[\s\S]*LocalError: not picklable$"
     with pytest.raises(ZobarrierError, match=message):
         run_experiment(cfg)
     assert not (cfg.output_dir / "summary.json").exists()
@@ -623,7 +649,7 @@ def test_a_helper_without_a_readable_report_fails_the_run(tmp_path, monkeypatch)
     with_cpus(monkeypatch, 2)
     fail_trials(monkeypatch, {1: TwoPartError("two", "parts")})
     cfg = make_config(tmp_path, trials=2)
-    with pytest.raises(ZobarrierError, match="without a readable report"):
+    with pytest.raises(ZobarrierError, match=r"^helper \d+ ended without a readable report$"):
         run_experiment(cfg)
     assert not (cfg.output_dir / "summary.json").exists()
     assert_no_children()
