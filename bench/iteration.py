@@ -8,8 +8,10 @@ tree) runs trial 0 of the workload REPS times as it is, for the loop's
 whole cost (loop_us), and REPS times with each step wrapped in a timer:
 
     measure_base      MeasurementOracle.measure_base
-    bounds_margin     estimator.confidence_bounds, then margin (fixed nu)
-                      or solver._adaptive_margin (adaptive nu)
+    bounds_margin     estimator.confidence_bounds, then estimator.margin,
+                      and solver._adaptive_margin in a tree that has it
+                      (in a tree without it, the max of the bounds and
+                      the adaptive reach count in step_record)
     directions        the table call on solver.direction_pages()
     measure_perturbed MeasurementOracle.measure_perturbed
     barrier_estimate  solver.barrier_estimate
@@ -123,11 +125,12 @@ def step_timers(spent: dict):
         def __init__(self, pages):
             self.table = _timed(spent, "directions", pages.table)
 
-    names = ("confidence_bounds", "margin", "_adaptive_margin", "barrier_estimate")
-    real = {name: getattr(solver, name) for name in (*names, "direction_pages")}
-    solver.confidence_bounds = _timed(spent, "bounds_margin", real["confidence_bounds"])
-    solver.margin = _timed(spent, "bounds_margin", real["margin"])
-    solver._adaptive_margin = _timed(spent, "bounds_margin", real["_adaptive_margin"])
+    # Older trees compute an adaptive margin in solver._adaptive_margin.
+    bounds = [n for n in ("confidence_bounds", "margin", "_adaptive_margin") if hasattr(solver, n)]
+    names = (*bounds, "barrier_estimate", "direction_pages")
+    real = {name: getattr(solver, name) for name in names}
+    for name in bounds:
+        setattr(solver, name, _timed(spent, "bounds_margin", real[name]))
     solver.barrier_estimate = _timed(spent, "barrier_estimate", real["barrier_estimate"])
     solver.direction_pages = lambda: Directions(real["direction_pages"]())
     try:

@@ -35,15 +35,29 @@ MUTANTS = {
         "return np.add.reduce(cons, 0) / n + inflation",
         "return np.add.reduce(cons, 0) / n",
     ),
+    # The one margin rule alpha = -(M + reach), refused unless positive; the
+    # radius policy picks the reach: nu*L fixed, min(eta, -M/2) adaptive.
     "margin-without-nu-L": (
         "src/zobarrier/estimator.py",
-        "fhat_c_nu = float(np.maximum.reduce(fhat) + nu * lipschitz)",
-        "fhat_c_nu = float(np.maximum.reduce(fhat))",
+        "alpha = -(max_fhat + reach)\n    if",
+        "alpha = -max_fhat\n    if",
     ),
-    "adaptive-margin-alpha-minus-M": (
+    "margin-accepts-nan": (
+        "src/zobarrier/estimator.py",
+        "if not alpha > 0.0:",
+        "if alpha <= 0.0:",
+    ),
+    "adaptive-reach-without-half": (
         "src/zobarrier/solver.py",
-        "alpha = -max_fhat / 2.0",
-        "alpha = -max_fhat",
+        "reach = min(cfg.eta, -max_fhat / 2.0)",
+        "reach = min(cfg.eta, -max_fhat)",
+    ),
+    # The certificate's multipliers put mass eta / alpha_R on the argmax of
+    # the bounds, split across exact ties.
+    "multipliers-not-split-across-ties": (
+        "src/zobarrier/solver.py",
+        "lam[maximizers] = lam_scalar / np.count_nonzero(maximizers)",
+        "lam[maximizers] = lam_scalar",
     ),
     "no-union-bound": (
         "src/zobarrier/solver.py",
@@ -119,8 +133,8 @@ MUTANTS = {
     # The start point must be certified feasible before the first step.
     "no-start-check": (
         "src/zobarrier/solver.py",
-        "if k == 1 and fhat.max() >= 0.0:",
-        "if k == 0 and fhat.max() >= 0.0:",
+        "if k == 1 and max_fhat >= 0.0:",
+        "if k == 0 and max_fhat >= 0.0:",
     ),
     # Observations exist only at feasible points: an infeasible query ends
     # the trial.

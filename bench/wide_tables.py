@@ -4,13 +4,15 @@ before and after they were rewritten column-wise.
 Reductions. "before" is the numpy reduction over the short trailing axis
 each site used to call; "after" is the package's replacement:
 `problems.constraint_max` for `table[:, 1:].max(axis=1)` (the oracle's
-audit and the solver's two noisy row maxes) and `problems._sum_columns`
-for `.sum(axis=-1)` over the point coordinates in the analytic
-evaluators and over the 3 and 2 state columns in the unicycle evaluator.
+audit and the solver's two noisy row maxes), and column additions
+(`a[..., 0] + a[..., 1]`, then `+= a[..., 2]` in place for a third) for
+`.sum(axis=-1)` over the squared point coordinates in the analytic
+evaluators and over the 3 and 2 squared state columns in the unicycle
+evaluator.
 Shapes are the tables of the benchmark workloads: (1, 3) and (2048, 3)
 for smooth-2con-wide, (1, 2) and (16, 2) for linear-ball-demo, (1, 31),
 (7, 31) and (64, 31) for unicycle-paper. Where a table has too few rows
-for its columns the replacements call the numpy reduction themselves
+for its constraints `constraint_max` calls the numpy reduction itself
 (`problems._ROWS_PER_COLUMN_CALL`), so those rows time that choice.
 Each row checks that both results are equal bit for bit.
 
@@ -47,7 +49,7 @@ from workloads import WORKLOADS  # noqa: E402
 
 from zobarrier import harness  # noqa: E402
 from zobarrier.oracle import _TAGS, write_audit_csv  # noqa: E402
-from zobarrier.problems import _sum_columns, constraint_max  # noqa: E402
+from zobarrier.problems import constraint_max  # noqa: E402
 
 SEED = 20261018
 # (workload, table shape (rows, m + 1), point dimension d or None for unicycle)
@@ -107,6 +109,15 @@ def before_write_audit_csv(audit, path) -> None:
 WRITERS = {"before": before_write_audit_csv, "after": write_audit_csv}
 
 
+def column_sums(a: np.ndarray) -> np.ndarray:
+    """`a.sum(axis=-1)` for 2 or 3 nonnegative columns, as the evaluators
+    write it: the first two columns added, the third added in place."""
+    total = a[..., 0] + a[..., 1]
+    if a.shape[-1] == 3:
+        total += a[..., 2]
+    return total
+
+
 def reductions(rng: np.random.Generator, shape: tuple[int, int], dim: int | None) -> list[dict]:
     """before/after per call of each reduction on a table of `shape`."""
     rows = shape[0]
@@ -115,10 +126,10 @@ def reductions(rng: np.random.Generator, shape: tuple[int, int], dim: int | None
     if dim is None:
         for cols in (3, 2):
             cube = rng.standard_normal((rows, HORIZON, cols)) ** 2
-            cases[f"sum_{cols}_state_columns"] = (cube, lambda a: a.sum(axis=2), _sum_columns)
+            cases[f"sum_{cols}_state_columns"] = (cube, lambda a: a.sum(axis=2), column_sums)
     else:
         squares = rng.standard_normal((rows, dim)) ** 2
-        cases["sum_point_squares"] = (squares, lambda a: a.sum(axis=1), _sum_columns)
+        cases["sum_point_squares"] = (squares, lambda a: a.sum(axis=1), column_sums)
     out = []
     for name, (data, before, after) in cases.items():
         equal = before(data).tobytes() == after(data).tobytes()

@@ -41,7 +41,7 @@ class UnsafeQueryError(ZobarrierError):
 
 
 class MarginExhaustedError(ZobarrierError):
-    """The certified safety margin is gone (upper confidence bound >= 0).
+    """The certified safety margin is gone (upper bound >= 0, or NaN).
 
     Never clamped into a fake positive margin: with no certifiably safe
     next query, the solver halts.
@@ -53,7 +53,7 @@ class MarginExhaustedError(ZobarrierError):
         self.fhat_c_nu = float(fhat_c_nu)
         super().__init__(
             f"certified margin exhausted: smoothed-constraint upper bound "
-            f"{self.fhat_c_nu:.6g} >= 0"
+            f"{self.fhat_c_nu:.6g} is not below 0"
         )
 
     def __reduce__(self):

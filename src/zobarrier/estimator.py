@@ -77,21 +77,20 @@ def confidence_bounds(base_values: np.ndarray, sigma: float, delta_bar: float) -
     return np.add.reduce(cons, 0) / n + inflation
 
 
-def margin(fhat: np.ndarray, nu: float, lipschitz: float) -> tuple[float, float]:
-    """Certified margin from per-constraint bounds.
-
-    Returns (fhat_c_nu, alpha_hat) with fhat_c_nu = max_i fhat[i] + nu*L,
-    an upper confidence bound on the smoothed max-constraint, and
-    alpha_hat = -fhat_c_nu its certified distance from zero. Raises
-    MarginExhaustedError when fhat_c_nu >= 0: fabricating a positive
-    margin would silently void the safety guarantee.
+def margin(max_fhat: float, reach: float) -> float:
+    """The certified margin alpha = -(max_fhat + reach), from the largest
+    per-constraint upper bound and the radius policy's reach nu*L; the
+    only place it is computed. Raises MarginExhaustedError(-alpha) unless
+    alpha > 0, a NaN included: a fabricated margin would silently void
+    the safety guarantee. A negative reach is refused after that, so an
+    adaptive reach (<= 0 only when max_fhat >= 0) ends as exhausted.
     """
-    if nu < 0.0:
-        raise ContractViolationError("nu must be nonnegative")
-    fhat_c_nu = float(np.maximum.reduce(fhat) + nu * lipschitz)
-    if fhat_c_nu >= 0.0:
-        raise MarginExhaustedError(fhat_c_nu)
-    return fhat_c_nu, -fhat_c_nu
+    alpha = -(max_fhat + reach)
+    if not alpha > 0.0:
+        raise MarginExhaustedError(-alpha)
+    if reach < 0.0:
+        raise ContractViolationError("reach must be nonnegative")
+    return alpha
 
 
 def barrier_gradient(g0: np.ndarray, gc: np.ndarray, eta: float, alpha_hat: float) -> np.ndarray:

@@ -632,9 +632,9 @@ def check_coverage(
     fc_nu = nu**2 * 2.0 / 4.0 - 1.0
     limit = min(abs(fc_nu), abs(fc))
     held = 0
-    for fhat in upper_bounds(fc)[:, None]:
+    for max_fhat in upper_bounds(fc).tolist():  # one constraint: its bound is the max
         try:
-            held += margin(fhat, nu, problem.lipschitz)[1] <= limit
+            held += margin(max_fhat, nu * problem.lipschitz) <= limit
         except MarginExhaustedError:
             held += 1
     margin_covered = held / repeats

@@ -30,10 +30,11 @@ class ProblemSpec:
 
     eval_all maps a (P, d) array of points to the (P, m+1) table of
     [f0, f1, ..., fm] at each row; it is the problem's only evaluator.
-    lipschitz is a common Lipschitz bound for the objective and every
-    constraint over `box`; grad_lower is the declared lower bound on the
-    smoothed max-constraint gradient norm near the boundary. Both are
-    inputs the solver trusts, not quantities it can verify.
+    lipschitz is a Lipschitz bound L over `box` that the certified margin
+    and the step bound use for the constraints (on unicycle-paper the
+    objective's secants exceed L = 40); grad_lower is the declared lower
+    bound on the smoothed max-constraint gradient norm near the boundary.
+    Both are inputs the solver trusts, not quantities it can verify.
     """
 
     name: str
@@ -137,24 +138,6 @@ def constraint_max(table: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-def _sum_columns(a: np.ndarray) -> np.ndarray:
-    """`a.sum(axis=-1)` bit for bit, for a last axis of 2 to 7 entries,
-    except that a row holding NaNs of both signs may sum to either.
-
-    numpy adds a row that short left to right onto +0.0 (its pairwise
-    blocks start at 8 entries). Over enough rows, adding whole columns
-    in that order is cheaper; the final + 0.0 turns an all -0.0 row into
-    +0.0, as numpy's start value does."""
-    cols = a.shape[-1]
-    if a.size // cols < _ROWS_PER_COLUMN_CALL * (cols - 1):
-        return np.add.reduce(a, -1)
-    total = a[..., 0] + a[..., 1]
-    for j in range(2, cols):
-        total += a[..., j]
-    total += 0.0
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Unicycle controller design
 # ---------------------------------------------------------------------------
@@ -232,8 +215,8 @@ def _step(q: np.ndarray, v: np.ndarray, omega: np.ndarray, dt: float) -> np.ndar
 
 
 def simulate_unicycle_batch(gains: np.ndarray, cfg: UnicycleConfig) -> np.ndarray:
-    """Simulate a batch of gains (B, 2, 3), or one 2x3 gain as a batch of
-    one; returns C-contiguous states of shape (B, T+1, 3).
+    """Simulate a float array of gains (B, 2, 3); returns C-contiguous
+    states of shape (B, T+1, 3).
 
     Control is u_{t+1} = U q_t, or U (q_t - q_goal) in error-feedback
     mode, clamped componentwise; the state advances by the exact
@@ -241,9 +224,6 @@ def simulate_unicycle_batch(gains: np.ndarray, cfg: UnicycleConfig) -> np.ndarra
     Raises DivergedTrajectoryError with the first step at which any
     row's state is not finite.
     """
-    gains = np.asarray(gains, dtype=float)
-    if gains.ndim == 2:
-        gains = gains[None]
     if not np.isfinite(gains).all():
         raise ContractViolationError("gain matrix must be finite")
     B, T = gains.shape[0], cfg.horizon
@@ -276,11 +256,16 @@ def _evaluate_vectorized(points: np.ndarray, cfg: UnicycleConfig) -> np.ndarray:
     out = np.empty((P, T + 1))
     sq = traj - np.asarray(cfg.goal)
     sq *= sq
-    # A row sum divided by T is bitwise what `mean` computes.
-    out[:, 0] = _sum_columns(sq).sum(axis=1) / T
+    # Column additions of squares (never -0.0) are bitwise `.sum(axis=-1)`;
+    # freeing the sum before the next table keeps peak memory down. A row
+    # sum divided by T is bitwise what `mean` computes.
+    total = sq[..., 0] + sq[..., 1]
+    total += sq[..., 2]
+    out[:, 0] = total.sum(axis=1) / T
+    del total
     sq = traj[:, :, :2] - np.asarray(cfg.obstacle_center)
     sq *= sq
-    np.subtract(cfg.obstacle_radius**2, _sum_columns(sq), out=out[:, 1:])
+    np.subtract(cfg.obstacle_radius**2, sq[..., 0] + sq[..., 1], out=out[:, 1:])
     return out
 
 
@@ -409,7 +394,8 @@ def _linear_ball(noise_sigma: float) -> ProblemSpec:
     def eval_all(points):
         out = np.empty((points.shape[0], 2))
         out[:, 0] = points @ c
-        out[:, 1] = _sum_columns(points * points) - 1.0
+        sq = points * points
+        out[:, 1] = sq[:, 0] + sq[:, 1] - 1.0
         return out
 
     lo = np.array([-1.2, -1.2])
@@ -444,7 +430,8 @@ def _quadratic_halfspace(noise_sigma: float) -> ProblemSpec:
     def eval_all(points):
         d = points - xbar
         out = np.empty((points.shape[0], 2))
-        out[:, 0] = _sum_columns(d * d)
+        d *= d
+        out[:, 0] = d[:, 0] + d[:, 1]
         out[:, 1] = points @ a - b
         return out
 
@@ -483,8 +470,10 @@ def _smooth_two_constraints(noise_sigma: float) -> ProblemSpec:
         d2 = points - c2
         out = np.empty((points.shape[0], 3))
         out[:, 0] = -points[:, 1]
-        out[:, 1] = _sum_columns(d1 * d1) - 1.0
-        out[:, 2] = _sum_columns(d2 * d2) - 1.0
+        d1 *= d1
+        d2 *= d2
+        out[:, 1] = d1[:, 0] + d1[:, 1] - 1.0
+        out[:, 2] = d2[:, 0] + d2[:, 1] - 1.0
         return out
 
     root3 = math.sqrt(3.0)
@@ -514,7 +503,8 @@ def _sphere_quadratic(noise_sigma: float) -> ProblemSpec:
     # statistics at points like (1, 0) where grad f0 = (2, 0) exactly.
     def eval_all(points):
         out = np.empty((points.shape[0], 2))
-        out[:, 0] = _sum_columns(points * points)
+        sq = points * points
+        out[:, 0] = sq[:, 0] + sq[:, 1]
         out[:, 1] = out[:, 0] - 25.0
         return out
 

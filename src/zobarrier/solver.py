@@ -5,8 +5,9 @@ noisy function values served by the measurement oracle. Each iteration
 k = 1..K at the current iterate:
 
   1. measures every function n_k times at the iterate (base side),
-  2. forms per-constraint upper confidence bounds and the certified
-     margin alpha_k (halting if the margin is exhausted),
+  2. forms per-constraint upper confidence bounds, their max M_k, and
+     the certified margin alpha_k = -(M_k + nu_k*L) (halting if it is
+     not positive),
   3. measures at nu_k-displaced sphere points (perturbed side),
   4. assembles the barrier-gradient estimate
      g_k = G0 + eta * Gc / alpha_k,
@@ -232,21 +233,6 @@ def step_weight(k: int, alpha_hat: float, lipschitz: float) -> float:
     return min(alpha_hat / (2.0 * lipschitz * k ** (2.0 / 5.0)), 1.0 / k ** (3.0 / 5.0))
 
 
-def _adaptive_margin(max_fhat: float, eta: float, lipschitz: float) -> tuple[float, float]:
-    """Solve nu = min(eta/L, alpha/L) jointly with alpha = -(max_fhat + nu*L).
-
-    With M = max_i fhat[i] < 0: for M <= -2*eta the eta/L branch binds and
-    alpha = -M - eta; otherwise nu = alpha/L self-consistently gives
-    alpha = -M/2. Raises MarginExhaustedError when M >= 0.
-    """
-    if max_fhat >= 0.0:
-        raise MarginExhaustedError(max_fhat)
-    if max_fhat <= -2.0 * eta:
-        return eta / lipschitz, -max_fhat - eta
-    alpha = -max_fhat / 2.0
-    return alpha / lipschitz, alpha
-
-
 def plan_iterations(
     eta: float,
     lipschitz: float,
@@ -291,27 +277,16 @@ def select_output(weights, rng: np.random.Generator) -> int:
     return bisect.bisect_right(cum, rng.random() * total, 0, bisect.bisect_left(cum, total)) + 1
 
 
-def kkt_multipliers(fhat: np.ndarray, fhat_c_nu: float, eta: float) -> np.ndarray:
-    """Per-constraint multipliers: mass eta / (-fhat_c_nu) on the argmax of
-    the constraint bounds, split equally across exact ties (keeps
-    sum(lambda) = eta / (-fhat_c_nu)), zero elsewhere."""
-    if fhat_c_nu >= 0.0:
-        raise MarginExhaustedError(fhat_c_nu)
-    fhat = np.asarray(fhat, dtype=float)
-    maximizers = fhat == fhat.max()
-    lam = np.zeros_like(fhat)
-    lam[maximizers] = eta / (-fhat_c_nu) / maximizers.sum()
-    return lam
-
-
 def certificate_from_record(record: IterateRecord, eta: float) -> KktCertificate:
-    """Build the output certificate for one trace entry."""
-    return KktCertificate(
-        x=record.x.copy(),
-        iteration=record.k,
-        lambda_scalar=eta / record.alpha_hat,
-        lambda_hat=kkt_multipliers(record.fhat, -record.alpha_hat, eta),
-    )
+    """Build the output certificate for one trace entry: lambda = eta /
+    alpha_R, and per-constraint multipliers that put that mass on the
+    argmax of the constraint bounds, split equally across exact ties, and
+    zero elsewhere. The record's alpha_R already passed `margin`."""
+    lam_scalar = eta / record.alpha_hat
+    maximizers = record.fhat == np.maximum.reduce(record.fhat)
+    lam = np.zeros_like(record.fhat)
+    lam[maximizers] = lam_scalar / np.count_nonzero(maximizers)
+    return KktCertificate(record.x.copy(), record.k, lam_scalar, lam)
 
 
 def kkt_residuals(
@@ -399,7 +374,11 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
     L = problem.lipschitz
     K = cfg.max_iters
     delta_bar = cfg.delta / (2 * K + 1)
-    _, nu_fixed = margin_constants(problem, cfg)
+    # The radius policy picks (nu_k, reach = nu_k * L), here fixed at
+    # nu_k = C * eta / L; `margin` turns the reach into alpha_k.
+    adaptive = cfg.nu_policy == "adaptive"
+    _, nu_k = margin_constants(problem, cfg)
+    reach = nu_k * L
     sigma = problem.noise_sigma
     n = resolve_sample_count(problem, cfg)
 
@@ -413,16 +392,19 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
         try:
             base = oracle.measure_base(x, n, k)
             fhat = confidence_bounds(base, sigma, delta_bar)
-            if k == 1 and fhat.max() >= 0.0:
+            max_fhat = float(np.maximum.reduce(fhat))
+            if k == 1 and max_fhat >= 0.0:
                 raise UnsafeStartError(
                     f"start point not certifiably feasible: max upper bound "
-                    f"{fhat.max():.6g} >= 0"
+                    f"{max_fhat:.6g} >= 0"
                 )
-            if cfg.nu_policy == "adaptive":
-                nu_k, alpha = _adaptive_margin(float(np.maximum.reduce(fhat)), cfg.eta, L)
-            else:
-                nu_k = nu_fixed
-                _, alpha = margin(fhat, nu_k, L)
+            if adaptive:
+                # nu = min(eta/L, alpha/L) solved jointly with alpha =
+                # -(M + nu*L): reach eta when M <= -2*eta, else -M/2, so
+                # alpha = -M - eta or -M/2 exactly (M - M/2 is exact).
+                reach = min(cfg.eta, -max_fhat / 2.0)
+                nu_k = reach / L
+            alpha = margin(max_fhat, reach)
             directions = direction_tables.table(cfg.seed, DOMAIN_DIRECTIONS, k, 0, n, problem.dim)
             pert = oracle.measure_perturbed(x, directions, nu_k, k)
         except _HALTS as exc:

@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ContractViolationError
 
@@ -46,22 +45,6 @@ SIDE_BASE = 0
 SIDE_PERTURBED = 1
 
 
-class _Key(ISeedSequence):
-    """Hands Philox its two key words as they are.
-
-    Philox asks its seed sequence for two uint64 words; passing them this
-    way skips the SeedSequence (and OS entropy) that `Philox(key=...)`
-    still builds and discards."""
-
-    __slots__ = ("_words",)
-
-    def __init__(self, words: tuple[int, int]):
-        self._words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return np.array(self._words, dtype=np.uint64)
-
-
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """A fresh generator keyed by (master_seed, *key).
 
@@ -78,9 +61,9 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     counter = [0, len(key), 0, 0]
     for i, part in enumerate(key[1:], start=2):
         counter[i] = int(part) & _MASK64
-    # A uint64 array: a list with a word >= 2^63 would pass through float64.
-    counter = np.array(counter, dtype=np.uint64)
-    bitgen = np.random.Philox(_Key((int(master_seed) & _MASK64, domain)), counter=counter)
+    # uint64 arrays: a list with a word >= 2^63 would pass through float64.
+    key_words = np.array([int(master_seed) & _MASK64, domain], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key_words, counter=np.array(counter, dtype=np.uint64))
     return np.random.Generator(bitgen)
 
 

@@ -170,15 +170,39 @@ def test_confidence_bounds_columns():
 
 
 def test_margin_formula():
-    fhat_c_nu, alpha = margin(np.array([-2.0, -3.0]), nu=0.1, lipschitz=1.0)
-    assert fhat_c_nu == pytest.approx(-1.9)
+    alpha = margin(np.maximum.reduce(np.array([-2.0, -3.0])), 0.1 * 1.0)
     assert alpha == pytest.approx(1.9)
+    assert alpha == -(-2.0 + 0.1)
 
 
 def test_margin_exhausted():
     with pytest.raises(MarginExhaustedError) as exc:
-        margin(np.array([-0.05]), nu=0.1, lipschitz=1.0)
+        margin(-0.05, 0.1 * 1.0)
     assert exc.value.fhat_c_nu == pytest.approx(0.05)
+
+
+def test_margin_refuses_a_nan_bound():
+    # A NaN bound (or reach) certifies nothing: it ends as an exhausted
+    # margin, never as a NaN alpha.
+    for max_fhat, reach in [(math.nan, 0.1), (-1.0, math.nan), (math.nan, math.nan)]:
+        with pytest.raises(MarginExhaustedError) as exc:
+            margin(max_fhat, reach)
+        assert math.isnan(exc.value.fhat_c_nu)
+    with pytest.raises(MarginExhaustedError):
+        margin(float(np.maximum.reduce(np.array([-1.0, np.nan]))), 0.1)
+
+
+def test_margin_exhausted_before_a_negative_reach_is_refused():
+    # An adaptive reach -M/2 is negative exactly when M > 0: that is an
+    # exhausted margin. With a positive margin, a negative reach is a
+    # contract violation.
+    with pytest.raises(MarginExhaustedError) as exc:
+        margin(0.5, -0.25)
+    assert exc.value.fhat_c_nu == 0.25
+    with pytest.raises(MarginExhaustedError):
+        margin(0.0, -0.0)
+    with pytest.raises(ContractViolationError):
+        margin(-1.0, -0.1)
 
 
 def test_margin_monotone():
@@ -189,11 +213,11 @@ def test_margin_monotone():
         bumped = fhat.copy()
         bumped[i] += rng.uniform(0.0, 0.2)
         try:
-            base_val, _ = margin(fhat, 0.05, 1.0)
-            bump_val, _ = margin(bumped, 0.05, 1.0)
+            base_val = margin(fhat.max(), 0.05 * 1.0)
+            bump_val = margin(bumped.max(), 0.05 * 1.0)
         except MarginExhaustedError:
             continue
-        assert bump_val >= base_val
+        assert bump_val <= base_val
 
 
 # -- barrier gradient --------------------------------------------------------
@@ -243,10 +267,9 @@ def test_build_estimate_fields():
     base, pert = measure_iteration(oracle, np.zeros(2), dirs, 0.02, 1)
     assert base.shape == pert.shape == (16, 2)
     fhat = confidence_bounds(base, sigma=0.05, delta_bar=0.01)
-    fhat_c_nu, alpha_hat = margin(fhat, 0.02, prob.lipschitz)
+    alpha_hat = margin(fhat.max(), 0.02 * prob.lipschitz)
     assert fhat.shape == (1,)
-    assert fhat_c_nu == fhat.max() + 0.02 * prob.lipschitz
-    assert alpha_hat == -fhat_c_nu > 0.0
+    assert alpha_hat == -(fhat.max() + 0.02 * prob.lipschitz) > 0.0
     g = barrier_estimate(base, pert, dirs, 0.02, eta=0.1, alpha=alpha_hat)
     assert g.shape == (2,)
     # The assembly is G0 + (eta / alpha) * Gc with both pieces from the same tables.
@@ -273,7 +296,7 @@ def test_barrier_gradient_deviation_bound():
         dirs = sphere_sample(d, n, substream(31, 7, k))
         base, pert = measure_iteration(oracle, x, dirs, nu, k)
         fhat = confidence_bounds(base, sigma, delta_bar)
-        _, alpha = margin(fhat, nu, L)
+        alpha = margin(fhat.max(), nu * L)
         g = barrier_estimate(base, pert, dirs, nu, eta, alpha)
         zeta_norms.append(np.linalg.norm(g - grad_b))
         bounds.append(

@@ -13,7 +13,6 @@ from zobarrier.problems import (
     _evaluate_rows,
     _evaluate_vectorized,
     _step,
-    _sum_columns,
     analytic_names,
     analytic_problem,
     constraint_max,
@@ -52,7 +51,7 @@ def test_constant_input_traces_circle():
 def test_feedback_timing_matches_manual_rollout():
     cfg = UnicycleConfig(error_feedback=True, horizon=5)
     U = cfg.initial_gain
-    traj = simulate_unicycle_batch(U, cfg)[0]
+    traj = simulate_unicycle_batch(U[None], cfg)[0]
     q = np.asarray(cfg.start, dtype=float)
     goal = np.asarray(cfg.goal, dtype=float)
     for t in range(cfg.horizon):
@@ -116,7 +115,7 @@ def test_constraint_step_range():
 def test_diverged_trajectory_reports_step():
     cfg = UnicycleConfig(start=(1.0, 0.0, 0.0), v_max=np.inf, omega_max=np.inf)
     with pytest.raises(DivergedTrajectoryError) as exc:
-        simulate_unicycle_batch(np.array([[1e200, 0.0, 0.0], [0.0, 0.0, 0.0]]), cfg)
+        simulate_unicycle_batch(np.array([[[1e200, 0.0, 0.0], [0.0, 0.0, 0.0]]]), cfg)
     assert 0 <= exc.value.step <= cfg.horizon
 
 
@@ -171,7 +170,7 @@ def test_trajectory_bitwise_the_same_in_any_batch():
         seven = simulate_unicycle_batch(gains[:7], cfg)
         assert seven.flags.c_contiguous and seven.tobytes() == full[:7].tobytes()
         for b in range(len(gains)):
-            alone = simulate_unicycle_batch(gains[b], cfg)
+            alone = simulate_unicycle_batch(gains[b][None], cfg)
             assert alone.shape == (1, cfg.horizon + 1, 3) and alone.flags.c_contiguous
             assert alone.tobytes() == full[b].tobytes()
 
@@ -210,7 +209,7 @@ def test_points_of_the_wrong_dimension_are_refused():
 
 def test_nonfinite_gain_rejected():
     with pytest.raises(ContractViolationError):
-        simulate_unicycle_batch(np.full((2, 3), np.nan), UnicycleConfig())
+        simulate_unicycle_batch(np.full((1, 2, 3), np.nan), UnicycleConfig())
     # In error feedback an infinite gain meets a nonzero error, and the
     # clamp turns the infinite input into a finite one.
     cfg = UnicycleConfig(error_feedback=True)
@@ -235,7 +234,7 @@ def test_dt_refinement_first_order():
     # update rate: endpoint differences shrink linearly in dt.
     def endpoint(dt, horizon):
         cfg = UnicycleConfig(error_feedback=True, dt=dt, horizon=horizon)
-        return simulate_unicycle_batch(cfg.initial_gain, cfg)[0, -1]
+        return simulate_unicycle_batch(cfg.initial_gain[None], cfg)[0, -1]
 
     d12 = np.linalg.norm(endpoint(0.1, 30) - endpoint(0.05, 60))
     d23 = np.linalg.norm(endpoint(0.05, 60) - endpoint(0.025, 120))
@@ -337,12 +336,32 @@ def test_unicycle_eval_all_matches_per_step_constraints():
     prob = make_unicycle_problem(cfg)
     x = prob.safe_start + 0.01
     row = prob.evaluate_all(x[None, :])[0]
-    traj = simulate_unicycle_batch(x.reshape(2, 3), cfg)[0]
+    traj = simulate_unicycle_batch(x.reshape(1, 2, 3), cfg)[0]
     goal_dist = np.sum((traj[1:] - np.asarray(cfg.goal)) ** 2, axis=1)
     assert row[0] == pytest.approx(goal_dist.mean(), abs=1e-12)
     for t in (1, 7, prob.num_constraints):
         clearance = np.sum((traj[t, :2] - np.asarray(cfg.obstacle_center)) ** 2)
         assert row[t] == pytest.approx(cfg.obstacle_radius**2 - clearance, abs=1e-12)
+
+
+def _columns(*columns):
+    return np.stack(columns, axis=1)
+
+
+# The analytic evaluators' tables with every sum of squares written as
+# numpy's `.sum(axis=-1)`.
+SUM_FORMULAS = {
+    "linear-ball": lambda p: _columns(p @ [1.0, 0.0], (p * p).sum(axis=-1) - 1.0),
+    "quadratic-halfspace": lambda p: _columns(
+        ((p - [2.0, 0.0]) * (p - [2.0, 0.0])).sum(axis=-1), p @ [1.0, 0.0] - 1.0
+    ),
+    "smooth-2con": lambda p: _columns(
+        -p[:, 1],
+        (p * p).sum(axis=-1) - 1.0,
+        ((p - [1.0, 0.0]) * (p - [1.0, 0.0])).sum(axis=-1) - 1.0,
+    ),
+    "sphere-quadratic": lambda p: _columns((p * p).sum(axis=-1), (p * p).sum(axis=-1) - 25.0),
+}
 
 
 def special_table(rng, shape):
@@ -375,10 +394,22 @@ def test_column_wise_reductions_are_numpy_reductions_bit_for_bit(shape):
         for got in (constraint_max(table), constraint_max(table, out=out[:, 1])):
             assert_same_bits(got, table[:, 1:].max(axis=1))
         assert (out[:, 0] == 7.0).all()
-        cubes = (special_table(rng, (rows, 30, 2)), special_table(rng, (rows, 30, 3)))
+        # The evaluators add their squares column by column.
+        points = special_table(rng, (rows, 2))
         with np.errstate(invalid="ignore", over="ignore"):
-            for a in (table[:, :2], table[:, :3], *cubes):
-                assert_same_bits(_sum_columns(a), a.sum(axis=-1))
+            for name, formula in SUM_FORMULAS.items():
+                assert_same_bits(analytic_problem(name).eval_all(points), formula(points))
+    for params in KERNEL_CONFIGS.values():
+        cfg = UnicycleConfig(**params)
+        points = kernel_gains(cfg, rows).reshape(rows, 6)
+        traj = simulate_unicycle_batch(points.reshape(rows, 2, 3), cfg)[:, 1:]
+        goal = traj - np.asarray(cfg.goal)
+        center = traj[:, :, :2] - np.asarray(cfg.obstacle_center)
+        expected = np.c_[
+            (goal * goal).sum(axis=-1).sum(axis=1) / cfg.horizon,
+            cfg.obstacle_radius**2 - (center * center).sum(axis=-1),
+        ]
+        assert_same_bits(_evaluate_vectorized(points, cfg), expected)
 
 
 def test_problem_spec_validation():

@@ -7,7 +7,6 @@ import pytest
 from zobarrier.errors import (
     ContractViolationError,
     DivergedTrajectoryError,
-    MarginExhaustedError,
     NoValidOutputError,
     UnsafeStartError,
 )
@@ -16,11 +15,10 @@ from zobarrier.oracle import MeasurementOracle, NoiseModel
 from zobarrier.problems import ProblemSpec, analytic_problem
 from zobarrier.solver import (
     AlgoConfig,
+    IterateRecord,
     KktCertificate,
-    _adaptive_margin,
     certificate_from_record,
     direction_pages,
-    kkt_multipliers,
     kkt_residuals,
     plan_iterations,
     required_samples,
@@ -117,20 +115,25 @@ def test_step_weight_never_exceeds_margin_over_2l():
         assert step_weight(k, alpha, lipschitz) <= alpha / (2.0 * lipschitz)
 
 
-@pytest.mark.parametrize("eta, lipschitz", [(0.05, 3.0), (0.001, 40.0), (0.3, 1.0)])
-def test_adaptive_margin_is_self_consistent(eta, lipschitz):
-    # Both branches: M <= -2*eta (nu = eta/L binds) and -2*eta < M < 0
-    # (nu = alpha/L). The certified margin must be alpha = -(M + nu*L)
-    # with nu = min(eta/L, alpha/L).
-    for ratio in (-50.0, -3.0, -2.0, -1.999, -1.5, -1.0, -0.5, -1e-3):
-        M = ratio * eta
-        nu, alpha = _adaptive_margin(M, eta, lipschitz)
-        assert math.isclose(alpha, -(M + nu * lipschitz), rel_tol=1e-15, abs_tol=1e-15)
-        assert nu == min(eta / lipschitz, alpha / lipschitz)
-        assert alpha > 0.0
-    for M in (0.0, 1e-12, 2.0 * eta):
-        with pytest.raises(MarginExhaustedError):
-            _adaptive_margin(M, eta, lipschitz)
+def test_adaptive_margin_is_self_consistent():
+    # Adaptive nu solves nu = min(eta/L, alpha/L) jointly with alpha =
+    # -(M + nu*L), M the largest constraint bound: the reach nu*L is eta
+    # when M <= -2*eta and -M/2 otherwise. This run visits both branches.
+    prob = analytic_problem("quadratic-halfspace", noise_sigma=0.01)
+    eta, L = 0.3, prob.lipschitz
+    cfg = AlgoConfig(eta=eta, max_iters=300, n_fixed=16, nu_policy="adaptive", seed=7)
+    result = run(prob, cfg, make_oracle(prob, seed=7))
+    assert result.halted_reason is None and len(result.trace) == 300
+    branches = {"eta": 0, "half": 0}
+    for rec in result.trace:
+        M = float(np.maximum.reduce(rec.fhat))
+        reach = min(eta, -M / 2.0)
+        assert rec.nu == reach / L
+        assert rec.alpha_hat == -(M + reach)
+        assert rec.alpha_hat == (-M - eta if M <= -2.0 * eta else -M / 2.0) > 0.0
+        assert math.isclose(rec.nu, min(eta / L, rec.alpha_hat / L), rel_tol=1e-15)
+        branches["eta" if M <= -2.0 * eta else "half"] += 1
+    assert branches == {"eta": 38, "half": 262}
 
 
 def test_resolve_sample_count_policies(caplog):
@@ -189,26 +192,51 @@ def test_select_output_uniform_for_equal_weights():
 # -- multipliers and residuals -----------------------------------------------
 
 
+def record_of(fhat, alpha_hat):
+    """A trace record with the given constraint bounds and margin."""
+    return IterateRecord(
+        k=1,
+        x=np.zeros(2),
+        alpha_hat=alpha_hat,
+        g_norm=1.0,
+        gamma=0.1,
+        weight=0.1,
+        nu=0.01,
+        fhat=np.array(fhat),
+        scalar_calls_so_far=0,
+        directions_so_far=0,
+    )
+
+
 def test_kkt_multipliers_single_constraint():
-    lam = kkt_multipliers(np.array([-0.4]), -0.4, eta=0.1)
-    assert lam[0] == pytest.approx(0.25)
+    cert = certificate_from_record(record_of([-0.4], 0.4), eta=0.1)
+    assert cert.lambda_hat[0] == pytest.approx(0.25)
+    assert cert.lambda_scalar == 0.1 / 0.4
 
 
 def test_kkt_multipliers_unique_argmax():
-    lam = kkt_multipliers(np.array([-1.0, -2.0]), -0.9, eta=0.1)
+    lam = certificate_from_record(record_of([-1.0, -2.0], 0.9), eta=0.1).lambda_hat
     assert lam[1] == 0.0
     assert abs(lam[0] - 1.0 / 9.0) < 1e-15
 
 
 def test_kkt_multipliers_tie_splits_mass():
-    lam = kkt_multipliers(np.array([-1.0, -1.0]), -0.9, eta=0.1)
+    lam = certificate_from_record(record_of([-1.0, -1.0], 0.9), eta=0.1).lambda_hat
     assert lam[0] == lam[1] == pytest.approx(0.1 / 0.9 / 2.0)
     assert lam.sum() == pytest.approx(0.1 / 0.9)
 
 
 def test_kkt_multipliers_margin_guard():
-    with pytest.raises(MarginExhaustedError):
-        kkt_multipliers(np.array([-1.0]), 0.0, eta=0.1)
+    # A certificate takes alpha_R from its record, so it needs no check of
+    # its own: every recorded margin passed `margin` (an exhausted margin
+    # ends the run with no certificate, test_margin_policy_halt).
+    prob = analytic_problem("smooth-2con", noise_sigma=0.01)
+    result = run(prob, ball_config(eta=0.2, max_iters=60, seed=2), make_oracle(prob, seed=2))
+    for rec in result.trace:
+        assert rec.alpha_hat > 0.0
+        cert = certificate_from_record(rec, 0.2)
+        assert cert.lambda_scalar == 0.2 / rec.alpha_hat
+        assert cert.lambda_hat.sum() == pytest.approx(cert.lambda_scalar, rel=1e-15)
 
 
 def test_kkt_residuals_exact_point():
