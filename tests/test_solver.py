@@ -7,10 +7,11 @@ import pytest
 from zobarrier.errors import (
     ContractViolationError,
     DivergedTrajectoryError,
+    MarginExhaustedError,
     NoValidOutputError,
     UnsafeStartError,
 )
-from zobarrier.estimator import confidence_bounds
+from zobarrier.estimator import confidence_bounds, margin
 from zobarrier.oracle import MeasurementOracle, NoiseModel
 from zobarrier.problems import ProblemSpec, analytic_problem
 from zobarrier.solver import (
@@ -115,7 +116,28 @@ def test_step_weight_never_exceeds_margin_over_2l():
         assert step_weight(k, alpha, lipschitz) <= alpha / (2.0 * lipschitz)
 
 
-def test_adaptive_margin_is_self_consistent():
+@pytest.mark.parametrize("eta, lipschitz", [(0.05, 3.0), (0.001, 40.0), (0.3, 1.0)])
+def test_adaptive_margin_is_self_consistent(eta, lipschitz):
+    # Both branches of the adaptive reach min(eta, -M/2) that run() hands
+    # to `margin`: M <= -2*eta (nu = eta/L binds) and -2*eta < M < 0
+    # (nu = alpha/L). The certified margin must be alpha = -(M + nu*L)
+    # with nu = min(eta/L, alpha/L).
+    for ratio in (-50.0, -3.0, -2.0, -1.999, -1.5, -1.0, -0.5, -1e-3):
+        M = ratio * eta
+        reach = min(eta, -M / 2.0)
+        nu = reach / lipschitz
+        alpha = margin(M, reach)
+        assert math.isclose(alpha, -(M + nu * lipschitz), rel_tol=1e-15, abs_tol=1e-15)
+        assert math.isclose(nu, min(eta / lipschitz, alpha / lipschitz), rel_tol=1e-15)
+        assert alpha > 0.0
+    # M >= 0 makes the adaptive reach <= 0: the margin is exhausted, not a
+    # contract violation on the reach.
+    for M in (0.0, 1e-12, 2.0 * eta):
+        with pytest.raises(MarginExhaustedError):
+            margin(M, min(eta, -M / 2.0))
+
+
+def test_adaptive_margin_trace_visits_both_branches():
     # Adaptive nu solves nu = min(eta/L, alpha/L) jointly with alpha =
     # -(M + nu*L), M the largest constraint bound: the reach nu*L is eta
     # when M <= -2*eta and -M/2 otherwise. This run visits both branches.
