@@ -182,6 +182,19 @@ MUTANTS = {
         "if not math.isfinite(x + y + th + a0 + a1 + a2 + b0 + b1 + b2):",
         "if False:",
     ),
+    # Larger batches are simulated in blocks of rows: every block writes its
+    # rows of the table, and a diverged block has the whole batch simulated
+    # again, so the error is one block's: the smallest first bad step.
+    "last-partial-block-dropped": (
+        "src/zobarrier/problems.py",
+        "for lo in range(0, P, _BLOCK_ROWS):",
+        "for lo in range(0, P - P % _BLOCK_ROWS or P, _BLOCK_ROWS):",
+    ),
+    "divergence-step-from-the-first-failing-block": (
+        "src/zobarrier/problems.py",
+        "simulate_unicycle_batch(points.reshape(P, 2, 3), cfg)",
+        "raise",
+    ),
     # Each iteration reads its own slot of a page of noise or directions:
     # reusing the first slot repeats one table across the page.
     "page-slot-dropped": (

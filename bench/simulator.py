@@ -10,6 +10,10 @@ which picks a path by batch size. Every size also checks that both paths
 return byte-identical tables. The JSON names the machine and justifies
 the dispatch threshold: the per-row kernel must win at every size up to
 it, and the largest such size is reported as the measured crossover.
+It also justifies the vectorized path's block size: a BLOCK_BATCH-row
+batch (the Monte-Carlo residual's) is timed and its `tracemalloc` peak
+measured at each block size in BLOCKS, the last being one block, and
+every block size must return the one-block table byte for byte.
 
     python3 bench/simulator.py [--out BENCH_simulator.json]
 
@@ -26,6 +30,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +40,8 @@ SIZES = (1, 7, 8, 16, 24, 32, 48, 64, 160, 1600)
 SEED = 20261018
 ROUNDS = 9
 ROUND_S = 0.05
+BLOCK_BATCH = 2048
+BLOCKS = (256, 512, 1024, 2048)
 
 
 def per_call_ms(kernels, points, cfg) -> list[float]:
@@ -55,6 +62,43 @@ def per_call_ms(kernels, points, cfg) -> list[float]:
                 fn(points, cfg)
             times.append((time.perf_counter() - t0) / n)
     return [1e3 * statistics.median(times) for times in rounds]
+
+
+def block_sizes(problems, points, cfg) -> list[dict]:
+    """Per-call time, `tracemalloc` peak and one-block equality of
+    `_evaluate_vectorized` on `points` at each block size in BLOCKS."""
+    chosen = problems._BLOCK_ROWS
+
+    def at(block):
+        def evaluate(points, cfg):
+            problems._BLOCK_ROWS = block
+            return problems._evaluate_vectorized(points, cfg)
+
+        return evaluate
+
+    kernels = [at(block) for block in BLOCKS]
+    one_block = kernels[-1](points, cfg).tobytes()
+    rows = []
+    try:
+        for block, evaluate, ms in zip(BLOCKS, kernels, per_call_ms(kernels, points, cfg)):
+            same = evaluate(points, cfg).tobytes() == one_block
+            tracemalloc.start()
+            evaluate(points, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            rows.append(
+                {
+                    "block_rows": block,
+                    "ms": round(ms, 4),
+                    "tracemalloc_peak_mb": round(peak / 1e6, 3),
+                    "bitwise_equal_one_block": same,
+                }
+            )
+            print(f"block={block:5d}  {ms:8.3f} ms  peak {peak / 1e6:6.3f} MB  equal={same}",
+                  flush=True)
+    finally:
+        problems._BLOCK_ROWS = chosen
+    return rows
 
 
 def machine() -> dict:
@@ -105,6 +149,10 @@ def main() -> None:
         print(f"B={size:5d}  rows {row_ms:8.3f} ms  vectorized {vec_ms:8.3f} ms  "
               f"x{vec_ms / row_ms:5.2f}  equal={same}", flush=True)
 
+    points = x0 + rng.uniform(-0.15, 0.15, size=(BLOCK_BATCH, 6))
+    blocks = block_sizes(problems, points, cfg)
+    table_mb = BLOCK_BATCH * (cfg.horizon + 1) * 8 / 1e6
+
     threshold = problems._ROW_KERNEL_MAX_ROWS
     crossover = 0  # largest size up to which the per-row kernel wins at every size
     for r in rows:
@@ -127,7 +175,8 @@ def main() -> None:
         "machine": machine(),
         "seed": SEED,
         "timing": f"median of {ROUNDS} rounds of >= {ROUND_S} s, mean per call in each round; "
-        "the two paths' rounds alternate",
+        "the two paths' (and the block sizes') rounds alternate; the tracemalloc peak is of "
+        "one call after a warm one",
         "paths": rows,
         "threshold": {
             "row_kernel_max_rows": threshold,
@@ -138,7 +187,21 @@ def main() -> None:
             "holds": crossover >= threshold,
         },
         "before_after": dispatched,
-        "all_bitwise_equal": all(r["bitwise_equal"] for r in rows),
+        "blocks": {
+            "batch": BLOCK_BATCH,
+            "table_mb": round(table_mb, 3),
+            "block_rows": problems._BLOCK_ROWS,
+            "sizes": blocks,
+            "rule": "the vectorized path simulates block_rows rows at a time; at that block "
+            "the batch's tracemalloc peak stays under the table plus 1 MB",
+            "holds": any(
+                r["block_rows"] == problems._BLOCK_ROWS
+                and r["tracemalloc_peak_mb"] < table_mb + 1.0
+                for r in blocks
+            ),
+        },
+        "all_bitwise_equal": all(r["bitwise_equal"] for r in rows)
+        and all(r["bitwise_equal_one_block"] for r in blocks),
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")

@@ -750,7 +750,7 @@ def check_output_law(
 
     rng = substream(seed, DOMAIN_MC, 3)
     w = np.asarray(weights, dtype=float)
-    counts = np.zeros(w.size)
+    counts = [0] * w.size
     for _ in range(draws):
         counts[select_output(w, rng) - 1] += 1
     expected = w / w.sum() * draws

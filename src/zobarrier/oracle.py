@@ -167,16 +167,27 @@ class MeasurementOracle:
         self._scalar_calls += scalar_calls
         self._directions += directions
 
+    def reserve(self, rows: int) -> None:
+        """Make room in the log for `rows` more rows, or as many as the budget
+        cap still pays for (a row is charged m+1 scalar calls or more)."""
+        if self.budget_cap is not None:
+            m1 = self.problem.num_constraints + 1
+            rows = min(rows, (self.budget_cap - self._scalar_calls) // m1)
+        self._fit(self._rows + rows)
+
+    def _fit(self, rows: int) -> None:
+        """Grow the log to hold `rows` rows, at least doubling its capacity."""
+        if rows > len(self._log[0]):
+            grown = [np.empty((max(rows, 2 * len(a)), *a.shape[1:]), a.dtype) for a in self._log]
+            for new, old in zip(grown, self._log):
+                new[: self._rows] = old[: self._rows]
+            self._log = grown
+
     def _log_rows(self, iteration: int, side: int, points: np.ndarray) -> np.ndarray:
         """Write a measurement's rows after the last in the log, growing it
         where they do not fit; returns their (P, 2) truth rows to fill."""
-        lo, capacity = self._rows, len(self._log[0])
-        hi = lo + len(points)
-        if hi > capacity:
-            grown = [np.empty((max(hi, 2 * capacity), *a.shape[1:]), a.dtype) for a in self._log]
-            for new, old in zip(grown, self._log):
-                new[:lo] = old[:lo]
-            self._log = grown
+        lo, hi = self._rows, self._rows + len(points)
+        self._fit(hi)
         ks, sides, logged, truth = self._log
         ks[lo:hi], sides[lo:hi], logged[lo:hi] = iteration, side, points
         self._rows = hi

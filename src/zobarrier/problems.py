@@ -247,25 +247,33 @@ def simulate_unicycle_batch(gains: np.ndarray, cfg: UnicycleConfig) -> np.ndarra
     return traj
 
 
+# Rows per simulate_unicycle_batch call: the residual's 2048 rows peak at 1.23 MB of
+# numpy memory in blocks of 512, 1.94 in 1024 and 3.37 in one (BENCH_simulator.json).
+_BLOCK_ROWS = 512
+
+
 def _evaluate_vectorized(points: np.ndarray, cfg: UnicycleConfig) -> np.ndarray:
-    """The unicycle's (P, T+1) table from one simulated batch: the mean
-    squared goal distance over steps 1..T, then r^2 - |p_t - c|^2 for
-    t = 1..T."""
+    """The unicycle's (P, T+1) table, simulated _BLOCK_ROWS rows at a time
+    (rows are independent, so bit for bit one block's): the mean squared
+    goal distance over steps 1..T, then r^2 - |p_t - c|^2 for t = 1..T."""
     P, T = points.shape[0], cfg.horizon
-    traj = simulate_unicycle_batch(points.reshape(P, 2, 3), cfg)[:, 1:]
     out = np.empty((P, T + 1))
-    sq = traj - np.asarray(cfg.goal)
-    sq *= sq
-    # Column additions of squares (never -0.0) are bitwise `.sum(axis=-1)`;
-    # freeing the sum before the next table keeps peak memory down. A row
-    # sum divided by T is bitwise what `mean` computes.
-    total = sq[..., 0] + sq[..., 1]
-    total += sq[..., 2]
-    out[:, 0] = total.sum(axis=1) / T
-    del total
-    sq = traj[:, :, :2] - np.asarray(cfg.obstacle_center)
-    sq *= sq
-    np.subtract(cfg.obstacle_radius**2, sq[..., 0] + sq[..., 1], out=out[:, 1:])
+    try:
+        for lo in range(0, P, _BLOCK_ROWS):
+            rows = out[lo : lo + _BLOCK_ROWS]
+            a, b = np.empty((2, len(rows), T))  # scratch; made before traj, for the peak
+            traj = simulate_unicycle_batch(points[lo : lo + len(rows)].reshape(-1, 2, 3), cfg)
+            # Column sums of squares (never -0.0) are bitwise .sum(axis=-1); row sum / T is mean.
+            for center in (cfg.goal, cfg.obstacle_center):
+                np.square(np.subtract(traj[:, 1:, 0], center[0], out=a), out=a)
+                for i in range(1, len(center)):
+                    a += np.square(np.subtract(traj[:, 1:, i], center[i], out=b), out=b)
+                if center is cfg.goal:
+                    np.divide(a.sum(axis=1), T, out=rows[:, 0])
+            np.subtract(cfg.obstacle_radius**2, a, out=rows[:, 1:])
+            del traj  # before the next block's is allocated
+    except DivergedTrajectoryError:  # as one block, the batch raises its first bad step
+        simulate_unicycle_batch(points.reshape(P, 2, 3), cfg)
     return out
 
 
@@ -352,13 +360,13 @@ def make_unicycle_problem(
     One constraint per trajectory step (m = T); no pre-aggregation, the
     algorithm's noisy max does that. The batch evaluator shares one
     simulation per query point across all m+1 fields: batches of at most
-    _ROW_KERNEL_MAX_ROWS rows run row by row in Python floats
-    (_evaluate_rows), larger ones through simulate_unicycle_batch
-    (_evaluate_vectorized), with bitwise-equal tables. The default
-    lipschitz value holds empirically on the default box with margin;
-    a caller passing a smaller tuned value (as benchmark presets do)
-    trades the containment guarantee for larger steps and must judge
-    safety from the audit.
+    _ROW_KERNEL_MAX_ROWS rows run row by row in Python floats (_evaluate_rows),
+    larger ones through simulate_unicycle_batch _BLOCK_ROWS rows at a time
+    (_evaluate_vectorized: 2048 rows peak at 1.2 MB of numpy memory, not
+    4.6 MB), with bitwise-equal tables. The default lipschitz value holds
+    empirically on the default box with margin; a caller passing a smaller
+    tuned value (as benchmark presets do) trades the containment guarantee
+    for larger steps and must judge safety from the audit.
     """
     cfg = cfg or UnicycleConfig()
     x0 = cfg.initial_gain.ravel().copy()

@@ -267,12 +267,12 @@ def select_output(weights, rng: np.random.Generator) -> int:
     entry whose interval [W_{k-1}, W_k) holds u * W_K, so a zero weight is
     never drawn. Should u * W_K round up to W_K, R is the last entry with
     positive weight."""
-    w = np.asarray(weights, dtype=float)
-    if w.size == 0 or np.all(w <= 0.0):
+    w = np.asarray(weights, dtype=float).tolist()
+    if all(v <= 0.0 for v in w):
         raise NoValidOutputError("no positive weights to sample from")
-    if np.any(w < 0.0):
+    if any(v < 0.0 for v in w):
         raise ContractViolationError("weights must be nonnegative")
-    cum = list(itertools.accumulate(w.tolist()))
+    cum = list(itertools.accumulate(w))
     total = cum[-1]
     return bisect.bisect_right(cum, rng.random() * total, 0, bisect.bisect_left(cum, total)) + 1
 
@@ -381,6 +381,7 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
     reach = nu_k * L
     sigma = problem.noise_sigma
     n = resolve_sample_count(problem, cfg)
+    oracle.reserve(K * (n + 1))  # a base row and n perturbed rows an iteration
 
     direction_tables = direction_pages()
     x = np.asarray(problem.safe_start, dtype=float).copy()

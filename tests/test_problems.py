@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from zobarrier import problems
 from zobarrier.errors import (
     ContractViolationError,
     DivergedTrajectoryError,
     UnknownProblemError,
 )
 from zobarrier.problems import (
+    _BLOCK_ROWS,
     _ROW_KERNEL_MAX_ROWS,
     ProblemSpec,
     UnicycleConfig,
@@ -195,6 +199,55 @@ def test_diverged_step_same_on_both_kernels(start, gain, step):
         with pytest.raises(DivergedTrajectoryError) as exc:
             evaluate(batch)
         assert exc.value.step == step
+
+
+@pytest.mark.parametrize("name", ["literal", "error-feedback"])
+@pytest.mark.parametrize("rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])
+def test_blocked_table_bitwise_equals_one_block(monkeypatch, name, rows):
+    cfg = UnicycleConfig(**KERNEL_CONFIGS[name])
+    points = kernel_gains(cfg, rows).reshape(rows, 6)
+    with monkeypatch.context() as patch:
+        patch.setattr(problems, "_BLOCK_ROWS", rows)
+        one_block = _evaluate_vectorized(points, cfg)
+    # The one-block table stays alive, so the blocked one cannot reuse its memory.
+    blocked = make_unicycle_problem(cfg).evaluate_all(points)
+    assert blocked.tobytes() == one_block.tobytes()
+
+
+@pytest.mark.parametrize("early_row", [None, 3])
+def test_divergence_in_a_later_block_raises_the_one_block_step(monkeypatch, early_row):
+    # Row 2 * _BLOCK_ROWS + 1 (the third block) diverges at step 1; the
+    # early row, if any, diverges at step 2 in the first block.
+    cfg = UnicycleConfig(
+        start=(1e10, 0.0, 0.0), v_max=np.inf, omega_max=np.inf, initial_gain=np.zeros((2, 3))
+    )
+    points = np.zeros((2 * _BLOCK_ROWS + 5, 6))
+    points[2 * _BLOCK_ROWS + 1, 3] = 1e300
+    if early_row is not None:
+        points[early_row, 0] = 1e200
+    errors = []
+    for block in (len(points), _BLOCK_ROWS):
+        monkeypatch.setattr(problems, "_BLOCK_ROWS", block)
+        with pytest.raises(DivergedTrajectoryError) as exc:
+            make_unicycle_problem(cfg).evaluate_all(points)
+        errors.append((exc.value.step, str(exc.value)))
+    assert errors == [(1, "trajectory diverged at step 1")] * 2
+
+
+def test_large_batch_peak_memory_is_the_table_and_one_block():
+    # The Monte-Carlo residual's batch, which peaked at 4.6 MB in one block
+    # with (rows, T, 3) and (rows, T, 2) arrays of squares.
+    cfg = UnicycleConfig(error_feedback=True)
+    evaluate = make_unicycle_problem(cfg).eval_all
+    points = kernel_gains(cfg, 2048).reshape(2048, 6)
+    evaluate(points)
+    tracemalloc.start()
+    try:
+        table = evaluate(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes + 1_000_000
 
 
 def test_points_of_the_wrong_dimension_are_refused():

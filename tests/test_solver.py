@@ -192,6 +192,24 @@ def test_select_output_all_zero():
         select_output([], substream(1))
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [[], [0.0], [-0.0, 0.0], [-1.0, 0.0], [-1.0, 2.0], [2.0, -0.0], [math.nan],
+     [math.nan, -1.0], [-1.0, math.nan], [0.0, math.nan, 1.0]],
+)
+def test_select_output_refuses_what_numpy_comparisons_refuse(weights):
+    w = np.asarray(weights, dtype=float)
+    if w.size == 0 or np.all(w <= 0.0):
+        expected = NoValidOutputError
+    elif np.any(w < 0.0):
+        expected = ContractViolationError
+    else:
+        assert 1 <= select_output(weights, substream(1)) <= len(weights)
+        return
+    with pytest.raises(expected):
+        select_output(weights, substream(1))
+
+
 def test_select_output_frequencies():
     rng = substream(44)
     draws = 100_000
@@ -459,6 +477,27 @@ def test_budget_exhaustion_is_a_named_halt(cap, calls, audited):
     assert result.certificate is None
     assert result.audit.total_scalar_calls == calls
     assert len(result.audit) == audited
+
+
+@pytest.mark.parametrize("cap, capacity", [(None, 20 * 9), (100, 100 // 2)])
+def test_a_run_allocates_its_audit_log_once(monkeypatch, cap, capacity):
+    # 20 iterations of a base row and 8 perturbed rows; doubling from empty
+    # would grow the log 7 times. Each linear-ball row costs at least 2
+    # scalar calls, so a cap of 100 pays for at most 50 rows (it halts at 27).
+    grown, fit = [], MeasurementOracle._fit
+
+    def counted(self, rows):
+        log = self._log
+        fit(self, rows)
+        if self._log is not log:
+            grown.append(len(self._log[0]))
+
+    monkeypatch.setattr(MeasurementOracle, "_fit", counted)
+    prob = analytic_problem("linear-ball", noise_sigma=0.02)
+    oracle = MeasurementOracle(prob, NoiseModel(sigma=0.02, master_seed=8), budget_cap=cap)
+    result = run(prob, ball_config(max_iters=20), oracle)
+    assert len(result.audit) == (27 if cap else 20 * 9)
+    assert grown == [capacity]
 
 
 def nan_beyond_problem(noise_sigma=0.01):
