@@ -170,21 +170,42 @@ MUTANTS = {
     ),
     # The unicycle's small batches are evaluated row by row in Python floats,
     # bit for bit as the vectorized path: the constraint subtracts the sum
-    # of the two squares, and a row whose state stops being finite falls
-    # through to the vectorized path, which raises the error and its step.
+    # of the two squares, each step feeds back the error of the state it
+    # just reached, and a row whose state stops being finite falls through
+    # to the vectorized path, which raises the error and its step.
     "row-kernel-constraint-reassociated": (
         "src/zobarrier/problems.py",
-        "cons.append(r2 - (px * px + py * py))",
-        "cons.append(r2 - px * px - py * py)",
+        "append(r2 - (px * px + py * py))",
+        "append(r2 - px * px - py * py)",
+    ),
+    "row-kernel-feeds-back-the-pre-update-error": (
+        "src/zobarrier/problems.py",
+        "                a = th + half\n"
+        "                x = x + ds * cos(a)\n"
+        "                y = y + ds * sin(a)\n"
+        "                th = th + dt * w\n"
+        "                ex, ey, et = x - gx, y - gy, th - gt\n",
+        "                a = th + half\n"
+        "                ex, ey, et = x - gx, y - gy, th - gt\n"
+        "                x = x + ds * cos(a)\n"
+        "                y = y + ds * sin(a)\n"
+        "                th = th + dt * w\n",
     ),
     "row-kernel-divergence-not-raised": (
         "src/zobarrier/problems.py",
         "if not math.isfinite(x + y + th + a0 + a1 + a2 + b0 + b1 + b2):",
         "if False:",
     ),
-    # Larger batches are simulated in blocks of rows: every block writes its
-    # rows of the table, and a diverged block has the whole batch simulated
-    # again, so the error is one block's: the smallest first bad step.
+    # Larger batches run the in-place loop, which writes np.sinc out: a zero
+    # turn rate takes sin(eps) / eps = 1, not 0 / 0.
+    "sinc-zero-substitution-dropped": (
+        "src/zobarrier/problems.py",
+        "np.copyto(y, eps, where=np.equal(y, 0.0, out=zero))",
+        "np.equal(y, 0.0, out=zero)",
+    ),
+    # The loop runs in blocks of rows: every block writes its rows of the
+    # table, and a diverged block has the whole batch simulated again, so
+    # the error is one block's: the smallest first bad step.
     "last-partial-block-dropped": (
         "src/zobarrier/problems.py",
         "for lo in range(0, P, _BLOCK_ROWS):",
@@ -192,8 +213,8 @@ MUTANTS = {
     ),
     "divergence-step-from-the-first-failing-block": (
         "src/zobarrier/problems.py",
-        "simulate_unicycle_batch(points.reshape(P, 2, 3), cfg)",
-        "raise",
+        "the batch raises its first bad step\n        simulate_unicycle_batch(gains, cfg)",
+        "the batch raises its first bad step\n        raise",
     ),
     # Each iteration reads its own slot of a page of noise or directions:
     # reusing the first slot repeats one table across the page.

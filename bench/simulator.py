@@ -1,33 +1,45 @@
-"""Per-call cost of the two unicycle evaluation paths, by batch size.
+"""Per-call cost of the two unicycle evaluation paths, by batch size, for
+one or more source trees.
 
 Times `problems._evaluate_rows` (per-row Python floats, writing the
 (P, T+1) evaluation table itself) and `problems._evaluate_vectorized`
-(one numpy simulation step per time step, then numpy reductions to the
-table) on the unicycle-paper geometry at fixed batch sizes, with gains
-drawn from a fixed seed inside the preset's search box. "before" is the
-vectorized path alone; "after" is what the unicycle `eval_all` runs,
-which picks a path by batch size. Every size also checks that both paths
-return byte-identical tables. The JSON names the machine and justifies
-the dispatch threshold: the per-row kernel must win at every size up to
-it, and the largest such size is reported as the measured crossover.
-It also justifies the vectorized path's block size: a BLOCK_BATCH-row
-batch (the Monte-Carlo residual's) is timed and its `tracemalloc` peak
-measured at each block size in BLOCKS, the last being one block, and
-every block size must return the one-block table byte for byte.
+(numpy over all rows, one time step at a time) on the unicycle-paper
+geometry at fixed batch sizes, with gains drawn from a fixed seed inside
+the preset's search box. A round runs each tree once in a fresh
+interpreter (PYTHONPATH set to the tree), timing both paths at every
+size; the rounds alternate between the trees, so a change in host speed
+reaches all of them alike, and each size's times are rescaled by
+perfbench's reference loop, timed in the same interpreter before and
+after them, to perfbench's reference host speed. Each tree's figure is
+the median over the rounds, with its quartiles. Each size also checks
+that both paths return byte-identical tables, and that every tree
+returns the same bytes.
+"eval_all_ms" is what the unicycle `eval_all` runs, which picks a path by
+batch size. The JSON names the machine and justifies the dispatch
+threshold of the last tree: the per-row kernel must win at every size up
+to it, and the largest such size is reported as the measured crossover.
+It also justifies the last tree's block size: a BLOCK_BATCH-row batch is
+timed and its `tracemalloc` peak measured at each block size in BLOCKS,
+the last being one block, and every block size must return the one-block
+table byte for byte.
 
-    python3 bench/simulator.py [--out BENCH_simulator.json]
+    python3 bench/simulator.py [--src [LABEL=]DIR ...] [--out BENCH_simulator.json]
 
-Run as a script it puts this checkout's `src` first on `sys.path`;
-imported (other bench scripts take `machine` from it) it changes nothing.
+With no --src, the `src` directory of this checkout is measured. To
+compare two commits, check the other one out elsewhere and pass both,
+e.g. `--src before=../parent/src --src after=src`. Imported (other bench
+scripts take `machine` from it) it changes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -36,16 +48,19 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-SIZES = (1, 7, 8, 16, 24, 32, 48, 64, 160, 1600)
+SIZES = (1, 7, 8, 16, 24, 32, 48, 64, 160, 1600, 2048)
 SEED = 20261018
 ROUNDS = 9
 ROUND_S = 0.05
-BLOCK_BATCH = 2048
-BLOCKS = (256, 512, 1024, 2048)
+BLOCK_BATCH = 4096
+BLOCKS = (512, 1024, 2048, 4096)
+# Times are rescaled to a host on which perfbench's reference loop takes
+# this long, as perfbench reports them (see perfbench/run.py).
+REFERENCE_S = 0.014
 
 
-def per_call_ms(kernels, points, cfg) -> list[float]:
-    """Per-call time of each kernel: the median over ROUNDS of the mean
+def per_call_ms(kernels, points, cfg, rounds: int) -> list[float]:
+    """Per-call time of each kernel: the median over `rounds` of the mean
     time per call in a round of at least ROUND_S. The kernels' rounds
     alternate, so a change in host speed reaches all of them alike."""
     calls = []
@@ -54,19 +69,62 @@ def per_call_ms(kernels, points, cfg) -> list[float]:
         t0 = time.perf_counter()
         fn(points, cfg)
         calls.append(max(1, int(ROUND_S / max(time.perf_counter() - t0, 1e-9))))
-    rounds = [[] for _ in kernels]
-    for _ in range(ROUNDS):
-        for fn, n, times in zip(kernels, calls, rounds):
+    times = [[] for _ in kernels]
+    for _ in range(rounds):
+        for fn, n, kernel_times in zip(kernels, calls, times):
             t0 = time.perf_counter()
             for _ in range(n):
                 fn(points, cfg)
-            times.append((time.perf_counter() - t0) / n)
-    return [1e3 * statistics.median(times) for times in rounds]
+            kernel_times.append((time.perf_counter() - t0) / n)
+    return [1e3 * statistics.median(kernel_times) for kernel_times in times]
 
 
-def block_sizes(problems, points, cfg) -> list[dict]:
+def gains(cfg, rng, size):
+    return cfg.initial_gain.ravel() + rng.uniform(-0.15, 0.15, size=(size, 6))
+
+
+def paths_round() -> list[dict]:
+    """One round in this interpreter: both paths' time per call at every
+    size, rescaled to the reference host speed, their byte equality and a
+    digest of the table."""
+    from zobarrier import problems
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from worker import reference_block
+
+    cfg = problems.UnicycleConfig(error_feedback=True)
+    rng = np.random.default_rng(SEED)
+    rows = []
+    reference = reference_block()
+    for size in SIZES:
+        points = gains(cfg, rng, size)
+        table = problems._evaluate_vectorized(points, cfg).tobytes()
+        kernels = (problems._evaluate_rows, problems._evaluate_vectorized)
+        row_ms, vec_ms = per_call_ms(kernels, points, cfg, rounds=1)
+        before, reference = reference, reference_block()
+        scale = REFERENCE_S / ((before + reference) / 2)
+        row_ms, vec_ms = row_ms * scale, vec_ms * scale
+        rows.append(
+            {
+                "batch": size,
+                "rows_kernel_ms": row_ms,
+                "vectorized_ms": vec_ms,
+                "eval_all_ms": row_ms if size <= problems._ROW_KERNEL_MAX_ROWS else vec_ms,
+                "bitwise_equal": problems._evaluate_rows(points, cfg).tobytes() == table,
+                "table_sha256": hashlib.sha256(table).hexdigest(),
+            }
+        )
+    return rows
+
+
+def block_sizes() -> dict:
     """Per-call time, `tracemalloc` peak and one-block equality of
-    `_evaluate_vectorized` on `points` at each block size in BLOCKS."""
+    `_evaluate_vectorized` on a BLOCK_BATCH-row batch at each block size in
+    BLOCKS, and the constants of the tree."""
+    from zobarrier import problems
+
+    cfg = problems.UnicycleConfig(error_feedback=True)
+    points = gains(cfg, np.random.default_rng(SEED + 1), BLOCK_BATCH)
     chosen = problems._BLOCK_ROWS
 
     def at(block):
@@ -78,15 +136,15 @@ def block_sizes(problems, points, cfg) -> list[dict]:
 
     kernels = [at(block) for block in BLOCKS]
     one_block = kernels[-1](points, cfg).tobytes()
-    rows = []
+    sizes = []
     try:
-        for block, evaluate, ms in zip(BLOCKS, kernels, per_call_ms(kernels, points, cfg)):
+        for block, evaluate, ms in zip(BLOCKS, kernels, per_call_ms(kernels, points, cfg, ROUNDS)):
             same = evaluate(points, cfg).tobytes() == one_block
             tracemalloc.start()
             evaluate(points, cfg)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            rows.append(
+            sizes.append(
                 {
                     "block_rows": block,
                     "ms": round(ms, 4),
@@ -94,11 +152,14 @@ def block_sizes(problems, points, cfg) -> list[dict]:
                     "bitwise_equal_one_block": same,
                 }
             )
-            print(f"block={block:5d}  {ms:8.3f} ms  peak {peak / 1e6:6.3f} MB  equal={same}",
-                  flush=True)
     finally:
         problems._BLOCK_ROWS = chosen
-    return rows
+    return {
+        "block_rows": chosen,
+        "row_kernel_max_rows": problems._ROW_KERNEL_MAX_ROWS,
+        "table_mb": round(BLOCK_BATCH * (cfg.horizon + 1) * 8 / 1e6, 3),
+        "sizes": sizes,
+    }
 
 
 def machine() -> dict:
@@ -117,68 +178,103 @@ def machine() -> dict:
     }
 
 
-def main() -> None:
-    from zobarrier import problems
+def run_worker(src: Path, kind: str):
+    from cold_start import THREADS
+
+    env = {**os.environ, "PYTHONPATH": str(src), **{name: "1" for name in THREADS}}
+    proc = subprocess.run(
+        [sys.executable, __file__, "--worker", kind],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def main() -> int:
+    from cold_start import source
 
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--src", type=source, action="append", help="[LABEL=]DIR holding the zobarrier package"
+    )
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_simulator.json")
+    parser.add_argument("--worker", choices=("paths", "blocks"), help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.worker:
+        import zobarrier
 
-    cfg = problems.UnicycleConfig(error_feedback=True)
-    rng = np.random.default_rng(SEED)
-    x0 = cfg.initial_gain.ravel()
-    rows = []
-    for size in SIZES:
-        points = x0 + rng.uniform(-0.15, 0.15, size=(size, 6))
-        same = (
-            problems._evaluate_rows(points, cfg).tobytes()
-            == problems._evaluate_vectorized(points, cfg).tobytes()
-        )
-        row_ms, vec_ms = per_call_ms(
-            (problems._evaluate_rows, problems._evaluate_vectorized), points, cfg
-        )
-        rows.append(
-            {
-                "batch": size,
-                "rows_kernel_ms": round(row_ms, 4),
-                "vectorized_ms": round(vec_ms, 4),
-                "rows_speedup": round(vec_ms / row_ms, 2),
-                "bitwise_equal": same,
+        tree = Path(os.environ["PYTHONPATH"]).resolve()
+        if Path(zobarrier.__file__).resolve().parents[1] != tree:
+            raise SystemExit(f"zobarrier imported from {zobarrier.__file__}, not {tree}")
+        print(json.dumps(paths_round() if args.worker == "paths" else block_sizes()))
+        return 0
+
+    sources = dict(args.src or [("src", ROOT / "src")])
+    rounds = {label: [] for label in sources}
+    for r in range(ROUNDS):
+        for label, src in sources.items():
+            rounds[label].append(run_worker(src, "paths"))
+        print(f"round {r + 1}/{ROUNDS} done", flush=True)
+    last = list(sources)[-1]
+    blocks = run_worker(sources[last], "blocks")
+
+    paths = []
+    for i, size in enumerate(SIZES):
+        row = {"batch": size}
+        for label, samples in rounds.items():
+            at_size = [sample[i] for sample in samples]
+            row[label] = {
+                key: round(statistics.median(s[key] for s in at_size), 4)
+                for key in ("rows_kernel_ms", "vectorized_ms", "eval_all_ms")
             }
+            row[label]["rows_speedup"] = round(
+                row[label]["vectorized_ms"] / row[label]["rows_kernel_ms"], 2
+            )
+            q1, _, q3 = statistics.quantiles(
+                [s["eval_all_ms"] for s in at_size], n=4, method="inclusive"
+            )
+            row[label]["eval_all_ms_q1_q3"] = [round(q1, 4), round(q3, 4)]
+        row["bitwise_equal"] = all(s[i]["bitwise_equal"] for v in rounds.values() for s in v)
+        row["tables_equal_across_trees"] = (
+            len({s[i]["table_sha256"] for v in rounds.values() for s in v}) == 1
         )
-        print(f"B={size:5d}  rows {row_ms:8.3f} ms  vectorized {vec_ms:8.3f} ms  "
-              f"x{vec_ms / row_ms:5.2f}  equal={same}", flush=True)
+        if len(sources) > 1:
+            first = list(sources)[0]
+            row["eval_all_after_over_before"] = round(
+                row[last]["eval_all_ms"] / row[first]["eval_all_ms"], 3
+            )
+        paths.append(row)
+        print(json.dumps(row), flush=True)
 
-    points = x0 + rng.uniform(-0.15, 0.15, size=(BLOCK_BATCH, 6))
-    blocks = block_sizes(problems, points, cfg)
-    table_mb = BLOCK_BATCH * (cfg.horizon + 1) * 8 / 1e6
-
-    threshold = problems._ROW_KERNEL_MAX_ROWS
+    threshold = blocks["row_kernel_max_rows"]
     crossover = 0  # largest size up to which the per-row kernel wins at every size
-    for r in rows:
-        if r["rows_speedup"] <= 1.0:
+    for row in paths:
+        if row[last]["rows_speedup"] <= 1.0:
             break
-        crossover = r["batch"]
-    dispatched = [
-        {
-            "batch": r["batch"],
-            "path": "rows" if r["batch"] <= threshold else "vectorized",
-            "before_ms": r["vectorized_ms"],
-            "after_ms": r["rows_kernel_ms"] if r["batch"] <= threshold else r["vectorized_ms"],
-        }
-        for r in rows
-    ]
+        crossover = row["batch"]
+    table_mb = blocks["table_mb"]
+    fits = [b["block_rows"] for b in blocks["sizes"] if b["tracemalloc_peak_mb"] < table_mb + 1.0]
+    for b in blocks["sizes"]:
+        print(json.dumps(b), flush=True)
     report = {
         "what": "unicycle evaluation table per-call time by batch size (horizon 30, "
-        "unicycle-paper geometry, error feedback)",
-        "command": "python3 bench/simulator.py",
+        "unicycle-paper geometry, error feedback), for each source tree",
+        "command": "python3 bench/simulator.py "
+        + " ".join(f"--src {label}=DIR" for label in sources),
         "machine": machine(),
         "seed": SEED,
-        "timing": f"median of {ROUNDS} rounds of >= {ROUND_S} s, mean per call in each round; "
-        "the two paths' (and the block sizes') rounds alternate; the tracemalloc peak is of "
-        "one call after a warm one",
-        "paths": rows,
+        "timing": f"per tree and size, the median (and eval_all's quartiles) over {ROUNDS} fresh "
+        f"interpreters of the mean time per call over >= {ROUND_S} s, rescaled by perfbench's "
+        f"reference loop to a host where it takes {REFERENCE_S} s, the rounds alternating "
+        "between trees; the block sizes are timed unscaled in one interpreter of the last "
+        f"tree, median of {ROUNDS} alternating rounds, and the tracemalloc peak is of one call "
+        "after a warm one; BLAS/OpenMP threads pinned to 1",
+        "sources": list(sources),
+        "paths": paths,
         "threshold": {
+            "tree": last,
             "row_kernel_max_rows": threshold,
             "largest_size_rows_kernel_wins_up_to": crossover,
             "rule": "the per-row kernel wins at every measured size up to the threshold, "
@@ -186,27 +282,24 @@ def main() -> None:
             "interpreter or a faster numpy shifts the crossover without inverting the choice",
             "holds": crossover >= threshold,
         },
-        "before_after": dispatched,
         "blocks": {
+            "tree": last,
             "batch": BLOCK_BATCH,
-            "table_mb": round(table_mb, 3),
-            "block_rows": problems._BLOCK_ROWS,
-            "sizes": blocks,
-            "rule": "the vectorized path simulates block_rows rows at a time; at that block "
-            "the batch's tracemalloc peak stays under the table plus 1 MB",
-            "holds": any(
-                r["block_rows"] == problems._BLOCK_ROWS
-                and r["tracemalloc_peak_mb"] < table_mb + 1.0
-                for r in blocks
-            ),
+            "table_mb": table_mb,
+            "block_rows": blocks["block_rows"],
+            "sizes": blocks["sizes"],
+            "rule": "block_rows is the largest measured block at which the batch's tracemalloc "
+            "peak stays under the table plus 1 MB",
+            "holds": bool(fits) and blocks["block_rows"] == max(fits),
         },
-        "all_bitwise_equal": all(r["bitwise_equal"] for r in rows)
-        and all(r["bitwise_equal_one_block"] for r in blocks),
+        "all_bitwise_equal": all(row["bitwise_equal"] for row in paths)
+        and all(b["bitwise_equal_one_block"] for b in blocks["sizes"]),
+        "tables_equal_across_trees": all(row["tables_equal_across_trees"] for row in paths),
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
+    return 0 if report["all_bitwise_equal"] and report["tables_equal_across_trees"] else 1
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(ROOT / "src"))
-    main()
+    sys.exit(main())

@@ -194,8 +194,16 @@ class UnicycleConfig:
             raise ContractViolationError("input bounds must be positive")
 
 
-def _step(q: np.ndarray, v: np.ndarray, omega: np.ndarray, dt: float) -> np.ndarray:
-    """Exact-integration state update for inputs held constant over dt:
+def simulate_unicycle_batch(
+    gains: np.ndarray, cfg: UnicycleConfig, table: np.ndarray | None = None
+) -> np.ndarray:
+    """Simulate a float array of gains (B, 2, 3); returns C-contiguous
+    states of shape (B, T+1, 3), or, given a (B, T+1) `table`, fills it
+    with the evaluation table (see _evaluate_vectorized), keeping no states.
+
+    Control is u_{t+1} = U q_t, or U (q_t - q_goal) in error-feedback
+    mode, clamped componentwise. The state advances by the exact
+    integration step for inputs held constant over dt:
 
         theta' = theta + dt*omega
         dx = v*dt*sinc(dt*omega/2) * cos(theta + dt*omega/2)
@@ -203,85 +211,86 @@ def _step(q: np.ndarray, v: np.ndarray, omega: np.ndarray, dt: float) -> np.ndar
 
     with sinc(z) = sin(z)/z, sinc(0) = 1, which reproduces the
     continuous-time arc for any dt (straight line in the omega -> 0
-    limit). Vectorized over leading axes of q / v / omega; a single
-    state (3,) with scalar inputs gives one update.
-    """
-    half = 0.5 * dt * omega
-    ds = v * dt * np.sinc(half / np.pi)  # np.sinc(z/pi) = sin(z)/z
-    theta = q[..., 2]
-    return q + np.stack(
-        [ds * np.cos(theta + half), ds * np.sin(theta + half), dt * omega], axis=-1
-    )
-
-
-def simulate_unicycle_batch(gains: np.ndarray, cfg: UnicycleConfig) -> np.ndarray:
-    """Simulate a float array of gains (B, 2, 3); returns C-contiguous
-    states of shape (B, T+1, 3).
-
-    Control is u_{t+1} = U q_t, or U (q_t - q_goal) in error-feedback
-    mode, clamped componentwise; the state advances by the exact
-    integration step, one numpy step per time step for all rows at once.
-    Raises DivergedTrajectoryError with the first step at which any
-    row's state is not finite.
+    limit). A time step is about 30 in-place numpy calls over all rows,
+    doing np.einsum's (summing (a0*e0 + a2*e2) + a1*e1; a zero may differ
+    in sign), np.clip's and np.sinc's operations in their order. Raises
+    DivergedTrajectoryError with the first step where a state is not finite.
     """
     if not np.isfinite(gains).all():
         raise ContractViolationError("gain matrix must be finite")
-    B, T = gains.shape[0], cfg.horizon
-    goal = np.asarray(cfg.goal, dtype=float)
-    traj = np.empty((B, T + 1, 3))
-    q = np.tile(np.asarray(cfg.start, dtype=float), (B, 1))
-    traj[:, 0] = q
+    B, T, dt, eps = gains.shape[0], cfg.horizon, cfg.dt, np.finfo(float).eps
+    # Each gain entry, coordinate and input is one row of B contiguous values.
+    U = np.ascontiguousarray(gains.reshape(B, 6).T).reshape(2, 3, B)
+    start, goal, center = (np.array(c)[:, None] for c in (cfg.start, cfg.goal, cfg.obstacle_center))
+    q = start.repeat(B, 1)
+    e = q - goal  # the goal differences, fed back in error-feedback mode
+    feedback = e if cfg.error_feedback else q
+    hi = np.array([[cfg.v_max], [cfg.omega_max]])
+    lo, u, work, zero = -hi, np.empty((2, B)), np.empty((6, B)), np.empty(B, bool)
+    out = np.empty((B, T + 1)) if table is None else table
+    terms = np.empty((B, T))
+    traj = None if table is not None else np.tile(cfg.start, (B, T + 1, 1))
     # Overflow from an unstable gain surfaces as the diverged-trajectory
     # error, not as runtime warnings.
     with np.errstate(invalid="ignore", over="ignore"):
         for t in range(T):
-            feedback = q - goal if cfg.error_feedback else q
-            u = np.einsum("bij,bj->bi", gains, feedback)
-            v = np.clip(u[:, 0], -cfg.v_max, cfg.v_max)
-            w = np.clip(u[:, 1], -cfg.omega_max, cfg.omega_max)
-            q = _step(q, v, w, cfg.dt)
-            traj[:, t + 1] = q
-    if not np.isfinite(traj).all():
-        bad = np.flatnonzero(~np.isfinite(traj).all(axis=(0, 2)))
+            np.multiply(U, feedback, out=work.reshape(2, 3, B))
+            np.add(np.add(work[0::3], work[2::3], out=u), work[1::3], out=u)
+            v, w = np.clip(u, lo, hi, out=u)
+            half = np.multiply(0.5 * dt, w, out=work[0])
+            # np.sinc(half / pi): sin(y) / y at y = pi * (half / pi), with eps for y = 0
+            y = np.multiply(np.pi, np.divide(half, np.pi, out=work[1]), out=work[1])
+            np.copyto(y, eps, where=np.equal(y, 0.0, out=zero))
+            sinc = np.divide(np.sin(y, out=work[2]), y, out=work[2])
+            ds = np.multiply(np.multiply(v, dt, out=v), sinc, out=v)
+            a, step = np.add(q[2], half, out=half), work[2:4]
+            np.cos(a, out=step[0])
+            np.sin(a, out=step[1])
+            q[:2] += np.multiply(ds, step, out=step)
+            q[2] += np.multiply(dt, w, out=w)
+            np.subtract(q, goal, out=e)
+            if traj is not None:
+                traj[:, t + 1] = q.T
+            # Squares summed as numpy sums 3 or 2 columns: left to right.
+            sq = np.multiply(e, e, out=work[:3])
+            np.add(np.add(sq[0], sq[1], out=terms[:, t]), sq[2], out=terms[:, t])
+            p = np.subtract(q[:2], center, out=work[3:5])
+            p *= p
+            np.subtract(cfg.obstacle_radius**2, np.add(p[0], p[1], out=p[0]), out=out[:, t + 1])
+    np.divide(np.add.reduce(terms, 1), T, out=out[:, 0])
+    if traj is None:  # a state that is not finite stays so; the states raise its first step
+        return out if np.isfinite(q).all() else simulate_unicycle_batch(gains, cfg)
+    bad = np.flatnonzero(~np.isfinite(traj).all(axis=(0, 2)))
+    if bad.size:
         raise DivergedTrajectoryError(int(bad[0]))
     return traj
 
 
-# Rows per simulate_unicycle_batch call: the residual's 2048 rows peak at 1.23 MB of
-# numpy memory in blocks of 512, 1.94 in 1024 and 3.37 in one (BENCH_simulator.json).
-_BLOCK_ROWS = 512
+# Rows per simulate_unicycle_batch call: the residual's 2048 rows are one block, whose
+# numpy memory peaks at the table plus 0.9 MB of scratch (BENCH_simulator.json).
+_BLOCK_ROWS = 2048
 
 
 def _evaluate_vectorized(points: np.ndarray, cfg: UnicycleConfig) -> np.ndarray:
-    """The unicycle's (P, T+1) table, simulated _BLOCK_ROWS rows at a time
-    (rows are independent, so bit for bit one block's): the mean squared
-    goal distance over steps 1..T, then r^2 - |p_t - c|^2 for t = 1..T."""
-    P, T = points.shape[0], cfg.horizon
-    out = np.empty((P, T + 1))
+    """The unicycle's (P, T+1) table: the mean squared goal distance over
+    steps 1..T, then r^2 - |p_t - c|^2 for t = 1..T. simulate_unicycle_batch
+    writes it _BLOCK_ROWS rows at a time (rows are independent, so bit for
+    bit one block's) and stores no trajectory."""
+    P = points.shape[0]
+    gains, out = points.reshape(P, 2, 3), np.empty((P, cfg.horizon + 1))
     try:
         for lo in range(0, P, _BLOCK_ROWS):
-            rows = out[lo : lo + _BLOCK_ROWS]
-            a, b = np.empty((2, len(rows), T))  # scratch; made before traj, for the peak
-            traj = simulate_unicycle_batch(points[lo : lo + len(rows)].reshape(-1, 2, 3), cfg)
-            # Column sums of squares (never -0.0) are bitwise .sum(axis=-1); row sum / T is mean.
-            for center in (cfg.goal, cfg.obstacle_center):
-                np.square(np.subtract(traj[:, 1:, 0], center[0], out=a), out=a)
-                for i in range(1, len(center)):
-                    a += np.square(np.subtract(traj[:, 1:, i], center[i], out=b), out=b)
-                if center is cfg.goal:
-                    np.divide(a.sum(axis=1), T, out=rows[:, 0])
-            np.subtract(cfg.obstacle_radius**2, a, out=rows[:, 1:])
-            del traj  # before the next block's is allocated
+            simulate_unicycle_batch(gains[lo : lo + _BLOCK_ROWS], cfg, out[lo : lo + _BLOCK_ROWS])
     except DivergedTrajectoryError:  # as one block, the batch raises its first bad step
-        simulate_unicycle_batch(points.reshape(P, 2, 3), cfg)
+        simulate_unicycle_batch(gains, cfg)
     return out
 
 
 # Batches up to this many rows are evaluated row by row in Python floats.
-# Each numpy call costs a few microseconds even on a 7-element array, so
-# below the crossover (see BENCH_simulator.json) plain floats are faster.
-# The solver's batches (1 base row, n_k perturbed rows) fall below it;
-# trace evaluation and the Monte-Carlo residuals stay above.
+# The in-place loop makes about 30 numpy calls per time step, each about a
+# microsecond even on 7 rows, so plain floats win up to 32-48 rows
+# (BENCH_simulator.json). The solver's batches (1 base row, n_k perturbed
+# rows) fall below 16; the Monte-Carlo residuals stay above.
 _ROW_KERNEL_MAX_ROWS = 16
 
 
@@ -302,25 +311,25 @@ def _evaluate_rows(points: np.ndarray, cfg: UnicycleConfig) -> np.ndarray | None
     """
     P, T, dt, hdt = points.shape[0], cfg.horizon, cfg.dt, 0.5 * cfg.dt
     v_max, w_max, r2 = cfg.v_max, cfg.omega_max, cfg.obstacle_radius**2
+    v_min, w_min, literal = -v_max, -w_max, not cfg.error_feedback
     (gx, gy, gt), (cx, cy) = cfg.goal, cfg.obstacle_center
-    # Subtracting +0.0 is exact, so literal feedback shares the loop.
-    fx, fy, ft = cfg.goal if cfg.error_feedback else (0.0, 0.0, 0.0)
     sin, cos, pi = math.sin, math.cos, math.pi
-    cons: list[float] = []
-    terms: list[float] = []
+    out: list[float] = []  # each step's clearance, then its goal term
+    append = out.append
     for a0, a1, a2, b0, b1, b2 in points.tolist():
         x, y, th = cfg.start
+        # The feedback: the goal differences in error-feedback mode, else the state.
+        ex, ey, et = (x, y, th) if literal else (x - gx, y - gy, th - gt)
         try:
             for _ in range(T):
-                ex, ey, et = x - fx, y - fy, th - ft
                 v = (a0 * ex + a2 * et) + a1 * ey
                 w = (b0 * ex + b2 * et) + b1 * ey
-                if v < -v_max:
-                    v = -v_max
+                if v < v_min:
+                    v = v_min
                 elif v > v_max:
                     v = v_max
-                if w < -w_max:
-                    w = -w_max
+                if w < w_min:
+                    w = w_min
                 elif w > w_max:
                     w = w_max
                 half = hdt * w
@@ -330,17 +339,21 @@ def _evaluate_rows(points: np.ndarray, cfg: UnicycleConfig) -> np.ndarray | None
                 x = x + ds * cos(a)
                 y = y + ds * sin(a)
                 th = th + dt * w
-                px, py, dx, dy, dz = x - cx, y - cy, x - gx, y - gy, th - gt
-                cons.append(r2 - (px * px + py * py))
-                terms.append((dx * dx + dy * dy) + dz * dz)
+                ex, ey, et = x - gx, y - gy, th - gt
+                px, py = x - cx, y - cy
+                append(r2 - (px * px + py * py))
+                append((ex * ex + ey * ey) + et * et)
+                if literal:
+                    ex, ey, et = x, y, th
         except ValueError:
             x = math.nan
         # Also catches a gain that is not finite, which the clamp can hide.
         if not math.isfinite(x + y + th + a0 + a1 + a2 + b0 + b1 + b2):
             return None
+    steps = np.fromiter(out, float, 2 * P * T).reshape(P, T, 2)
     table = np.empty((P, T + 1))
-    table[:, 1:] = np.fromiter(cons, float, P * T).reshape(P, T)
-    np.divide(np.add.reduce(np.fromiter(terms, float, P * T).reshape(P, T), 1), T, out=table[:, 0])
+    table[:, 1:] = steps[:, :, 0]
+    np.divide(np.add.reduce(steps[:, :, 1], 1), T, out=table[:, 0])
     return table
 
 
@@ -361,12 +374,12 @@ def make_unicycle_problem(
     algorithm's noisy max does that. The batch evaluator shares one
     simulation per query point across all m+1 fields: batches of at most
     _ROW_KERNEL_MAX_ROWS rows run row by row in Python floats (_evaluate_rows),
-    larger ones through simulate_unicycle_batch _BLOCK_ROWS rows at a time
-    (_evaluate_vectorized: 2048 rows peak at 1.2 MB of numpy memory, not
-    4.6 MB), with bitwise-equal tables. The default lipschitz value holds
-    empirically on the default box with margin; a caller passing a smaller
-    tuned value (as benchmark presets do) trades the containment guarantee
-    for larger steps and must judge safety from the audit.
+    larger ones through simulate_unicycle_batch's in-place loop, which fills
+    the table _BLOCK_ROWS rows at a time (_evaluate_vectorized); the tables
+    are bitwise equal. The default lipschitz value holds empirically on the
+    default box with margin; a caller passing a smaller tuned value (as
+    benchmark presets do) trades the containment guarantee for larger steps
+    and must judge safety from the audit.
     """
     cfg = cfg or UnicycleConfig()
     x0 = cfg.initial_gain.ravel().copy()

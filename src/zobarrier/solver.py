@@ -266,8 +266,10 @@ def select_output(weights, rng: np.random.Generator) -> int:
     One uniform draw u is placed among the cumulative weights: R is the
     entry whose interval [W_{k-1}, W_k) holds u * W_K, so a zero weight is
     never drawn. Should u * W_K round up to W_K, R is the last entry with
-    positive weight."""
+    positive weight. NaN and infinite weights are refused."""
     w = np.asarray(weights, dtype=float).tolist()
+    if not all(map(math.isfinite, w)):
+        raise ContractViolationError("weights must be finite")
     if all(v <= 0.0 for v in w):
         raise NoValidOutputError("no positive weights to sample from")
     if any(v < 0.0 for v in w):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,6 @@ from zobarrier.problems import (
     UnicycleConfig,
     _evaluate_rows,
     _evaluate_vectorized,
-    _step,
     analytic_names,
     analytic_problem,
     constraint_max,
@@ -29,14 +29,27 @@ from zobarrier.problems import (
 GOLDEN_BASELINE_COST = 27.72419601789319
 
 
+def constant_input_states(start, v, omega, steps=1, dt=0.1):
+    """simulate_unicycle_batch's states under constant inputs (v, omega >= 0):
+    error feedback toward a far goal, with gains large enough that the
+    clamps hold v and omega at their bounds (a zero turn-rate gain gives
+    omega = 0 exactly, the sinc(0) = 1 case)."""
+    gain = [[1e6, 0.0, 0.0], [1e6 if omega else 0.0, 0.0, 0.0]]
+    cfg = UnicycleConfig(
+        horizon=steps, dt=dt, start=start, goal=(-100.0, -100.0, -100.0), error_feedback=True,
+        initial_gain=gain, v_max=v, omega_max=omega or 1.0,
+    )
+    return simulate_unicycle_batch(cfg.initial_gain[None], cfg)[0]
+
+
 def test_straight_line_step():
     # omega = 0, v = 1, theta = 0, dt = 0.1: the sinc(0) = 1 limit.
-    q1 = _step(np.zeros(3), v=1.0, omega=0.0, dt=0.1)
+    q1 = constant_input_states((0.0, 0.0, 0.0), v=1.0, omega=0.0)[1]
     assert np.allclose(q1, [0.1, 0.0, 0.0], atol=1e-15)
 
 
 def test_theta_update_is_exact():
-    q1 = _step(np.array([0.3, -0.2, 0.7]), v=0.5, omega=1.3, dt=0.1)
+    q1 = constant_input_states((0.3, -0.2, 0.7), v=0.5, omega=1.3)[1]
     assert q1[2] == 0.7 + 0.1 * 1.3
 
 
@@ -44,12 +57,8 @@ def test_constant_input_traces_circle():
     # Constant v = 1, omega = 1 follows a circle of radius v/omega = 1
     # centered at (0, 1); the exact-integration step lands on it at every
     # sample time, so only float rounding remains.
-    q = np.zeros(3)
-    worst = 0.0
-    for _ in range(63):
-        q = _step(q, v=1.0, omega=1.0, dt=0.1)
-        worst = max(worst, abs(np.hypot(q[0], q[1] - 1.0) - 1.0))
-    assert worst < 1e-6
+    traj = constant_input_states((0.0, 0.0, 0.0), v=1.0, omega=1.0, steps=63)
+    assert np.abs(np.hypot(traj[:, 0], traj[:, 1] - 1.0) - 1.0).max() < 1e-6
 
 
 def test_feedback_timing_matches_manual_rollout():
@@ -62,7 +71,9 @@ def test_feedback_timing_matches_manual_rollout():
         u = U @ (q - goal)
         v = np.clip(u[0], -cfg.v_max, cfg.v_max)
         w = np.clip(u[1], -cfg.omega_max, cfg.omega_max)
-        q = _step(q, v, w, cfg.dt)
+        half = 0.5 * cfg.dt * w
+        ds = v * cfg.dt * (math.sin(half) / half if half else 1.0)
+        q = q + [ds * math.cos(q[2] + half), ds * math.sin(q[2] + half), cfg.dt * w]
         assert np.allclose(traj[t + 1], q, atol=1e-14)
 
 
@@ -191,42 +202,88 @@ def test_trajectory_bitwise_the_same_in_any_batch():
     ],
 )
 def test_diverged_step_same_on_both_kernels(start, gain, step):
+    # Alone and in 7 rows (the row kernel), in 25 rows (one in-place
+    # block) and in more rows than a block.
     cfg = UnicycleConfig(start=start, v_max=np.inf, omega_max=np.inf, initial_gain=np.zeros((2, 3)))
     evaluate = make_unicycle_problem(cfg).evaluate_all
-    points = np.zeros((_ROW_KERNEL_MAX_ROWS + 9, 6))
+    points = np.zeros((_BLOCK_ROWS + 9, 6))
     points[5] = np.ravel(gain)
-    for batch in (points[5:6], points[:7], points):
+    for batch in (points[5:6], points[:7], points[: _ROW_KERNEL_MAX_ROWS + 9], points):
         with pytest.raises(DivergedTrajectoryError) as exc:
             evaluate(batch)
         assert exc.value.step == step
 
 
+# Literal feedback starts off the origin, where it would never move. With
+# feedback off and a goal heading that is not 0, the goal differences the
+# table squares are not the feedback.
+PARITY_CONFIGS = {
+    "literal": {"start": (0.5, -0.3, 0.2)},
+    "error-feedback": {"error_feedback": True},
+    "literal-goal-heading": {"start": (0.5, -0.3, 0.2), "goal": (4.0, 4.0, 0.7)},
+    "error-feedback-goal-heading": {"goal": (4.0, 4.0, -0.7), "error_feedback": True},
+}
+
+
+def table_from_trajectories(traj, cfg):
+    """The evaluation table reduced from simulate_unicycle_batch's states
+    with numpy's own sums."""
+    goal = traj[:, 1:] - np.asarray(cfg.goal)
+    center = traj[:, 1:, :2] - np.asarray(cfg.obstacle_center)
+    return np.c_[
+        (goal * goal).sum(axis=-1).sum(axis=1) / cfg.horizon,
+        cfg.obstacle_radius**2 - (center * center).sum(axis=-1),
+    ]
+
+
+@pytest.mark.parametrize("horizon", [1, 30])
+@pytest.mark.parametrize("name", sorted(PARITY_CONFIGS))
+def test_row_kernel_in_place_loop_and_trajectories_agree_bitwise(name, horizon):
+    cfg = UnicycleConfig(horizon=horizon, **PARITY_CONFIGS[name])
+    gains = kernel_gains(cfg, _BLOCK_ROWS + 1)
+    points = gains.reshape(len(gains), 6)
+    # The first step's inputs pass both clamps, and some turn rates are 0.
+    start = np.asarray(cfg.start)
+    u = gains @ (start - np.asarray(cfg.goal) if cfg.error_feedback else start)
+    assert (np.abs(u[:, 0]) > cfg.v_max).any() and (np.abs(u[:, 1]) > cfg.omega_max).any()
+    assert (u[:, 1] == 0.0).any()
+    for rows in (1, 7, 16, 17, len(gains)):
+        expected = table_from_trajectories(simulate_unicycle_batch(gains[:rows], cfg), cfg)
+        in_place = np.empty((rows, horizon + 1))
+        assert simulate_unicycle_batch(gains[:rows], cfg, in_place) is in_place
+        assert in_place.tobytes() == expected.tobytes()
+        assert _evaluate_rows(points[:rows], cfg).tobytes() == expected.tobytes()
+        assert make_unicycle_problem(cfg).eval_all(points[:rows]).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("name", ["literal", "error-feedback"])
-@pytest.mark.parametrize("rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])
+@pytest.mark.parametrize("rows", [511, 512, 513, 1025])
 def test_blocked_table_bitwise_equals_one_block(monkeypatch, name, rows):
+    # Blocks of 512 rows: one short block, one full, a full one and one
+    # row, two full ones and one row.
     cfg = UnicycleConfig(**KERNEL_CONFIGS[name])
     points = kernel_gains(cfg, rows).reshape(rows, 6)
-    with monkeypatch.context() as patch:
-        patch.setattr(problems, "_BLOCK_ROWS", rows)
-        one_block = _evaluate_vectorized(points, cfg)
+    monkeypatch.setattr(problems, "_BLOCK_ROWS", rows)
+    one_block = _evaluate_vectorized(points, cfg)
     # The one-block table stays alive, so the blocked one cannot reuse its memory.
+    monkeypatch.setattr(problems, "_BLOCK_ROWS", 512)
     blocked = make_unicycle_problem(cfg).evaluate_all(points)
     assert blocked.tobytes() == one_block.tobytes()
 
 
 @pytest.mark.parametrize("early_row", [None, 3])
 def test_divergence_in_a_later_block_raises_the_one_block_step(monkeypatch, early_row):
-    # Row 2 * _BLOCK_ROWS + 1 (the third block) diverges at step 1; the
+    # In blocks of 512, row 1025 (the third block) diverges at step 1; the
     # early row, if any, diverges at step 2 in the first block.
     cfg = UnicycleConfig(
         start=(1e10, 0.0, 0.0), v_max=np.inf, omega_max=np.inf, initial_gain=np.zeros((2, 3))
     )
-    points = np.zeros((2 * _BLOCK_ROWS + 5, 6))
-    points[2 * _BLOCK_ROWS + 1, 3] = 1e300
+    points = np.zeros((2 * 512 + 5, 6))
+    points[2 * 512 + 1, 3] = 1e300
     if early_row is not None:
         points[early_row, 0] = 1e200
     errors = []
-    for block in (len(points), _BLOCK_ROWS):
+    for block in (len(points), 512):
         monkeypatch.setattr(problems, "_BLOCK_ROWS", block)
         with pytest.raises(DivergedTrajectoryError) as exc:
             make_unicycle_problem(cfg).evaluate_all(points)
@@ -235,8 +292,10 @@ def test_divergence_in_a_later_block_raises_the_one_block_step(monkeypatch, earl
 
 
 def test_large_batch_peak_memory_is_the_table_and_one_block():
-    # The Monte-Carlo residual's batch, which peaked at 4.6 MB in one block
-    # with (rows, T, 3) and (rows, T, 2) arrays of squares.
+    # The Monte-Carlo residual's batch, which peaked at 4.6 MB with its
+    # (rows, T+1, 3) trajectories and (rows, T, 3) and (rows, T, 2) arrays
+    # of squares; the in-place loop keeps no trajectory.
+    assert _BLOCK_ROWS >= 2048
     cfg = UnicycleConfig(error_feedback=True)
     evaluate = make_unicycle_problem(cfg).eval_all
     points = kernel_gains(cfg, 2048).reshape(2048, 6)

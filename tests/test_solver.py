@@ -199,7 +199,9 @@ def test_select_output_all_zero():
 )
 def test_select_output_refuses_what_numpy_comparisons_refuse(weights):
     w = np.asarray(weights, dtype=float)
-    if w.size == 0 or np.all(w <= 0.0):
+    if not np.isfinite(w).all():
+        expected = ContractViolationError
+    elif w.size == 0 or np.all(w <= 0.0):
         expected = NoValidOutputError
     elif np.any(w < 0.0):
         expected = ContractViolationError
@@ -207,6 +209,17 @@ def test_select_output_refuses_what_numpy_comparisons_refuse(weights):
         assert 1 <= select_output(weights, substream(1)) <= len(weights)
         return
     with pytest.raises(expected):
+        select_output(weights, substream(1))
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[0.0, math.nan, 1.0], [math.nan], [math.inf], [1.0, -math.inf], [0.0, math.inf, 2.0]],
+)
+def test_select_output_refuses_non_finite_weights(weights):
+    # A NaN makes every later cumulative weight NaN, which bisect never
+    # passes: [0, nan, 1] drew the zero-weight entry 1.
+    with pytest.raises(ContractViolationError, match="weights must be finite"):
         select_output(weights, substream(1))
 
 
