@@ -21,6 +21,22 @@ whole cost (loop_us), and REPS times with each step wrapped in a timer:
                       final `audit()` call and less the timers' own
                       cost, calibrated on an empty function
 
+A third run per rep splits each oracle measurement, `measure_base` and
+`measure_perturbed` alike, into four parts, with hooks on the oracle's
+own calls:
+
+    evaluation        problem.evaluate_all
+    log               MeasurementOracle._log_rows and the truth writes:
+                      from its start to the later of its end and the end
+                      of the last `constraint_max` call of the oracle
+                      module (a tree that writes the truth rows after
+                      `_log_rows` calls it there)
+    noise             from the start of NoiseModel.draw to the return of
+                      the measurement: the draw and the add
+    checks            the rest: the checks of the query, of the
+                      directions and of the true values, and the budget
+                      charge, less the hooks' calibrated cost
+
 Each figure is microseconds per iteration, the median over REPS runs in a
 worker and then the median and quartiles (q1, q3) over ROUNDS workers, so
 that a reader can tell a change from drift between workers; the rounds
@@ -45,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import dataclasses
 import filecmp
 import json
@@ -78,6 +95,8 @@ STEPS = (
     "barrier_estimate",
     "step_record",
 )
+PARTS = ("evaluation", "log", "noise", "checks")
+SPLIT = tuple(f"{m}.{part}" for m in ("measure_base", "measure_perturbed") for part in PARTS)
 THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -140,6 +159,66 @@ def step_timers(spent: dict):
             setattr(solver, name, fn)
 
 
+@contextlib.contextmanager
+def oracle_split(o, spent: dict, overhead: float):
+    """Wrap oracle o's measurements so that each adds its parts (PARTS) to
+    spent["<measurement>.<part>"] while inside; `checks` leaves out the
+    cost of the hooks inside, `overhead` seconds a call each."""
+    from zobarrier import oracle
+
+    now = time.perf_counter
+    marks = {}
+
+    def hook(name, fn):
+        end = name + "_end"
+
+        def call(*args, **kwargs):
+            marks[name] = now()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                marks[end] = now()
+
+        return call
+
+    def measurement(name, fn):
+        def call(*args, **kwargs):
+            marks.clear()
+            t0 = now()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                total = now() - t0
+                parts = dict.fromkeys(PARTS, 0.0)
+                if "evaluate_end" in marks:
+                    parts["evaluation"] = marks["evaluate_end"] - marks["evaluate"]
+                if "log_end" in marks:
+                    end = max(marks["log_end"], marks.get("constraint_max_end", 0.0))
+                    parts["log"] = end - marks["log"]
+                if "draw" in marks:
+                    parts["noise"] = t0 + total - marks["draw"]
+                hooks = sum(key.endswith("_end") for key in marks)
+                parts["checks"] = total - sum(parts.values()) - hooks * overhead
+                for part, seconds in parts.items():
+                    spent[f"{name}.{part}"] += seconds
+
+        return call
+
+    problem = copy.copy(o.problem)
+    problem.evaluate_all = hook("evaluate", o.problem.evaluate_all)
+    o.problem = problem
+    object.__setattr__(o.noise, "draw", hook("draw", o.noise.draw))
+    o._log_rows = hook("log", o._log_rows)
+    o.measure_base = measurement("measure_base", o.measure_base)
+    o.measure_perturbed = measurement("measure_perturbed", o.measure_perturbed)
+    real = oracle.constraint_max
+    oracle.constraint_max = hook("constraint_max", real)
+    try:
+        yield
+    finally:
+        oracle.constraint_max = real
+
+
 def worker(workload: str) -> dict:
     """Microseconds per iteration of trial 0's `solver.run`, as
     `harness.run_trial` sets it up: the whole run, and each step, each
@@ -158,17 +237,19 @@ def worker(workload: str) -> dict:
         noise = NoiseModel(cfg.noise_kind, problem.noise_sigma, master_seed=cfg.base_seed)
         return MeasurementOracle(problem, noise, budget_cap=cfg.budget_cap)
 
-    def once(spent=None):
+    def once(spent=None, split=None):
         """Seconds per iteration of one run; with `spent`, the oracle's
-        measurements and audit are timed into it."""
+        measurements and audit are timed into it; with `split`, the
+        measurements' parts (oracle_split)."""
         o = oracle()
         if spent is not None:
             o.measure_base = _timed(spent, "measure_base", o.measure_base)
             o.measure_perturbed = _timed(spent, "measure_perturbed", o.measure_perturbed)
             o.audit = _timed(spent, "audit", o.audit)
-        t0 = time.perf_counter()
-        result = solver.run(problem, algo, o)
-        return (time.perf_counter() - t0) / len(result.trace), len(result.trace)
+        with oracle_split(o, split, overhead) if split is not None else contextlib.nullcontext():
+            t0 = time.perf_counter()
+            result = solver.run(problem, algo, o)
+            return (time.perf_counter() - t0) / len(result.trace), len(result.trace)
 
     # A timer's cost outside its own window, per call: on an empty function.
     probe = {"empty": 0.0, "calls": 0}
@@ -179,13 +260,15 @@ def worker(workload: str) -> dict:
     overhead = (time.perf_counter() - t0 - probe["empty"]) / 100_000
 
     once()  # warm caches and lazy imports
-    loop, per_step = [], {step: [] for step in STEPS}
+    loop, per_step = [], {step: [] for step in (*STEPS, *SPLIT)}
     reference = reference_block()
-    for _ in range(REPS):  # untimed and timed runs alternate
+    for _ in range(REPS):  # untimed, step-timed and split runs alternate
         seconds = once()[0]
         spent = dict.fromkeys((*STEPS, "audit", "calls"), 0.0)
         with step_timers(spent):
             timed_seconds, iterations = once(spent)
+        split = dict.fromkeys(SPLIT, 0.0)
+        once(split=split)
         before, reference = reference, reference_block()
         scale = REFERENCE_S / ((before + reference) / 2)
         loop.append(seconds * scale)
@@ -193,6 +276,8 @@ def worker(workload: str) -> dict:
         spent["step_record"] = rest - sum(spent[step] for step in STEPS[:-1])
         for step in STEPS:
             per_step[step].append(spent[step] / iterations * scale)
+        for key in SPLIT:
+            per_step[key].append(split[key] / iterations * scale)
     us = {"loop_us": loop, **per_step}
     return {
         **{key: statistics.median(values) * 1e6 for key, values in us.items()},
@@ -275,7 +360,8 @@ def main() -> int:
     same = all(all(v.values()) for v in identical.values())
     report = {
         "what": "microseconds per solver.run iteration: the whole loop untimed per step "
-        "(loop_us), then each step with a timer around it (see the script's docstring)",
+        "(loop_us), then each step with a timer around it, then each oracle measurement "
+        "split into evaluation, log, noise and checks (see the script's docstring)",
         "command": "python3 bench/iteration.py "
         + " ".join(f"--src {label}=DIR" for label in sources),
         "machine": machine(),

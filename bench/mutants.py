@@ -81,12 +81,8 @@ MUTANTS = {
     # measurement's rows into the log reversed, each point with its truth.
     "audit-perturbed-rows-reversed": (
         "src/zobarrier/oracle.py",
-        "ks[lo:hi], sides[lo:hi], logged[lo:hi] = iteration, side, points\n"
-        "        self._rows = hi\n"
-        "        return truth[lo:hi]",
-        "ks[lo:hi], sides[lo:hi], logged[lo:hi] = iteration, side, points[::-1]\n"
-        "        self._rows = hi\n"
-        "        return truth[lo:hi][::-1]",
+        "= iteration, side, points\n",
+        "= iteration, side, points[::-1]\n        true_vals = true_vals[::-1]\n",
     ),
     # The CSV writers take every row, a chunk of rows at a time: a chunk
     # that stops one row short drops the last row of each chunk.
@@ -96,14 +92,12 @@ MUTANTS = {
         "rows = slice(lo, lo + step - 1)",
     ),
     # The audit's max-constraint reads every constraint column: a point
-    # that violates only the last constraint is still flagged.
+    # that violates only the last constraint is still flagged. (A
+    # one-constraint table is its own truth row and never reaches this line.)
     "audit-max-skips-last-constraint": (
         "src/zobarrier/oracle.py",
-        "constraint_max(true_vals, out=truth[:, 1])",
-        # A one-constraint table keeps its column, so the mutant does not
-        # fail every problem at once with an IndexError.
-        "constraint_max(true_vals[:, :-1] if true_vals.shape[1] > 2 else true_vals, "
-        "out=truth[:, 1])",
+        "constraint_max(true_vals, out=truth[lo:hi, 1])",
+        "constraint_max(true_vals[:, :-1], out=truth[lo:hi, 1])",
     ),
     # The trace's truth columns are the audit's base rows: iteration k's
     # base measurement queried x_k. Every other row is a perturbed one.
@@ -153,9 +147,8 @@ MUTANTS = {
     ),
     "non-finite-query-point-accepted": (
         "src/zobarrier/oracle.py",
-        "if np.count_nonzero(np.isfinite(points)) < points.size:\n"
-        '            raise ContractViolationError("query point must be finite")',
-        'if False:\n            raise ContractViolationError("query point must be finite")',
+        "if not all(map(math.isfinite, points.ravel().tolist())):",
+        "if False:",
     ),
     "non-finite-displaced-points-accepted": (
         "src/zobarrier/oracle.py",
@@ -167,6 +160,29 @@ MUTANTS = {
         "src/zobarrier/oracle.py",
         "_UNIT_NORM_TOL = 1e-12",
         "_UNIT_NORM_TOL = 1e-9",
+    ),
+    # A direction page is checked whole once and then trusted, but only a
+    # page whose every row passed, only while it stays read-only, and only
+    # for its views of whole rows; any other array is checked every call.
+    "any-read-only-array-trusted": (
+        "src/zobarrier/oracle.py",
+        ") and not _unit_rows(directions):",
+        ") and directions.flags.writeable and not _unit_rows(directions):",
+    ),
+    "row-offset-condition-dropped": (
+        "src/zobarrier/oracle.py",
+        "\n            and np.shares_memory(directions[:1, :1], self._unit_column)  # starts in column 0",
+        "",
+    ),
+    "page-made-writable-still-trusted": (
+        "src/zobarrier/oracle.py",
+        "page is self._unit_page and page is not None and not page.flags.writeable",
+        "page is self._unit_page and page is not None",
+    ),
+    "page-with-a-bad-row-remembered": (
+        "src/zobarrier/oracle.py",
+        "and not page.flags.writeable and _unit_rows(page)",
+        "and not page.flags.writeable",
     ),
     # The unicycle's small batches are evaluated row by row in Python floats,
     # bit for bit as the vectorized path: the constraint subtracts the sum

@@ -124,6 +124,10 @@ class SafetyAudit:
         return int(np.count_nonzero(self.violated))
 
 
+def _unit_rows(a: np.ndarray) -> bool:
+    return not np.count_nonzero(np.abs(np.sqrt(np.einsum("ij,ij->i", a, a)) - 1.0) > _UNIT_NORM_TOL)
+
+
 class MeasurementOracle:
     """Serves noisy measurements of one problem and audits every query.
 
@@ -133,6 +137,7 @@ class MeasurementOracle:
     measurement writes its rows in place after the last, and a
     measurement that does not fit doubles the capacity (or grows it to
     fit). `audit` returns read-only views of the rows written so far.
+    Directions viewing a read-only page are checked once per page, others on every call.
     """
 
     def __init__(self, problem: ProblemSpec, noise: NoiseModel, budget_cap: int | None = None):
@@ -141,9 +146,8 @@ class MeasurementOracle:
         self.budget_cap = budget_cap
         self._log = [np.empty(0, np.int64), np.empty(0, np.int8)]  # iterations, sides
         self._log += [np.empty((0, problem.dim)), np.empty((0, 2))]  # points, truth
-        self._rows = 0
-        self._scalar_calls = 0
-        self._directions = 0
+        self._rows = self._scalar_calls = self._directions = 0
+        self._unit_page = self._unit_column = None  # see measure_perturbed
 
     # -- accounting --------------------------------------------------------
 
@@ -156,10 +160,7 @@ class MeasurementOracle:
         return self._directions
 
     def _charge(self, scalar_calls: int, directions: int = 0) -> None:
-        if (
-            self.budget_cap is not None
-            and self._scalar_calls + scalar_calls > self.budget_cap
-        ):
+        if self.budget_cap is not None and self._scalar_calls + scalar_calls > self.budget_cap:
             raise BudgetExhaustedError(
                 f"budget cap {self.budget_cap} would be exceeded "
                 f"({self._scalar_calls} used, {scalar_calls} requested)"
@@ -183,13 +184,18 @@ class MeasurementOracle:
                 new[: self._rows] = old[: self._rows]
             self._log = grown
 
-    def _log_rows(self, iteration: int, side: int, points: np.ndarray) -> np.ndarray:
-        """Write a measurement's rows after the last in the log, growing it
-        where they do not fit; returns their (P, 2) truth rows to fill."""
+    def _log_rows(self, iteration: int, side: int, points: np.ndarray, true_vals: np.ndarray):
+        """Write a measurement's rows after the last in the log, growing it where
+        they do not fit; returns their truth rows [f0, max_i f_i] of `true_vals`."""
         lo, hi = self._rows, self._rows + len(points)
         self._fit(hi)
         ks, sides, logged, truth = self._log
         ks[lo:hi], sides[lo:hi], logged[lo:hi] = iteration, side, points
+        if true_vals.shape[1] == 2:  # [f0, f1] is its own truth row: one contiguous copy
+            truth[lo:hi] = true_vals
+        else:
+            truth[lo:hi, 0] = true_vals[:, 0]
+            constraint_max(true_vals, out=truth[lo:hi, 1])
         self._rows = hi
         return truth[lo:hi]
 
@@ -207,11 +213,9 @@ class MeasurementOracle:
         try:
             true_vals = self.problem.evaluate_all(points)
         except DivergedTrajectoryError:
-            self._log_rows(iteration, side, points).fill(np.nan)
+            self._log_rows(iteration, side, points, np.full((len(points), 2), np.nan))
             raise
-        truth = self._log_rows(iteration, side, points)
-        truth[:, 0] = true_vals[:, 0]
-        constraint_max(true_vals, out=truth[:, 1])
+        truth = self._log_rows(iteration, side, points, true_vals)
         # np.count_nonzero is one C call; .any() and .all() are ufunc reductions.
         if np.count_nonzero(np.isfinite(true_vals)) < true_vals.size:
             raise NonFiniteMeasurementError(
@@ -226,7 +230,7 @@ class MeasurementOracle:
     def measure_base(self, x: np.ndarray, n: int, iteration: int) -> np.ndarray:
         """n fresh noisy measurements of every function at x; (n, m+1)."""
         points = np.array(x, dtype=float, ndmin=2)
-        if np.count_nonzero(np.isfinite(points)) < points.size:
+        if not all(map(math.isfinite, points.ravel().tolist())):
             raise ContractViolationError("query point must be finite")
         if n < 1:
             raise ContractViolationError("need n >= 1 base samples")
@@ -235,13 +239,29 @@ class MeasurementOracle:
     def measure_perturbed(
         self, x: np.ndarray, directions: np.ndarray, radius: float, iteration: int
     ) -> np.ndarray:
-        """Noisy values at x + radius * s_j for each direction; (n, m+1)."""
+        """Noisy values at x + radius * s_j for each direction; (n, m+1).
+
+        Directions must be unit vectors to within _UNIT_NORM_TOL. A read-only,
+        C-contiguous 2-D float64 page owning its data is checked whole when it
+        first comes as `directions.base`; the last to pass exempts its views of
+        whole rows (its strides and column count, a whole number of rows in)
+        while read-only; other arrays are checked on every call. A caller who
+        unlocks, changes and relocks the page defeats it, as it would the audit's views."""
         x = np.asarray(x, dtype=float)
         directions = np.asarray(directions, dtype=float)
         if radius < 0.0:
             raise ContractViolationError("radius must be nonnegative")
-        norms = np.sqrt(np.einsum("ij,ij->i", directions, directions))
-        if np.count_nonzero(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
+        page = directions.base
+        if page is not self._unit_page and type(page) is np.ndarray and page.ndim == 2 and (
+            page.dtype == np.float64 and page.flags.owndata and page.flags.c_contiguous
+            and not page.flags.writeable and _unit_rows(page)
+        ):
+            self._unit_page, self._unit_column = page, page[:, :1]
+        if not (
+            page is self._unit_page and page is not None and not page.flags.writeable
+            and directions.strides == page.strides and directions.shape[1:] == page.shape[1:]
+            and np.shares_memory(directions[:1, :1], self._unit_column)  # starts in column 0
+        ) and not _unit_rows(directions):
             raise ContractViolationError("directions must be unit vectors")
         points = x[None, :] + radius * directions
         # Checking the displaced points also catches a NaN radius.

@@ -288,10 +288,10 @@ def _evaluate_vectorized(points: np.ndarray, cfg: UnicycleConfig) -> np.ndarray:
 
 # Batches up to this many rows are evaluated row by row in Python floats.
 # The in-place loop makes about 30 numpy calls per time step, each about a
-# microsecond even on 7 rows, so plain floats win up to 32-48 rows
-# (BENCH_simulator.json). The solver's batches (1 base row, n_k perturbed
-# rows) fall below 16; the Monte-Carlo residuals stay above.
-_ROW_KERNEL_MAX_ROWS = 16
+# microsecond even on 7 rows, so plain floats win up to 48 rows, which this
+# stays below (BENCH_simulator.json). The solver's batches (1 base row, n_k
+# perturbed rows) fall below it; the Monte-Carlo residuals stay above.
+_ROW_KERNEL_MAX_ROWS = 32
 
 
 def _evaluate_rows(points: np.ndarray, cfg: UnicycleConfig) -> np.ndarray | None:

@@ -24,7 +24,14 @@ from zobarrier.oracle import (
 )
 from zobarrier.problems import ProblemSpec, UnicycleConfig, analytic_problem, make_unicycle_problem
 from zobarrier.solver import AlgoConfig, direction_pages, run
-from zobarrier.streams import DOMAIN_DIRECTIONS, PAGE_VALUES, SIDE_BASE, SIDE_PERTURBED, substream
+from zobarrier.streams import (
+    DOMAIN_DIRECTIONS,
+    PAGE_VALUES,
+    SIDE_BASE,
+    SIDE_PERTURBED,
+    TablePages,
+    substream,
+)
 
 
 @pytest.fixture
@@ -147,6 +154,105 @@ def test_every_solver_direction_passes_the_unit_norm_check(dim):
     assert oracle.total_directions == 16 * per_page
 
 
+def direction_page_tables(bad_rows=(), bad_pages=None):
+    """TablePages of unit directions, each page one `sphere_sample`, whose
+    page rows `bad_rows` are 1e-10 off unit length: on every page, or on
+    the pages numbered in `bad_pages` (counting the pages drawn)."""
+    drawn = []
+
+    def fill(rng, rows, cols):
+        page = sphere_sample(cols, rows, rng)
+        if bad_pages is None or len(drawn) in bad_pages:
+            page[list(bad_rows)] *= 1.0 + 1e-10
+        drawn.append(page)
+        return page
+
+    return TablePages(fill)
+
+
+def directions_at(pages, k, n=4, d=2):
+    return pages.table(3, DOMAIN_DIRECTIONS, k, 0, n, d)
+
+
+def test_a_page_with_a_bad_row_is_refused_on_every_call(ball):
+    # Page row 5 is row 1 of iteration 1's table. The page is checked whole
+    # on first use and not kept, so its tables are checked call by call:
+    # iteration 1's is refused each time, iteration 0's accepted.
+    oracle = make_oracle(ball)
+    pages = direction_page_tables(bad_rows=[5])
+    for k in (1, 1, 0, 1):
+        directions = directions_at(pages, k)
+        assert not directions.flags.writeable and directions.base is not None
+        if k == 1:
+            with pytest.raises(ContractViolationError, match="directions must be unit vectors"):
+                oracle.measure_perturbed(np.zeros(2), directions, 0.1, k)
+        else:
+            oracle.measure_perturbed(np.zeros(2), directions, 0.1, k)
+    assert oracle.total_directions == 4
+
+
+def test_a_checked_page_made_writable_is_checked_again(ball):
+    oracle = make_oracle(ball)
+    pages = direction_pages()
+    directions = directions_at(pages, 0)
+    oracle.measure_perturbed(np.zeros(2), directions, 0.1, 1)
+    page = directions.base
+    page.flags.writeable = True
+    page[1] *= 1.0 + 1e-10
+    with pytest.raises(ContractViolationError, match="directions must be unit vectors"):
+        oracle.measure_perturbed(np.zeros(2), directions_at(pages, 0), 0.1, 2)
+    page[1] /= np.linalg.norm(page[1])
+    oracle.measure_perturbed(np.zeros(2), directions_at(pages, 0), 0.1, 3)
+
+
+def test_a_view_across_the_rows_of_a_checked_page_is_checked(ball):
+    # A view with the page's strides and columns that starts one value in:
+    # each of its rows straddles two rows of the page.
+    oracle = make_oracle(ball)
+    pages = direction_pages()
+    oracle.measure_perturbed(np.zeros(2), directions_at(pages, 0), 0.1, 1)
+    page = directions_at(pages, 0).base
+    straddling = page.ravel()[1 : 2 * 4 + 1].reshape(4, 2)
+    assert straddling.base is page and straddling.strides == page.strides
+    with pytest.raises(ContractViolationError, match="directions must be unit vectors"):
+        oracle.measure_perturbed(np.zeros(2), straddling, 0.1, 2)
+    assert oracle.total_directions == 4
+
+
+def test_a_writable_copy_is_checked_on_every_call(ball):
+    oracle = make_oracle(ball)
+    copy = directions_at(direction_pages(), 0).copy()
+    oracle.measure_perturbed(np.zeros(2), copy, 0.1, 1)
+    oracle.measure_perturbed(np.zeros(2), copy[1:3], 0.1, 2)
+    copy[2] *= 1.0 + 1e-10
+    for directions, k in ((copy, 3), (copy[1:3], 4)):
+        with pytest.raises(ContractViolationError, match="directions must be unit vectors"):
+            oracle.measure_perturbed(np.zeros(2), directions, 0.1, k)
+
+
+def test_a_second_page_is_checked_when_it_first_appears(ball):
+    # One page holds 512 tables of 4 directions in R^2; the second page
+    # drawn has a bad row 2, in its first table.
+    oracle = make_oracle(ball)
+    pages = direction_page_tables(bad_rows=[2], bad_pages={1})
+    per_page = PAGE_VALUES // (4 * 2)
+    oracle.measure_perturbed(np.zeros(2), directions_at(pages, 0), 0.1, 1)
+    with pytest.raises(ContractViolationError, match="directions must be unit vectors"):
+        oracle.measure_perturbed(np.zeros(2), directions_at(pages, per_page), 0.1, 2)
+    oracle.measure_perturbed(np.zeros(2), directions_at(pages, per_page + 1), 0.1, 3)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("coordinate", [0, 1])
+def test_a_non_finite_base_point_is_refused(ball, value, coordinate):
+    oracle = make_oracle(ball)
+    x = np.zeros(2)
+    x[coordinate] = value
+    with pytest.raises(ContractViolationError, match="^query point must be finite$"):
+        oracle.measure_base(x, 3, iteration=1)
+    assert oracle.total_scalar_calls == 0 and len(oracle.audit()) == 0
+
+
 def test_empty_audit(ball):
     audit = make_oracle(ball).audit()
     assert len(audit) == 0
@@ -209,10 +315,11 @@ def test_audit_determinism(ball):
 @pytest.mark.parametrize(
     "problem",
     [
+        analytic_problem("linear-ball", noise_sigma=0.01),
         analytic_problem("smooth-2con", noise_sigma=0.01),
         make_unicycle_problem(UnicycleConfig(error_feedback=True), lipschitz=40.0),
     ],
-    ids=["smooth-2con", "unicycle"],
+    ids=["linear-ball", "smooth-2con", "unicycle"],
 )
 def test_audit_true_values_are_the_evaluated_rows(problem):
     # Each measurement is evaluated once, as its own batch; one batch of

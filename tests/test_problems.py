@@ -247,7 +247,7 @@ def test_row_kernel_in_place_loop_and_trajectories_agree_bitwise(name, horizon):
     u = gains @ (start - np.asarray(cfg.goal) if cfg.error_feedback else start)
     assert (np.abs(u[:, 0]) > cfg.v_max).any() and (np.abs(u[:, 1]) > cfg.omega_max).any()
     assert (u[:, 1] == 0.0).any()
-    for rows in (1, 7, 16, 17, len(gains)):
+    for rows in (1, 7, 16, 17, _ROW_KERNEL_MAX_ROWS + 1, len(gains)):
         expected = table_from_trajectories(simulate_unicycle_batch(gains[:rows], cfg), cfg)
         in_place = np.empty((rows, horizon + 1))
         assert simulate_unicycle_batch(gains[:rows], cfg, in_place) is in_place
