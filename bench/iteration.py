@@ -12,7 +12,8 @@ whole cost (loop_us), and REPS times with each step wrapped in a timer:
                       and solver._adaptive_margin in a tree that has it
                       (in a tree without it, the max of the bounds and
                       the adaptive reach count in step_record)
-    directions        the table call on solver.direction_pages()
+    directions        MeasurementOracle.directions (the table call on
+                      solver.direction_pages() in a tree that has it)
     measure_perturbed MeasurementOracle.measure_perturbed
     barrier_estimate  solver.barrier_estimate
     step_record       the rest of `solver.run`: the gradient norm, step
@@ -137,21 +138,23 @@ def _timed(spent: dict, step: str, fn):
 @contextlib.contextmanager
 def step_timers(spent: dict):
     """Wrap the solver's steps in timers adding to `spent` while inside;
-    the oracle's two measurements and its audit are wrapped per oracle."""
+    the oracle's measurements, directions and audit are wrapped per oracle."""
     from zobarrier import solver
 
     class Directions:
         def __init__(self, pages):
             self.table = _timed(spent, "directions", pages.table)
 
-    # Older trees compute an adaptive margin in solver._adaptive_margin.
+    # Older trees compute an adaptive margin in solver._adaptive_margin, and
+    # draw the directions in the solver, from solver.direction_pages().
     bounds = [n for n in ("confidence_bounds", "margin", "_adaptive_margin") if hasattr(solver, n)]
-    names = (*bounds, "barrier_estimate", "direction_pages")
-    real = {name: getattr(solver, name) for name in names}
+    pages = ["direction_pages"] if hasattr(solver, "direction_pages") else []
+    real = {name: getattr(solver, name) for name in (*bounds, "barrier_estimate", *pages)}
     for name in bounds:
         setattr(solver, name, _timed(spent, "bounds_margin", real[name]))
     solver.barrier_estimate = _timed(spent, "barrier_estimate", real["barrier_estimate"])
-    solver.direction_pages = lambda: Directions(real["direction_pages"]())
+    if pages:
+        solver.direction_pages = lambda: Directions(real["direction_pages"]())
     try:
         yield
     finally:
@@ -239,13 +242,15 @@ def worker(workload: str) -> dict:
 
     def once(spent=None, split=None):
         """Seconds per iteration of one run; with `spent`, the oracle's
-        measurements and audit are timed into it; with `split`, the
-        measurements' parts (oracle_split)."""
+        measurements, directions and audit are timed into it; with `split`,
+        the measurements' parts (oracle_split)."""
         o = oracle()
         if spent is not None:
             o.measure_base = _timed(spent, "measure_base", o.measure_base)
             o.measure_perturbed = _timed(spent, "measure_perturbed", o.measure_perturbed)
             o.audit = _timed(spent, "audit", o.audit)
+            if hasattr(o, "directions"):
+                o.directions = _timed(spent, "directions", o.directions)
         with oracle_split(o, split, overhead) if split is not None else contextlib.nullcontext():
             t0 = time.perf_counter()
             result = solver.run(problem, algo, o)

@@ -161,28 +161,35 @@ MUTANTS = {
         "_UNIT_NORM_TOL = 1e-12",
         "_UNIT_NORM_TOL = 1e-9",
     ),
-    # A direction page is checked whole once and then trusted, but only a
-    # page whose every row passed, only while it stays read-only, and only
-    # for its views of whole rows; any other array is checked every call.
-    "any-read-only-array-trusted": (
+    # The oracle draws the directions and skips the unit check only for the
+    # table it served last, and only while that table's page is read-only;
+    # any other array is checked every call, and an empty table is refused.
+    "identity-test-dropped": (
         "src/zobarrier/oracle.py",
-        ") and not _unit_rows(directions):",
-        ") and directions.flags.writeable and not _unit_rows(directions):",
+        "served = directions is self._served and not",
+        "served = directions.base is not None and not",
     ),
-    "row-offset-condition-dropped": (
+    "page-read-only-test-dropped": (
         "src/zobarrier/oracle.py",
-        "\n            and np.shares_memory(directions[:1, :1], self._unit_column)  # starts in column 0",
-        "",
+        "served = directions is self._served and not directions.base.flags.writeable",
+        "served = directions is self._served",
     ),
-    "page-made-writable-still-trusted": (
+    "view-flag-decides-not-the-page-flag": (
         "src/zobarrier/oracle.py",
-        "page is self._unit_page and page is not None and not page.flags.writeable",
-        "page is self._unit_page and page is not None",
+        "and not directions.base.flags.writeable",
+        "and not directions.flags.writeable",
     ),
-    "page-with-a-bad-row-remembered": (
+    "empty-direction-table-accepted": (
         "src/zobarrier/oracle.py",
-        "and not page.flags.writeable and _unit_rows(page)",
-        "and not page.flags.writeable",
+        "if n < 1:\n            raise ContractViolationError(\"need n >= 1 directions\")",
+        "if n < 0:\n            raise ContractViolationError(\"need n >= 1 directions\")",
+    ),
+    # A table with a page to itself is served as a view of the page too, so
+    # the page-read-only test covers it.
+    "one-table-page-served-as-its-own-page": (
+        "src/zobarrier/streams.py",
+        "return values[:]",
+        "return values",
     ),
     # The unicycle's small batches are evaluated row by row in Python floats,
     # bit for bit as the vectorized path: the constraint subtracts the sum

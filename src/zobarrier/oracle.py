@@ -15,9 +15,10 @@ re-raised.
 A noise table is a pure function of (master_seed, iteration, side,
 rows, cols), never of call order, so identical query sequences from two
 oracles with equal seeds are bitwise identical and a noise table may be
-served in any order. Small tables are paged (`streams.TablePages`): one
-generator serves the tables of several consecutive iterations. The audit
-is the log of the queries in the order they were made.
+served in any order. The oracle also draws the solver's directions.
+Small tables are paged (`streams.TablePages`): one generator serves the
+tables of several consecutive iterations. The audit is the log of the
+queries in the order they were made.
 """
 
 from __future__ import annotations
@@ -35,10 +36,12 @@ from .errors import (
     NonFiniteMeasurementError,
     UnsafeQueryError,
 )
+from .estimator import sphere_sample
 from .problems import ProblemSpec, constraint_max
 # `substream` stays importable here: perfbench's tracer wraps it at every
 # module that bound it, this one included.
-from .streams import DOMAIN_NOISE, SIDE_BASE, SIDE_PERTURBED, TablePages, substream  # noqa: F401
+from .streams import DOMAIN_DIRECTIONS, DOMAIN_NOISE, SIDE_BASE, SIDE_PERTURBED, TablePages
+from .streams import substream  # noqa: F401
 
 _UNIT_NORM_TOL = 1e-12
 
@@ -57,14 +60,15 @@ class NoiseModel:
     kind: str = "gaussian"
     sigma: float = 0.0
     master_seed: int = 0
-    # The page last drawn per (side, rows, cols).
-    _pages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # The pages of each side, SIDE_BASE and SIDE_PERTURBED.
+    _pages: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ContractViolationError(f"noise kind must be one of {_KINDS}")
         if self.sigma < 0.0:
             raise ContractViolationError("sigma must be nonnegative")
+        self._pages[:] = TablePages(self._fill), TablePages(self._fill)
 
     def _fill(self, rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
         if self.kind == "gaussian":
@@ -81,13 +85,10 @@ class NoiseModel:
         (slot + 1) * rows of the (per_page * rows, cols) table read in row
         order from substream(master_seed, DOMAIN_NOISE, page,
         side + 2 * rows * cols). Tables of different value counts on one
-        side never share values."""
+        side never share values. Each side keeps its last page."""
         if self.sigma == 0.0:
             return np.broadcast_to(0.0, (rows, cols))
-        pages = self._pages.get((side, rows, cols))
-        if pages is None:
-            pages = self._pages[side, rows, cols] = TablePages(self._fill)
-        return pages.table(self.master_seed, DOMAIN_NOISE, iteration, side, rows, cols)
+        return self._pages[side].table(self.master_seed, DOMAIN_NOISE, iteration, side, rows, cols)
 
 
 @dataclass
@@ -137,8 +138,7 @@ class MeasurementOracle:
     measurement writes its rows in place after the last, and a
     measurement that does not fit doubles the capacity (or grows it to
     fit). `audit` returns read-only views of the rows written so far.
-    Directions viewing a read-only page are checked once per page, others on every call.
-    """
+    `directions` draws the solver's directions."""
 
     def __init__(self, problem: ProblemSpec, noise: NoiseModel, budget_cap: int | None = None):
         self.problem = problem
@@ -147,7 +147,8 @@ class MeasurementOracle:
         self._log = [np.empty(0, np.int64), np.empty(0, np.int8)]  # iterations, sides
         self._log += [np.empty((0, problem.dim)), np.empty((0, 2))]  # points, truth
         self._rows = self._scalar_calls = self._directions = 0
-        self._unit_page = self._unit_column = None  # see measure_perturbed
+        self._direction_pages = TablePages(lambda rng, rows, cols: sphere_sample(cols, rows, rng))
+        self._served = None  # the table `directions` served last
 
     # -- accounting --------------------------------------------------------
 
@@ -236,38 +237,37 @@ class MeasurementOracle:
             raise ContractViolationError("need n >= 1 base samples")
         return self._measure(iteration, SIDE_BASE, points, n, directions=0)
 
+    def directions(self, seed: int, iteration: int, n: int) -> np.ndarray:
+        """The iteration's n unit directions in R^d, read-only: the (n, d) table
+        (seed, DOMAIN_DIRECTIONS, iteration, 0, n, d) of `streams.TablePages`
+        whose pages are each one `sphere_sample`."""
+        key = (seed, DOMAIN_DIRECTIONS, iteration, 0, n, self.problem.dim)
+        self._served = self._direction_pages.table(*key)
+        return self._served
+
     def measure_perturbed(
         self, x: np.ndarray, directions: np.ndarray, radius: float, iteration: int
     ) -> np.ndarray:
         """Noisy values at x + radius * s_j for each direction; (n, m+1).
 
-        Directions must be unit vectors to within _UNIT_NORM_TOL. A read-only,
-        C-contiguous 2-D float64 page owning its data is checked whole when it
-        first comes as `directions.base`; the last to pass exempts its views of
-        whole rows (its strides and column count, a whole number of rows in)
-        while read-only; other arrays are checked on every call. A caller who
+        Directions must be n >= 1 unit vectors to within _UNIT_NORM_TOL, checked
+        unless they are the table `directions` served last and its page (the
+        array owning its memory, `directions.base`) is read-only. A caller who
         unlocks, changes and relocks the page defeats it, as it would the audit's views."""
         x = np.asarray(x, dtype=float)
         directions = np.asarray(directions, dtype=float)
         if radius < 0.0:
             raise ContractViolationError("radius must be nonnegative")
-        page = directions.base
-        if page is not self._unit_page and type(page) is np.ndarray and page.ndim == 2 and (
-            page.dtype == np.float64 and page.flags.owndata and page.flags.c_contiguous
-            and not page.flags.writeable and _unit_rows(page)
-        ):
-            self._unit_page, self._unit_column = page, page[:, :1]
-        if not (
-            page is self._unit_page and page is not None and not page.flags.writeable
-            and directions.strides == page.strides and directions.shape[1:] == page.shape[1:]
-            and np.shares_memory(directions[:1, :1], self._unit_column)  # starts in column 0
-        ) and not _unit_rows(directions):
+        served = directions is self._served and not directions.base.flags.writeable
+        if not served and not _unit_rows(directions):
             raise ContractViolationError("directions must be unit vectors")
+        n = len(directions)
+        if n < 1:
+            raise ContractViolationError("need n >= 1 directions")
         points = x[None, :] + radius * directions
         # Checking the displaced points also catches a NaN radius.
         if np.count_nonzero(np.isfinite(points)) < points.size:
             raise ContractViolationError("query points must be finite")
-        n = len(directions)
         return self._measure(iteration, SIDE_PERTURBED, points, n, directions=n)
 
     # -- audit ---------------------------------------------------------------

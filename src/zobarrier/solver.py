@@ -8,7 +8,7 @@ k = 1..K at the current iterate:
   2. forms per-constraint upper confidence bounds, their max M_k, and
      the certified margin alpha_k = -(M_k + nu_k*L) (halting if it is
      not positive),
-  3. measures at nu_k-displaced sphere points (perturbed side),
+  3. measures at x + nu_k * s_j along the oracle's directions s_j,
   4. assembles the barrier-gradient estimate
      g_k = G0 + eta * Gc / alpha_k,
   5. steps x -= gamma_k * g_k with
@@ -42,17 +42,13 @@ from .errors import (
     UnsafeQueryError,
     UnsafeStartError,
 )
-from .estimator import (
-    barrier_gradient,
-    confidence_bounds,
-    estimate_gradient,
-    margin,
-    sphere_sample,
-)
+from .estimator import barrier_gradient, confidence_bounds, estimate_gradient, margin
+# `sphere_sample` stays importable here: perfbench's tracer wraps it at the solver.
+from .estimator import sphere_sample  # noqa: F401
 from .oracle import MeasurementOracle
 from .problems import ProblemSpec, constraint_max
 from .smoothing import smoothed_gradient
-from .streams import DOMAIN_DIRECTIONS, DOMAIN_OUTPUT, TablePages, substream
+from .streams import DOMAIN_OUTPUT, substream
 
 logger = logging.getLogger(__name__)
 
@@ -355,13 +351,6 @@ def resolve_sample_count(problem: ProblemSpec, cfg: AlgoConfig) -> int:
     return required
 
 
-def direction_pages() -> TablePages:
-    """The solver's sampling directions: iteration k's n unit vectors in
-    R^d are `direction_pages().table(seed, DOMAIN_DIRECTIONS, k, 0, n, d)`,
-    each page one `sphere_sample`."""
-    return TablePages(lambda rng, rows, cols: sphere_sample(cols, rows, rng))
-
-
 def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> RunResult:
     """Execute K iterations and sample the output pair.
 
@@ -385,7 +374,6 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
     n = resolve_sample_count(problem, cfg)
     oracle.reserve(K * (n + 1))  # a base row and n perturbed rows an iteration
 
-    direction_tables = direction_pages()
     x = np.asarray(problem.safe_start, dtype=float).copy()
     records: list[IterateRecord] = []
     halted_reason: str | None = None
@@ -408,7 +396,7 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
                 reach = min(cfg.eta, -max_fhat / 2.0)
                 nu_k = reach / L
             alpha = margin(max_fhat, reach)
-            directions = direction_tables.table(cfg.seed, DOMAIN_DIRECTIONS, k, 0, n, problem.dim)
+            directions = oracle.directions(cfg.seed, k, n)
             pert = oracle.measure_perturbed(x, directions, nu_k, k)
         except _HALTS as exc:
             logger.warning("halted at iteration %d (%s): %s", k, exc.halt_reason, exc)

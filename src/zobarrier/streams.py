@@ -79,13 +79,13 @@ class TablePages:
     cols)) consecutive iterations. With page, slot = divmod(k, per_page),
     page `page` is fill(substream(seed, domain, page, side + 2 * rows *
     cols), per_page * rows, cols), and k's table is its rows
-    slot * rows : (slot + 1) * rows, served as a read-only view. So a
-    table is a pure function of (seed, domain, k, side, rows, cols): the
-    order in which tables are asked for does not matter, and the two
-    sides, and tables of different value counts, read different streams.
-    The last page drawn is kept, so asking for k = 1, 2, ... builds one
-    generator per page, not one per table. A table of more than
-    PAGE_VALUES / 2 values has a page to itself, which is not kept.
+    slot * rows : (slot + 1) * rows, served as a read-only view whose base
+    is the page. So a table is a pure function of (seed, domain, k, side,
+    rows, cols): the order in which tables are asked for does not matter,
+    and the two sides, and tables of different value counts, read
+    different streams. The last page drawn is kept, so asking for k = 1,
+    2, ... builds one generator per page, not one per table. A table of
+    more than PAGE_VALUES / 2 values has a page to itself, not kept.
     """
 
     __slots__ = ("_fill", "_key", "_page")
@@ -109,6 +109,6 @@ class TablePages:
             if per_page == 1:
                 # A run asks for each iteration once, so keeping a
                 # one-table page would only hold memory.
-                return values
+                return values[:]
             self._key, self._page = key, values
         return self._page[slot * rows : (slot + 1) * rows]

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from zobarrier import oracle as oracle_module
 from zobarrier.errors import (
     BudgetExhaustedError,
     ContractViolationError,
@@ -23,15 +24,8 @@ from zobarrier.oracle import (
     write_audit_csv,
 )
 from zobarrier.problems import ProblemSpec, UnicycleConfig, analytic_problem, make_unicycle_problem
-from zobarrier.solver import AlgoConfig, direction_pages, run
-from zobarrier.streams import (
-    DOMAIN_DIRECTIONS,
-    PAGE_VALUES,
-    SIDE_BASE,
-    SIDE_PERTURBED,
-    TablePages,
-    substream,
-)
+from zobarrier.solver import AlgoConfig, run
+from zobarrier.streams import PAGE_VALUES, SIDE_BASE, SIDE_PERTURBED, substream
 
 
 @pytest.fixture
@@ -134,7 +128,8 @@ def test_non_unit_direction_rejected(ball):
 
 @pytest.mark.parametrize("dim", [1, 2, 6])
 def test_every_solver_direction_passes_the_unit_norm_check(dim):
-    # Each table of one page the solver reads, for n = 16 in R^dim.
+    # Each table of one page the solver reads, for n = 16 in R^dim, and a
+    # table with a page to itself; a copy of each goes through the check.
     problem = ProblemSpec(
         name="flat",
         dim=dim,
@@ -146,72 +141,79 @@ def test_every_solver_direction_passes_the_unit_norm_check(dim):
         safe_start=np.zeros(dim),
     )
     oracle = make_oracle(problem)
-    pages = direction_pages()
     per_page = PAGE_VALUES // (16 * dim)
-    for k in range(per_page):
-        directions = pages.table(5, DOMAIN_DIRECTIONS, k, 0, 16, dim)
-        oracle.measure_perturbed(np.zeros(dim), directions, 0.1, k)
-    assert oracle.total_directions == 16 * per_page
+    tables = [(k, 16) for k in range(per_page)] + [(per_page, PAGE_VALUES)]
+    for k, n in tables:
+        directions = oracle.directions(5, k, n)
+        assert directions.shape == (n, dim) and not directions.flags.writeable
+        oracle.measure_perturbed(np.zeros(dim), directions.copy(), 0.1, k)
+    assert oracle.total_directions == 16 * per_page + PAGE_VALUES
 
 
-def direction_page_tables(bad_rows=(), bad_pages=None):
-    """TablePages of unit directions, each page one `sphere_sample`, whose
-    page rows `bad_rows` are 1e-10 off unit length: on every page, or on
-    the pages numbered in `bad_pages` (counting the pages drawn)."""
-    drawn = []
-
-    def fill(rng, rows, cols):
-        page = sphere_sample(cols, rows, rng)
-        if bad_pages is None or len(drawn) in bad_pages:
-            page[list(bad_rows)] *= 1.0 + 1e-10
-        drawn.append(page)
-        return page
-
-    return TablePages(fill)
-
-
-def directions_at(pages, k, n=4, d=2):
-    return pages.table(3, DOMAIN_DIRECTIONS, k, 0, n, d)
-
-
-def test_a_page_with_a_bad_row_is_refused_on_every_call(ball):
-    # Page row 5 is row 1 of iteration 1's table. The page is checked whole
-    # on first use and not kept, so its tables are checked call by call:
-    # iteration 1's is refused each time, iteration 0's accepted.
+def test_only_the_last_served_table_skips_the_unit_check(ball, monkeypatch):
+    checked = []
+    real = oracle_module._unit_rows
+    monkeypatch.setattr(oracle_module, "_unit_rows", lambda a: checked.append(a) or real(a))
     oracle = make_oracle(ball)
-    pages = direction_page_tables(bad_rows=[5])
-    for k in (1, 1, 0, 1):
-        directions = directions_at(pages, k)
-        assert not directions.flags.writeable and directions.base is not None
-        if k == 1:
-            with pytest.raises(ContractViolationError, match="directions must be unit vectors"):
-                oracle.measure_perturbed(np.zeros(2), directions, 0.1, k)
-        else:
-            oracle.measure_perturbed(np.zeros(2), directions, 0.1, k)
-    assert oracle.total_directions == 4
+    earlier = oracle.directions(3, 1, 4)
+    served = oracle.directions(3, 2, 4)
+    oracle.measure_perturbed(np.zeros(2), served, 0.1, 2)
+    assert checked == []
+    others = (served.copy(), served[1:3], earlier)
+    for k, directions in enumerate(others, start=3):
+        oracle.measure_perturbed(np.zeros(2), directions, 0.1, k)
+        assert len(checked) == k - 2 and checked[-1] is directions
+    # Both tables are rows of page 0. Rows 4 and 9 of the page are row 0
+    # of iteration 1's table and row 1 of iteration 2's.
+    page = served.base
+    page.flags.writeable = True
+    page[[4, 9]] *= 1.0 + 1e-10
+    page.flags.writeable = False
+    for directions in (served.copy(), served[1:3], earlier):
+        with pytest.raises(ContractViolationError, match="^directions must be unit vectors$"):
+            oracle.measure_perturbed(np.zeros(2), directions, 0.1, 6)
+    assert oracle.total_directions == 4 + 4 + 2 + 4
 
 
 def test_a_checked_page_made_writable_is_checked_again(ball):
+    # The served table keeps its own read-only flag: its page's flag decides.
     oracle = make_oracle(ball)
-    pages = direction_pages()
-    directions = directions_at(pages, 0)
+    directions = oracle.directions(3, 0, 4)
     oracle.measure_perturbed(np.zeros(2), directions, 0.1, 1)
     page = directions.base
     page.flags.writeable = True
     page[1] *= 1.0 + 1e-10
+    assert not directions.flags.writeable
     with pytest.raises(ContractViolationError, match="directions must be unit vectors"):
-        oracle.measure_perturbed(np.zeros(2), directions_at(pages, 0), 0.1, 2)
+        oracle.measure_perturbed(np.zeros(2), directions, 0.1, 2)
     page[1] /= np.linalg.norm(page[1])
-    oracle.measure_perturbed(np.zeros(2), directions_at(pages, 0), 0.1, 3)
+    oracle.measure_perturbed(np.zeros(2), directions, 0.1, 3)
+
+
+def test_a_table_with_a_page_to_itself_is_trusted_and_checked_alike(ball, monkeypatch):
+    # 2048 rows of 2 values have a page to themselves, served as a view of it.
+    checked = []
+    real = oracle_module._unit_rows
+    monkeypatch.setattr(oracle_module, "_unit_rows", lambda a: checked.append(a) or real(a))
+    oracle = make_oracle(ball)
+    directions = oracle.directions(3, 1, 2048)
+    assert directions.base is not None and directions.base.shape == (2048, 2)
+    oracle.measure_perturbed(np.zeros(2), directions, 0.1, 1)
+    assert checked == []
+    page = directions.base
+    page.flags.writeable = True
+    page[7] *= 1.0 + 1e-10
+    with pytest.raises(ContractViolationError, match="directions must be unit vectors"):
+        oracle.measure_perturbed(np.zeros(2), directions, 0.1, 2)
+    assert len(checked) == 1
 
 
 def test_a_view_across_the_rows_of_a_checked_page_is_checked(ball):
     # A view with the page's strides and columns that starts one value in:
     # each of its rows straddles two rows of the page.
     oracle = make_oracle(ball)
-    pages = direction_pages()
-    oracle.measure_perturbed(np.zeros(2), directions_at(pages, 0), 0.1, 1)
-    page = directions_at(pages, 0).base
+    oracle.measure_perturbed(np.zeros(2), oracle.directions(3, 0, 4), 0.1, 1)
+    page = oracle.directions(3, 0, 4).base
     straddling = page.ravel()[1 : 2 * 4 + 1].reshape(4, 2)
     assert straddling.base is page and straddling.strides == page.strides
     with pytest.raises(ContractViolationError, match="directions must be unit vectors"):
@@ -221,7 +223,7 @@ def test_a_view_across_the_rows_of_a_checked_page_is_checked(ball):
 
 def test_a_writable_copy_is_checked_on_every_call(ball):
     oracle = make_oracle(ball)
-    copy = directions_at(direction_pages(), 0).copy()
+    copy = oracle.directions(3, 0, 4).copy()
     oracle.measure_perturbed(np.zeros(2), copy, 0.1, 1)
     oracle.measure_perturbed(np.zeros(2), copy[1:3], 0.1, 2)
     copy[2] *= 1.0 + 1e-10
@@ -230,16 +232,17 @@ def test_a_writable_copy_is_checked_on_every_call(ball):
             oracle.measure_perturbed(np.zeros(2), directions, 0.1, k)
 
 
-def test_a_second_page_is_checked_when_it_first_appears(ball):
-    # One page holds 512 tables of 4 directions in R^2; the second page
-    # drawn has a bad row 2, in its first table.
+def test_an_empty_direction_table_is_refused(ball):
+    # As an empty base measurement is: nothing is charged or audited.
     oracle = make_oracle(ball)
-    pages = direction_page_tables(bad_rows=[2], bad_pages={1})
-    per_page = PAGE_VALUES // (4 * 2)
-    oracle.measure_perturbed(np.zeros(2), directions_at(pages, 0), 0.1, 1)
-    with pytest.raises(ContractViolationError, match="directions must be unit vectors"):
-        oracle.measure_perturbed(np.zeros(2), directions_at(pages, per_page), 0.1, 2)
-    oracle.measure_perturbed(np.zeros(2), directions_at(pages, per_page + 1), 0.1, 3)
+    empty = np.zeros((0, 2))
+    empty.flags.writeable = False
+    for directions in (np.zeros((0, 2)), empty, empty[:]):
+        with pytest.raises(ContractViolationError, match="^need n >= 1 directions$"):
+            oracle.measure_perturbed(np.zeros(2), directions, 0.1, 1)
+    with pytest.raises(ContractViolationError, match="^need n >= 1 directions$"):
+        oracle.measure_perturbed(np.zeros(2), oracle.directions(3, 1, 4)[:0], 0.1, 1)
+    assert oracle.total_scalar_calls == oracle.total_directions == len(oracle.audit()) == 0
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])

@@ -19,7 +19,6 @@ from zobarrier.solver import (
     IterateRecord,
     KktCertificate,
     certificate_from_record,
-    direction_pages,
     kkt_residuals,
     plan_iterations,
     required_samples,
@@ -30,7 +29,6 @@ from zobarrier.solver import (
     step_weight,
 )
 from zobarrier.streams import (
-    DOMAIN_DIRECTIONS,
     PAGE_VALUES,
     SIDE_BASE,
     SIDE_PERTURBED,
@@ -424,11 +422,11 @@ def test_audit_rows_are_the_queries_in_order():
     assert len(result.trace) == 30
     assert len(audit) == 30 * (1 + n)
     assert len({rec.k // (PAGE_VALUES // (n * prob.dim)) for rec in result.trace}) == 4
-    pages = direction_pages()
+    directions_of = MeasurementOracle(prob, NoiseModel()).directions
     for rec, rows in zip(result.trace, np.split(np.arange(len(audit)), 30)):
         assert audit.iterations[rows].tolist() == [rec.k] * (1 + n)
         assert audit.sides[rows].tolist() == [SIDE_BASE] + [SIDE_PERTURBED] * n
-        directions = pages.table(cfg.seed, DOMAIN_DIRECTIONS, rec.k, 0, n, prob.dim)
+        directions = directions_of(cfg.seed, rec.k, n)
         np.testing.assert_array_equal(audit.points[rows[0]], rec.x)
         np.testing.assert_array_equal(audit.points[rows[1:]], rec.x + rec.nu * directions)
 

@@ -5,7 +5,6 @@ from zobarrier.errors import ContractViolationError
 from zobarrier.estimator import sphere_sample
 from zobarrier.oracle import MeasurementOracle, NoiseModel
 from zobarrier.problems import analytic_problem
-from zobarrier.solver import direction_pages
 from zobarrier.streams import (
     DOMAIN_DIRECTIONS,
     DOMAIN_MC,
@@ -112,9 +111,14 @@ N, COLS = 16, 2
 PER_PAGE = PAGE_VALUES // (N * COLS)
 
 
+def directions_of(noise):
+    """An oracle on linear-ball (d = 2), for its direction tables."""
+    return MeasurementOracle(analytic_problem("linear-ball"), noise)
+
+
 def test_a_table_is_its_rows_of_the_page_stream():
     noise = NoiseModel(sigma=0.5, master_seed=9)
-    directions = direction_pages()
+    oracle = directions_of(noise)
     assert PER_PAGE == 128
     for k in (1, 127, 128, 129, 300):
         page, slot = divmod(k, PER_PAGE)
@@ -125,7 +129,7 @@ def test_a_table_is_its_rows_of_the_page_stream():
             assert np.array_equal(noise.draw(k, side, N, COLS), want)
         rng = substream(9, DOMAIN_DIRECTIONS, page, 2 * N * COLS)
         want = sphere_sample(COLS, PER_PAGE * N, rng)[rows]
-        assert np.array_equal(directions.table(9, DOMAIN_DIRECTIONS, k, 0, N, COLS), want)
+        assert np.array_equal(oracle.directions(9, k, N), want)
     # A table of more than half a page has a page to itself.
     rng = substream(9, DOMAIN_NOISE, 40, SIDE_PERTURBED + 2 * 2048 * 3)
     want = rng.normal(0.0, 0.5, size=(2048, 3))
@@ -139,10 +143,9 @@ def test_measurement_order_does_not_matter_across_a_page_boundary():
     tables = []
     for order in ((127, 128, 129), (129, 127, 128)):
         oracle = MeasurementOracle(problem, NoiseModel(sigma=0.3, master_seed=4))
-        pages = direction_pages()
         got = {}
         for k in order:
-            dirs = pages.table(4, DOMAIN_DIRECTIONS, k, 0, N, COLS)
+            dirs = oracle.directions(4, k, N)
             got[k] = (oracle.measure_base(x, N, k), oracle.measure_perturbed(x, dirs, 0.01, k))
         tables.append(got)
     for k in (127, 128, 129):
@@ -163,13 +166,12 @@ def test_sides_and_table_sizes_never_share_values():
 
 def test_consecutive_iterations_in_a_page_get_fresh_tables():
     noise = NoiseModel(sigma=1.0, master_seed=5)
-    directions = direction_pages()
+    oracle = directions_of(noise)
     for k in range(1, PER_PAGE - 1):
         for side in (SIDE_BASE, SIDE_PERTURBED):
             a, b = noise.draw(k, side, N, COLS), noise.draw(k + 1, side, N, COLS)
             assert not np.intersect1d(a, b).size
-        a = directions.table(5, DOMAIN_DIRECTIONS, k, 0, N, COLS)
-        b = directions.table(5, DOMAIN_DIRECTIONS, k + 1, 0, N, COLS)
+        a, b = oracle.directions(5, k, N), oracle.directions(5, k + 1, N)
         assert not np.intersect1d(a, b).size
 
 
@@ -177,14 +179,15 @@ def test_a_served_table_cannot_be_written():
     # Each table is read-only, so a caller cannot change the cached page
     # that later iterations (here 3 and 4 share page 0) are served from.
     noise = NoiseModel(sigma=1.0, master_seed=8)
-    directions = direction_pages()
+    oracle = directions_of(noise)
 
     def serve(k):
         return [
             noise.draw(k, SIDE_BASE, N, COLS),
             noise.draw(k, SIDE_PERTURBED, 2048, 3),
             NoiseModel(sigma=0.0).draw(k, SIDE_BASE, N, COLS),
-            directions.table(8, DOMAIN_DIRECTIONS, k, 0, N, COLS),
+            oracle.directions(8, k, N),
+            oracle.directions(8, k, 2048),
         ]
 
     fresh = [t.copy() for t in serve(3)] + [t.copy() for t in serve(4)]
@@ -195,3 +198,14 @@ def test_a_served_table_cannot_be_written():
             table += 1.0
     for a, b in zip(fresh, serve(3) + serve(4)):
         assert np.array_equal(a, b)
+
+
+def test_alternating_table_shapes_on_one_side_draw_the_tables_of_fresh_models():
+    # A model keeps one page per side, so each change of shape draws a page
+    # again; every table is the one a fresh model draws.
+    noise = NoiseModel(sigma=1.0, master_seed=6)
+    for k in (1, 2, 127, 128, 3, 300):
+        for side in (SIDE_BASE, SIDE_PERTURBED):
+            for rows in (N, N // 2, N, 2048):
+                want = NoiseModel(sigma=1.0, master_seed=6).draw(k, side, rows, COLS)
+                assert np.array_equal(noise.draw(k, side, rows, COLS), want)
