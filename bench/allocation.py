@@ -20,8 +20,8 @@ The first three phases count the calling process's trials only; on a
 multi-trial workload the helpers run the rest. Each figure is the
 median over the REPS runs of a worker (the WARMUP runs are not counted),
 then over ROUNDS workers; `maxrss_mb` is the worker's peak resident size
-after all its runs, as perfbench's peak_rss_mb reads it. Rounds run the
-trees in alternating order. Each worker hashes the CSVs of its last run,
+after all its runs, as perfbench's peak_rss_mb reads it. Rounds
+alternate which tree runs first. Each worker hashes the CSVs of its last run,
 and the script checks that every tree wrote the same bytes (exit 1 if
 not).
 
@@ -37,30 +37,22 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import resource
 import shutil
 import statistics
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-from simulator import machine
+import trees
 
-ROOT = Path(__file__).resolve().parent.parent
+ROOT = trees.ROOT
 WORKLOADS = ("linear-ball-demo", "smooth-2con-wide", "unicycle-paper")
 SEED = 20261019
 ROUNDS = 5
 WARMUP = 1
 REPS = 3
 PHASES = ("trial", "audit_csv", "trace_csv", "run_experiment", "helpers")
-THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def source(arg: str) -> tuple[str, Path]:
-    label, _, path = arg.rpartition("=")
-    return label or path, Path(path).resolve()
 
 
 def minflt(who=resource.RUSAGE_SELF) -> int:
@@ -72,10 +64,8 @@ def worker(workload: str, out: Path) -> dict:
     resident size, and a digest of the last run's CSVs."""
     from zobarrier import harness
 
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import WORKLOADS as PERFBENCH
-
-    cfg = harness.config_from_mapping(PERFBENCH[workload].config(SEED, out))
+    perfbench = trees.perfbench("workloads").WORKLOADS
+    cfg = harness.config_from_mapping(perfbench[workload].config(SEED, out))
     faults = dict.fromkeys(PHASES, 0)
 
     def counted(phase: str, fn):
@@ -114,55 +104,29 @@ def worker(workload: str, out: Path) -> dict:
     }
 
 
-def run_worker(src: Path, workload: str) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(src), **{name: "1" for name in THREADS}}
-    with tempfile.TemporaryDirectory(prefix="zobarrier-allocation-") as tmp:
-        proc = subprocess.run(
-            [sys.executable, __file__, "--worker", workload, str(Path(tmp) / "out")],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-    return json.loads(proc.stdout)
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--src", type=source, action="append", help="[LABEL=]DIR holding the zobarrier package"
-    )
+    parser.add_argument("--src", type=trees.source, action="append", help=trees.SRC_HELP)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_allocation.json")
-    parser.add_argument("--worker", nargs=2, help=argparse.SUPPRESS)
+    parser.add_argument("--worker", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
-        import zobarrier
-
-        tree = Path(os.environ["PYTHONPATH"]).resolve()
-        if Path(zobarrier.__file__).resolve().parents[1] != tree:
-            raise SystemExit(f"zobarrier imported from {zobarrier.__file__}, not {tree}")
-        print(json.dumps(worker(args.worker[0], Path(args.worker[1]))))
+        with tempfile.TemporaryDirectory(prefix="zobarrier-allocation-") as tmp:
+            print(json.dumps(worker(args.worker, Path(tmp) / "out")))
         return 0
-    sources = dict(args.src or [("src", ROOT / "src")])
+    sources = dict(args.src or [("src", trees.checked(ROOT / "src"))])
     samples = {w: {label: [] for label in sources} for w in WORKLOADS}
-    for r in range(ROUNDS):
-        order = list(sources.items())
+    for _, pairs in trees.rounds(ROUNDS, sources):
         for workload in WORKLOADS:
-            for label, src in order[:: 1 if r % 2 == 0 else -1]:
-                samples[workload][label].append(run_worker(src, workload))
-        print(f"round {r + 1}/{ROUNDS} done", flush=True)
+            for label, src in pairs:
+                samples[workload][label].append(trees.run_worker(__file__, src, workload))
 
     results, identical = {}, {}
     for workload, by_label in samples.items():
         results[workload] = {}
         for label, rows in by_label.items():
             results[workload][label] = {
-                key: {
-                    "median": round(statistics.median(row[key] for row in rows), 2),
-                    "min": round(min(row[key] for row in rows), 2),
-                    "max": round(max(row[key] for row in rows), 2),
-                }
-                for key in (*PHASES, "maxrss_mb")
+                key: trees.summary([row[key] for row in rows], 2) for key in (*PHASES, "maxrss_mb")
             }
             print(f"{workload} {label}: {results[workload][label]}", flush=True)
         digests = {row["digest"] for rows in by_label.values() for row in rows}
@@ -170,14 +134,12 @@ def main() -> int:
     report = {
         "what": "minor page faults (ru_minflt) per harness.run_experiment call, by phase, and "
         "peak resident size; see the script's docstring for the phases",
-        "command": "python3 bench/allocation.py "
-        + " ".join(f"--src {label}=DIR" for label in sources),
-        "machine": machine(),
+        **trees.header(__file__, "--src", sources),
         "workloads": {w: {"perfbench_workload": w, "base_seed": SEED} for w in WORKLOADS},
         "counting": f"each phase: median over {REPS} runs per worker after {WARMUP} uncounted, "
-        f"then median, min and max over {ROUNDS} fresh workers per source and workload, "
-        "rounds alternating the order of the sources; trial, audit_csv and trace_csv count the "
-        "calling process's trials only; BLAS/OpenMP threads pinned to 1",
+        f"then median, quartiles, min and max over {ROUNDS} fresh workers per source and "
+        "workload, rounds alternating which tree runs first; trial, audit_csv and trace_csv "
+        "count the calling process's trials only; BLAS/OpenMP threads pinned to 1",
         "results": results,
         "csvs_byte_equal": identical,
     }

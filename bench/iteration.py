@@ -8,12 +8,10 @@ tree) runs trial 0 of the workload REPS times as it is, for the loop's
 whole cost (loop_us), and REPS times with each step wrapped in a timer:
 
     measure_base      MeasurementOracle.measure_base
-    bounds_margin     estimator.confidence_bounds, then estimator.margin,
-                      and solver._adaptive_margin in a tree that has it
-                      (in a tree without it, the max of the bounds and
-                      the adaptive reach count in step_record)
-    directions        MeasurementOracle.directions (the table call on
-                      solver.direction_pages() in a tree that has it)
+    bounds_margin     estimator.confidence_bounds, then estimator.margin
+                      (the max of the bounds and the adaptive reach
+                      count in step_record)
+    directions        MeasurementOracle.directions
     measure_perturbed MeasurementOracle.measure_perturbed
     barrier_estimate  solver.barrier_estimate
     step_record       the rest of `solver.run`: the gradient norm, step
@@ -27,11 +25,7 @@ A third run per rep splits each oracle measurement, `measure_base` and
 own calls:
 
     evaluation        problem.evaluate_all
-    log               MeasurementOracle._log_rows and the truth writes:
-                      from its start to the later of its end and the end
-                      of the last `constraint_max` call of the oracle
-                      module (a tree that writes the truth rows after
-                      `_log_rows` calls it there)
+    log               MeasurementOracle._log_rows, truth writes included
     noise             from the start of NoiseModel.draw to the return of
                       the measurement: the draw and the add
     checks            the rest: the checks of the query, of the
@@ -39,17 +33,16 @@ own calls:
                       charge, less the hooks' calibrated cost
 
 Each figure is microseconds per iteration, the median over REPS runs in a
-worker and then the median and quartiles (q1, q3) over ROUNDS workers, so
-that a reader can tell a change from drift between workers; the rounds
-alternate between the trees so that a drift in host speed reaches each
-alike, and each run is
-rescaled by perfbench's reference loop, timed in the same worker before
-and after it, to perfbench's reference host speed (raw times on a shared
-host swing up to 2x within minutes). BLAS and OpenMP threads are pinned
-to 1, as in perfbench. Then each tree runs each workload once more
-through `harness.run_experiment`, and the script checks that the trace
-and audit CSVs of every trial are byte-equal across the trees (exit 1
-if not).
+worker and then the median, quartiles (q1, q3), min and max over ROUNDS
+workers, so that a reader can tell a change from drift between workers;
+the rounds alternate which tree runs first so that a drift in host speed
+reaches each alike, and each run is rescaled by perfbench's reference
+loop, timed in the same worker before and after it, to perfbench's
+reference host speed (raw times on a shared host swing up to 2x within
+minutes). BLAS and OpenMP threads are pinned to 1, as in perfbench. Then
+each tree runs each workload once more through `harness.run_experiment`,
+and the script checks that the trace and audit CSVs of every trial are
+byte-equal across the trees (exit 1 if not).
 
     python3 bench/iteration.py [--src [LABEL=]DIR ...] [--out BENCH_iteration.json]
 
@@ -66,28 +59,23 @@ import copy
 import dataclasses
 import filecmp
 import json
-import os
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from simulator import machine
+import trees
 
-ROOT = Path(__file__).resolve().parent.parent
-# perfbench's mappings for these two workloads, at a fixed seed.
-WORKLOADS = {
-    "linear-ball-demo": {"preset": "linear-ball-demo", "trials": 1},
-    "unicycle-paper": {"preset": "unicycle-paper", "trials": 2},
-}
+ROOT = trees.ROOT
+PERFBENCH = trees.perfbench("workloads").WORKLOADS
+WORKLOADS = {w: PERFBENCH[w] for w in ("linear-ball-demo", "unicycle-paper")}
 SEED = 20261019
 ROUNDS = 7
 REPS = 5
 # Times are rescaled to a host on which perfbench's reference loop takes
-# this long, as perfbench reports them (see perfbench/run.py).
-REFERENCE_S = 0.014
+# this long, as perfbench reports them.
+REFERENCE_S = trees.perfbench("run").REFERENCE_S
 STEPS = (
     "measure_base",
     "bounds_margin",
@@ -98,27 +86,12 @@ STEPS = (
 )
 PARTS = ("evaluation", "log", "noise", "checks")
 SPLIT = tuple(f"{m}.{part}" for m in ("measure_base", "measure_perturbed") for part in PARTS)
-THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def source(arg: str) -> tuple[str, Path]:
-    label, _, path = arg.rpartition("=")
-    return label or path, Path(path).resolve()
-
-
-def quartiles(values: list[float]) -> dict:
-    """q1, median and q3 of `values`, by the inclusive method (each within
-    the data's range), rounded to 0.01."""
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"q1": round(q1, 2), "median": round(median, 2), "q3": round(q3, 2)}
 
 
 def _config(workload: str, output_dir):
     from zobarrier import harness
 
-    return harness.config_from_mapping(
-        {**WORKLOADS[workload], "base_seed": SEED, "output_dir": str(output_dir)}
-    )
+    return harness.config_from_mapping(WORKLOADS[workload].config(SEED, output_dir))
 
 
 def _timed(spent: dict, step: str, fn):
@@ -141,20 +114,11 @@ def step_timers(spent: dict):
     the oracle's measurements, directions and audit are wrapped per oracle."""
     from zobarrier import solver
 
-    class Directions:
-        def __init__(self, pages):
-            self.table = _timed(spent, "directions", pages.table)
-
-    # Older trees compute an adaptive margin in solver._adaptive_margin, and
-    # draw the directions in the solver, from solver.direction_pages().
-    bounds = [n for n in ("confidence_bounds", "margin", "_adaptive_margin") if hasattr(solver, n)]
-    pages = ["direction_pages"] if hasattr(solver, "direction_pages") else []
-    real = {name: getattr(solver, name) for name in (*bounds, "barrier_estimate", *pages)}
-    for name in bounds:
-        setattr(solver, name, _timed(spent, "bounds_margin", real[name]))
+    real = {name: getattr(solver, name) for name in ("confidence_bounds", "margin")}
+    for name, fn in real.items():
+        setattr(solver, name, _timed(spent, "bounds_margin", fn))
+    real["barrier_estimate"] = solver.barrier_estimate
     solver.barrier_estimate = _timed(spent, "barrier_estimate", real["barrier_estimate"])
-    if pages:
-        solver.direction_pages = lambda: Directions(real["direction_pages"]())
     try:
         yield
     finally:
@@ -162,13 +126,10 @@ def step_timers(spent: dict):
             setattr(solver, name, fn)
 
 
-@contextlib.contextmanager
-def oracle_split(o, spent: dict, overhead: float):
+def oracle_split(o, spent: dict, overhead: float) -> None:
     """Wrap oracle o's measurements so that each adds its parts (PARTS) to
-    spent["<measurement>.<part>"] while inside; `checks` leaves out the
-    cost of the hooks inside, `overhead` seconds a call each."""
-    from zobarrier import oracle
-
+    spent["<measurement>.<part>"]; `checks` leaves out the cost of the
+    hooks inside, `overhead` seconds a call each."""
     now = time.perf_counter
     marks = {}
 
@@ -196,8 +157,7 @@ def oracle_split(o, spent: dict, overhead: float):
                 if "evaluate_end" in marks:
                     parts["evaluation"] = marks["evaluate_end"] - marks["evaluate"]
                 if "log_end" in marks:
-                    end = max(marks["log_end"], marks.get("constraint_max_end", 0.0))
-                    parts["log"] = end - marks["log"]
+                    parts["log"] = marks["log_end"] - marks["log"]
                 if "draw" in marks:
                     parts["noise"] = t0 + total - marks["draw"]
                 hooks = sum(key.endswith("_end") for key in marks)
@@ -214,12 +174,6 @@ def oracle_split(o, spent: dict, overhead: float):
     o._log_rows = hook("log", o._log_rows)
     o.measure_base = measurement("measure_base", o.measure_base)
     o.measure_perturbed = measurement("measure_perturbed", o.measure_perturbed)
-    real = oracle.constraint_max
-    oracle.constraint_max = hook("constraint_max", real)
-    try:
-        yield
-    finally:
-        oracle.constraint_max = real
 
 
 def worker(workload: str) -> dict:
@@ -229,9 +183,7 @@ def worker(workload: str) -> dict:
     from zobarrier import harness, solver
     from zobarrier.oracle import MeasurementOracle, NoiseModel
 
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from worker import reference_block
-
+    reference_block = trees.perfbench("worker").reference_block
     cfg = _config(workload, "unused")
     problem = harness.build_problem(cfg.problem_name, cfg.problem_options)
     algo = dataclasses.replace(cfg.algo, seed=cfg.base_seed)
@@ -249,12 +201,12 @@ def worker(workload: str) -> dict:
             o.measure_base = _timed(spent, "measure_base", o.measure_base)
             o.measure_perturbed = _timed(spent, "measure_perturbed", o.measure_perturbed)
             o.audit = _timed(spent, "audit", o.audit)
-            if hasattr(o, "directions"):
-                o.directions = _timed(spent, "directions", o.directions)
-        with oracle_split(o, split, overhead) if split is not None else contextlib.nullcontext():
-            t0 = time.perf_counter()
-            result = solver.run(problem, algo, o)
-            return (time.perf_counter() - t0) / len(result.trace), len(result.trace)
+            o.directions = _timed(spent, "directions", o.directions)
+        if split is not None:
+            oracle_split(o, split, overhead)
+        t0 = time.perf_counter()
+        result = solver.run(problem, algo, o)
+        return (time.perf_counter() - t0) / len(result.trace), len(result.trace)
 
     # A timer's cost outside its own window, per call: on an empty function.
     probe = {"empty": 0.0, "calls": 0}
@@ -296,18 +248,6 @@ def write_outputs(workload: str, output_dir: str) -> None:
     harness.run_experiment(_config(workload, output_dir))
 
 
-def run_worker(src: Path, *args: str) -> str:
-    env = {**os.environ, "PYTHONPATH": str(src), **{name: "1" for name in THREADS}}
-    proc = subprocess.run(
-        [sys.executable, __file__, "--worker", *args],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return proc.stdout
-
-
 def csvs_equal(dirs: list[Path]) -> dict:
     """Per output file name: whether every tree wrote it alike."""
     names = sorted(p.name for p in dirs[0].glob("*.csv"))
@@ -321,31 +261,20 @@ def csvs_equal(dirs: list[Path]) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--src", type=source, action="append", help="[LABEL=]DIR holding the zobarrier package"
-    )
+    parser.add_argument("--src", type=trees.source, action="append", help=trees.SRC_HELP)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_iteration.json")
     parser.add_argument("--worker", nargs="+", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
-        import zobarrier
-
-        tree = Path(os.environ["PYTHONPATH"]).resolve()
-        if Path(zobarrier.__file__).resolve().parents[1] != tree:
-            raise SystemExit(f"zobarrier imported from {zobarrier.__file__}, not {tree}")
         kind, workload, *rest = args.worker
-        if kind == "steps":
-            print(json.dumps(worker(workload)))
-        else:
-            write_outputs(workload, rest[0])
+        print(json.dumps(worker(workload) if kind == "steps" else write_outputs(workload, *rest)))
         return 0
-    sources = dict(args.src or [("src", ROOT / "src")])
+    sources = dict(args.src or [("src", trees.checked(ROOT / "src"))])
     samples = {w: {label: [] for label in sources} for w in WORKLOADS}
-    for r in range(ROUNDS):
+    for _, pairs in trees.rounds(ROUNDS, sources):
         for workload in WORKLOADS:
-            for label, src in sources.items():
-                samples[workload][label].append(json.loads(run_worker(src, "steps", workload)))
-        print(f"round {r + 1}/{ROUNDS} done", flush=True)
+            for label, src in pairs:
+                samples[workload][label].append(trees.run_worker(__file__, src, "steps", workload))
 
     results, identical = {}, {}
     with tempfile.TemporaryDirectory(prefix="zobarrier-iteration-") as tmp:
@@ -353,13 +282,13 @@ def main() -> int:
             results[workload] = {}
             for label, rows in samples[workload].items():
                 results[workload][label] = {
-                    key: quartiles([row[key] for row in rows]) for key in rows[0]
+                    key: trees.summary([row[key] for row in rows], 2) for key in rows[0]
                 }
                 print(f"{workload} {label}: {results[workload][label]}", flush=True)
             dirs = []
             for i, src in enumerate(sources.values()):
                 dirs.append(Path(tmp) / f"{workload}-{i}")
-                run_worker(src, "outputs", workload, str(dirs[-1]))
+                trees.run_worker(__file__, src, "outputs", workload, str(dirs[-1]))
             identical[workload] = csvs_equal(dirs)
             print(f"{workload} trace and audit CSVs equal: {identical[workload]}", flush=True)
     same = all(all(v.values()) for v in identical.values())
@@ -367,14 +296,14 @@ def main() -> int:
         "what": "microseconds per solver.run iteration: the whole loop untimed per step "
         "(loop_us), then each step with a timer around it, then each oracle measurement "
         "split into evaluation, log, noise and checks (see the script's docstring)",
-        "command": "python3 bench/iteration.py "
-        + " ".join(f"--src {label}=DIR" for label in sources),
-        "machine": machine(),
-        "workloads": {w: {**m, "base_seed": SEED, "trial": 0} for w, m in WORKLOADS.items()},
-        "timing": f"median of {REPS} runs per worker, then q1, median and q3 over {ROUNDS} fresh "
-        "workers per source and workload, rounds alternating between sources; each run "
-        f"rescaled by perfbench's reference loop to a host where it takes {REFERENCE_S} s "
-        "(timer_overhead_us is raw); BLAS/OpenMP threads pinned to 1",
+        **trees.header(__file__, "--src", sources),
+        "workloads": {
+            w: {**m.mapping, "base_seed": SEED, "trial": 0} for w, m in WORKLOADS.items()
+        },
+        "timing": f"median of {REPS} runs per worker, then median, q1, q3, min and max over "
+        f"{ROUNDS} fresh workers per source and workload, rounds alternating which tree runs "
+        f"first; each run rescaled by perfbench's reference loop to a host where it takes "
+        f"{REFERENCE_S} s (timer_overhead_us is raw); BLAS/OpenMP threads pinned to 1",
         "results": results,
         "csvs_byte_equal": identical,
     }

@@ -14,7 +14,6 @@ never modified.
 
 from __future__ import annotations
 
-import os
 import shutil
 import subprocess
 import sys
@@ -22,7 +21,9 @@ import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import trees
+
+ROOT = trees.ROOT
 
 MUTANTS = {
     "step-bound-without-2": (
@@ -259,12 +260,11 @@ MUTANTS = {
 def tier1(copy: Path) -> tuple[int, float, str]:
     """Exit code, wall time and the first failing test's id (or "") of
     Tier-1 on a copy; stops at the first failure."""
-    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests"],
         cwd=copy,
-        env=env,
+        env=trees.environment(copy / "src"),
         capture_output=True,
         text=True,
     )
@@ -275,8 +275,9 @@ def tier1(copy: Path) -> tuple[int, float, str]:
 
 
 def make_copy(dest: Path, mutant: tuple[str, str, str] | None) -> None:
-    ignore = shutil.ignore_patterns("__pycache__", "out")
-    for part in ("src", "tests", "configs", "README.md", "pyproject.toml"):
+    ignore = shutil.ignore_patterns("__pycache__", "out", "_out")
+    # tests/test_bench_trees.py imports every bench script, and they import perfbench.
+    for part in ("src", "tests", "bench", "perfbench", "configs", "README.md", "pyproject.toml"):
         src = ROOT / part
         if src.is_dir():
             shutil.copytree(src, dest / part, ignore=ignore)

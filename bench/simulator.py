@@ -7,13 +7,13 @@ Times `problems._evaluate_rows` (per-row Python floats, writing the
 geometry at fixed batch sizes, with gains drawn from a fixed seed inside
 the preset's search box. A round runs each tree once in a fresh
 interpreter (PYTHONPATH set to the tree), timing both paths at every
-size; the rounds alternate between the trees, so a change in host speed
-reaches all of them alike, and each size's times are rescaled by
+size; the rounds alternate which tree runs first, so a change in host
+speed reaches all of them alike, and each size's times are rescaled by
 perfbench's reference loop, timed in the same interpreter before and
 after them, to perfbench's reference host speed. Each tree's figure is
-the median over the rounds, with its quartiles. Each size also checks
-that both paths return byte-identical tables, and that every tree
-returns the same bytes.
+the median over the rounds, with its quartiles, min and max. Each size
+also checks that both paths return byte-identical tables, and that
+every tree returns the same bytes.
 "eval_all_ms" is what the unicycle `eval_all` runs, which picks a path by
 batch size. The JSON names the machine and justifies the dispatch
 threshold of the last tree: the per-row kernel must win at every size up
@@ -27,8 +27,7 @@ table byte for byte.
 
 With no --src, the `src` directory of this checkout is measured. To
 compare two commits, check the other one out elsewhere and pass both,
-e.g. `--src before=../parent/src --src after=src`. Imported (other bench
-scripts take `machine` from it) it changes nothing.
+e.g. `--src before=../parent/src --src after=src`.
 """
 
 from __future__ import annotations
@@ -36,10 +35,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 import time
 import tracemalloc
@@ -47,7 +43,9 @@ from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
+import trees
+
+ROOT = trees.ROOT
 SIZES = (1, 7, 8, 16, 24, 32, 48, 64, 160, 1600, 2048)
 SEED = 20261018
 ROUNDS = 9
@@ -55,8 +53,8 @@ ROUND_S = 0.05
 BLOCK_BATCH = 4096
 BLOCKS = (512, 1024, 2048, 4096)
 # Times are rescaled to a host on which perfbench's reference loop takes
-# this long, as perfbench reports them (see perfbench/run.py).
-REFERENCE_S = 0.014
+# this long, as perfbench reports them.
+REFERENCE_S = trees.perfbench("run").REFERENCE_S
 
 
 def per_call_ms(kernels, points, cfg, rounds: int) -> list[float]:
@@ -89,9 +87,7 @@ def paths_round() -> list[dict]:
     digest of the table."""
     from zobarrier import problems
 
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from worker import reference_block
-
+    reference_block = trees.perfbench("worker").reference_block
     cfg = problems.UnicycleConfig(error_feedback=True)
     rng = np.random.default_rng(SEED)
     rows = []
@@ -162,63 +158,23 @@ def block_sizes() -> dict:
     }
 
 
-def machine() -> dict:
-    cpu = platform.processor() or platform.machine()
-    try:
-        with open("/proc/cpuinfo") as fh:
-            names = [line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")]
-        cpu = names[0] if names else cpu
-    except OSError:
-        pass
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "cpu": cpu,
-        "nproc": os.cpu_count(),
-    }
-
-
-def run_worker(src: Path, kind: str):
-    from cold_start import THREADS
-
-    env = {**os.environ, "PYTHONPATH": str(src), **{name: "1" for name in THREADS}}
-    proc = subprocess.run(
-        [sys.executable, __file__, "--worker", kind],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return json.loads(proc.stdout)
-
-
 def main() -> int:
-    from cold_start import source
-
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--src", type=source, action="append", help="[LABEL=]DIR holding the zobarrier package"
-    )
+    parser.add_argument("--src", type=trees.source, action="append", help=trees.SRC_HELP)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_simulator.json")
     parser.add_argument("--worker", choices=("paths", "blocks"), help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
-        import zobarrier
-
-        tree = Path(os.environ["PYTHONPATH"]).resolve()
-        if Path(zobarrier.__file__).resolve().parents[1] != tree:
-            raise SystemExit(f"zobarrier imported from {zobarrier.__file__}, not {tree}")
         print(json.dumps(paths_round() if args.worker == "paths" else block_sizes()))
         return 0
 
-    sources = dict(args.src or [("src", ROOT / "src")])
+    sources = dict(args.src or [("src", trees.checked(ROOT / "src"))])
     rounds = {label: [] for label in sources}
-    for r in range(ROUNDS):
-        for label, src in sources.items():
-            rounds[label].append(run_worker(src, "paths"))
-        print(f"round {r + 1}/{ROUNDS} done", flush=True)
+    for _, pairs in trees.rounds(ROUNDS, sources):
+        for label, src in pairs:
+            rounds[label].append(trees.run_worker(__file__, src, "paths"))
     last = list(sources)[-1]
-    blocks = run_worker(sources[last], "blocks")
+    blocks = trees.run_worker(__file__, sources[last], "blocks")
 
     paths = []
     for i, size in enumerate(SIZES):
@@ -226,16 +182,12 @@ def main() -> int:
         for label, samples in rounds.items():
             at_size = [sample[i] for sample in samples]
             row[label] = {
-                key: round(statistics.median(s[key] for s in at_size), 4)
+                key: trees.summary([s[key] for s in at_size], 4)
                 for key in ("rows_kernel_ms", "vectorized_ms", "eval_all_ms")
             }
             row[label]["rows_speedup"] = round(
-                row[label]["vectorized_ms"] / row[label]["rows_kernel_ms"], 2
+                row[label]["vectorized_ms"]["median"] / row[label]["rows_kernel_ms"]["median"], 2
             )
-            q1, _, q3 = statistics.quantiles(
-                [s["eval_all_ms"] for s in at_size], n=4, method="inclusive"
-            )
-            row[label]["eval_all_ms_q1_q3"] = [round(q1, 4), round(q3, 4)]
         row["bitwise_equal"] = all(s[i]["bitwise_equal"] for v in rounds.values() for s in v)
         row["tables_equal_across_trees"] = (
             len({s[i]["table_sha256"] for v in rounds.values() for s in v}) == 1
@@ -243,7 +195,7 @@ def main() -> int:
         if len(sources) > 1:
             first = list(sources)[0]
             row["eval_all_after_over_before"] = round(
-                row[last]["eval_all_ms"] / row[first]["eval_all_ms"], 3
+                row[last]["eval_all_ms"]["median"] / row[first]["eval_all_ms"]["median"], 3
             )
         paths.append(row)
         print(json.dumps(row), flush=True)
@@ -261,14 +213,12 @@ def main() -> int:
     report = {
         "what": "unicycle evaluation table per-call time by batch size (horizon 30, "
         "unicycle-paper geometry, error feedback), for each source tree",
-        "command": "python3 bench/simulator.py "
-        + " ".join(f"--src {label}=DIR" for label in sources),
-        "machine": machine(),
+        **trees.header(__file__, "--src", sources),
         "seed": SEED,
-        "timing": f"per tree and size, the median (and eval_all's quartiles) over {ROUNDS} fresh "
+        "timing": f"per tree and size, the median, quartiles, min and max over {ROUNDS} fresh "
         f"interpreters of the mean time per call over >= {ROUND_S} s, rescaled by perfbench's "
         f"reference loop to a host where it takes {REFERENCE_S} s, the rounds alternating "
-        "between trees; the block sizes are timed unscaled in one interpreter of the last "
+        "which tree runs first; the block sizes are timed unscaled in one interpreter of the last "
         f"tree, median of {ROUNDS} alternating rounds, and the tracemalloc peak is of one call "
         "after a warm one; BLAS/OpenMP threads pinned to 1",
         "sources": list(sources),

@@ -9,12 +9,12 @@ interpreter start included:
 
 Criterion 5's call time (`check_smoothing_properties` at n_points=100,
 n_mc=30,000) is read from pytest's `--durations` report. The report
-gives the median, minimum and maximum of each over RUNS rounds. The
-rounds alternate between the roots, so a change in host speed reaches
-all of them alike; one untimed round first writes the bytecode caches.
-BLAS and OpenMP threads are pinned to 1, as in perfbench. Each root's
-12 smoothing statistics are then printed once at full precision and
-compared with the first root's.
+gives the median, quartiles, minimum and maximum of each over RUNS
+rounds. The rounds alternate which root runs first, so a change in host
+speed reaches all of them alike; one untimed round first writes the
+bytecode caches. BLAS and OpenMP threads are pinned to 1, as in
+perfbench. Each root's 12 smoothing statistics are then printed once at
+full precision and compared with the first root's.
 
     python3 bench/tier1.py [--root [LABEL=]DIR ...] [--out BENCH_tier1.json]
 
@@ -27,18 +27,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
-import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-from cold_start import THREADS, source
-from simulator import machine
+import trees
 
-ROOT = Path(__file__).resolve().parent.parent
+ROOT = trees.ROOT
 RUNS = 5
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 CRITERION_5 = "tests/test_acceptance.py::test_criterion_05_smoothing_properties"
@@ -49,17 +46,13 @@ STATISTICS = (
 )
 
 
-def environment(root: Path) -> dict:
-    return {**os.environ, "PYTHONPATH": str(root / "src"), **{name: "1" for name in THREADS}}
-
-
 def one_round(root: Path) -> tuple[float, float, str]:
     """(Tier-1 wall seconds, criterion 5 call seconds, pytest's counts, e.g. "262 passed")."""
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, *TIER1, "--durations=0"],
         cwd=root,
-        env=environment(root),
+        env=trees.environment(root / "src"),
         capture_output=True,
         text=True,
     )
@@ -71,30 +64,20 @@ def one_round(root: Path) -> tuple[float, float, str]:
     return wall, float(found.group(1)), re.sub(r" in [\d.]+s.*$", "", summary)
 
 
-def spread(values: list[float]) -> dict:
-    return {
-        "median": round(statistics.median(values), 3),
-        "min": round(min(values), 3),
-        "max": round(max(values), 3),
-    }
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--root", type=source, action="append", help="[LABEL=]DIR holding src and tests"
-    )
+    parser.add_argument("--root", type=trees.root, action="append", help=trees.ROOT_HELP)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_tier1.json")
     args = parser.parse_args()
-    roots = dict(args.root or [("this checkout", ROOT)])
+    roots = dict(args.root or [("this checkout", trees.checked(ROOT / "src").parent)])
 
     samples = {label: [] for label in roots}
     outcomes = {label: set() for label in roots}
-    for timed in [False] + [True] * RUNS:
-        for label, root in roots.items():
+    for r, pairs in trees.rounds(1 + RUNS, roots):
+        for label, root in pairs:
             wall, crit5, outcome = one_round(root)
             outcomes[label].add(outcome)
-            if timed:
+            if r > 0:
                 samples[label].append((wall, crit5))
                 print(f"{label}: Tier-1 {wall:.2f} s, criterion 5 {crit5:.2f} s", flush=True)
 
@@ -102,7 +85,7 @@ def main() -> None:
     for label, root in roots.items():
         stats[label] = subprocess.run(
             [sys.executable, "-c", STATISTICS],
-            env=environment(root),
+            env=trees.environment(root / "src"),
             capture_output=True,
             text=True,
             check=True,
@@ -110,10 +93,10 @@ def main() -> None:
     first = list(roots)[0]
     results = {}
     for label, rows in samples.items():
-        walls, crit5s = (list(col) for col in zip(*rows))
+        walls, crit5s = zip(*rows)
         results[label] = {
-            "tier1_wall_s": spread(walls),
-            "criterion_5_call_s": spread(crit5s),
+            "tier1_wall_s": trees.summary(walls, 3),
+            "criterion_5_call_s": trees.summary(crit5s, 3),
             "pytest_outcomes": sorted(outcomes[label]),
             "smoothing_statistics_match_first": stats[label] == stats[first],
         }
@@ -121,23 +104,18 @@ def main() -> None:
         base = results[first]
         for key in ("tier1_wall_s", "criterion_5_call_s"):
             row[key]["speedup_vs_first"] = round(base[key]["median"] / row[key]["median"], 3)
-        print(
-            f"{label}: Tier-1 median {row['tier1_wall_s']['median']:.2f} s "
-            f"({row['tier1_wall_s']['speedup_vs_first']:.2f}x), criterion 5 median "
-            f"{row['criterion_5_call_s']['median']:.2f} s "
-            f"({row['criterion_5_call_s']['speedup_vs_first']:.2f}x), "
-            f"{'; '.join(row['pytest_outcomes'])}, statistics "
-            f"{'match' if row['smoothing_statistics_match_first'] else 'DIFFER'}"
-        )
+        verdict = "match" if row["smoothing_statistics_match_first"] else "DIFFER"
+        print(f"{label}: Tier-1 {row['tier1_wall_s']}, criterion 5 {row['criterion_5_call_s']}")
+        print(f"{label}: {'; '.join(row['pytest_outcomes'])}, statistics {verdict}", flush=True)
     report = {
         "what": "wall time of the Tier-1 suite (`PYTHONPATH=src python "
         + " ".join(TIER1)
         + "`), interpreter start included, and acceptance criterion 5's call time "
         "from pytest's --durations",
-        "command": "python3 bench/tier1.py " + " ".join(f"--root {label}=DIR" for label in roots),
-        "machine": {**machine(), "usable_cpus": len(os.sched_getaffinity(0))},
-        "timing": f"median of {RUNS} rounds per root, rounds alternating between roots "
-        "after one untimed round; BLAS/OpenMP threads pinned to 1",
+        **trees.header(__file__, "--root", roots),
+        "timing": f"median, quartiles, min and max of {RUNS} rounds per root, rounds "
+        "alternating which tree runs first after one untimed round; BLAS/OpenMP threads "
+        "pinned to 1",
         "statistics_compared": "criterion 5's 12 statistics (check_smoothing_properties at "
         "its defaults) as float.hex, against the first root's",
         "results": results,
