@@ -4,10 +4,13 @@ For each source tree given with --src, a round starts two fresh
 interpreters with PYTHONPATH set to it. The first times `import
 zobarrier` and reads ru_maxrss right after it; the second is
 `python -m zobarrier presets`, timed wall to wall, interpreter start
-included. The report summarizes each over RUNS rounds. The rounds
-alternate which tree runs first, so a change in host speed reaches all
-of them alike; one untimed round first writes the bytecode caches. BLAS
-and OpenMP threads are pinned to 1, as in perfbench.
+included. Both times are rescaled to perfbench's reference host speed by
+perfbench's reference loop timed just before and just after the round
+(`trees.at_reference_speed`). The report summarizes each over RUNS
+rounds. The rounds alternate which tree runs first, so a change in host
+speed reaches all of them alike; one untimed round first writes the
+bytecode caches. BLAS and OpenMP threads are pinned to 1, as in
+perfbench.
 
     python3 bench/cold_start.py [--src [LABEL=]DIR ...] [--out BENCH_cold_start.json]
 
@@ -63,9 +66,11 @@ def main() -> None:
     samples = {label: [] for label in sources}
     for r, pairs in trees.rounds(1 + RUNS, sources):
         for label, src in pairs:
-            sample = one_round(src)
+            (import_s, maxrss_mb, presets_s), scale = trees.at_reference_speed(
+                lambda: one_round(src)
+            )
             if r > 0:
-                samples[label].append(sample)
+                samples[label].append((import_s * scale, maxrss_mb, presets_s * scale))
 
     results = {}
     for label, rows in samples.items():
@@ -79,7 +84,8 @@ def main() -> None:
         print(f"{label} medians: {', '.join(medians)}", flush=True)
     report = {
         "what": "fresh-interpreter cost of `import zobarrier` (time, ru_maxrss after it) "
-        "and wall time of `python -m zobarrier presets`",
+        "and wall time of `python -m zobarrier presets`, both times at perfbench's "
+        "reference host speed",
         **trees.header(__file__, "--src", sources),
         "timing": f"median, quartiles, min and max of {RUNS} fresh interpreters per source, "
         "rounds alternating which tree runs first after one untimed round; BLAS/OpenMP "

@@ -3,7 +3,9 @@ iterations), the paper preset as the CLI runs it.
 
 For each source tree given with --src, a round runs the command once in a
 fresh interpreter with PYTHONPATH set to it, timed wall to wall,
-interpreter start included. The last source is also run pinned to one CPU
+interpreter start included, and rescaled to perfbench's reference host
+speed by perfbench's reference loop timed just before and just after it
+(`trees.at_reference_speed`). The last source is also run pinned to one CPU
 (`os.sched_setaffinity` in the child process, before it starts Python), so
 it runs every trial in one process. The report gives the median,
 quartiles, minimum and maximum of each over RUNS rounds. The rounds
@@ -88,7 +90,8 @@ def main() -> None:
         for r, pairs in trees.rounds(1 + RUNS, variants):
             for label, (src, pinned) in pairs:
                 out = Path(tmp) / "out"
-                wall = one_run(src, pinned, out)
+                wall, scale = trees.at_reference_speed(lambda: one_run(src, pinned, out))
+                wall *= scale
                 files = outputs(out)
                 if reference is None:
                     reference = files
@@ -106,7 +109,8 @@ def main() -> None:
     print("outputs identical" if not mismatches else f"outputs differ: {sorted(set(mismatches))}")
     report = {
         "what": "wall time of `python -m zobarrier run configs/unicycle-paper.yaml` "
-        "(20 trials x 500 iterations), interpreter start included",
+        "(20 trials x 500 iterations), interpreter start included, at perfbench's "
+        "reference host speed",
         **trees.header(__file__, "--src", sources),
         "timing": f"median, quartiles, min and max of {RUNS} rounds per variant, rounds "
         "alternating which tree runs first after one untimed round; BLAS/OpenMP threads "

@@ -3,7 +3,9 @@
 For each checkout root given with --root (a directory holding `src` and
 `tests`), a round runs the Tier-1 command in that root once, in a fresh
 interpreter with PYTHONPATH set to its `src`, timed wall to wall,
-interpreter start included:
+interpreter start included, and rescaled to perfbench's reference host
+speed by perfbench's reference loop timed just before and just after it
+(`trees.at_reference_speed`):
 
     python -m pytest -q --continue-on-collection-errors -p no:cacheprovider --durations=0
 
@@ -75,7 +77,8 @@ def main() -> None:
     outcomes = {label: set() for label in roots}
     for r, pairs in trees.rounds(1 + RUNS, roots):
         for label, root in pairs:
-            wall, crit5, outcome = one_round(root)
+            (wall, crit5, outcome), scale = trees.at_reference_speed(lambda: one_round(root))
+            wall, crit5 = wall * scale, crit5 * scale
             outcomes[label].add(outcome)
             if r > 0:
                 samples[label].append((wall, crit5))
@@ -111,7 +114,7 @@ def main() -> None:
         "what": "wall time of the Tier-1 suite (`PYTHONPATH=src python "
         + " ".join(TIER1)
         + "`), interpreter start included, and acceptance criterion 5's call time "
-        "from pytest's --durations",
+        "from pytest's --durations, both at perfbench's reference host speed",
         **trees.header(__file__, "--root", roots),
         "timing": f"median, quartiles, min and max of {RUNS} rounds per root, rounds "
         "alternating which tree runs first after one untimed round; BLAS/OpenMP threads "

@@ -1,5 +1,6 @@
 """What the bench scripts share: the source trees they compare and how each
-is run, the order of the rounds, the summary of a sample and the machine.
+is run, the order of the rounds, the host's speed, the summary of a sample
+and the machine.
 
 A tree is given as `[LABEL=]DIR`: `--src` names a directory holding the
 `zobarrier` package, `--root` a checkout whose `src` holds it. Each is
@@ -102,6 +103,17 @@ def perfbench(module: str):
     if str(ROOT / "perfbench") not in sys.path:
         sys.path.insert(0, str(ROOT / "perfbench"))
     return importlib.import_module(module)
+
+
+def at_reference_speed(timed):
+    """(timed(), factor): the factor takes the times measured during timed()
+    to perfbench's reference host speed, as perfbench/run.py rescales a
+    repetition, by perfbench's reference block timed in this process just
+    before and just after: 2 * REFERENCE_S / (before + after)."""
+    reference_block = perfbench("worker").reference_block
+    before = reference_block()
+    result = timed()
+    return result, 2 * perfbench("run").REFERENCE_S / (before + reference_block())
 
 
 def machine() -> dict:

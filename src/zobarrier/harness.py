@@ -37,7 +37,7 @@ from .errors import (
     UnknownSuiteError,
     ZobarrierError,
 )
-from .estimator import confidence_bounds, margin, sphere_sample
+from .estimator import confidence_bounds, margin
 from .oracle import MeasurementOracle, NoiseModel, write_audit_csv, write_csv
 from .problems import ProblemSpec, UnicycleConfig, analytic_names, analytic_problem, make_unicycle_problem
 from .smoothing import smoothed_gradient, smoothed_value
@@ -102,18 +102,23 @@ def _build(callee, section, where: str, **fixed):
     """callee(**section, **fixed) for one config section.
 
     A section may set the callee's dataclass fields or parameters, less
-    the ones passed as `fixed`. Any other key, and a TypeError/ValueError
-    the callee raises on a value, becomes a ConfigError naming the section.
+    the ones passed as `fixed`. Any other key, text where the annotation
+    is a number, and a TypeError/ValueError the callee raises on a value,
+    become a ConfigError naming the section.
     """
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: must be a mapping, got {section!r}")
     if dataclasses.is_dataclass(callee):
-        accepted = {f.name for f in dataclasses.fields(callee)}
+        types = {f.name: f.type for f in dataclasses.fields(callee)}
     else:
-        accepted = set(inspect.signature(callee).parameters)
-    unknown = set(section) - (accepted - set(fixed))
+        types = {p.name: p.annotation for p in inspect.signature(callee).parameters.values()}
+    unknown = set(section) - (set(types) - set(fixed))
     if unknown:
         raise ConfigError(f"unknown {where} key(s) {sorted(unknown)}")
+    for key, value in section.items():
+        if isinstance(value, str) and types[key] in ("int", "float", "int | None", "float | None"):
+            raise ConfigError(f"{where}.{key}: {value!r} is text, not a number (YAML reads a "
+                              "float only with a dot and a signed exponent, e.g. 1.0e-4)")
     try:
         return callee(**section, **fixed)
     except (TypeError, ValueError) as exc:
@@ -565,7 +570,7 @@ def check_estimator_unbiasedness(
     )
     x = problem.safe_start
     d = problem.dim
-    directions = sphere_sample(d, n_estimates, substream(seed, DOMAIN_MC, 0))
+    directions = oracle.directions(seed, 1, n_estimates)
     base = oracle.measure_base(x, n_estimates, iteration=1)
     pert = oracle.measure_perturbed(x, directions, nu, iteration=1)
     diffs = (pert[:, 0] - base[:, 0]) / nu

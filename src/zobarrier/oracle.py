@@ -15,10 +15,11 @@ re-raised.
 A noise table is a pure function of (master_seed, iteration, side,
 rows, cols), never of call order, so identical query sequences from two
 oracles with equal seeds are bitwise identical and a noise table may be
-served in any order. The oracle also draws the solver's directions.
-Small tables are paged (`streams.TablePages`): one generator serves the
-tables of several consecutive iterations. The audit is the log of the
-queries in the order they were made.
+served in any order. The oracle also draws the solver's directions, on
+pages over immutable buffers, and measures only along the table it served
+last: its rows are unit vectors by construction. Small tables are paged
+(`streams.TablePages`): one generator serves the tables of several
+consecutive iterations. The audit is the log of the queries in order.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ from .problems import ProblemSpec, constraint_max
 # module that bound it, this one included.
 from .streams import DOMAIN_DIRECTIONS, DOMAIN_NOISE, SIDE_BASE, SIDE_PERTURBED, TablePages
 from .streams import substream  # noqa: F401
-
-_UNIT_NORM_TOL = 1e-12
 
 _KINDS = ("gaussian", "bounded-uniform")
 
@@ -125,10 +124,6 @@ class SafetyAudit:
         return int(np.count_nonzero(self.violated))
 
 
-def _unit_rows(a: np.ndarray) -> bool:
-    return not np.count_nonzero(np.abs(np.sqrt(np.einsum("ij,ij->i", a, a)) - 1.0) > _UNIT_NORM_TOL)
-
-
 class MeasurementOracle:
     """Serves noisy measurements of one problem and audits every query.
 
@@ -147,7 +142,9 @@ class MeasurementOracle:
         self._log = [np.empty(0, np.int64), np.empty(0, np.int8)]  # iterations, sides
         self._log += [np.empty((0, problem.dim)), np.empty((0, 2))]  # points, truth
         self._rows = self._scalar_calls = self._directions = 0
-        self._direction_pages = TablePages(lambda rng, rows, cols: sphere_sample(cols, rows, rng))
+        # A page over bytes: numpy refuses to make it, or any view of it, writable.
+        self._direction_pages = TablePages(lambda rng, rows, cols: np.frombuffer(
+            sphere_sample(cols, rows, rng).tobytes()).reshape(rows, cols))
         self._served = None  # the table `directions` served last
 
     # -- accounting --------------------------------------------------------
@@ -238,9 +235,11 @@ class MeasurementOracle:
         return self._measure(iteration, SIDE_BASE, points, n, directions=0)
 
     def directions(self, seed: int, iteration: int, n: int) -> np.ndarray:
-        """The iteration's n unit directions in R^d, read-only: the (n, d) table
-        (seed, DOMAIN_DIRECTIONS, iteration, 0, n, d) of `streams.TablePages`
-        whose pages are each one `sphere_sample`."""
+        """The iteration's n unit directions in R^d, the one table `measure_perturbed`
+        accepts until the next: (seed, DOMAIN_DIRECTIONS, iteration, 0, n, d) of
+        `streams.TablePages`, each page one `sphere_sample` in an immutable buffer."""
+        if n < 1:
+            raise ContractViolationError("need n >= 1 directions")
         key = (seed, DOMAIN_DIRECTIONS, iteration, 0, n, self.problem.dim)
         self._served = self._direction_pages.table(*key)
         return self._served
@@ -250,20 +249,14 @@ class MeasurementOracle:
     ) -> np.ndarray:
         """Noisy values at x + radius * s_j for each direction; (n, m+1).
 
-        Directions must be n >= 1 unit vectors to within _UNIT_NORM_TOL, checked
-        unless they are the table `directions` served last and its page (the
-        array owning its memory, `directions.base`) is read-only. A caller who
-        unlocks, changes and relocks the page defeats it, as it would the audit's views."""
+        `directions` must be the table `directions()` served last: the same
+        object, not a copy or a view of it."""
         x = np.asarray(x, dtype=float)
-        directions = np.asarray(directions, dtype=float)
         if radius < 0.0:
             raise ContractViolationError("radius must be nonnegative")
-        served = directions is self._served and not directions.base.flags.writeable
-        if not served and not _unit_rows(directions):
-            raise ContractViolationError("directions must be unit vectors")
+        if directions is not self._served:
+            raise ContractViolationError("directions must be the table directions() served last")
         n = len(directions)
-        if n < 1:
-            raise ContractViolationError("need n >= 1 directions")
         points = x[None, :] + radius * directions
         # Checking the displaced points also catches a NaN radius.
         if np.count_nonzero(np.isfinite(points)) < points.size:

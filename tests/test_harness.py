@@ -188,6 +188,16 @@ def test_malformed_value_is_config_error(tmp_path, capsys, overrides):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_a_number_yaml_reads_as_text_is_refused_by_its_key(tmp_path, capsys):
+    # YAML reads 1e-4 as text: a float needs a dot and a signed exponent.
+    path = tmp_path / "text.yaml"
+    path.write_text("problem: {name: linear-ball, noise_sigma: 1e-4}\nalgo: {eta: 0.05}\n")
+    assert cli.main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: problem.noise_sigma: '1e-4' ") and err.count("\n") == 1
+    assert "1.0e-4" in err
+
+
 def test_numpy_integers_are_accepted(tmp_path):
     i = np.int64
     cfg = make_config(

@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zobarrier import oracle as oracle_module
 from zobarrier.errors import (
     BudgetExhaustedError,
     ContractViolationError,
@@ -14,7 +13,6 @@ from zobarrier.errors import (
     NonFiniteMeasurementError,
     UnsafeQueryError,
 )
-from zobarrier.estimator import sphere_sample
 from zobarrier.oracle import (
     _CSV_CHUNK_VALUES,
     MeasurementOracle,
@@ -25,7 +23,7 @@ from zobarrier.oracle import (
 )
 from zobarrier.problems import ProblemSpec, UnicycleConfig, analytic_problem, make_unicycle_problem
 from zobarrier.solver import AlgoConfig, run
-from zobarrier.streams import PAGE_VALUES, SIDE_BASE, SIDE_PERTURBED, substream
+from zobarrier.streams import PAGE_VALUES, SIDE_BASE, SIDE_PERTURBED
 
 
 @pytest.fixture
@@ -39,19 +37,22 @@ def make_oracle(problem, sigma=0.0, seed=0, cap=None):
     )
 
 
-def measure_iteration(oracle, x, directions, radius, iteration):
-    """Base and perturbed tables of one iteration, as the solver takes them."""
-    base = oracle.measure_base(x, len(directions), iteration)
-    return base, oracle.measure_perturbed(x, directions, radius, iteration)
+def measure_iteration(oracle, x, n, seed, radius, iteration):
+    """Directions, base and perturbed tables of one iteration, as the solver
+    takes them: n directions served by `oracle.directions(seed, iteration, n)`."""
+    directions = oracle.directions(seed, iteration, n)
+    base = oracle.measure_base(x, n, iteration)
+    return directions, base, oracle.measure_perturbed(x, directions, radius, iteration)
 
 
 def test_zero_noise_returns_exact_values(ball):
     oracle = make_oracle(ball, sigma=0.0)
     x = np.array([0.3, -0.2])
-    dirs = np.array([[1.0, 0.0]])
-    base, pert = measure_iteration(oracle, x, dirs, 0.1, 1)
+    dirs, base, pert = measure_iteration(oracle, x, 1, 0, 0.1, 1)
     assert base[0, 0] == 0.3 and base[0, 1] == x @ x - 1.0
-    assert pert[0, 0] == 0.4 and pert[0, 1] == 0.4**2 + 0.2**2 - 1.0
+    point = x + 0.1 * dirs[0]
+    assert pert[0, 0] == point[0] and pert[0, 1] == pytest.approx(point @ point - 1.0, rel=1e-15)
+    np.testing.assert_array_equal(pert, ball.evaluate_all(point[None, :]))
 
 
 def test_identical_stream_key_identical_value(ball):
@@ -69,11 +70,10 @@ def test_measurement_order_independence(ball):
     oracle = make_oracle(ball, sigma=0.7, seed=5)
     other = make_oracle(ball, sigma=0.7, seed=5)
     x = np.array([0.2, 0.0])
-    dirs = sphere_sample(2, 4, substream(11))
-    in_order = [measure_iteration(oracle, x, dirs, 0.05, k) for k in (1, 2)]
+    in_order = [measure_iteration(oracle, x, 4, 11, 0.05, k)[1:] for k in (1, 2)]
     reversed_tables = {}
     for k in (2, 1):
-        pert = other.measure_perturbed(x, dirs, 0.05, k)
+        pert = other.measure_perturbed(x, other.directions(11, k, 4), 0.05, k)
         reversed_tables[k] = (other.measure_base(x, 4, k), pert)
     for k, (base, pert) in zip((1, 2), in_order):
         assert np.array_equal(base, reversed_tables[k][0])
@@ -82,7 +82,7 @@ def test_measurement_order_independence(ball):
 
 def test_batch_scalar_call_count(ball):
     oracle = make_oracle(ball)
-    measure_iteration(oracle, np.zeros(2), sphere_sample(2, 1, substream(0)), 0.1, 1)
+    measure_iteration(oracle, np.zeros(2), 1, 0, 0.1, 1)
     # n = 1, m = 1: two functions at two points.
     assert oracle.total_scalar_calls == 4
     assert oracle.total_directions == 1
@@ -92,8 +92,7 @@ def test_zero_radius_noise_still_independent(ball):
     # With radius 0 the perturbed points coincide with the base point but
     # the noise streams are keyed by side, so values differ when sigma > 0.
     oracle = make_oracle(ball, sigma=1.0, seed=4)
-    dirs = sphere_sample(2, 3, substream(1))
-    base, pert = measure_iteration(oracle, np.zeros(2), dirs, 0.0, 1)
+    _, base, pert = measure_iteration(oracle, np.zeros(2), 3, 1, 0.0, 1)
     assert np.array_equal(oracle.audit().points, np.zeros((4, 2)))
     assert not np.allclose(base, pert)
 
@@ -102,7 +101,7 @@ def test_budget_replay_totals(ball):
     # n_k = 7 directions per iteration for K = 500 iterations.
     oracle = make_oracle(ball, sigma=0.1, seed=1)
     for k in range(1, 501):
-        measure_iteration(oracle, np.zeros(2), sphere_sample(2, 7, substream(k)), 0.01, k)
+        measure_iteration(oracle, np.zeros(2), 7, 1, 0.01, k)
     assert oracle.total_directions == 3500
     assert oracle.total_scalar_calls == 500 * 2 * 7 * 2
 
@@ -114,22 +113,136 @@ def test_budget_cap(ball):
         oracle.measure_base(np.zeros(2), 2, iteration=2)  # would exceed 10
 
 
+REFUSAL = r"^directions must be the table directions\(\) served last$"
+
+
+def assert_locked(table):
+    """Neither `table`, nor the page it was read from, nor any view of
+    them can be unlocked or written through; returns the page."""
+    kept = table.copy()
+    views = [table, table[:], table[1:3], table.T, table.ravel()[1:7].reshape(3, 2)]
+    page = table
+    while isinstance(page.base, np.ndarray):
+        page = page.base
+        views.append(page)
+    assert page.size == PAGE_VALUES  # the whole page the table was read from
+    for view in views:
+        with pytest.raises(ValueError):
+            view.flags.writeable = True
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 0.0
+    np.testing.assert_array_equal(table, kept)
+    return page
+
+
 def test_non_unit_direction_rejected(ball):
-    # The tolerance is 1e-12: a direction 1e-10 off unit length is refused,
-    # and so is a single direction not given as a row (numpy's ValueError).
+    # A table built by hand is refused whether or not its rows are unit
+    # vectors, read-only or not, and so is a single direction not given
+    # as a row: nothing is charged or audited.
     oracle = make_oracle(ball)
-    for direction in ([1.0, 1.0], [0.5, 0.0], [0.0, 1.0 + 1e-10], [0.0, 1.0 - 1e-10]):
-        with pytest.raises(ContractViolationError, match="unit vectors"):
-            oracle.measure_perturbed(np.zeros(2), np.array([direction]), 0.1, 1)
+    oracle.directions(3, 1, 1)
+    for direction in ([1.0, 1.0], [0.5, 0.0], [0.0, 1.0 + 1e-10], [0.0, 1.0 - 1e-10], [0.0, 1.0]):
+        table = np.array([direction])
+        locked = table.copy()
+        locked.flags.writeable = False
+        for directions in (table, locked):
+            with pytest.raises(ContractViolationError, match=REFUSAL):
+                oracle.measure_perturbed(np.zeros(2), directions, 0.1, 1)
+    for directions in (np.array([1.0, 0.0]), np.eye(2)):
+        with pytest.raises(ContractViolationError, match=REFUSAL):
+            oracle.measure_perturbed(np.zeros(2), directions, 0.1, 1)
+    assert oracle.total_scalar_calls == oracle.total_directions == len(oracle.audit()) == 0
+
+
+def test_only_the_last_served_table_skips_the_unit_check(ball):
+    # The table served last is measured along as it is: its rows are unit
+    # vectors by construction. An earlier table is refused before and after
+    # it, and so is every view of the table served last, even one over the
+    # same rows of its page.
+    oracle = make_oracle(ball)
+    earlier = oracle.directions(3, 1, 4)
+    served = oracle.directions(3, 2, 4)
+    # Both tables are rows of page 0; rows 8-11 of the page are iteration 2's.
+    rows = served.base.reshape(-1, 2)[8:12]
+    assert np.array_equal(rows, served) and rows is not served
+    for directions in (served[:], served[1:3], rows, earlier):
+        with pytest.raises(ContractViolationError, match=REFUSAL):
+            oracle.measure_perturbed(np.zeros(2), directions, 0.1, 2)
+    assert oracle.total_scalar_calls == oracle.total_directions == len(oracle.audit()) == 0
+    oracle.measure_perturbed(np.zeros(2), served, 0.1, 2)
+    assert oracle.total_directions == 4 and len(oracle.audit()) == 4
+    with pytest.raises(ContractViolationError, match=REFUSAL):
+        oracle.measure_perturbed(np.zeros(2), earlier, 0.1, 3)
+    assert oracle.total_directions == 4
+
+
+def test_a_checked_page_made_writable_is_checked_again(ball):
+    # No caller can make a direction page writable: a 16 x 2 table shares
+    # its page with 127 others, and neither the table, nor its page, nor any
+    # view of them can be unlocked, before or after it is measured along.
+    oracle = make_oracle(ball)
+    table = oracle.directions(3, 5, 16)
+    assert_locked(table)
+    oracle.measure_perturbed(np.zeros(2), table, 0.1, 5)
+    assert_locked(table)
+    oracle.measure_perturbed(np.zeros(2), table, 0.1, 6)
+    assert oracle.total_directions == 32
+
+
+def test_a_table_with_a_page_to_itself_is_trusted_and_checked_alike(ball):
+    # 2048 rows of 2 values have a page to themselves, served as a view of
+    # it: the table is measured along, its page cannot be unlocked, and the
+    # page itself, though it holds the same values, is refused.
+    oracle = make_oracle(ball)
+    directions = oracle.directions(3, 1, 2048)
+    page = assert_locked(directions)
+    assert directions.base is page and np.array_equal(page.reshape(2048, 2), directions)
+    for other in (page.reshape(2048, 2), directions.copy()):
+        with pytest.raises(ContractViolationError, match=REFUSAL):
+            oracle.measure_perturbed(np.zeros(2), other, 0.1, 1)
+    assert oracle.total_directions == 0
+    oracle.measure_perturbed(np.zeros(2), directions, 0.1, 1)
+    assert oracle.total_directions == 2048
+
+
+def test_a_view_across_the_rows_of_a_checked_page_is_checked(ball):
+    # A view with the table's strides and columns that starts one value in:
+    # each of its rows straddles two rows of the page. It is refused, and
+    # it cannot be unlocked.
+    oracle = make_oracle(ball)
+    directions = oracle.directions(3, 0, 4)
+    oracle.measure_perturbed(np.zeros(2), directions, 0.1, 1)
+    page = directions.base
+    straddling = page[1 : 2 * 4 + 1].reshape(4, 2)
+    assert straddling.base is page and straddling.strides == directions.strides
+    with pytest.raises(ContractViolationError, match=REFUSAL):
+        oracle.measure_perturbed(np.zeros(2), straddling, 0.1, 2)
     with pytest.raises(ValueError):
-        oracle.measure_perturbed(np.zeros(2), np.array([1.0, 0.0]), 0.1, 1)
-    assert oracle.total_scalar_calls == 0
+        straddling.flags.writeable = True
+    assert oracle.total_directions == 4
+
+
+def test_a_writable_copy_is_checked_on_every_call(ball):
+    # A copy of the table served last, and a slice of it, are refused on
+    # every call, before and after an edit; the table itself still serves.
+    oracle = make_oracle(ball)
+    served = oracle.directions(3, 0, 4)
+    copy = served.copy()
+    assert copy.flags.writeable
+    for k in (1, 2):
+        for directions in (copy, copy[1:3]):
+            with pytest.raises(ContractViolationError, match=REFUSAL):
+                oracle.measure_perturbed(np.zeros(2), directions, 0.1, k)
+        copy[2] *= 1.0 + 1e-10
+    assert oracle.total_scalar_calls == oracle.total_directions == len(oracle.audit()) == 0
+    oracle.measure_perturbed(np.zeros(2), served, 0.1, 3)
+    assert oracle.total_directions == 4
 
 
 @pytest.mark.parametrize("dim", [1, 2, 6])
 def test_every_solver_direction_passes_the_unit_norm_check(dim):
     # Each table of one page the solver reads, for n = 16 in R^dim, and a
-    # table with a page to itself; a copy of each goes through the check.
+    # table with a page to itself: every row has unit norm within 1e-12.
     problem = ProblemSpec(
         name="flat",
         dim=dim,
@@ -146,103 +259,25 @@ def test_every_solver_direction_passes_the_unit_norm_check(dim):
     for k, n in tables:
         directions = oracle.directions(5, k, n)
         assert directions.shape == (n, dim) and not directions.flags.writeable
-        oracle.measure_perturbed(np.zeros(dim), directions.copy(), 0.1, k)
+        assert np.abs(np.linalg.norm(directions, axis=1) - 1.0).max() <= 1e-12
+        oracle.measure_perturbed(np.zeros(dim), directions, 0.1, k)
     assert oracle.total_directions == 16 * per_page + PAGE_VALUES
 
 
-def test_only_the_last_served_table_skips_the_unit_check(ball, monkeypatch):
-    checked = []
-    real = oracle_module._unit_rows
-    monkeypatch.setattr(oracle_module, "_unit_rows", lambda a: checked.append(a) or real(a))
-    oracle = make_oracle(ball)
-    earlier = oracle.directions(3, 1, 4)
-    served = oracle.directions(3, 2, 4)
-    oracle.measure_perturbed(np.zeros(2), served, 0.1, 2)
-    assert checked == []
-    others = (served.copy(), served[1:3], earlier)
-    for k, directions in enumerate(others, start=3):
-        oracle.measure_perturbed(np.zeros(2), directions, 0.1, k)
-        assert len(checked) == k - 2 and checked[-1] is directions
-    # Both tables are rows of page 0. Rows 4 and 9 of the page are row 0
-    # of iteration 1's table and row 1 of iteration 2's.
-    page = served.base
-    page.flags.writeable = True
-    page[[4, 9]] *= 1.0 + 1e-10
-    page.flags.writeable = False
-    for directions in (served.copy(), served[1:3], earlier):
-        with pytest.raises(ContractViolationError, match="^directions must be unit vectors$"):
-            oracle.measure_perturbed(np.zeros(2), directions, 0.1, 6)
-    assert oracle.total_directions == 4 + 4 + 2 + 4
-
-
-def test_a_checked_page_made_writable_is_checked_again(ball):
-    # The served table keeps its own read-only flag: its page's flag decides.
-    oracle = make_oracle(ball)
-    directions = oracle.directions(3, 0, 4)
-    oracle.measure_perturbed(np.zeros(2), directions, 0.1, 1)
-    page = directions.base
-    page.flags.writeable = True
-    page[1] *= 1.0 + 1e-10
-    assert not directions.flags.writeable
-    with pytest.raises(ContractViolationError, match="directions must be unit vectors"):
-        oracle.measure_perturbed(np.zeros(2), directions, 0.1, 2)
-    page[1] /= np.linalg.norm(page[1])
-    oracle.measure_perturbed(np.zeros(2), directions, 0.1, 3)
-
-
-def test_a_table_with_a_page_to_itself_is_trusted_and_checked_alike(ball, monkeypatch):
-    # 2048 rows of 2 values have a page to themselves, served as a view of it.
-    checked = []
-    real = oracle_module._unit_rows
-    monkeypatch.setattr(oracle_module, "_unit_rows", lambda a: checked.append(a) or real(a))
-    oracle = make_oracle(ball)
-    directions = oracle.directions(3, 1, 2048)
-    assert directions.base is not None and directions.base.shape == (2048, 2)
-    oracle.measure_perturbed(np.zeros(2), directions, 0.1, 1)
-    assert checked == []
-    page = directions.base
-    page.flags.writeable = True
-    page[7] *= 1.0 + 1e-10
-    with pytest.raises(ContractViolationError, match="directions must be unit vectors"):
-        oracle.measure_perturbed(np.zeros(2), directions, 0.1, 2)
-    assert len(checked) == 1
-
-
-def test_a_view_across_the_rows_of_a_checked_page_is_checked(ball):
-    # A view with the page's strides and columns that starts one value in:
-    # each of its rows straddles two rows of the page.
-    oracle = make_oracle(ball)
-    oracle.measure_perturbed(np.zeros(2), oracle.directions(3, 0, 4), 0.1, 1)
-    page = oracle.directions(3, 0, 4).base
-    straddling = page.ravel()[1 : 2 * 4 + 1].reshape(4, 2)
-    assert straddling.base is page and straddling.strides == page.strides
-    with pytest.raises(ContractViolationError, match="directions must be unit vectors"):
-        oracle.measure_perturbed(np.zeros(2), straddling, 0.1, 2)
-    assert oracle.total_directions == 4
-
-
-def test_a_writable_copy_is_checked_on_every_call(ball):
-    oracle = make_oracle(ball)
-    copy = oracle.directions(3, 0, 4).copy()
-    oracle.measure_perturbed(np.zeros(2), copy, 0.1, 1)
-    oracle.measure_perturbed(np.zeros(2), copy[1:3], 0.1, 2)
-    copy[2] *= 1.0 + 1e-10
-    for directions, k in ((copy, 3), (copy[1:3], 4)):
-        with pytest.raises(ContractViolationError, match="directions must be unit vectors"):
-            oracle.measure_perturbed(np.zeros(2), directions, 0.1, k)
-
-
 def test_an_empty_direction_table_is_refused(ball):
-    # As an empty base measurement is: nothing is charged or audited.
+    # As an empty base measurement is: nothing is drawn, charged or audited,
+    # and the table served before stays the one measured along.
     oracle = make_oracle(ball)
-    empty = np.zeros((0, 2))
-    empty.flags.writeable = False
-    for directions in (np.zeros((0, 2)), empty, empty[:]):
+    served = oracle.directions(3, 1, 4)
+    for n in (0, -1):
         with pytest.raises(ContractViolationError, match="^need n >= 1 directions$"):
+            oracle.directions(3, 2, n)
+    for directions in (np.zeros((0, 2)), served[:0]):
+        with pytest.raises(ContractViolationError, match="served last"):
             oracle.measure_perturbed(np.zeros(2), directions, 0.1, 1)
-    with pytest.raises(ContractViolationError, match="^need n >= 1 directions$"):
-        oracle.measure_perturbed(np.zeros(2), oracle.directions(3, 1, 4)[:0], 0.1, 1)
     assert oracle.total_scalar_calls == oracle.total_directions == len(oracle.audit()) == 0
+    oracle.measure_perturbed(np.zeros(2), served, 0.1, 1)
+    assert oracle.total_directions == 4
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
@@ -266,13 +301,17 @@ def test_empty_audit(ball):
 
 def test_audit_records_violation(ball):
     # The oracle refuses a truly infeasible query, but only after auditing
-    # it; a perturbed measurement is refused if any of its points is.
+    # it; a perturbed measurement is refused if any of its points is. From
+    # (0.5, 0) at radius 0.6 seed 0's first direction leaves the unit ball
+    # and its second does not.
     oracle = make_oracle(ball)
     with pytest.raises(UnsafeQueryError):
         oracle.measure_base(np.array([2.0, 0.0]), 1, iteration=1)
-    dirs = np.array([[1.0, 0.0], [0.0, 1.0]])
+    dirs = oracle.directions(0, 1, 2)
+    x = np.array([0.5, 0.0])
+    assert (np.linalg.norm(x + 0.6 * dirs, axis=1) > 1.0).tolist() == [True, False]
     with pytest.raises(UnsafeQueryError):
-        oracle.measure_perturbed(np.array([0.5, 0.0]), dirs, 0.6, iteration=1)
+        oracle.measure_perturbed(x, dirs, 0.6, iteration=1)
     audit = oracle.audit()
     assert audit.violated.tolist() == [True, True, False]
     assert audit.true_max_constraint[0] == pytest.approx(3.0)
@@ -289,23 +328,21 @@ def test_audit_flags_a_point_that_violates_only_the_last_constraint():
 def test_audit_covers_every_point_in_order(ball):
     oracle = make_oracle(ball, sigma=0.3, seed=2)
     x = np.zeros(2)
-    dirs = sphere_sample(2, 3, substream(7))
-    measure_iteration(oracle, x, dirs, 0.05, 1)
-    measure_iteration(oracle, x, dirs, 0.05, 2)
+    tables = [measure_iteration(oracle, x, 3, 7, 0.05, k)[0] for k in (1, 2)]
     audit = oracle.audit()
     assert len(audit) == 2 * (1 + 3)
     assert audit.iterations.tolist() == [1] * 4 + [2] * 4
     assert audit.sides.tolist() == ([SIDE_BASE] + [SIDE_PERTURBED] * 3) * 2
-    assert np.allclose(audit.points[0], x)
-    for j in range(3):
-        assert np.allclose(audit.points[1 + j], x + 0.05 * dirs[j])
+    for k, dirs in enumerate(tables):
+        assert np.allclose(audit.points[4 * k], x)
+        for j in range(3):
+            assert np.allclose(audit.points[4 * k + 1 + j], x + 0.05 * dirs[j])
 
 
 def test_audit_determinism(ball):
     def run_queries(oracle):
         for k in range(1, 4):
-            dirs = sphere_sample(2, 2, substream(k))
-            measure_iteration(oracle, np.zeros(2), dirs, 0.1, k)
+            measure_iteration(oracle, np.zeros(2), 2, 0, 0.1, k)
         return oracle.audit()
 
     a = run_queries(make_oracle(ball, sigma=0.5, seed=33))
@@ -341,15 +378,14 @@ def test_an_audit_is_a_read_only_view_that_later_measurements_leave_as_it_is(bal
     # The log grows in place; an audit taken before it grows keeps its
     # rows, and neither audit can be written through.
     oracle = make_oracle(ball)
-    dirs = sphere_sample(2, 3, substream(7))
-    measure_iteration(oracle, np.zeros(2), dirs, 0.05, 1)
+    tables = [measure_iteration(oracle, np.zeros(2), 3, 7, 0.05, 1)[0]]
     first = oracle.audit()
     columns = ("iterations", "sides", "points", "true_objective", "true_max_constraint")
     kept = {name: getattr(first, name).copy() for name in columns}
     xs = [np.array([0.01 * k, -0.02 * k]) for k in range(2, 40)]
     for k, x in enumerate(xs, start=2):
-        measure_iteration(oracle, x, dirs, 0.05, k)
-    wide = sphere_sample(2, 1000, substream(8))
+        tables.append(measure_iteration(oracle, x, 3, 7, 0.05, k)[0])
+    wide = oracle.directions(8, 40, 1000)
     oracle.measure_perturbed(np.zeros(2), wide, 0.05, 40)
     second = oracle.audit()
     assert not np.shares_memory(first.points, second.points)  # the log grew
@@ -360,8 +396,8 @@ def test_an_audit_is_a_read_only_view_that_later_measurements_leave_as_it_is(bal
             with pytest.raises(ValueError):
                 getattr(audit, name)[0] = 1
     # The second audit's rows are every query in order, the first's leading.
-    points = [np.zeros((1, 2)), 0.05 * dirs]
-    for x in xs:
+    points = [np.zeros((1, 2)), 0.05 * tables[0]]
+    for x, dirs in zip(xs, tables[1:]):
         points += [x[None, :], x[None, :] + 0.05 * dirs]
     points.append(0.05 * wide)
     np.testing.assert_array_equal(second.points, np.concatenate(points))
@@ -405,12 +441,15 @@ def non_finite_problem():
 
 def test_non_finite_true_value_counts_as_violation(tmp_path):
     # The oracle refuses both measurements, but only after auditing them.
+    # At radius 0.4 seed 113's three directions reach x0 < -0.3 (NaN),
+    # x0 > 0.3 (-inf) and neither, in that order.
     oracle = make_oracle(non_finite_problem())
     with pytest.raises(NonFiniteMeasurementError):
         oracle.measure_base(np.array([-0.5, 0.0]), 1, iteration=1)
-    dirs = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    points = 0.4 * oracle.directions(113, 1, 3)
+    assert points[0, 0] < -0.3 and points[1, 0] > 0.3 and abs(points[2, 0]) <= 0.3
     with pytest.raises(NonFiniteMeasurementError):
-        oracle.measure_perturbed(np.zeros(2), dirs, 0.4, iteration=1)
+        oracle.measure_perturbed(np.zeros(2), oracle.directions(113, 1, 3), 0.4, iteration=1)
     audit = oracle.audit()
     assert audit.violated.tolist() == [True, True, True, False]
     assert audit.violation_count == 3
@@ -420,12 +459,12 @@ def test_non_finite_true_value_counts_as_violation(tmp_path):
         ["nan", "1"],
         ["nan", "1"],
         ["-inf", "1"],
-        ["-0.6", "0"],
+        [repr(float(points[2, 0] + points[2, 1] - 1.0)), "0"],
     ]
 
 
 def test_diverged_measurement_is_audited_and_flagged(tmp_path):
-    # Unbounded inputs and a radius of 1e200 along the first gain: the
+    # Unbounded inputs and a radius of 1e200: along any direction the
     # displaced point's trajectory overflows at step 2. The queried point
     # is charged, audited with a NaN true value (so flagged) and the
     # error still reaches the caller, where `run` halts "diverged".
@@ -433,7 +472,7 @@ def test_diverged_measurement_is_audited_and_flagged(tmp_path):
     oracle = make_oracle(make_unicycle_problem(cfg))
     x = oracle.problem.safe_start
     oracle.measure_base(x, 2, iteration=1)
-    direction = np.eye(6)[:1]
+    direction = oracle.directions(0, 1, 1)
     with pytest.raises(DivergedTrajectoryError) as exc:
         oracle.measure_perturbed(x, direction, 1e200, iteration=1)
     assert exc.value.step == 2
@@ -479,23 +518,20 @@ def test_audit_csv_matches_csv_writer_bytes(ball, tmp_path):
     run(ball, AlgoConfig(eta=0.05, max_iters=4, n_policy="fixed", n_fixed=3, seed=3), oracle)
     # Signed zero, exponent notation, a large iteration index and a violation.
     oracle.measure_base(np.array([-0.0, 1e-05]), 1, iteration=10**12)
-    oracle.measure_perturbed(
-        np.array([2.5e-7, -0.0]), np.array([[0.0, 1.0]]), 1e-05, iteration=10**12
-    )
+    tiny = oracle.directions(3, 10**12, 1)
+    oracle.measure_perturbed(np.array([2.5e-7, -0.0]), tiny, 1e-05, iteration=10**12)
     with pytest.raises(UnsafeQueryError):
         oracle.measure_base(np.array([2.0, 0.0]), 1, iteration=10**12 + 1)
     # A perturbed run across two boundaries of the writer's chunks (three
-    # float fields a row) that ends a chunk past the second. Its one row
-    # that leaves the ball (direction (1, 0); the others point left) is the
-    # first row of a chunk: the flag flips exactly at a chunk boundary.
+    # float fields a row) that ends a chunk past the second. From (0.9, 0)
+    # at radius 0.2 a direction leaves the ball where s0 > 5/12, about a
+    # third of the rows; at both boundaries seed 4's flag flips.
     chunk = max(1, _CSV_CHUNK_VALUES // 3)
     start = len(oracle.audit())
     boundary = (start // chunk + 2) * chunk
-    angles = np.linspace(0.5 * np.pi, 1.5 * np.pi, boundary + chunk - start)
-    angles[boundary - start] = 0.0
-    dirs = np.column_stack((np.cos(angles), np.sin(angles)))
+    dirs = oracle.directions(4, 7, boundary + chunk - start)
     with pytest.raises(UnsafeQueryError):
-        oracle.measure_perturbed(np.array([0.9, 0.0]), dirs, 0.1 + 1e-7, iteration=7)
+        oracle.measure_perturbed(np.array([0.9, 0.0]), dirs, 0.2, iteration=7)
     # A value of 1e16 or more, and a diverged row with NaN truth.
     with pytest.raises(UnsafeQueryError):
         oracle.measure_base(np.array([1e16, -2.5e17]), 1, iteration=8)
@@ -504,9 +540,11 @@ def test_audit_csv_matches_csv_writer_bytes(ball, tmp_path):
     audit = oracle.audit()
     long_run = np.flatnonzero(audit.iterations == 7)
     assert long_run[0] < boundary - chunk and long_run[-1] == boundary + chunk - 1
-    assert np.flatnonzero(audit.violated).tolist() == [
-        long_run[0] - 1, boundary, len(audit) - 2, len(audit) - 1
-    ]
+    outside = np.linalg.norm(audit.points[long_run], axis=1) > 1.0
+    np.testing.assert_array_equal(audit.violated[long_run], outside)
+    for row in (boundary - chunk, boundary):
+        assert audit.violated[row] != audit.violated[row - 1]
+    assert audit.violated[[long_run[0] - 1, -2, -1]].all()
     write_audit_csv(audit, tmp_path / "columnar.csv")
     legacy_audit_csv(audit, tmp_path / "legacy.csv")
     got = (tmp_path / "columnar.csv").read_bytes()
@@ -577,9 +615,8 @@ def test_audit_csv_memory_is_bounded(tmp_path):
 def test_value_determinism_across_oracles(ball):
     a = make_oracle(ball, sigma=0.5, seed=33)
     b = make_oracle(ball, sigma=0.5, seed=33)
-    dirs = sphere_sample(2, 5, substream(3))
-    base_a, pert_a = measure_iteration(a, np.zeros(2), dirs, 0.1, 1)
-    base_b, pert_b = measure_iteration(b, np.zeros(2), dirs, 0.1, 1)
+    _, base_a, pert_a = measure_iteration(a, np.zeros(2), 5, 3, 0.1, 1)
+    _, base_b, pert_b = measure_iteration(b, np.zeros(2), 5, 3, 0.1, 1)
     assert np.array_equal(base_a, base_b)
     assert np.array_equal(pert_a, pert_b)
 
@@ -621,12 +658,12 @@ def test_function_index_validated(ball):
     # Query points must be finite on both sides; on the perturbed side the
     # displaced points are checked, which also catches a NaN radius.
     oracle = make_oracle(ball)
-    east = np.array([[1.0, 0.0]])
+    served = oracle.directions(0, 1, 1)
     with pytest.raises(ContractViolationError):
         oracle.measure_base(np.array([np.nan, 0.0]), 1, iteration=1)
-    with pytest.raises(ContractViolationError):
-        oracle.measure_perturbed(np.array([np.inf, 0.0]), east, 0.1, 1)
-    with pytest.raises(ContractViolationError):
-        oracle.measure_perturbed(np.zeros(2), east, np.nan, 1)
+    with pytest.raises(ContractViolationError, match="^query points must be finite$"):
+        oracle.measure_perturbed(np.array([np.inf, 0.0]), served, 0.1, 1)
+    with pytest.raises(ContractViolationError, match="^query points must be finite$"):
+        oracle.measure_perturbed(np.zeros(2), served, np.nan, 1)
     assert oracle.total_scalar_calls == 0
     assert len(oracle.audit()) == 0
