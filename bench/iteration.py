@@ -56,7 +56,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import dataclasses
 import filecmp
 import json
 import statistics
@@ -186,7 +185,6 @@ def worker(workload: str) -> dict:
     reference_block = trees.perfbench("worker").reference_block
     cfg = _config(workload, "unused")
     problem = harness.build_problem(cfg.problem_name, cfg.problem_options)
-    algo = dataclasses.replace(cfg.algo, seed=cfg.base_seed)
 
     def oracle():
         noise = NoiseModel(cfg.noise_kind, problem.noise_sigma, master_seed=cfg.base_seed)
@@ -205,7 +203,7 @@ def worker(workload: str) -> dict:
         if split is not None:
             oracle_split(o, split, overhead)
         t0 = time.perf_counter()
-        result = solver.run(problem, algo, o)
+        result = solver.run(problem, cfg.algo, o)
         return (time.perf_counter() - t0) / len(result.trace), len(result.trace)
 
     # A timer's cost outside its own window, per call: on an empty function.

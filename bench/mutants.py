@@ -157,8 +157,7 @@ MUTANTS = {
         'if False:\n            raise ContractViolationError("query points must be finite")',
     ),
     # The oracle measures only along the table it served last, compared by
-    # identity, on a page over an immutable buffer that no caller can make
-    # writable; it refuses to serve an empty table.
+    # identity; it refuses to serve an empty table.
     "served-table-identity-dropped": (
         "src/zobarrier/oracle.py",
         "if directions is not self._served:",
@@ -169,15 +168,17 @@ MUTANTS = {
         "if directions is not self._served:",
         "if not np.array_equal(directions, self._served):",
     ),
-    "direction-pages-on-owned-arrays": (
-        "src/zobarrier/oracle.py",
-        "np.frombuffer(\n            sphere_sample(cols, rows, rng).tobytes()).reshape(rows, cols)",
-        "sphere_sample(cols, rows, rng)",
-    ),
     "empty-direction-table-accepted": (
         "src/zobarrier/oracle.py",
         "if n < 1:\n            raise ContractViolationError(\"need n >= 1 directions\")",
         "if n < 0:\n            raise ContractViolationError(\"need n >= 1 directions\")",
+    ),
+    # Every page, of noise or of directions, is built over an immutable
+    # buffer that no caller can make writable.
+    "pages-on-owned-arrays": (
+        "src/zobarrier/streams.py",
+        "values = np.frombuffer(values.tobytes()).reshape(values.shape)",
+        "values.flags.writeable = False",
     ),
     # The unicycle's small batches are evaluated row by row in Python floats,
     # bit for bit as the vectorized path: the constraint subtracts the sum

@@ -15,11 +15,12 @@ re-raised.
 A noise table is a pure function of (master_seed, iteration, side,
 rows, cols), never of call order, so identical query sequences from two
 oracles with equal seeds are bitwise identical and a noise table may be
-served in any order. The oracle also draws the solver's directions, on
-pages over immutable buffers, and measures only along the table it served
-last: its rows are unit vectors by construction. Small tables are paged
-(`streams.TablePages`): one generator serves the tables of several
-consecutive iterations. The audit is the log of the queries in order.
+served in any order. The oracle also draws the solver's directions, keyed
+by the same seed, and measures only along the table it served last: its
+rows are unit vectors by construction. Tables are paged
+(`streams.TablePages`) over immutable buffers: one generator serves
+several consecutive iterations' tables. The audit is the log of the
+queries in order.
 """
 
 from __future__ import annotations
@@ -142,9 +143,7 @@ class MeasurementOracle:
         self._log = [np.empty(0, np.int64), np.empty(0, np.int8)]  # iterations, sides
         self._log += [np.empty((0, problem.dim)), np.empty((0, 2))]  # points, truth
         self._rows = self._scalar_calls = self._directions = 0
-        # A page over bytes: numpy refuses to make it, or any view of it, writable.
-        self._direction_pages = TablePages(lambda rng, rows, cols: np.frombuffer(
-            sphere_sample(cols, rows, rng).tobytes()).reshape(rows, cols))
+        self._direction_pages = TablePages(lambda rng, rows, cols: sphere_sample(cols, rows, rng))
         self._served = None  # the table `directions` served last
 
     # -- accounting --------------------------------------------------------
@@ -234,13 +233,13 @@ class MeasurementOracle:
             raise ContractViolationError("need n >= 1 base samples")
         return self._measure(iteration, SIDE_BASE, points, n, directions=0)
 
-    def directions(self, seed: int, iteration: int, n: int) -> np.ndarray:
+    def directions(self, iteration: int, n: int) -> np.ndarray:
         """The iteration's n unit directions in R^d, the one table `measure_perturbed`
-        accepts until the next: (seed, DOMAIN_DIRECTIONS, iteration, 0, n, d) of
-        `streams.TablePages`, each page one `sphere_sample` in an immutable buffer."""
+        accepts until the next: (noise.master_seed, DOMAIN_DIRECTIONS, iteration, 0,
+        n, d) of `streams.TablePages`, each page one `sphere_sample`."""
         if n < 1:
             raise ContractViolationError("need n >= 1 directions")
-        key = (seed, DOMAIN_DIRECTIONS, iteration, 0, n, self.problem.dim)
+        key = (self.noise.master_seed, DOMAIN_DIRECTIONS, iteration, 0, n, self.problem.dim)
         self._served = self._direction_pages.table(*key)
         return self._served
 

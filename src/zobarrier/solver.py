@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import (
     BudgetExhaustedError,
+    ConfigError,
     ContractViolationError,
     DivergedTrajectoryError,
     MarginExhaustedError,
@@ -54,7 +55,6 @@ logger = logging.getLogger(__name__)
 
 N_POLICIES = ("fixed", "theoretical")
 NU_POLICIES = ("fixed", "adaptive")
-MARGIN_POLICIES = ("halt",)
 
 # Errors that end a run with their halt_reason and the partial trace.
 _HALTS = (
@@ -84,7 +84,7 @@ class AlgoConfig:
     "adaptive" re-derives nu_k = min(eta/L, alpha_k/L) each iteration
     from that iteration's own base measurements. n_policy "theoretical"
     derives n_k from the concentration bound and clamps it to n_cap with
-    a warning; "fixed" uses n_fixed. margin_policy has one value, "halt".
+    a warning; "fixed" uses n_fixed. A run's draws are keyed by its oracle's seed.
     """
 
     eta: float
@@ -95,8 +95,6 @@ class AlgoConfig:
     n_cap: int = 4096
     nu_policy: str = "fixed"
     C_override: float | None = None
-    margin_policy: str = "halt"
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.eta < math.inf:
@@ -108,8 +106,6 @@ class AlgoConfig:
             raise ContractViolationError(f"n_policy must be one of {N_POLICIES}")
         if self.nu_policy not in NU_POLICIES:
             raise ContractViolationError(f"nu_policy must be one of {NU_POLICIES}")
-        if self.margin_policy not in MARGIN_POLICIES:
-            raise ContractViolationError(f"margin_policy must be one of {MARGIN_POLICIES}")
         if self.n_policy == "fixed":
             self.n_fixed = require_integer("n_fixed (fixed n policy)", self.n_fixed, 1)
         self.n_cap = require_integer("n_cap", self.n_cap, 1)
@@ -360,7 +356,7 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
     values); otherwise UnsafeStartError propagates. Any error in _HALTS
     (exhausted margin, infeasible query, divergence, budget cap,
     non-finite true values) ends the run with its halt_reason, the trace
-    and audit so far, and no certificate.
+    and audit so far, and no certificate. A log too large for memory is a ConfigError.
     """
     L = problem.lipschitz
     K = cfg.max_iters
@@ -372,7 +368,10 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
     reach = nu_k * L
     sigma = problem.noise_sigma
     n = resolve_sample_count(problem, cfg)
-    oracle.reserve(K * (n + 1))  # a base row and n perturbed rows an iteration
+    try:
+        oracle.reserve(K * (n + 1))  # a base row and n perturbed rows an iteration
+    except MemoryError as exc:
+        raise ConfigError(f"no memory for max_iters x (n + 1) = {K} x {n + 1} audit rows") from exc
 
     x = np.asarray(problem.safe_start, dtype=float).copy()
     records: list[IterateRecord] = []
@@ -396,7 +395,7 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
                 reach = min(cfg.eta, -max_fhat / 2.0)
                 nu_k = reach / L
             alpha = margin(max_fhat, reach)
-            directions = oracle.directions(cfg.seed, k, n)
+            directions = oracle.directions(k, n)
             pert = oracle.measure_perturbed(x, directions, nu_k, k)
         except _HALTS as exc:
             logger.warning("halted at iteration %d (%s): %s", k, exc.halt_reason, exc)
@@ -430,7 +429,7 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
     if halted_reason is None and records:
         weights = np.array([r.weight for r in records])
         if np.any(weights > 0.0):
-            R = select_output(weights, substream(cfg.seed, DOMAIN_OUTPUT))
+            R = select_output(weights, substream(oracle.noise.master_seed, DOMAIN_OUTPUT))
             certificate = certificate_from_record(records[R - 1], cfg.eta)
     return RunResult(
         config=cfg,

@@ -79,13 +79,14 @@ class TablePages:
     cols)) consecutive iterations. With page, slot = divmod(k, per_page),
     page `page` is fill(substream(seed, domain, page, side + 2 * rows *
     cols), per_page * rows, cols), and k's table is its rows
-    slot * rows : (slot + 1) * rows, served as a read-only view of the
-    page. So a table is a pure function of (seed, domain, k, side, rows,
-    cols): the order in which tables are asked for does not matter, and
-    the two sides, and tables of different value counts, read different
-    streams. The last page drawn is kept, so asking for k = 1, 2, ...
-    builds one generator per page, not one per table. A table of more than
-    PAGE_VALUES / 2 values is a page of its own, served as is, not kept.
+    slot * rows : (slot + 1) * rows, served as a view of the page, which
+    holds fill's values in an immutable buffer: no view of it can be made
+    writable. So a table is a pure function of (seed, domain, k, side,
+    rows, cols): the order in which tables are asked for does not matter,
+    and the two sides, and tables of different value counts, read
+    different streams. The last page drawn is kept, so asking for k = 1,
+    2, ... builds one generator per page, not one per table. A table of
+    more than PAGE_VALUES / 2 values is a page of its own, not kept.
     """
 
     __slots__ = ("_fill", "_key", "_page")
@@ -105,7 +106,7 @@ class TablePages:
         if key != self._key:
             rng = substream(master_seed, domain, page, side + 2 * rows * cols)
             values = self._fill(rng, per_page * rows, cols)
-            values.flags.writeable = False
+            values = np.frombuffer(values.tobytes()).reshape(values.shape)
             if per_page == 1:
                 # A run asks for each iteration once, so keeping a
                 # one-table page would only hold memory.

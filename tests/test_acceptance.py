@@ -6,7 +6,6 @@ module-scoped fixtures.
 """
 
 import csv
-import dataclasses
 import time
 from types import SimpleNamespace
 
@@ -86,9 +85,9 @@ def unicycle_bundle(tmp_path_factory):
 
 
 def seeded_run(problem, cfg, seed):
-    """One run with noise and algo seed `seed`, as a trial of that seed runs."""
+    """One run whose oracle has seed `seed`, as a trial of that seed runs."""
     oracle = MeasurementOracle(problem, NoiseModel(kind="gaussian", sigma=0.01, master_seed=seed))
-    return run(problem, dataclasses.replace(cfg, seed=seed), oracle)
+    return run(problem, cfg, oracle)
 
 
 @pytest.fixture(scope="module")
@@ -102,10 +101,10 @@ def ball_bundle():
         n_policy="fixed",
         n_fixed=16,
         nu_policy="adaptive",
-        margin_policy="halt",
     )
-    results = _fork_map(lambda seed: seeded_run(problem, cfg, seed), range(7, 17))
-    return dict(problem=problem, eta=eta, results=results)
+    seeds = range(7, 17)
+    results = _fork_map(lambda seed: seeded_run(problem, cfg, seed), seeds)
+    return dict(problem=problem, eta=eta, seeds=seeds, results=results)
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +118,6 @@ def margin_bundle():
         n_policy="theoretical",
         n_cap=2048,
         nu_policy="fixed",
-        margin_policy="halt",
     )
     results = _fork_map(lambda seed: seeded_run(problem, cfg, seed), range(500, 550))
     C = problem.grad_lower**2 / (8.0 * problem.lipschitz**2)
@@ -212,13 +210,12 @@ def test_criterion_07_safety_margin(margin_bundle, caplog):
 def test_criterion_08_convergence_quality(ball_bundle):
     problem, eta = ball_bundle["problem"], ball_bundle["eta"]
     complementarities, ratios, finals, violations = [], [], [], 0
-    for result in ball_bundle["results"]:
+    for seed, result in zip(ball_bundle["seeds"], ball_bundle["results"]):
         assert result.certificate is not None
         cert = result.certificate
         violations += result.audit.violation_count
         finals.append(problem.objective_value(result.x_final))
         nu_r = result.trace[cert.iteration - 1].nu
-        seed = result.config.seed
         fc_nu, _ = smoothed_value(
             problem.max_constraint_batch,
             cert.x,

@@ -16,13 +16,7 @@ from zobarrier.problems import analytic_problem
 from zobarrier.solver import barrier_estimate
 from zobarrier.streams import substream
 
-
-def measure_iteration(oracle, x, n, seed, radius, iteration):
-    """Directions, base and perturbed tables of one iteration, as the solver
-    takes them: n directions served by `oracle.directions(seed, iteration, n)`."""
-    directions = oracle.directions(seed, iteration, n)
-    base = oracle.measure_base(x, n, iteration)
-    return directions, base, oracle.measure_perturbed(x, directions, radius, iteration)
+from test_oracle import measure_iteration
 
 
 def max_columns(base, pert):
@@ -87,7 +81,7 @@ def test_quadratic_mean_matches_true_gradient():
     prob = analytic_problem("sphere-quadratic", noise_sigma=0.0)
     oracle = MeasurementOracle(prob, NoiseModel(sigma=0.0))
     x = np.array([1.0, 0.0])
-    dirs, base, pert = measure_iteration(oracle, x, 1_000_000, 3, 0.1, 1)
+    dirs, base, pert = measure_iteration(oracle, x, 1_000_000, 0.1, 1)
     g = estimate_gradient(base[:, 0], pert[:, 0], dirs, 0.1)
     terms = 2 * ((pert[:, 0] - base[:, 0]) / 0.1)[:, None] * dirs
     se = terms.std(axis=0, ddof=1) / math.sqrt(len(dirs))
@@ -293,7 +287,7 @@ def test_barrier_gradient_contracts():
 def test_build_estimate_fields():
     prob = analytic_problem("linear-ball", noise_sigma=0.05)
     oracle = MeasurementOracle(prob, NoiseModel(sigma=0.05, master_seed=8))
-    dirs, base, pert = measure_iteration(oracle, np.zeros(2), 16, 8, 0.02, 1)
+    dirs, base, pert = measure_iteration(oracle, np.zeros(2), 16, 0.02, 1)
     assert base.shape == pert.shape == (16, 2)
     fhat = confidence_bounds(base, sigma=0.05, delta_bar=0.01)
     alpha_hat = margin(fhat.max(), 0.02 * prob.lipschitz)
@@ -322,7 +316,7 @@ def test_barrier_gradient_deviation_bound():
     oracle = MeasurementOracle(prob, NoiseModel(sigma=sigma, master_seed=99))
     zeta_norms, bounds = [], []
     for k in range(1, 2001):
-        dirs, base, pert = measure_iteration(oracle, x, n, 31, nu, k)
+        dirs, base, pert = measure_iteration(oracle, x, n, nu, k)
         fhat = confidence_bounds(base, sigma, delta_bar)
         alpha = margin(fhat.max(), nu * L)
         g = barrier_estimate(base, pert, dirs, nu, eta, alpha)
@@ -349,7 +343,7 @@ def test_gradient_deviation_high_probability_bound():
     inside = 0
     reps = 1000
     for k in range(1, reps + 1):
-        dirs, base, pert = measure_iteration(oracle, x, n, 57, nu, k)
+        dirs, base, pert = measure_iteration(oracle, x, n, nu, k)
         dev = np.linalg.norm(estimate_gradient(base[:, 0], pert[:, 0], dirs, nu) - [1.0, 0.0])
         inside += dev <= threshold
     assert inside / reps >= 1.0 - delta
@@ -360,7 +354,7 @@ def test_estimator_unbiased_on_linear_field():
     # vector for every radius, an exact independent reference.
     prob = analytic_problem("linear-ball", noise_sigma=0.1)
     oracle = MeasurementOracle(prob, NoiseModel(sigma=0.1, master_seed=21))
-    dirs, base, pert = measure_iteration(oracle, np.zeros(2), 100_000, 13, 0.05, 1)
+    dirs, base, pert = measure_iteration(oracle, np.zeros(2), 100_000, 0.05, 1)
     terms = 2 * ((pert[:, 0] - base[:, 0]) / 0.05)[:, None] * dirs
     mean = terms.mean(axis=0)
     se = terms.std(axis=0, ddof=1) / math.sqrt(len(dirs))

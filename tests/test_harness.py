@@ -34,7 +34,7 @@ from zobarrier.harness import (
     verify_properties,
     write_trace_csv,
 )
-from zobarrier.oracle import _CSV_CHUNK_VALUES
+from zobarrier.oracle import _CSV_CHUNK_VALUES, MeasurementOracle
 
 BASE_CONFIG = {
     "problem": {"name": "linear-ball", "noise_sigma": 0.02},
@@ -186,6 +186,27 @@ def test_malformed_value_is_config_error(tmp_path, capsys, overrides):
         assert cli.main([command, path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_an_audit_log_too_large_for_memory_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # The log's allocation fails as numpy's does for a log too large for the
+    # host, without asking the host for the memory: `zobarrier run` ends with
+    # one error line naming the rows, and no traceback.
+    def no_memory(oracle, rows):
+        raise MemoryError(f"Unable to allocate {rows} rows")
+
+    monkeypatch.setattr(MeasurementOracle, "_fit", no_memory)
+    data = config_data(tmp_path, preset="linear-ball-demo", trials=1, algo={"max_iters": 5})
+    assert cli.main(["run", write_yaml(tmp_path, data)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: no memory for max_iters x (n + 1) = 5 x 7 audit rows\n"
+
+
+def test_the_one_margin_policy_is_read_and_ignored(tmp_path):
+    # A run always halts when its margin is gone; `margin_policy: halt`, that
+    # policy's old name, still parses, and any other value is an unknown key.
+    halt = config_from_mapping(config_data(tmp_path, algo={"margin_policy": "halt"}))
+    assert halt.algo == config_from_mapping(config_data(tmp_path)).algo
 
 
 def test_a_number_yaml_reads_as_text_is_refused_by_its_key(tmp_path, capsys):

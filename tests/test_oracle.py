@@ -37,10 +37,10 @@ def make_oracle(problem, sigma=0.0, seed=0, cap=None):
     )
 
 
-def measure_iteration(oracle, x, n, seed, radius, iteration):
+def measure_iteration(oracle, x, n, radius, iteration):
     """Directions, base and perturbed tables of one iteration, as the solver
-    takes them: n directions served by `oracle.directions(seed, iteration, n)`."""
-    directions = oracle.directions(seed, iteration, n)
+    takes them: n directions served by `oracle.directions(iteration, n)`."""
+    directions = oracle.directions(iteration, n)
     base = oracle.measure_base(x, n, iteration)
     return directions, base, oracle.measure_perturbed(x, directions, radius, iteration)
 
@@ -48,7 +48,7 @@ def measure_iteration(oracle, x, n, seed, radius, iteration):
 def test_zero_noise_returns_exact_values(ball):
     oracle = make_oracle(ball, sigma=0.0)
     x = np.array([0.3, -0.2])
-    dirs, base, pert = measure_iteration(oracle, x, 1, 0, 0.1, 1)
+    dirs, base, pert = measure_iteration(oracle, x, 1, 0.1, 1)
     assert base[0, 0] == 0.3 and base[0, 1] == x @ x - 1.0
     point = x + 0.1 * dirs[0]
     assert pert[0, 0] == point[0] and pert[0, 1] == pytest.approx(point @ point - 1.0, rel=1e-15)
@@ -64,25 +64,29 @@ def test_identical_stream_key_identical_value(ball):
 
 
 def test_measurement_order_independence(ball):
-    # Noise is keyed by (iteration, side, sample), not call order: an
-    # oracle measuring perturbed before base and iteration 2 before 1
-    # serves bitwise identical tables.
+    # Noise and directions are keyed by the oracle's seed and the iteration,
+    # not by call order: an oracle of equal seed measuring perturbed before
+    # base and iteration 2 before 1 serves bitwise identical tables, and an
+    # oracle of another seed serves other directions.
     oracle = make_oracle(ball, sigma=0.7, seed=5)
     other = make_oracle(ball, sigma=0.7, seed=5)
     x = np.array([0.2, 0.0])
-    in_order = [measure_iteration(oracle, x, 4, 11, 0.05, k)[1:] for k in (1, 2)]
+    in_order = [measure_iteration(oracle, x, 4, 0.05, k) for k in (1, 2)]
     reversed_tables = {}
     for k in (2, 1):
-        pert = other.measure_perturbed(x, other.directions(11, k, 4), 0.05, k)
-        reversed_tables[k] = (other.measure_base(x, 4, k), pert)
-    for k, (base, pert) in zip((1, 2), in_order):
-        assert np.array_equal(base, reversed_tables[k][0])
-        assert np.array_equal(pert, reversed_tables[k][1])
+        directions = other.directions(k, 4)
+        pert = other.measure_perturbed(x, directions, 0.05, k)
+        reversed_tables[k] = (directions, other.measure_base(x, 4, k), pert)
+    reseeded = make_oracle(ball, sigma=0.7, seed=6)
+    for k, tables in zip((1, 2), in_order):
+        for table, again in zip(tables, reversed_tables[k]):
+            assert np.array_equal(table, again)
+        assert not np.intersect1d(reseeded.directions(k, 4), tables[0]).size
 
 
 def test_batch_scalar_call_count(ball):
     oracle = make_oracle(ball)
-    measure_iteration(oracle, np.zeros(2), 1, 0, 0.1, 1)
+    measure_iteration(oracle, np.zeros(2), 1, 0.1, 1)
     # n = 1, m = 1: two functions at two points.
     assert oracle.total_scalar_calls == 4
     assert oracle.total_directions == 1
@@ -92,7 +96,7 @@ def test_zero_radius_noise_still_independent(ball):
     # With radius 0 the perturbed points coincide with the base point but
     # the noise streams are keyed by side, so values differ when sigma > 0.
     oracle = make_oracle(ball, sigma=1.0, seed=4)
-    _, base, pert = measure_iteration(oracle, np.zeros(2), 3, 1, 0.0, 1)
+    _, base, pert = measure_iteration(oracle, np.zeros(2), 3, 0.0, 1)
     assert np.array_equal(oracle.audit().points, np.zeros((4, 2)))
     assert not np.allclose(base, pert)
 
@@ -101,7 +105,7 @@ def test_budget_replay_totals(ball):
     # n_k = 7 directions per iteration for K = 500 iterations.
     oracle = make_oracle(ball, sigma=0.1, seed=1)
     for k in range(1, 501):
-        measure_iteration(oracle, np.zeros(2), 7, 1, 0.01, k)
+        measure_iteration(oracle, np.zeros(2), 7, 0.01, k)
     assert oracle.total_directions == 3500
     assert oracle.total_scalar_calls == 500 * 2 * 7 * 2
 
@@ -135,12 +139,23 @@ def assert_locked(table):
     return page
 
 
+def test_a_noise_page_cannot_be_unlocked():
+    # Noise pages are built as direction pages are. Unlocking a table's page
+    # and writing it would change the table of every later iteration on it:
+    # iterations 1 and 2 share page 0 of the 16 x 2 tables.
+    noise = NoiseModel(sigma=1.0, master_seed=3)
+    later = noise.draw(2, SIDE_BASE, 16, 2).copy()
+    assert_locked(noise.draw(1, SIDE_BASE, 16, 2))
+    assert_locked(noise.draw(1, SIDE_PERTURBED, 2048, 2))
+    np.testing.assert_array_equal(noise.draw(2, SIDE_BASE, 16, 2), later)
+
+
 def test_non_unit_direction_rejected(ball):
     # A table built by hand is refused whether or not its rows are unit
     # vectors, read-only or not, and so is a single direction not given
     # as a row: nothing is charged or audited.
     oracle = make_oracle(ball)
-    oracle.directions(3, 1, 1)
+    oracle.directions(1, 1)
     for direction in ([1.0, 1.0], [0.5, 0.0], [0.0, 1.0 + 1e-10], [0.0, 1.0 - 1e-10], [0.0, 1.0]):
         table = np.array([direction])
         locked = table.copy()
@@ -160,8 +175,8 @@ def test_only_the_last_served_table_skips_the_unit_check(ball):
     # it, and so is every view of the table served last, even one over the
     # same rows of its page.
     oracle = make_oracle(ball)
-    earlier = oracle.directions(3, 1, 4)
-    served = oracle.directions(3, 2, 4)
+    earlier = oracle.directions(1, 4)
+    served = oracle.directions(2, 4)
     # Both tables are rows of page 0; rows 8-11 of the page are iteration 2's.
     rows = served.base.reshape(-1, 2)[8:12]
     assert np.array_equal(rows, served) and rows is not served
@@ -181,7 +196,7 @@ def test_a_checked_page_made_writable_is_checked_again(ball):
     # its page with 127 others, and neither the table, nor its page, nor any
     # view of them can be unlocked, before or after it is measured along.
     oracle = make_oracle(ball)
-    table = oracle.directions(3, 5, 16)
+    table = oracle.directions(5, 16)
     assert_locked(table)
     oracle.measure_perturbed(np.zeros(2), table, 0.1, 5)
     assert_locked(table)
@@ -194,7 +209,7 @@ def test_a_table_with_a_page_to_itself_is_trusted_and_checked_alike(ball):
     # it: the table is measured along, its page cannot be unlocked, and the
     # page itself, though it holds the same values, is refused.
     oracle = make_oracle(ball)
-    directions = oracle.directions(3, 1, 2048)
+    directions = oracle.directions(1, 2048)
     page = assert_locked(directions)
     assert directions.base is page and np.array_equal(page.reshape(2048, 2), directions)
     for other in (page.reshape(2048, 2), directions.copy()):
@@ -210,7 +225,7 @@ def test_a_view_across_the_rows_of_a_checked_page_is_checked(ball):
     # each of its rows straddles two rows of the page. It is refused, and
     # it cannot be unlocked.
     oracle = make_oracle(ball)
-    directions = oracle.directions(3, 0, 4)
+    directions = oracle.directions(0, 4)
     oracle.measure_perturbed(np.zeros(2), directions, 0.1, 1)
     page = directions.base
     straddling = page[1 : 2 * 4 + 1].reshape(4, 2)
@@ -226,7 +241,7 @@ def test_a_writable_copy_is_checked_on_every_call(ball):
     # A copy of the table served last, and a slice of it, are refused on
     # every call, before and after an edit; the table itself still serves.
     oracle = make_oracle(ball)
-    served = oracle.directions(3, 0, 4)
+    served = oracle.directions(0, 4)
     copy = served.copy()
     assert copy.flags.writeable
     for k in (1, 2):
@@ -257,7 +272,7 @@ def test_every_solver_direction_passes_the_unit_norm_check(dim):
     per_page = PAGE_VALUES // (16 * dim)
     tables = [(k, 16) for k in range(per_page)] + [(per_page, PAGE_VALUES)]
     for k, n in tables:
-        directions = oracle.directions(5, k, n)
+        directions = oracle.directions(k, n)
         assert directions.shape == (n, dim) and not directions.flags.writeable
         assert np.abs(np.linalg.norm(directions, axis=1) - 1.0).max() <= 1e-12
         oracle.measure_perturbed(np.zeros(dim), directions, 0.1, k)
@@ -268,10 +283,10 @@ def test_an_empty_direction_table_is_refused(ball):
     # As an empty base measurement is: nothing is drawn, charged or audited,
     # and the table served before stays the one measured along.
     oracle = make_oracle(ball)
-    served = oracle.directions(3, 1, 4)
+    served = oracle.directions(1, 4)
     for n in (0, -1):
         with pytest.raises(ContractViolationError, match="^need n >= 1 directions$"):
-            oracle.directions(3, 2, n)
+            oracle.directions(2, n)
     for directions in (np.zeros((0, 2)), served[:0]):
         with pytest.raises(ContractViolationError, match="served last"):
             oracle.measure_perturbed(np.zeros(2), directions, 0.1, 1)
@@ -307,7 +322,7 @@ def test_audit_records_violation(ball):
     oracle = make_oracle(ball)
     with pytest.raises(UnsafeQueryError):
         oracle.measure_base(np.array([2.0, 0.0]), 1, iteration=1)
-    dirs = oracle.directions(0, 1, 2)
+    dirs = oracle.directions(1, 2)
     x = np.array([0.5, 0.0])
     assert (np.linalg.norm(x + 0.6 * dirs, axis=1) > 1.0).tolist() == [True, False]
     with pytest.raises(UnsafeQueryError):
@@ -328,7 +343,7 @@ def test_audit_flags_a_point_that_violates_only_the_last_constraint():
 def test_audit_covers_every_point_in_order(ball):
     oracle = make_oracle(ball, sigma=0.3, seed=2)
     x = np.zeros(2)
-    tables = [measure_iteration(oracle, x, 3, 7, 0.05, k)[0] for k in (1, 2)]
+    tables = [measure_iteration(oracle, x, 3, 0.05, k)[0] for k in (1, 2)]
     audit = oracle.audit()
     assert len(audit) == 2 * (1 + 3)
     assert audit.iterations.tolist() == [1] * 4 + [2] * 4
@@ -342,7 +357,7 @@ def test_audit_covers_every_point_in_order(ball):
 def test_audit_determinism(ball):
     def run_queries(oracle):
         for k in range(1, 4):
-            measure_iteration(oracle, np.zeros(2), 2, 0, 0.1, k)
+            measure_iteration(oracle, np.zeros(2), 2, 0.1, k)
         return oracle.audit()
 
     a = run_queries(make_oracle(ball, sigma=0.5, seed=33))
@@ -365,7 +380,7 @@ def test_audit_true_values_are_the_evaluated_rows(problem):
     # Each measurement is evaluated once, as its own batch; one batch of
     # every audited point gives the same values bit for bit.
     oracle = make_oracle(problem, sigma=problem.noise_sigma, seed=5)
-    cfg = AlgoConfig(eta=0.01, max_iters=15, n_policy="fixed", n_fixed=7, seed=5)
+    cfg = AlgoConfig(eta=0.01, max_iters=15, n_policy="fixed", n_fixed=7)
     assert run(problem, cfg, oracle).halted_reason is None
     audit = oracle.audit()
     values = problem.evaluate_all(audit.points)
@@ -378,14 +393,14 @@ def test_an_audit_is_a_read_only_view_that_later_measurements_leave_as_it_is(bal
     # The log grows in place; an audit taken before it grows keeps its
     # rows, and neither audit can be written through.
     oracle = make_oracle(ball)
-    tables = [measure_iteration(oracle, np.zeros(2), 3, 7, 0.05, 1)[0]]
+    tables = [measure_iteration(oracle, np.zeros(2), 3, 0.05, 1)[0]]
     first = oracle.audit()
     columns = ("iterations", "sides", "points", "true_objective", "true_max_constraint")
     kept = {name: getattr(first, name).copy() for name in columns}
     xs = [np.array([0.01 * k, -0.02 * k]) for k in range(2, 40)]
     for k, x in enumerate(xs, start=2):
-        tables.append(measure_iteration(oracle, x, 3, 7, 0.05, k)[0])
-    wide = oracle.directions(8, 40, 1000)
+        tables.append(measure_iteration(oracle, x, 3, 0.05, k)[0])
+    wide = oracle.directions(40, 1000)
     oracle.measure_perturbed(np.zeros(2), wide, 0.05, 40)
     second = oracle.audit()
     assert not np.shares_memory(first.points, second.points)  # the log grew
@@ -443,13 +458,13 @@ def test_non_finite_true_value_counts_as_violation(tmp_path):
     # The oracle refuses both measurements, but only after auditing them.
     # At radius 0.4 seed 113's three directions reach x0 < -0.3 (NaN),
     # x0 > 0.3 (-inf) and neither, in that order.
-    oracle = make_oracle(non_finite_problem())
+    oracle = make_oracle(non_finite_problem(), seed=113)
     with pytest.raises(NonFiniteMeasurementError):
         oracle.measure_base(np.array([-0.5, 0.0]), 1, iteration=1)
-    points = 0.4 * oracle.directions(113, 1, 3)
+    points = 0.4 * oracle.directions(1, 3)
     assert points[0, 0] < -0.3 and points[1, 0] > 0.3 and abs(points[2, 0]) <= 0.3
     with pytest.raises(NonFiniteMeasurementError):
-        oracle.measure_perturbed(np.zeros(2), oracle.directions(113, 1, 3), 0.4, iteration=1)
+        oracle.measure_perturbed(np.zeros(2), oracle.directions(1, 3), 0.4, iteration=1)
     audit = oracle.audit()
     assert audit.violated.tolist() == [True, True, True, False]
     assert audit.violation_count == 3
@@ -472,7 +487,7 @@ def test_diverged_measurement_is_audited_and_flagged(tmp_path):
     oracle = make_oracle(make_unicycle_problem(cfg))
     x = oracle.problem.safe_start
     oracle.measure_base(x, 2, iteration=1)
-    direction = oracle.directions(0, 1, 1)
+    direction = oracle.directions(1, 1)
     with pytest.raises(DivergedTrajectoryError) as exc:
         oracle.measure_perturbed(x, direction, 1e200, iteration=1)
     assert exc.value.step == 2
@@ -514,11 +529,11 @@ def test_audit_csv_matches_csv_writer_bytes(ball, tmp_path):
         return exact(points)
 
     ball = dataclasses.replace(ball, noise_sigma=0.1, eval_all=diverging)
-    oracle = make_oracle(ball, sigma=0.1, seed=3)
-    run(ball, AlgoConfig(eta=0.05, max_iters=4, n_policy="fixed", n_fixed=3, seed=3), oracle)
+    oracle = make_oracle(ball, sigma=0.1, seed=4)
+    run(ball, AlgoConfig(eta=0.05, max_iters=4, n_policy="fixed", n_fixed=3), oracle)
     # Signed zero, exponent notation, a large iteration index and a violation.
     oracle.measure_base(np.array([-0.0, 1e-05]), 1, iteration=10**12)
-    tiny = oracle.directions(3, 10**12, 1)
+    tiny = oracle.directions(10**12, 1)
     oracle.measure_perturbed(np.array([2.5e-7, -0.0]), tiny, 1e-05, iteration=10**12)
     with pytest.raises(UnsafeQueryError):
         oracle.measure_base(np.array([2.0, 0.0]), 1, iteration=10**12 + 1)
@@ -529,7 +544,7 @@ def test_audit_csv_matches_csv_writer_bytes(ball, tmp_path):
     chunk = max(1, _CSV_CHUNK_VALUES // 3)
     start = len(oracle.audit())
     boundary = (start // chunk + 2) * chunk
-    dirs = oracle.directions(4, 7, boundary + chunk - start)
+    dirs = oracle.directions(7, boundary + chunk - start)
     with pytest.raises(UnsafeQueryError):
         oracle.measure_perturbed(np.array([0.9, 0.0]), dirs, 0.2, iteration=7)
     # A value of 1e16 or more, and a diverged row with NaN truth.
@@ -615,8 +630,8 @@ def test_audit_csv_memory_is_bounded(tmp_path):
 def test_value_determinism_across_oracles(ball):
     a = make_oracle(ball, sigma=0.5, seed=33)
     b = make_oracle(ball, sigma=0.5, seed=33)
-    _, base_a, pert_a = measure_iteration(a, np.zeros(2), 5, 3, 0.1, 1)
-    _, base_b, pert_b = measure_iteration(b, np.zeros(2), 5, 3, 0.1, 1)
+    _, base_a, pert_a = measure_iteration(a, np.zeros(2), 5, 0.1, 1)
+    _, base_b, pert_b = measure_iteration(b, np.zeros(2), 5, 0.1, 1)
     assert np.array_equal(base_a, base_b)
     assert np.array_equal(pert_a, pert_b)
 
@@ -658,7 +673,7 @@ def test_function_index_validated(ball):
     # Query points must be finite on both sides; on the perturbed side the
     # displaced points are checked, which also catches a NaN radius.
     oracle = make_oracle(ball)
-    served = oracle.directions(0, 1, 1)
+    served = oracle.directions(1, 1)
     with pytest.raises(ContractViolationError):
         oracle.measure_base(np.array([np.nan, 0.0]), 1, iteration=1)
     with pytest.raises(ContractViolationError, match="^query points must be finite$"):

@@ -141,7 +141,7 @@ def test_adaptive_margin_trace_visits_both_branches():
     # when M <= -2*eta and -M/2 otherwise. This run visits both branches.
     prob = analytic_problem("quadratic-halfspace", noise_sigma=0.01)
     eta, L = 0.3, prob.lipschitz
-    cfg = AlgoConfig(eta=eta, max_iters=300, n_fixed=16, nu_policy="adaptive", seed=7)
+    cfg = AlgoConfig(eta=eta, max_iters=300, n_fixed=16, nu_policy="adaptive")
     result = run(prob, cfg, make_oracle(prob, seed=7))
     assert result.halted_reason is None and len(result.trace) == 300
     branches = {"eta": 0, "half": 0}
@@ -282,7 +282,7 @@ def test_kkt_multipliers_margin_guard():
     # its own: every recorded margin passed `margin` (an exhausted margin
     # ends the run with no certificate, test_margin_policy_halt).
     prob = analytic_problem("smooth-2con", noise_sigma=0.01)
-    result = run(prob, ball_config(eta=0.2, max_iters=60, seed=2), make_oracle(prob, seed=2))
+    result = run(prob, ball_config(eta=0.2, max_iters=60), make_oracle(prob, seed=2))
     for rec in result.trace:
         assert rec.alpha_hat > 0.0
         cert = certificate_from_record(rec, 0.2)
@@ -364,7 +364,6 @@ def ball_config(**overrides):
         n_policy="fixed",
         n_fixed=8,
         nu_policy="adaptive",
-        seed=11,
     )
     base.update(overrides)
     return AlgoConfig(**base)
@@ -413,7 +412,7 @@ def test_run_is_deterministic():
 def test_audit_rows_are_the_queries_in_order():
     # Iteration k queries its base point, then x + nu * s_j for the
     # directions j = 1..n in the order they were drawn: k's table of the
-    # paged (seed, DOMAIN_DIRECTIONS) stream. 256 directions in R^2 make
+    # paged (oracle seed, DOMAIN_DIRECTIONS) stream. 256 directions in R^2 make
     # 8 iterations a page, so the 30 iterations read 4 pages.
     prob = analytic_problem("linear-ball", noise_sigma=0.02)
     cfg = ball_config(max_iters=30, n_fixed=256)
@@ -422,11 +421,11 @@ def test_audit_rows_are_the_queries_in_order():
     assert len(result.trace) == 30
     assert len(audit) == 30 * (1 + n)
     assert len({rec.k // (PAGE_VALUES // (n * prob.dim)) for rec in result.trace}) == 4
-    directions_of = MeasurementOracle(prob, NoiseModel()).directions
+    directions_of = make_oracle(prob, seed=5).directions
     for rec, rows in zip(result.trace, np.split(np.arange(len(audit)), 30)):
         assert audit.iterations[rows].tolist() == [rec.k] * (1 + n)
         assert audit.sides[rows].tolist() == [SIDE_BASE] + [SIDE_PERTURBED] * n
-        directions = directions_of(cfg.seed, rec.k, n)
+        directions = directions_of(rec.k, n)
         np.testing.assert_array_equal(audit.points[rows[0]], rec.x)
         np.testing.assert_array_equal(audit.points[rows[1:]], rec.x + rec.nu * directions)
 
@@ -533,7 +532,7 @@ def nan_beyond_problem(noise_sigma=0.01):
 
 def test_non_finite_measurement_is_a_named_halt():
     prob = nan_beyond_problem()
-    result = run(prob, ball_config(max_iters=300, seed=1), make_oracle(prob, seed=1))
+    result = run(prob, ball_config(max_iters=300), make_oracle(prob, seed=1))
     assert result.halted_reason == "non-finite"
     assert 1 < result.halted_at < 300
     assert [rec.k for rec in result.trace] == list(range(1, result.halted_at))
@@ -562,7 +561,7 @@ def diverge_beyond_problem():
 
 def test_diverged_measurement_is_a_named_halt():
     prob = diverge_beyond_problem()
-    result = run(prob, ball_config(max_iters=300, seed=1), make_oracle(prob, seed=1))
+    result = run(prob, ball_config(max_iters=300), make_oracle(prob, seed=1))
     assert result.halted_reason == "diverged"
     assert 1 < result.halted_at < 300
     assert [rec.k for rec in result.trace] == list(range(1, result.halted_at))
@@ -590,9 +589,7 @@ def test_margin_policy_halt():
     # Fixed radius with C_override = 1 makes nu*L = eta > |constraint|,
     # so the certified margin is exhausted at the first iteration.
     prob = flat_problem(constraint_level=-0.05)
-    cfg = ball_config(
-        max_iters=10, nu_policy="fixed", C_override=1.0, eta=0.1, margin_policy="halt"
-    )
+    cfg = ball_config(max_iters=10, nu_policy="fixed", C_override=1.0, eta=0.1)
     result = run(prob, cfg, make_oracle(prob))
     assert result.halted_reason == "margin-exhausted"
     assert result.halted_at == 1
@@ -633,7 +630,7 @@ def test_certificate_structure():
 
 def test_nonmaximizer_multipliers_zero():
     prob = analytic_problem("smooth-2con", noise_sigma=0.01)
-    cfg = ball_config(eta=0.2, max_iters=120, seed=2)
+    cfg = ball_config(eta=0.2, max_iters=120)
     result = run(prob, cfg, make_oracle(prob, seed=2))
     cert = result.certificate
     fhat = result.trace[cert.iteration - 1].fhat
@@ -654,7 +651,6 @@ def test_barrier_descent_noiseless():
         n_policy="theoretical",
         n_cap=128,
         nu_policy="fixed",
-        seed=3,
     )
     result = run(prob, cfg, make_oracle(prob, sigma=0.0, seed=3))
     L = prob.lipschitz

@@ -129,7 +129,7 @@ def test_a_table_is_its_rows_of_the_page_stream():
             assert np.array_equal(noise.draw(k, side, N, COLS), want)
         rng = substream(9, DOMAIN_DIRECTIONS, page, 2 * N * COLS)
         want = sphere_sample(COLS, PER_PAGE * N, rng)[rows]
-        assert np.array_equal(oracle.directions(9, k, N), want)
+        assert np.array_equal(oracle.directions(k, N), want)
     # A table of more than half a page has a page to itself.
     rng = substream(9, DOMAIN_NOISE, 40, SIDE_PERTURBED + 2 * 2048 * 3)
     want = rng.normal(0.0, 0.5, size=(2048, 3))
@@ -145,7 +145,7 @@ def test_measurement_order_does_not_matter_across_a_page_boundary():
         oracle = MeasurementOracle(problem, NoiseModel(sigma=0.3, master_seed=4))
         got = {}
         for k in order:
-            dirs = oracle.directions(4, k, N)
+            dirs = oracle.directions(k, N)
             got[k] = (oracle.measure_base(x, N, k), oracle.measure_perturbed(x, dirs, 0.01, k))
         tables.append(got)
     for k in (127, 128, 129):
@@ -171,7 +171,7 @@ def test_consecutive_iterations_in_a_page_get_fresh_tables():
         for side in (SIDE_BASE, SIDE_PERTURBED):
             a, b = noise.draw(k, side, N, COLS), noise.draw(k + 1, side, N, COLS)
             assert not np.intersect1d(a, b).size
-        a, b = oracle.directions(5, k, N), oracle.directions(5, k + 1, N)
+        a, b = oracle.directions(k, N), oracle.directions(k + 1, N)
         assert not np.intersect1d(a, b).size
 
 
@@ -186,8 +186,8 @@ def test_a_served_table_cannot_be_written():
             noise.draw(k, SIDE_BASE, N, COLS),
             noise.draw(k, SIDE_PERTURBED, 2048, 3),
             NoiseModel(sigma=0.0).draw(k, SIDE_BASE, N, COLS),
-            oracle.directions(8, k, N),
-            oracle.directions(8, k, 2048),
+            oracle.directions(k, N),
+            oracle.directions(k, 2048),
         ]
 
     fresh = [t.copy() for t in serve(3)] + [t.copy() for t in serve(4)]
