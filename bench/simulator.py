@@ -33,6 +33,7 @@ e.g. `--src before=../parent/src --src after=src`.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import statistics
@@ -81,6 +82,16 @@ def gains(cfg, rng, size):
     return cfg.initial_gain.ravel() + rng.uniform(-0.15, 0.15, size=(size, 6))
 
 
+def paper_config():
+    """The UnicycleConfig of the unicycle-paper preset's problem section, so
+    that every tree times the problem its preset runs."""
+    from zobarrier import harness, problems
+
+    fields = {f.name for f in dataclasses.fields(problems.UnicycleConfig)}
+    section = harness.PRESETS["unicycle-paper"]["problem"]
+    return problems.UnicycleConfig(**{k: v for k, v in section.items() if k in fields})
+
+
 def paths_round() -> list[dict]:
     """One round in this interpreter: both paths' time per call at every
     size, rescaled to the reference host speed, their byte equality and a
@@ -88,7 +99,7 @@ def paths_round() -> list[dict]:
     from zobarrier import problems
 
     reference_block = trees.perfbench("worker").reference_block
-    cfg = problems.UnicycleConfig(error_feedback=True)
+    cfg = paper_config()
     rng = np.random.default_rng(SEED)
     rows = []
     reference = reference_block()
@@ -119,7 +130,7 @@ def block_sizes() -> dict:
     BLOCKS, and the constants of the tree."""
     from zobarrier import problems
 
-    cfg = problems.UnicycleConfig(error_feedback=True)
+    cfg = paper_config()
     points = gains(cfg, np.random.default_rng(SEED + 1), BLOCK_BATCH)
     chosen = problems._BLOCK_ROWS
 
@@ -212,7 +223,7 @@ def main() -> int:
         print(json.dumps(b), flush=True)
     report = {
         "what": "unicycle evaluation table per-call time by batch size (horizon 30, "
-        "unicycle-paper geometry, error feedback), for each source tree",
+        "the unicycle-paper preset's problem), for each source tree",
         **trees.header(__file__, "--src", sources),
         "seed": SEED,
         "timing": f"per tree and size, the median, quartiles, min and max over {ROUNDS} fresh "

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+raises one."""
+
+import numbers
 
 
 class ZobarrierError(Exception):
@@ -7,6 +10,14 @@ class ZobarrierError(Exception):
 
 class ContractViolationError(ZobarrierError, ValueError):
     """An argument violated a documented precondition."""
+
+
+def require_integer(name: str, value, low: int) -> int:
+    """`value` as an int, if it is an integer (a Python or numpy integer,
+    not a bool) of at least `low`; otherwise ContractViolationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ContractViolationError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 class DivergedTrajectoryError(ZobarrierError):

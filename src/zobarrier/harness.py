@@ -36,6 +36,7 @@ from .errors import (
     MarginExhaustedError,
     UnknownSuiteError,
     ZobarrierError,
+    require_integer,
 )
 from .estimator import confidence_bounds, margin
 from .oracle import MeasurementOracle, NoiseModel, write_audit_csv, write_csv
@@ -46,7 +47,6 @@ from .solver import (
     RunResult,
     barrier_estimate,
     kkt_residuals,
-    require_integer,
     run,
     select_output,
 )
@@ -88,6 +88,9 @@ class ExperimentConfig:
         self.plan = {} if self.plan is None else self.plan
         if not isinstance(self.plan, dict) or set(self.plan) - {"d_f_estimate"}:
             raise ContractViolationError(f"plan: only d_f_estimate may be set, got {self.plan!r}")
+        gap = self.plan.get("d_f_estimate")
+        if isinstance(gap, (bool, str)):  # as `_build` refuses them for a number
+            raise ContractViolationError(f"plan.d_f_estimate must be a number, got {gap!r}")
         self.plan = {key: float(value) for key, value in self.plan.items()}
         if not 0.0 <= self.plan.get("d_f_estimate", 0.0) < math.inf:
             raise ContractViolationError("plan.d_f_estimate must be finite and >= 0")
@@ -104,9 +107,9 @@ def _build(callee, section, where: str, **fixed):
     """callee(**section, **fixed) for one config section.
 
     A section may set the callee's dataclass fields or parameters, less
-    the ones passed as `fixed`. Any other key, text where the annotation
-    is a number, and a TypeError/ValueError the callee raises on a value,
-    become a ConfigError naming the section.
+    the ones passed as `fixed`. Any other key, text or a boolean where the
+    annotation is a number, and a TypeError/ValueError the callee raises
+    on a value, become a ConfigError naming the section.
     """
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: must be a mapping, got {section!r}")
@@ -118,7 +121,11 @@ def _build(callee, section, where: str, **fixed):
     if unknown:
         raise ConfigError(f"unknown {where} key(s) {sorted(unknown)}")
     for key, value in section.items():
-        if isinstance(value, str) and types[key] in ("int", "float", "int | None", "float | None"):
+        if types[key] not in ("int", "float", "int | None", "float | None"):
+            continue
+        if isinstance(value, bool):  # YAML reads yes, no, true and false as booleans
+            raise ConfigError(f"{where}.{key}: {value!r} is a boolean, not a number")
+        if isinstance(value, str):
             raise ConfigError(f"{where}.{key}: {value!r} is text, not a number (YAML reads a "
                               "float only with a dot and a signed exponent, e.g. 1.0e-4)")
     try:
@@ -165,24 +172,12 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
 
 # "unicycle-paper": the controller benchmark at eta = 0.001, L = 40,
 # n_k = 7, K = 500 with the adaptive sampling radius. The geometry
-# (start/goal/obstacle/horizon), sigma = 1e-4, l = 1, and error feedback
-# are this repo's documented defaults; override any of them in the config.
+# (start/goal/obstacle/horizon), sigma = 1e-4 and l = 1 are the defaults
+# of UnicycleConfig and make_unicycle_problem; override any in the config.
 PRESETS: dict[str, dict] = {
     "unicycle-paper": {
         "label": "unicycle-paper",
-        "problem": {
-            "name": "unicycle",
-            "noise_sigma": 1e-4,
-            "lipschitz": 40.0,
-            "grad_lower": 1.0,
-            "horizon": 30,
-            "dt": 0.1,
-            "start": [0.0, 0.0, 0.0],
-            "goal": [4.0, 4.0, 0.0],
-            "obstacle_center": [2.0, 2.0],
-            "obstacle_radius": 1.0,
-            "error_feedback": True,
-        },
+        "problem": {"name": "unicycle", "lipschitz": 40.0},
         "algo": {
             "eta": 0.001,
             "delta": 0.05,

@@ -21,7 +21,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractViolationError, DivergedTrajectoryError, UnknownProblemError
+from .errors import (
+    ContractViolationError,
+    DivergedTrajectoryError,
+    UnknownProblemError,
+    require_integer,
+)
 
 
 @dataclass
@@ -153,11 +158,10 @@ def _default_gain() -> np.ndarray:
 class UnicycleConfig:
     """Geometry and discretization for the unicycle task.
 
-    The gain is a 2x3 matrix mapping state (or goal error, with
-    error_feedback) to inputs u = (v, omega); the optimization variable
-    is its flattening, d = 6. Inputs are clamped to |v| <= v_max,
-    |omega| <= omega_max so the declared Lipschitz constant is
-    meaningful on the search box.
+    The gain is a 2x3 matrix mapping the goal error q - q_goal to inputs
+    u = (v, omega); the optimization variable is its flattening, d = 6.
+    Inputs are clamped to |v| <= v_max, |omega| <= omega_max so the
+    declared Lipschitz constant is meaningful on the search box.
     """
 
     horizon: int = 30
@@ -169,15 +173,13 @@ class UnicycleConfig:
     initial_gain: np.ndarray = field(default_factory=_default_gain)
     v_max: float = 2.0
     omega_max: float = 2.0
-    error_feedback: bool = False
 
     def __post_init__(self):
         self.initial_gain = np.asarray(self.initial_gain, dtype=float)
         self.start = tuple(float(v) for v in self.start)
         self.goal = tuple(float(v) for v in self.goal)
         self.obstacle_center = tuple(float(v) for v in self.obstacle_center)
-        if self.horizon < 1:
-            raise ContractViolationError("horizon must be a positive integer")
+        self.horizon = require_integer("horizon", self.horizon, 1)
         if not 0.0 < self.dt < math.inf:
             raise ContractViolationError("dt must be positive and finite")
         if not 0.0 < self.obstacle_radius < math.inf:
@@ -201,9 +203,9 @@ def simulate_unicycle_batch(
     states of shape (B, T+1, 3), or, given a (B, T+1) `table`, fills it
     with the evaluation table (see _evaluate_vectorized), keeping no states.
 
-    Control is u_{t+1} = U q_t, or U (q_t - q_goal) in error-feedback
-    mode, clamped componentwise. The state advances by the exact
-    integration step for inputs held constant over dt:
+    Control is goal-error feedback u_{t+1} = U (q_t - q_goal), clamped
+    componentwise. The state advances by the exact integration step for
+    inputs held constant over dt:
 
         theta' = theta + dt*omega
         dx = v*dt*sinc(dt*omega/2) * cos(theta + dt*omega/2)
@@ -223,8 +225,7 @@ def simulate_unicycle_batch(
     U = np.ascontiguousarray(gains.reshape(B, 6).T).reshape(2, 3, B)
     start, goal, center = (np.array(c)[:, None] for c in (cfg.start, cfg.goal, cfg.obstacle_center))
     q = start.repeat(B, 1)
-    e = q - goal  # the goal differences, fed back in error-feedback mode
-    feedback = e if cfg.error_feedback else q
+    e = q - goal  # the goal differences, fed back
     hi = np.array([[cfg.v_max], [cfg.omega_max]])
     lo, u, work, zero = -hi, np.empty((2, B)), np.empty((6, B)), np.empty(B, bool)
     out = np.empty((B, T + 1)) if table is None else table
@@ -234,7 +235,7 @@ def simulate_unicycle_batch(
     # error, not as runtime warnings.
     with np.errstate(invalid="ignore", over="ignore"):
         for t in range(T):
-            np.multiply(U, feedback, out=work.reshape(2, 3, B))
+            np.multiply(U, e, out=work.reshape(2, 3, B))
             np.add(np.add(work[0::3], work[2::3], out=u), work[1::3], out=u)
             v, w = np.clip(u, lo, hi, out=u)
             half = np.multiply(0.5 * dt, w, out=work[0])
@@ -299,27 +300,27 @@ def _evaluate_rows(points: np.ndarray, cfg: UnicycleConfig) -> np.ndarray | None
     Python floats; None if a row's state stops being finite, so that the
     vectorized path raises what it raises.
 
-    Each operation is the vectorized path's, in its order: the gain
-    products are summed in einsum's order, the clamp keeps NaN as np.clip
-    does, np.sinc(z) is sin(pi*z)/(pi*z) with 1 at 0, math.sin/math.cos
-    round as numpy's float64 sin/cos do, a step's squares are summed left
-    to right as numpy sums 2 or 3 columns, and the sum over T is numpy's
-    own. A zero may differ in sign from einsum's (which sums onto +0.0),
-    but only zeros follow from it, and every entry squares them. Every
-    update adds to the state, so a state that is not finite stays so; math
-    raises on sin/cos of inf where numpy gives NaN.
+    Each operation is the vectorized path's, in its order: the goal
+    differences a step squares are the ones the next step feeds back, the
+    gain products are summed in einsum's order, the clamp keeps NaN as
+    np.clip does, np.sinc(z) is sin(pi*z)/(pi*z) with 1 at 0,
+    math.sin/math.cos round as numpy's float64 sin/cos do, a step's
+    squares are summed left to right as numpy sums 2 or 3 columns, and the
+    sum over T is numpy's own. A zero may differ in sign from einsum's
+    (which sums onto +0.0), but only zeros follow from it, and every entry
+    squares them. Every update adds to the state, so a state that is not
+    finite stays so; math raises on sin/cos of inf where numpy gives NaN.
     """
     P, T, dt, hdt = points.shape[0], cfg.horizon, cfg.dt, 0.5 * cfg.dt
     v_max, w_max, r2 = cfg.v_max, cfg.omega_max, cfg.obstacle_radius**2
-    v_min, w_min, literal = -v_max, -w_max, not cfg.error_feedback
+    v_min, w_min = -v_max, -w_max
     (gx, gy, gt), (cx, cy) = cfg.goal, cfg.obstacle_center
     sin, cos, pi = math.sin, math.cos, math.pi
     out: list[float] = []  # each step's clearance, then its goal term
     append = out.append
     for a0, a1, a2, b0, b1, b2 in points.tolist():
         x, y, th = cfg.start
-        # The feedback: the goal differences in error-feedback mode, else the state.
-        ex, ey, et = (x, y, th) if literal else (x - gx, y - gy, th - gt)
+        ex, ey, et = x - gx, y - gy, th - gt  # the feedback: the goal differences
         try:
             for _ in range(T):
                 v = (a0 * ex + a2 * et) + a1 * ey
@@ -343,8 +344,6 @@ def _evaluate_rows(points: np.ndarray, cfg: UnicycleConfig) -> np.ndarray | None
                 px, py = x - cx, y - cy
                 append(r2 - (px * px + py * py))
                 append((ex * ex + ey * ey) + et * et)
-                if literal:
-                    ex, ey, et = x, y, th
         except ValueError:
             x = math.nan
         # Also catches a gain that is not finite, which the clamp can hide.

@@ -26,7 +26,6 @@ import bisect
 import itertools
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,6 +41,7 @@ from .errors import (
     NoValidOutputError,
     UnsafeQueryError,
     UnsafeStartError,
+    require_integer,
 )
 from .estimator import barrier_gradient, confidence_bounds, estimate_gradient, margin
 # `sphere_sample` stays importable here: perfbench's tracer wraps it at the solver.
@@ -64,14 +64,6 @@ _HALTS = (
     BudgetExhaustedError,
     NonFiniteMeasurementError,
 )
-
-
-def require_integer(name: str, value, low: int) -> int:
-    """`value` as an int, if it is an integer (a Python or numpy integer,
-    not a bool) of at least `low`; otherwise ContractViolationError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ContractViolationError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
 
 
 @dataclass
@@ -149,7 +141,6 @@ class KktResiduals(NamedTuple):
 
 @dataclass
 class RunResult:
-    config: AlgoConfig
     trace: list[IterateRecord]
     x_final: np.ndarray
     certificate: KktCertificate | None
@@ -432,7 +423,6 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
             R = select_output(weights, substream(oracle.noise.master_seed, DOMAIN_OUTPUT))
             certificate = certificate_from_record(records[R - 1], cfg.eta)
     return RunResult(
-        config=cfg,
         trace=records,
         x_final=x.copy(),  # records keep x itself
         certificate=certificate,

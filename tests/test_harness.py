@@ -141,11 +141,19 @@ MALFORMED = {
     # YAML reads `yes` and `true` as booleans, which are not counts.
     "algo-max_iters-yes": {"algo": yaml.safe_load("max_iters: yes")},
     "trials-true": yaml.safe_load("trials: true"),
+    # Nor are they numbers: True would otherwise be read as 1.0.
+    "algo-eta-yes": {"algo": yaml.safe_load("eta: yes")},
+    "unicycle-lipschitz-true": {"problem": {"name": "unicycle", "lipschitz": True}},
+    "plan-d_f_estimate-true": {"plan": yaml.safe_load("d_f_estimate: true")},
+    "plan-d_f_estimate-text": {"plan": yaml.safe_load("d_f_estimate: 1e-4")},
     "algo-seed-set-per-trial": {"algo": {"seed": 123}},
     "algo-margin_policy-freeze": {"algo": {"margin_policy": "freeze"}},
     "noise_kind-unknown": {"noise_kind": "bogus"},
     "noise_kind-none": {"noise_kind": "none"},
     "unicycle-misspelt-key": {"problem": {"name": "unicycle", "horizonn": 3}},
+    # Goal-error feedback is the unicycle's only controller.
+    "unicycle-error_feedback": {"problem": {"name": "unicycle", "error_feedback": True}},
+    "unicycle-horizon-fractional": {"problem": {"name": "unicycle", "horizon": 2.5}},
     # Non-finite floats, written as YAML spells them.
     "algo-eta-nan": {"algo": {"eta": NAN}},
     "algo-eta-inf": {"algo": {"eta": INF}},
@@ -176,9 +184,20 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("overrides", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_value_is_config_error(tmp_path, capsys, overrides):
-    data = config_data(tmp_path, **overrides)
+# What the error line of some MALFORMED cases says, naming the key.
+MALFORMED_MESSAGES = {
+    "algo-eta-yes": "algo.eta: True is a boolean, not a number",
+    "unicycle-lipschitz-true": "problem.lipschitz: True is a boolean, not a number",
+    "plan-d_f_estimate-true": "plan.d_f_estimate must be a number, got True",
+    "plan-d_f_estimate-text": "plan.d_f_estimate must be a number, got '1e-4'",
+    "unicycle-horizon-fractional": "horizon must be an integer >= 1, got 2.5",
+    "unicycle-error_feedback": "unknown problem key(s) ['error_feedback']",
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED), ids=list(MALFORMED))
+def test_malformed_value_is_config_error(tmp_path, capsys, case):
+    data = config_data(tmp_path, **MALFORMED[case])
     with pytest.raises(ConfigError):
         config_from_mapping(data)
     path = write_yaml(tmp_path, data)
@@ -186,6 +205,7 @@ def test_malformed_value_is_config_error(tmp_path, capsys, overrides):
         assert cli.main([command, path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert MALFORMED_MESSAGES.get(case, "") in err
 
 
 def test_an_audit_log_too_large_for_memory_is_a_config_error(tmp_path, capsys, monkeypatch):

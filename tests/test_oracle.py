@@ -372,7 +372,7 @@ def test_audit_determinism(ball):
     [
         analytic_problem("linear-ball", noise_sigma=0.01),
         analytic_problem("smooth-2con", noise_sigma=0.01),
-        make_unicycle_problem(UnicycleConfig(error_feedback=True), lipschitz=40.0),
+        make_unicycle_problem(lipschitz=40.0),
     ],
     ids=["linear-ball", "smooth-2con", "unicycle"],
 )

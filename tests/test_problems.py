@@ -10,6 +10,7 @@ from zobarrier.errors import (
     DivergedTrajectoryError,
     UnknownProblemError,
 )
+from zobarrier.harness import PRESETS, build_problem
 from zobarrier.problems import (
     _BLOCK_ROWS,
     _ROW_KERNEL_MAX_ROWS,
@@ -24,20 +25,20 @@ from zobarrier.problems import (
     simulate_unicycle_batch,
 )
 
-# Mean squared goal distance of the default error-feedback configuration
-# under its initial gain, frozen as a regression baseline.
+# Mean squared goal distance of the default configuration under its
+# initial gain, frozen as a regression baseline.
 GOLDEN_BASELINE_COST = 27.72419601789319
 
 
 def constant_input_states(start, v, omega, steps=1, dt=0.1):
     """simulate_unicycle_batch's states under constant inputs (v, omega >= 0):
-    error feedback toward a far goal, with gains large enough that the
+    goal-error feedback toward a far goal, with gains large enough that the
     clamps hold v and omega at their bounds (a zero turn-rate gain gives
     omega = 0 exactly, the sinc(0) = 1 case)."""
     gain = [[1e6, 0.0, 0.0], [1e6 if omega else 0.0, 0.0, 0.0]]
     cfg = UnicycleConfig(
-        horizon=steps, dt=dt, start=start, goal=(-100.0, -100.0, -100.0), error_feedback=True,
-        initial_gain=gain, v_max=v, omega_max=omega or 1.0,
+        horizon=steps, dt=dt, start=start, goal=(-100.0, -100.0, -100.0), initial_gain=gain,
+        v_max=v, omega_max=omega or 1.0,
     )
     return simulate_unicycle_batch(cfg.initial_gain[None], cfg)[0]
 
@@ -62,7 +63,7 @@ def test_constant_input_traces_circle():
 
 
 def test_feedback_timing_matches_manual_rollout():
-    cfg = UnicycleConfig(error_feedback=True, horizon=5)
+    cfg = UnicycleConfig(horizon=5)
     U = cfg.initial_gain
     traj = simulate_unicycle_batch(U[None], cfg)[0]
     q = np.asarray(cfg.start, dtype=float)
@@ -90,16 +91,26 @@ def test_objective_single_step_distance():
 
 
 def test_objective_baseline_regression():
-    prob = make_unicycle_problem(UnicycleConfig(error_feedback=True))
+    prob = make_unicycle_problem()
     cost = prob.objective_value(prob.safe_start)
     assert cost == pytest.approx(GOLDEN_BASELINE_COST, rel=1e-12)
 
 
-def test_literal_default_cost():
-    # Literal state feedback from the origin never moves: every state
-    # remains at the start, so the cost is |q_goal|^2 = 32 exactly.
-    prob = make_unicycle_problem(UnicycleConfig())
-    assert prob.objective_value(prob.safe_start) == 32.0
+def test_the_paper_preset_problem_is_the_default_at_lipschitz_40():
+    # The defaults are the paper's controller task: from its safe start the
+    # default problem costs the baseline, and the preset's problem, which
+    # sets only L = 40, evaluates bit for bit as the defaults at L = 40, on
+    # both kernels.
+    default = make_unicycle_problem(lipschitz=40.0)
+    assert make_unicycle_problem().objective_value(default.safe_start) == GOLDEN_BASELINE_COST
+    section = dict(PRESETS["unicycle-paper"]["problem"])
+    preset = build_problem(section.pop("name"), section)
+    assert section == {"lipschitz": 40.0}
+    assert (preset.lipschitz, preset.grad_lower, preset.noise_sigma) == (40.0, 1.0, 1e-4)
+    assert preset.safe_start.tobytes() == default.safe_start.tobytes()
+    points = np.random.default_rng(11).uniform(*default.box, size=(64, 6))
+    for rows in (7, 64):
+        assert preset.evaluate_all(points[:rows]).tobytes() == default.evaluate_all(points[:rows]).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -109,9 +120,10 @@ def test_literal_default_cost():
 def test_constraint_values(start, expected):
     # Stationary trajectories (zero gain) probe the clearance formula
     # r^2 - dist^2 at every step: on the boundary, at distance 2, and at
-    # the obstacle center. The safe start gain drives straight out of the
-    # obstacle at v = v_max = 20, two units per step.
-    cfg = UnicycleConfig(start=start, v_max=20.0, initial_gain=[[10.0, 0, 0], [0, 0, 0]])
+    # the obstacle center. The safe start gain drives along x at
+    # v = 10 (4 - x), up to v_max = 20, and stops at the goal's x = 4, at
+    # distance 2 from the center, after one step.
+    cfg = UnicycleConfig(start=start, v_max=20.0, initial_gain=[[-10.0, 0, 0], [0, 0, 0]])
     values = make_unicycle_problem(cfg).constraint_values(np.zeros(6))
     assert values == pytest.approx(np.full(cfg.horizon, expected))
 
@@ -135,9 +147,9 @@ def test_diverged_trajectory_reports_step():
 
 
 KERNEL_CONFIGS = {
-    "literal": {},
-    "error-feedback": {"error_feedback": True},
-    "v-max-20": {"error_feedback": True, "v_max": 20.0},
+    "error-feedback": {},
+    "off-origin-start": {"start": (0.5, -0.3, 0.2)},
+    "v-max-20": {"v_max": 20.0},
     "v-max-inf": {"v_max": np.inf},
     # Negative zeros in the state reach no table entry: each is squared.
     "signed-zero-start": {"start": (0.0, -0.0, -0.0), "omega_max": np.inf},
@@ -214,14 +226,13 @@ def test_diverged_step_same_on_both_kernels(start, gain, step):
         assert exc.value.step == step
 
 
-# Literal feedback starts off the origin, where it would never move. With
-# feedback off and a goal heading that is not 0, the goal differences the
-# table squares are not the feedback.
+# A goal heading that is not 0 makes the heading's goal difference, which
+# is squared and fed back, nonzero from the start; "off-origin" also starts
+# every coordinate off the origin.
 PARITY_CONFIGS = {
-    "literal": {"start": (0.5, -0.3, 0.2)},
-    "error-feedback": {"error_feedback": True},
-    "literal-goal-heading": {"start": (0.5, -0.3, 0.2), "goal": (4.0, 4.0, 0.7)},
-    "error-feedback-goal-heading": {"goal": (4.0, 4.0, -0.7), "error_feedback": True},
+    "error-feedback": {},
+    "error-feedback-goal-heading": {"goal": (4.0, 4.0, -0.7)},
+    "off-origin": {"start": (0.5, -0.3, 0.2), "goal": (4.0, 4.0, 0.7)},
 }
 
 
@@ -243,8 +254,7 @@ def test_row_kernel_in_place_loop_and_trajectories_agree_bitwise(name, horizon):
     gains = kernel_gains(cfg, _BLOCK_ROWS + 1)
     points = gains.reshape(len(gains), 6)
     # The first step's inputs pass both clamps, and some turn rates are 0.
-    start = np.asarray(cfg.start)
-    u = gains @ (start - np.asarray(cfg.goal) if cfg.error_feedback else start)
+    u = gains @ (np.asarray(cfg.start) - np.asarray(cfg.goal))
     assert (np.abs(u[:, 0]) > cfg.v_max).any() and (np.abs(u[:, 1]) > cfg.omega_max).any()
     assert (u[:, 1] == 0.0).any()
     for rows in (1, 7, 16, 17, _ROW_KERNEL_MAX_ROWS + 1, len(gains)):
@@ -256,7 +266,7 @@ def test_row_kernel_in_place_loop_and_trajectories_agree_bitwise(name, horizon):
         assert make_unicycle_problem(cfg).eval_all(points[:rows]).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("name", ["literal", "error-feedback"])
+@pytest.mark.parametrize("name", ["off-origin-start", "error-feedback"])
 @pytest.mark.parametrize("rows", [511, 512, 513, 1025])
 def test_blocked_table_bitwise_equals_one_block(monkeypatch, name, rows):
     # Blocks of 512 rows: one short block, one full, a full one and one
@@ -296,7 +306,7 @@ def test_large_batch_peak_memory_is_the_table_and_one_block():
     # (rows, T+1, 3) trajectories and (rows, T, 3) and (rows, T, 2) arrays
     # of squares; the in-place loop keeps no trajectory.
     assert _BLOCK_ROWS >= 2048
-    cfg = UnicycleConfig(error_feedback=True)
+    cfg = UnicycleConfig()
     evaluate = make_unicycle_problem(cfg).eval_all
     points = kernel_gains(cfg, 2048).reshape(2048, 6)
     evaluate(points)
@@ -322,9 +332,9 @@ def test_points_of_the_wrong_dimension_are_refused():
 def test_nonfinite_gain_rejected():
     with pytest.raises(ContractViolationError):
         simulate_unicycle_batch(np.full((1, 2, 3), np.nan), UnicycleConfig())
-    # In error feedback an infinite gain meets a nonzero error, and the
-    # clamp turns the infinite input into a finite one.
-    cfg = UnicycleConfig(error_feedback=True)
+    # An infinite gain meets a nonzero goal error, and the clamp turns the
+    # infinite input into a finite one.
+    cfg = UnicycleConfig()
     evaluate = make_unicycle_problem(cfg).evaluate_all
     for value in (np.inf, -np.inf, np.nan):
         points = np.tile(cfg.initial_gain.ravel(), (7, 1))
@@ -335,7 +345,7 @@ def test_nonfinite_gain_rejected():
 
 
 def test_infeasible_start_rejected():
-    cfg = UnicycleConfig(start=(2.0, 2.0, 0.0), error_feedback=True)
+    cfg = UnicycleConfig(start=(2.0, 2.0, 0.0))
     with pytest.raises(ContractViolationError):
         make_unicycle_problem(cfg)
 
@@ -345,7 +355,7 @@ def test_dt_refinement_first_order():
     # inputs, so halving dt (and doubling T) only changes the control
     # update rate: endpoint differences shrink linearly in dt.
     def endpoint(dt, horizon):
-        cfg = UnicycleConfig(error_feedback=True, dt=dt, horizon=horizon)
+        cfg = UnicycleConfig(dt=dt, horizon=horizon)
         return simulate_unicycle_batch(cfg.initial_gain[None], cfg)[0, -1]
 
     d12 = np.linalg.norm(endpoint(0.1, 30) - endpoint(0.05, 60))
@@ -408,7 +418,7 @@ def test_strict_feasibility_of_all_registered_starts():
 def test_lipschitz_sanity():
     rng = np.random.default_rng(42)
     problems = [analytic_problem(name) for name in analytic_names()]
-    problems.append(make_unicycle_problem(UnicycleConfig(error_feedback=True)))
+    problems.append(make_unicycle_problem())
     for prob in problems:
         lo, hi = prob.box
         xs = rng.uniform(lo, hi, size=(1000, prob.dim))
@@ -444,7 +454,7 @@ def test_evaluate_all_matches_closed_forms():
 def test_unicycle_eval_all_matches_per_step_constraints():
     # Reference from one simulated trajectory: the mean squared goal
     # distance over steps 1..T and the clearance r^2 - |p_t - c|^2 per step.
-    cfg = UnicycleConfig(error_feedback=True)
+    cfg = UnicycleConfig()
     prob = make_unicycle_problem(cfg)
     x = prob.safe_start + 0.01
     row = prob.evaluate_all(x[None, :])[0]
