@@ -48,6 +48,12 @@ MUTANTS = {
         "if not alpha > 0.0:",
         "if alpha <= 0.0:",
     ),
+    # The same rule certifies the start: iteration 1 halts unless alpha > 0.
+    "margin-accepts-non-positive": (
+        "src/zobarrier/estimator.py",
+        "if not alpha > 0.0:",
+        "if alpha != alpha:",
+    ),
     "adaptive-reach-without-half": (
         "src/zobarrier/solver.py",
         "reach = min(cfg.eta, -max_fhat / 2.0)",
@@ -124,12 +130,6 @@ MUTANTS = {
         "src/zobarrier/harness.py",
         "raise min(errors, key=lambda error: error[0])[1]",
         "raise max(errors, key=lambda error: error[0])[1]",
-    ),
-    # The start point must be certified feasible before the first step.
-    "no-start-check": (
-        "src/zobarrier/solver.py",
-        "if k == 1 and max_fhat >= 0.0:",
-        "if k == 0 and max_fhat >= 0.0:",
     ),
     # Observations exist only at feasible points: an infeasible query ends
     # the trial.

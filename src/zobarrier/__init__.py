@@ -17,11 +17,9 @@ from .errors import (
     DivergedTrajectoryError,
     MarginExhaustedError,
     NonFiniteMeasurementError,
-    NoValidOutputError,
     UnknownProblemError,
     UnknownSuiteError,
     UnsafeQueryError,
-    UnsafeStartError,
     ZobarrierError,
 )
 from .harness import (
@@ -52,7 +50,6 @@ __all__ = [
     "ExperimentConfig",
     "MarginExhaustedError",
     "MeasurementOracle",
-    "NoValidOutputError",
     "NoiseModel",
     "NonFiniteMeasurementError",
     "ProblemSpec",
@@ -62,7 +59,6 @@ __all__ = [
     "UnknownProblemError",
     "UnknownSuiteError",
     "UnsafeQueryError",
-    "UnsafeStartError",
     "ZobarrierError",
     "analytic_names",
     "analytic_problem",

@@ -71,14 +71,6 @@ class MarginExhaustedError(ZobarrierError):
         return type(self), (self.fhat_c_nu,), self.__dict__
 
 
-class UnsafeStartError(ZobarrierError):
-    """The noisy feasibility check at the start point failed."""
-
-
-class NoValidOutputError(ZobarrierError):
-    """Output sampling requested but every iterate weight is zero."""
-
-
 class UnknownProblemError(ZobarrierError, LookupError):
     """Requested benchmark name is not registered."""
 

@@ -61,8 +61,11 @@ def estimate_gradient(
 
 def confidence_bounds(base_values: np.ndarray, sigma: float, delta_bar: float) -> np.ndarray:
     """Upper confidence bound per constraint from a batch's base table
-    (columns 1..m); reuses the gradient estimator's measurements, no
-    extra oracle calls."""
+    (columns 1..m): the column mean plus sigma * sqrt(2 ln(1/delta_bar) / n).
+    sigma is read as the noise's sub-Gaussian variance proxy, so each
+    bound misses its true value with probability at most delta_bar
+    (Vershynin, High-Dimensional Probability, 2018, sec. 2.5). Reuses the
+    gradient estimator's measurements, no extra oracle calls."""
     if not 0.0 < delta_bar < 1.0:
         raise ContractViolationError("delta_bar must lie in (0, 1)")
     if sigma < 0.0:
@@ -71,7 +74,7 @@ def confidence_bounds(base_values: np.ndarray, sigma: float, delta_bar: float) -
     n = cons.shape[0]
     if n < 1:
         raise ContractViolationError("need at least one measurement")
-    inflation = sigma / math.sqrt(n) * math.sqrt(math.log(1.0 / delta_bar))
+    inflation = sigma / math.sqrt(n) * math.sqrt(2.0 * math.log(1.0 / delta_bar))
     # The sum over n divided by n is bitwise what `mean` computes; the
     # ufunc's own reduce skips `sum`'s Python wrapper.
     return np.add.reduce(cons, 0) / n + inflation

@@ -53,7 +53,9 @@ class NoiseModel:
     """Zero-mean sub-Gaussian measurement noise.
 
     gaussian: N(0, sigma^2); bounded-uniform: U[-sigma*sqrt(3),
-    sigma*sqrt(3)] (variance sigma^2). sigma = 0 means exact values.
+    sigma*sqrt(3)] (variance sigma^2). Both are sub-Gaussian with
+    variance proxy sigma^2, the sigma `estimator.confidence_bounds`
+    assumes. sigma = 0 means exact values.
     Frozen, because the pages it keeps were drawn with its fields.
     """
 

@@ -154,6 +154,14 @@ def _default_gain() -> np.ndarray:
     return np.array([[-0.05, -0.05, 0.0], [0.0, 0.0, -0.2]])
 
 
+def _floats(name: str, value, length: int) -> tuple[float, ...]:
+    """`value` as a tuple of `length` floats; otherwise ContractViolationError."""
+    values = np.asarray(value, dtype=float)
+    if values.shape != (length,):
+        raise ContractViolationError(f"{name} must be {length} numbers, got {value!r}")
+    return tuple(values.tolist())
+
+
 @dataclass
 class UnicycleConfig:
     """Geometry and discretization for the unicycle task.
@@ -176,9 +184,9 @@ class UnicycleConfig:
 
     def __post_init__(self):
         self.initial_gain = np.asarray(self.initial_gain, dtype=float)
-        self.start = tuple(float(v) for v in self.start)
-        self.goal = tuple(float(v) for v in self.goal)
-        self.obstacle_center = tuple(float(v) for v in self.obstacle_center)
+        self.start = _floats("start", self.start, 3)
+        self.goal = _floats("goal", self.goal, 3)
+        self.obstacle_center = _floats("obstacle_center", self.obstacle_center, 2)
         self.horizon = require_integer("horizon", self.horizon, 1)
         if not 0.0 < self.dt < math.inf:
             raise ContractViolationError("dt must be positive and finite")

@@ -38,9 +38,7 @@ from .errors import (
     DivergedTrajectoryError,
     MarginExhaustedError,
     NonFiniteMeasurementError,
-    NoValidOutputError,
     UnsafeQueryError,
-    UnsafeStartError,
     require_integer,
 )
 from .estimator import barrier_gradient, confidence_bounds, estimate_gradient, margin
@@ -170,7 +168,8 @@ def sigma_big(d: int, delta: float, K: int, sigma: float, lipschitz: float, nu: 
         (d+1) * sqrt(ln(1/delta) + ln(2K+1)) * (sqrt(2)*sigma + L*nu)
 
     controlling the deviation of the gradient estimators across a run of
-    K iterations at confidence delta.
+    K iterations at confidence delta. Its sigma term is (d+1) * sqrt(n)
+    times the `confidence_bounds` width at delta_bar = delta / (2K+1).
     """
     if d < 1:
         raise ContractViolationError("d must be >= 1")
@@ -249,14 +248,13 @@ def select_output(weights, rng: np.random.Generator) -> int:
     One uniform draw u is placed among the cumulative weights: R is the
     entry whose interval [W_{k-1}, W_k) holds u * W_K, so a zero weight is
     never drawn. Should u * W_K round up to W_K, R is the last entry with
-    positive weight. NaN and infinite weights are refused."""
+    positive weight. Non-finite and negative weights are refused, and so
+    is a vector with no positive weight, empty or all zero."""
     w = np.asarray(weights, dtype=float).tolist()
     if not all(map(math.isfinite, w)):
         raise ContractViolationError("weights must be finite")
-    if all(v <= 0.0 for v in w):
-        raise NoValidOutputError("no positive weights to sample from")
-    if any(v < 0.0 for v in w):
-        raise ContractViolationError("weights must be nonnegative")
+    if any(v < 0.0 for v in w) or not any(w):
+        raise ContractViolationError("weights must be nonnegative, with at least one positive")
     cum = list(itertools.accumulate(w))
     total = cum[-1]
     return bisect.bisect_right(cum, rng.random() * total, 0, bisect.bisect_left(cum, total)) + 1
@@ -342,12 +340,15 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
     """Execute K iterations and sample the output pair.
 
     L and sigma are the problem's declared `lipschitz` and `noise_sigma`.
-    The start point is accepted only if every constraint's upper
-    confidence bound at it is negative (the solver cannot see true
-    values); otherwise UnsafeStartError propagates. Any error in _HALTS
-    (exhausted margin, infeasible query, divergence, budget cap,
-    non-finite true values) ends the run with its halt_reason, the trace
-    and audit so far, and no certificate. A log too large for memory is a ConfigError.
+    Any error in _HALTS (exhausted margin, infeasible query, divergence,
+    budget cap, non-finite true values) ends the run with its
+    halt_reason, the trace and audit so far, and no certificate. The
+    start gets no check of its own: iteration 1's certified margin is
+    positive only if every constraint's upper confidence bound there is
+    below -reach (the solver cannot see true values), so a start that is
+    not certifiably feasible halts as "margin-exhausted" at k = 1, with
+    an empty trace and the start's base row in the audit. A log too
+    large for memory is a ConfigError.
     """
     L = problem.lipschitz
     K = cfg.max_iters
@@ -374,11 +375,6 @@ def run(problem: ProblemSpec, cfg: AlgoConfig, oracle: MeasurementOracle) -> Run
             base = oracle.measure_base(x, n, k)
             fhat = confidence_bounds(base, sigma, delta_bar)
             max_fhat = float(np.maximum.reduce(fhat))
-            if k == 1 and max_fhat >= 0.0:
-                raise UnsafeStartError(
-                    f"start point not certifiably feasible: max upper bound "
-                    f"{max_fhat:.6g} >= 0"
-                )
             if adaptive:
                 # nu = min(eta/L, alpha/L) solved jointly with alpha =
                 # -(M + nu*L): reach eta when M <= -2*eta, else -M/2, so

@@ -35,7 +35,7 @@ def test_package_errors_survive_pickling():
         if isinstance(getattr(zobarrier, name), type)
         and issubclass(getattr(zobarrier, name), zobarrier.ZobarrierError)
     ]
-    assert len(names) == 12
+    assert len(names) == 10
     for name in names:
         cls = getattr(zobarrier, name)
         for args in ERROR_ARGS.get(name, [("a message",)]):

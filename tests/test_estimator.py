@@ -127,10 +127,10 @@ def test_ucb_zero_sigma_is_mean():
 
 
 def test_ucb_formula_value():
-    # mean 2 plus (1/sqrt(3)) * sqrt(ln e) = 2 + 1/sqrt(3).
+    # mean 2 plus (1/sqrt(3)) * sqrt(2 ln e) = 2 + sqrt(2/3).
     got = confidence_bounds(one_constraint_table([1.0, 2.0, 3.0]), 1.0, math.exp(-1.0))
     assert got.shape == (1,)
-    assert got[0] == pytest.approx(2.0 + 1.0 / math.sqrt(3.0), rel=1e-12)
+    assert got[0] == pytest.approx(2.0 + math.sqrt(2.0 / 3.0), rel=1e-12)
 
 
 def test_ucb_domain_checks():
@@ -165,16 +165,16 @@ def binomial_upper_quantile(trials, p, tail):
     return k
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: width assumes variance proxy sigma^2/2")
 def test_ucb_coverage_at_the_solver_delta_bar():
     # At delta_bar = 5e-5 (a run of about 1000 iterations at delta = 0.05)
     # the bound may miss the true value 0 no more often than a miss rate of
     # delta_bar allows: at most the binomial count exceeded with probability
     # delta_bar, in 2M repeats of n = 7 draws at sigma = 1. Each repeat is a
     # constraint column of one base table, 100k columns a table. The width
-    # sigma * sqrt(ln(1/delta_bar) / n) misses with probability
-    # Phi^c(sqrt(ln(1/delta_bar))) = 8.2e-4, about 1,650 misses; the width
-    # sigma * sqrt(2 ln(1/delta_bar) / n) misses with probability 4.3e-6.
+    # sigma * sqrt(2 ln(1/delta_bar) / n) misses with probability
+    # Phi^c(sqrt(2 ln(1/delta_bar))) = 4.3e-6; without the 2, the width
+    # sigma * sqrt(ln(1/delta_bar) / n) would miss with probability 8.2e-4,
+    # about 1,650 misses.
     n, sigma, delta_bar, reps, columns = 7, 1.0, 5e-5, 2_000_000, 100_000
     rng = substream(20261020)
     misses = 0

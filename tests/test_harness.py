@@ -154,6 +154,13 @@ MALFORMED = {
     # Goal-error feedback is the unicycle's only controller.
     "unicycle-error_feedback": {"problem": {"name": "unicycle", "error_feedback": True}},
     "unicycle-horizon-fractional": {"problem": {"name": "unicycle", "horizon": 2.5}},
+    # A unicycle state has 3 values and the obstacle center 2.
+    "unicycle-start-short": {"problem": {"name": "unicycle", "start": [0.0, 0.0]}},
+    "unicycle-goal-short": {"problem": {"name": "unicycle", "goal": [4.0, 4.0]}},
+    "unicycle-start-scalar": {"problem": {"name": "unicycle", "start": 1.0}},
+    "unicycle-obstacle_center-long": {
+        "problem": {"name": "unicycle", "obstacle_center": [2.0, 2.0, 1.0]}
+    },
     # Non-finite floats, written as YAML spells them.
     "algo-eta-nan": {"algo": {"eta": NAN}},
     "algo-eta-inf": {"algo": {"eta": INF}},
@@ -192,6 +199,10 @@ MALFORMED_MESSAGES = {
     "plan-d_f_estimate-text": "plan.d_f_estimate must be a number, got '1e-4'",
     "unicycle-horizon-fractional": "horizon must be an integer >= 1, got 2.5",
     "unicycle-error_feedback": "unknown problem key(s) ['error_feedback']",
+    "unicycle-start-short": "start must be 3 numbers, got [0.0, 0.0]",
+    "unicycle-goal-short": "goal must be 3 numbers, got [4.0, 4.0]",
+    "unicycle-start-scalar": "start must be 3 numbers, got 1.0",
+    "unicycle-obstacle_center-long": "obstacle_center must be 2 numbers, got [2.0, 2.0, 1.0]",
 }
 
 
@@ -358,6 +369,31 @@ def test_infeasible_query_ends_the_trial(tmp_path, capsys):
     assert trial["violation_count"] > 0
     rows = (tmp_path / "out" / "trial000_audit.csv").read_text().splitlines()[1:]
     assert all(r.startswith("13,") for r in rows if r.endswith(",1"))
+
+
+def test_an_uncertifiable_start_loses_no_trial(tmp_path, capsys):
+    # Under sigma = 100 no trial's start is certifiably feasible: each halts
+    # at iteration 1's margin, and the run still writes every trial's CSVs
+    # and the summary.
+    data = {
+        "preset": "linear-ball-demo",
+        "trials": 3,
+        "problem": {"name": "linear-ball", "noise_sigma": 100.0},
+        "algo": {"max_iters": 20},
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert cli.main(["run", write_yaml(tmp_path, data)]) == 2
+    flagged = ", ".join(f"{t} margin-exhausted at k=1" for t in range(3))
+    assert f"flagged trials (halted): {flagged}\n" in capsys.readouterr().out
+    trials = json.loads((tmp_path / "out" / "summary.json").read_text())["trials"]
+    assert [(t["halted_reason"], t["halted_at"], t["iterations"]) for t in trials] == [
+        ("margin-exhausted", 1, 0)
+    ] * 3
+    for t in range(3):
+        trace = (tmp_path / "out" / f"trial{t:03d}_trace.csv").read_text()
+        audit = (tmp_path / "out" / f"trial{t:03d}_audit.csv").read_text()
+        assert trace.count("\n") == 1
+        assert audit.splitlines()[1:] == ["1,base,0.0,0.0,-1.0,0"]
 
 
 def test_empty_audit_csv_keeps_coordinate_columns(tmp_path):

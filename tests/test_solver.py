@@ -8,13 +8,12 @@ from zobarrier.errors import (
     ContractViolationError,
     DivergedTrajectoryError,
     MarginExhaustedError,
-    NoValidOutputError,
-    UnsafeStartError,
 )
 from zobarrier.estimator import confidence_bounds, margin
 from zobarrier.oracle import MeasurementOracle, NoiseModel
 from zobarrier.problems import ProblemSpec, analytic_problem
 from zobarrier.solver import (
+    NU_POLICIES,
     AlgoConfig,
     IterateRecord,
     KktCertificate,
@@ -153,7 +152,7 @@ def test_adaptive_margin_trace_visits_both_branches():
         assert rec.alpha_hat == (-M - eta if M <= -2.0 * eta else -M / 2.0) > 0.0
         assert math.isclose(rec.nu, min(eta / L, rec.alpha_hat / L), rel_tol=1e-15)
         branches["eta" if M <= -2.0 * eta else "half"] += 1
-    assert branches == {"eta": 38, "half": 262}
+    assert branches == {"eta": 37, "half": 263}
 
 
 def test_resolve_sample_count_policies(caplog):
@@ -184,9 +183,9 @@ def test_select_output_single_weight():
 
 
 def test_select_output_all_zero():
-    with pytest.raises(NoValidOutputError):
+    with pytest.raises(ContractViolationError):
         select_output([0.0, 0.0], substream(1))
-    with pytest.raises(NoValidOutputError):
+    with pytest.raises(ContractViolationError):
         select_output([], substream(1))
 
 
@@ -197,16 +196,10 @@ def test_select_output_all_zero():
 )
 def test_select_output_refuses_what_numpy_comparisons_refuse(weights):
     w = np.asarray(weights, dtype=float)
-    if not np.isfinite(w).all():
-        expected = ContractViolationError
-    elif w.size == 0 or np.all(w <= 0.0):
-        expected = NoValidOutputError
-    elif np.any(w < 0.0):
-        expected = ContractViolationError
-    else:
+    if np.isfinite(w).all() and np.all(w >= 0.0) and np.any(w > 0.0):
         assert 1 <= select_output(weights, substream(1)) <= len(weights)
         return
-    with pytest.raises(expected):
+    with pytest.raises(ContractViolationError):
         select_output(weights, substream(1))
 
 
@@ -597,13 +590,29 @@ def test_margin_policy_halt():
     assert result.certificate is None
 
 
+def assert_halted_at_the_start(result, prob):
+    """Iteration 1's margin refused the start: nothing was stepped or
+    certified, and the audit holds the start's base row, truly feasible."""
+    assert result.halted_reason == "margin-exhausted"
+    assert result.halted_at == 1
+    assert result.trace == []
+    assert result.certificate is None
+    audit = result.audit
+    assert len(audit) == 1
+    assert audit.iterations.tolist() == [1]
+    assert audit.sides.tolist() == [SIDE_BASE]
+    np.testing.assert_array_equal(audit.points[0], prob.safe_start)
+    assert audit.violation_count == 0
+
+
 def test_unsafe_start_detected():
-    # Feasible in truth but far from certifiable under huge noise.
+    # Feasible in truth but far from certifiable under huge noise, under
+    # either radius policy.
     prob = flat_problem(constraint_level=-0.01)
     prob = dataclasses.replace(prob, noise_sigma=100.0)
-    cfg = ball_config(max_iters=5, nu_policy="fixed")
-    with pytest.raises(UnsafeStartError):
-        run(prob, cfg, make_oracle(prob, sigma=100.0, seed=3))
+    for nu_policy in NU_POLICIES:
+        cfg = ball_config(max_iters=5, nu_policy=nu_policy)
+        assert_halted_at_the_start(run(prob, cfg, make_oracle(prob, sigma=100.0, seed=3)), prob)
 
 
 def test_confidence_bounds_use_the_declared_sigma():
@@ -611,8 +620,7 @@ def test_confidence_bounds_use_the_declared_sigma():
     # the solver trusts the declaration: the start is not certifiable.
     prob = dataclasses.replace(flat_problem(constraint_level=-0.01), noise_sigma=100.0)
     cfg = ball_config(max_iters=5, nu_policy="fixed")
-    with pytest.raises(UnsafeStartError):
-        run(prob, cfg, make_oracle(prob, sigma=0.0, seed=3))
+    assert_halted_at_the_start(run(prob, cfg, make_oracle(prob, sigma=0.0, seed=3)), prob)
 
 
 def test_certificate_structure():
