@@ -138,11 +138,17 @@ MUTANTS = {
         "if np.count_nonzero(truth[:, 1] > 0.0):",
         "if False:",
     ),
-    # Every other refusal of the oracle: true values must be finite, and
-    # the query point and the displaced points finite.
+    # Every other refusal of the oracle: true values must be finite, the
+    # query point of the problem's dimension, and it and the displaced
+    # points finite.
     "non-finite-true-values-not-raised": (
         "src/zobarrier/oracle.py",
         "if np.count_nonzero(np.isfinite(true_vals)) < true_vals.size:",
+        "if False:",
+    ),
+    "wrong-length-query-point-accepted": (
+        "src/zobarrier/oracle.py",
+        "if x.shape != (self.problem.dim,):",
         "if False:",
     ),
     "non-finite-query-point-accepted": (
@@ -203,17 +209,29 @@ MUTANTS = {
         "                y = y + ds * sin(a)\n"
         "                th = th + dt * w\n",
     ),
+    # Each row's objective is the running sum of its T goal terms over T,
+    # on either path.
+    "row-kernel-goal-sum-keeps-the-last-step": (
+        "src/zobarrier/problems.py",
+        "goal_sum += (ex * ex + ey * ey) + et * et",
+        "goal_sum = (ex * ex + ey * ey) + et * et",
+    ),
+    "in-place-goal-sum-keeps-the-last-step": (
+        "src/zobarrier/problems.py",
+        "goal_sum += np.add(np.add(sq[0], sq[1], out=sq[0]), sq[2], out=sq[0])",
+        "goal_sum = np.add(np.add(sq[0], sq[1], out=sq[0]), sq[2], out=sq[0])",
+    ),
     "row-kernel-divergence-not-raised": (
         "src/zobarrier/problems.py",
         "if not math.isfinite(x + y + th + a0 + a1 + a2 + b0 + b1 + b2):",
         "if False:",
     ),
-    # Larger batches run the in-place loop, which writes np.sinc out: a zero
-    # turn rate takes sin(eps) / eps = 1, not 0 / 0.
+    # Larger batches run the in-place loop, where sinc(half) = sin(half) / half:
+    # a zero turn rate takes sin(eps) / eps = 1, not 0 / 0.
     "sinc-zero-substitution-dropped": (
         "src/zobarrier/problems.py",
-        "np.copyto(y, eps, where=np.equal(y, 0.0, out=zero))",
-        "np.equal(y, 0.0, out=zero)",
+        "np.copyto(half, eps, where=np.equal(half, 0.0, out=zero))",
+        "np.equal(half, 0.0, out=zero)",
     ),
     # The loop runs in blocks of rows: every block writes its rows of the
     # table, and a diverged block has the whole batch simulated again, so

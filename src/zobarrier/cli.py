@@ -58,10 +58,11 @@ def _cmd_run(args) -> int:
     summary = harness.run_experiment(cfg)
     agg = summary.aggregate
     print(f"{summary.label}: {agg['trials']} trial(s) -> {cfg.output_dir}")
-    print(
-        f"  objective median={agg['objective_median']:.6g} "
-        f"min={agg['objective_min']:.6g} max={agg['objective_max']:.6g}"
-    )
+    if agg["objective_median"] is not None:  # None when every trial halted
+        print(
+            f"  objective median={agg['objective_median']:.6g} "
+            f"min={agg['objective_min']:.6g} max={agg['objective_max']:.6g}"
+        )
     print(f"  ground-truth constraint violations: {agg['total_violations']}")
     halted = [t for t in summary.trials if t.halted_reason]
     if halted:

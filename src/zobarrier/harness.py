@@ -482,7 +482,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     The trials run through `_fork_map`, each process writing its own
     trials' CSVs. Each trial's seed and streams are keyed by its index, so
     every output file is the same in any number of processes. If a trial
-    fails, its error is raised and no summary.json is written.
+    fails, its error is raised and no summary.json is written. The
+    objective median, min and max are over the trials that did not halt,
+    None (null) when every trial halted.
     """
     _pin_mmap_threshold()
     problem = build_problem(cfg.problem_name, cfg.problem_options)
@@ -499,11 +501,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
         return summary
 
     summaries = _fork_map(trial, range(cfg.trials))
-    finals = [s.final_objective for s in summaries]
+    finals = [s.final_objective for s in summaries if s.halted_reason is None]
     aggregate = {
-        "objective_median": float(np.median(finals)),
-        "objective_min": float(np.min(finals)),
-        "objective_max": float(np.max(finals)),
+        "objective_median": float(np.median(finals)) if finals else None,
+        "objective_min": min(finals, default=None),
+        "objective_max": max(finals, default=None),
         "total_violations": int(sum(s.violation_count for s in summaries)),
         "trials": len(summaries),
     }

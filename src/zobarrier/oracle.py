@@ -226,9 +226,19 @@ class MeasurementOracle:
 
     # -- measurement -------------------------------------------------------
 
+    def _point(self, x) -> np.ndarray:
+        """x as a float vector of the problem's dimension d; a point of another
+        shape is refused, before anything is charged, drawn or audited."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.problem.dim,):
+            raise ContractViolationError(
+                f"query point must have {self.problem.dim} coordinates, got shape {x.shape}"
+            )
+        return x
+
     def measure_base(self, x: np.ndarray, n: int, iteration: int) -> np.ndarray:
         """n fresh noisy measurements of every function at x; (n, m+1)."""
-        points = np.array(x, dtype=float, ndmin=2)
+        points = self._point(x)[None, :]
         if not all(map(math.isfinite, points.ravel().tolist())):
             raise ContractViolationError("query point must be finite")
         if n < 1:
@@ -252,7 +262,7 @@ class MeasurementOracle:
 
         `directions` must be the table `directions()` served last: the same
         object, not a copy or a view of it."""
-        x = np.asarray(x, dtype=float)
+        x = self._point(x)
         if radius < 0.0:
             raise ContractViolationError("radius must be nonnegative")
         if directions is not self._served:

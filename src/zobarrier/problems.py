@@ -221,9 +221,11 @@ def simulate_unicycle_batch(
 
     with sinc(z) = sin(z)/z, sinc(0) = 1, which reproduces the
     continuous-time arc for any dt (straight line in the omega -> 0
-    limit). A time step is about 30 in-place numpy calls over all rows,
-    doing np.einsum's (summing (a0*e0 + a2*e2) + a1*e1; a zero may differ
-    in sign), np.clip's and np.sinc's operations in their order. Raises
+    limit). A time step is 27 in-place numpy calls over all rows:
+    each input is the gain products summed as (a0*e0 + a2*e2) + a1*e1,
+    clamped (NaN passes), and sinc(z) is sin(z)/z with z = eps at z = 0,
+    which gives 1. Each row's objective is a running sum of its per-step
+    goal terms, left to right over the steps, divided by T. Raises
     DivergedTrajectoryError with the first step where a state is not finite.
     """
     if not np.isfinite(gains).all():
@@ -237,7 +239,7 @@ def simulate_unicycle_batch(
     hi = np.array([[cfg.v_max], [cfg.omega_max]])
     lo, u, work, zero = -hi, np.empty((2, B)), np.empty((6, B)), np.empty(B, bool)
     out = np.empty((B, T + 1)) if table is None else table
-    terms = np.empty((B, T))
+    goal_sum = np.zeros(B)
     traj = None if table is not None else np.tile(cfg.start, (B, T + 1, 1))
     # Overflow from an unstable gain surfaces as the diverged-trajectory
     # error, not as runtime warnings.
@@ -247,12 +249,11 @@ def simulate_unicycle_batch(
             np.add(np.add(work[0::3], work[2::3], out=u), work[1::3], out=u)
             v, w = np.clip(u, lo, hi, out=u)
             half = np.multiply(0.5 * dt, w, out=work[0])
-            # np.sinc(half / pi): sin(y) / y at y = pi * (half / pi), with eps for y = 0
-            y = np.multiply(np.pi, np.divide(half, np.pi, out=work[1]), out=work[1])
-            np.copyto(y, eps, where=np.equal(y, 0.0, out=zero))
-            sinc = np.divide(np.sin(y, out=work[2]), y, out=work[2])
+            a, step = np.add(q[2], half, out=work[1]), work[2:4]
+            # sinc(half) = sin(half) / half, with eps for half = 0: sin(eps) / eps = 1
+            np.copyto(half, eps, where=np.equal(half, 0.0, out=zero))
+            sinc = np.divide(np.sin(half, out=work[2]), half, out=work[2])
             ds = np.multiply(np.multiply(v, dt, out=v), sinc, out=v)
-            a, step = np.add(q[2], half, out=half), work[2:4]
             np.cos(a, out=step[0])
             np.sin(a, out=step[1])
             q[:2] += np.multiply(ds, step, out=step)
@@ -260,13 +261,13 @@ def simulate_unicycle_batch(
             np.subtract(q, goal, out=e)
             if traj is not None:
                 traj[:, t + 1] = q.T
-            # Squares summed as numpy sums 3 or 2 columns: left to right.
+            # Squares summed left to right.
             sq = np.multiply(e, e, out=work[:3])
-            np.add(np.add(sq[0], sq[1], out=terms[:, t]), sq[2], out=terms[:, t])
+            goal_sum += np.add(np.add(sq[0], sq[1], out=sq[0]), sq[2], out=sq[0])
             p = np.subtract(q[:2], center, out=work[3:5])
             p *= p
             np.subtract(cfg.obstacle_radius**2, np.add(p[0], p[1], out=p[0]), out=out[:, t + 1])
-    np.divide(np.add.reduce(terms, 1), T, out=out[:, 0])
+    np.divide(goal_sum, T, out=out[:, 0])
     if traj is None:  # a state that is not finite stays so; the states raise its first step
         return out if np.isfinite(q).all() else simulate_unicycle_batch(gains, cfg)
     bad = np.flatnonzero(~np.isfinite(traj).all(axis=(0, 2)))
@@ -275,9 +276,10 @@ def simulate_unicycle_batch(
     return traj
 
 
-# Rows per simulate_unicycle_batch call: the residual's 2048 rows are one block, whose
-# numpy memory peaks at the table plus 0.9 MB of scratch (BENCH_simulator.json).
-_BLOCK_ROWS = 2048
+# Rows per simulate_unicycle_batch call. A block's scratch is 21 float rows and
+# one bool row of its length, about 170 bytes a row: a 4096-row batch peaks at
+# its table plus 0.8 MB as one block (BENCH_simulator.json).
+_BLOCK_ROWS = 4096
 
 
 def _evaluate_vectorized(points: np.ndarray, cfg: UnicycleConfig) -> np.ndarray:
@@ -296,7 +298,7 @@ def _evaluate_vectorized(points: np.ndarray, cfg: UnicycleConfig) -> np.ndarray:
 
 
 # Batches up to this many rows are evaluated row by row in Python floats.
-# The in-place loop makes about 30 numpy calls per time step, each about a
+# The in-place loop makes 27 numpy calls per time step, each about a
 # microsecond even on 7 rows, so plain floats win up to 48 rows, which this
 # stays below (BENCH_simulator.json). The solver's batches (1 base row, n_k
 # perturbed rows) fall below it; the Monte-Carlo residuals stay above.
@@ -310,25 +312,27 @@ def _evaluate_rows(points: np.ndarray, cfg: UnicycleConfig) -> np.ndarray | None
 
     Each operation is the vectorized path's, in its order: the goal
     differences a step squares are the ones the next step feeds back, the
-    gain products are summed in einsum's order, the clamp keeps NaN as
-    np.clip does, np.sinc(z) is sin(pi*z)/(pi*z) with 1 at 0,
-    math.sin/math.cos round as numpy's float64 sin/cos do, a step's
-    squares are summed left to right as numpy sums 2 or 3 columns, and the
-    sum over T is numpy's own. A zero may differ in sign from einsum's
-    (which sums onto +0.0), but only zeros follow from it, and every entry
-    squares them. Every update adds to the state, so a state that is not
-    finite stays so; math raises on sin/cos of inf where numpy gives NaN.
+    gain products are summed as (a0*e0 + a2*e2) + a1*e1, the clamp keeps
+    NaN, sinc(half) is sin(half)/half with 1 at 0, math.sin/math.cos round
+    as numpy's float64 sin/cos do, a step's squares are summed left to
+    right, and so is the running sum of the goal terms over T. Every
+    update adds to the state, so a state that is not finite stays so;
+    math raises on sin/cos of inf where numpy gives NaN. Each row appends
+    a placeholder for its mean, filled when the row ends, then its T
+    clearances: the list is the table.
     """
     P, T, dt, hdt = points.shape[0], cfg.horizon, cfg.dt, 0.5 * cfg.dt
     v_max, w_max, r2 = cfg.v_max, cfg.omega_max, cfg.obstacle_radius**2
     v_min, w_min = -v_max, -w_max
     (gx, gy, gt), (cx, cy) = cfg.goal, cfg.obstacle_center
-    sin, cos, pi = math.sin, math.cos, math.pi
-    out: list[float] = []  # each step's clearance, then its goal term
+    sin, cos = math.sin, math.cos
+    out: list[float] = []  # each row's mean goal term, then its T clearances
     append = out.append
     for a0, a1, a2, b0, b1, b2 in points.tolist():
         x, y, th = cfg.start
         ex, ey, et = x - gx, y - gy, th - gt  # the feedback: the goal differences
+        mean_at, goal_sum = len(out), 0.0
+        append(0.0)
         try:
             for _ in range(T):
                 v = (a0 * ex + a2 * et) + a1 * ey
@@ -342,8 +346,7 @@ def _evaluate_rows(points: np.ndarray, cfg: UnicycleConfig) -> np.ndarray | None
                 elif w > w_max:
                     w = w_max
                 half = hdt * w
-                z = pi * (half / pi)
-                ds = (v * dt) * (sin(z) / z if z else 1.0)
+                ds = (v * dt) * (sin(half) / half if half else 1.0)
                 a = th + half
                 x = x + ds * cos(a)
                 y = y + ds * sin(a)
@@ -351,17 +354,14 @@ def _evaluate_rows(points: np.ndarray, cfg: UnicycleConfig) -> np.ndarray | None
                 ex, ey, et = x - gx, y - gy, th - gt
                 px, py = x - cx, y - cy
                 append(r2 - (px * px + py * py))
-                append((ex * ex + ey * ey) + et * et)
+                goal_sum += (ex * ex + ey * ey) + et * et
         except ValueError:
             x = math.nan
         # Also catches a gain that is not finite, which the clamp can hide.
         if not math.isfinite(x + y + th + a0 + a1 + a2 + b0 + b1 + b2):
             return None
-    steps = np.fromiter(out, float, 2 * P * T).reshape(P, T, 2)
-    table = np.empty((P, T + 1))
-    table[:, 1:] = steps[:, :, 0]
-    np.divide(np.add.reduce(steps[:, :, 1], 1), T, out=table[:, 0])
-    return table
+        out[mean_at] = goal_sum / T
+    return np.fromiter(out, float, P * (T + 1)).reshape(P, T + 1)
 
 
 # Half-width of the search box around the initial gain where L = 130 was measured.

@@ -396,6 +396,33 @@ def test_an_uncertifiable_start_loses_no_trial(tmp_path, capsys):
         assert audit.splitlines()[1:] == ["1,base,0.0,0.0,-1.0,0"]
 
 
+def test_halted_trials_are_not_objective_results(tmp_path, capsys):
+    # Halted trials stay out of the objective median, min and max. At
+    # sigma = 100 every trial halts at k = 1, so there is no objective
+    # result: the aggregate is null and `zobarrier run` prints no objective
+    # number. At sigma = 0.7 trial 1 of 4 halts, and the others are the result.
+    data = {
+        "preset": "linear-ball-demo",
+        "trials": 3,
+        "problem": {"name": "linear-ball", "noise_sigma": 100.0},
+        "algo": {"max_iters": 20},
+        "output_dir": str(tmp_path / "all"),
+    }
+    assert cli.main(["run", write_yaml(tmp_path, data)]) == 2
+    assert "objective" not in capsys.readouterr().out
+    aggregate = json.loads((tmp_path / "all" / "summary.json").read_text())["aggregate"]
+    assert [aggregate[f"objective_{k}"] for k in ("median", "min", "max")] == [None] * 3
+    data.update(trials=4, problem={"name": "linear-ball", "noise_sigma": 0.7})
+    summary = run_experiment(config_from_mapping(dict(data, output_dir=str(tmp_path / "some"))))
+    assert [t.halted_reason is None for t in summary.trials] == [True, False, True, True]
+    finals = [summary.trials[t].final_objective for t in (0, 2, 3)]
+    assert [summary.aggregate[f"objective_{k}"] for k in ("median", "min", "max")] == [
+        float(np.median(finals)), min(finals), max(finals)
+    ]
+    with_halted = finals + [summary.trials[1].final_objective]
+    assert float(np.median(finals)) != float(np.median(with_halted))
+
+
 def test_empty_audit_csv_keeps_coordinate_columns(tmp_path):
     # A cap of 1 halts before the first query, so the audit has no rows;
     # its header still names one column per coordinate.
@@ -517,7 +544,7 @@ def test_diverged_base_point_leaves_the_final_objective_unknown(tmp_path, monkey
     # Seeds 1 and 4 halt "diverged" with x_final itself past the point where
     # the evaluator raises, so the final objective is unknown (NaN, as the
     # audit records a diverged chunk); the other trials and summary.json
-    # are kept, and NaN carries into the objective aggregates.
+    # are kept. Every trial halted, so the objective aggregates are null.
     problem = diverge_beyond_problem()
     monkeypatch.setattr(harness, "build_problem", lambda name, options: problem)
     cfg = harness.ExperimentConfig(
@@ -540,7 +567,7 @@ def test_diverged_base_point_leaves_the_final_objective_unknown(tmp_path, monkey
         assert t.best_objective == min(truth + [t.final_objective] * (t.seed not in unknown))
     saved = json.loads((tmp_path / "summary.json").read_text())
     assert math.isnan(saved["trials"][0]["final_objective"])
-    assert all(math.isnan(saved["aggregate"][k]) for k in ("objective_median", "objective_min"))
+    assert all(saved["aggregate"][k] is None for k in ("objective_median", "objective_min"))
 
 
 # -- parallel trials ---------------------------------------------------------

@@ -150,7 +150,7 @@ def test_a_noise_page_cannot_be_unlocked():
     np.testing.assert_array_equal(noise.draw(2, SIDE_BASE, 16, 2), later)
 
 
-def test_non_unit_direction_rejected(ball):
+def test_a_table_built_by_hand_is_refused(ball):
     # A table built by hand is refused whether or not its rows are unit
     # vectors, read-only or not, and so is a single direction not given
     # as a row: nothing is charged or audited.
@@ -169,7 +169,7 @@ def test_non_unit_direction_rejected(ball):
     assert oracle.total_scalar_calls == oracle.total_directions == len(oracle.audit()) == 0
 
 
-def test_only_the_last_served_table_skips_the_unit_check(ball):
+def test_only_the_table_served_last_is_measured_along(ball):
     # The table served last is measured along as it is: its rows are unit
     # vectors by construction. An earlier table is refused before and after
     # it, and so is every view of the table served last, even one over the
@@ -191,7 +191,7 @@ def test_only_the_last_served_table_skips_the_unit_check(ball):
     assert oracle.total_directions == 4
 
 
-def test_a_checked_page_made_writable_is_checked_again(ball):
+def test_a_served_table_stays_locked_after_it_is_measured_along(ball):
     # No caller can make a direction page writable: a 16 x 2 table shares
     # its page with 127 others, and neither the table, nor its page, nor any
     # view of them can be unlocked, before or after it is measured along.
@@ -204,7 +204,7 @@ def test_a_checked_page_made_writable_is_checked_again(ball):
     assert oracle.total_directions == 32
 
 
-def test_a_table_with_a_page_to_itself_is_trusted_and_checked_alike(ball):
+def test_a_table_with_a_page_to_itself_is_served_and_its_page_refused(ball):
     # 2048 rows of 2 values have a page to themselves, served as a view of
     # it: the table is measured along, its page cannot be unlocked, and the
     # page itself, though it holds the same values, is refused.
@@ -220,7 +220,7 @@ def test_a_table_with_a_page_to_itself_is_trusted_and_checked_alike(ball):
     assert oracle.total_directions == 2048
 
 
-def test_a_view_across_the_rows_of_a_checked_page_is_checked(ball):
+def test_a_view_across_the_rows_of_a_served_page_is_refused(ball):
     # A view with the table's strides and columns that starts one value in:
     # each of its rows straddles two rows of the page. It is refused, and
     # it cannot be unlocked.
@@ -237,7 +237,7 @@ def test_a_view_across_the_rows_of_a_checked_page_is_checked(ball):
     assert oracle.total_directions == 4
 
 
-def test_a_writable_copy_is_checked_on_every_call(ball):
+def test_a_writable_copy_is_refused_on_every_call(ball):
     # A copy of the table served last, and a slice of it, are refused on
     # every call, before and after an edit; the table itself still serves.
     oracle = make_oracle(ball)
@@ -255,7 +255,7 @@ def test_a_writable_copy_is_checked_on_every_call(ball):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 6])
-def test_every_solver_direction_passes_the_unit_norm_check(dim):
+def test_every_served_direction_is_a_unit_row(dim):
     # Each table of one page the solver reads, for n = 16 in R^dim, and a
     # table with a page to itself: every row has unit norm within 1e-12.
     problem = ProblemSpec(
@@ -304,6 +304,24 @@ def test_a_non_finite_base_point_is_refused(ball, value, coordinate):
     with pytest.raises(ContractViolationError, match="^query point must be finite$"):
         oracle.measure_base(x, 3, iteration=1)
     assert oracle.total_scalar_calls == 0 and len(oracle.audit()) == 0
+
+
+@pytest.mark.parametrize("x", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], 0.5], ids=str)
+def test_a_query_point_of_the_wrong_length_is_refused(ball, x):
+    # linear-ball is in R^2: a point of any other shape is refused by both
+    # measurements before anything is charged, drawn or audited, as a
+    # non-finite point is; it is neither broadcast nor left to the evaluator.
+    oracle = make_oracle(ball, sigma=1.0)
+    served = oracle.directions(1, 4)
+    with pytest.raises(ContractViolationError, match="^query point must have 2 coordinates"):
+        oracle.measure_perturbed(np.array(x), served, 0.1, 1)
+    with pytest.raises(ContractViolationError, match="^query point must have 2 coordinates"):
+        oracle.measure_base(np.array(x), 2, 1)
+    assert oracle.total_scalar_calls == oracle.total_directions == len(oracle.audit()) == 0
+    assert oracle.noise._pages[SIDE_BASE]._page is None
+    assert oracle.noise._pages[SIDE_PERTURBED]._page is None
+    oracle.measure_perturbed(np.zeros(2), served, 0.1, 1)
+    assert oracle.total_directions == 4 and len(oracle.audit()) == 4
 
 
 def test_empty_audit(ball):

@@ -27,7 +27,7 @@ from zobarrier.problems import (
 
 # Mean squared goal distance of the default configuration under its
 # initial gain, frozen as a regression baseline.
-GOLDEN_BASELINE_COST = 27.72419601789319
+GOLDEN_BASELINE_COST = 27.72419601789318
 
 
 def constant_input_states(start, v, omega, steps=1, dt=0.1):
@@ -173,7 +173,7 @@ def test_row_kernel_bitwise_equals_vectorized(name):
     # per-row float kernel, larger ones the vectorized path. Each row's
     # table must be byte-identical whichever path and batch it is in; this
     # also checks that math.sin/math.cos round as numpy's float64 sin/cos
-    # do, and that the sum over T is numpy's pairwise one.
+    # do, and that both sum the goal terms over T left to right.
     big = _ROW_KERNEL_MAX_ROWS + 9
     for horizon in KERNEL_HORIZONS:
         cfg = UnicycleConfig(horizon=horizon, **KERNEL_CONFIGS[name])
@@ -238,11 +238,11 @@ PARITY_CONFIGS = {
 
 def table_from_trajectories(traj, cfg):
     """The evaluation table reduced from simulate_unicycle_batch's states
-    with numpy's own sums."""
+    with numpy's own sums, the goal terms summed over T left to right."""
     goal = traj[:, 1:] - np.asarray(cfg.goal)
     center = traj[:, 1:, :2] - np.asarray(cfg.obstacle_center)
     return np.c_[
-        (goal * goal).sum(axis=-1).sum(axis=1) / cfg.horizon,
+        (goal * goal).sum(axis=-1).cumsum(axis=1)[:, -1] / cfg.horizon,
         cfg.obstacle_radius**2 - (center * center).sum(axis=-1),
     ]
 
@@ -528,7 +528,7 @@ def test_column_wise_reductions_are_numpy_reductions_bit_for_bit(shape):
         goal = traj - np.asarray(cfg.goal)
         center = traj[:, :, :2] - np.asarray(cfg.obstacle_center)
         expected = np.c_[
-            (goal * goal).sum(axis=-1).sum(axis=1) / cfg.horizon,
+            (goal * goal).sum(axis=-1).cumsum(axis=1)[:, -1] / cfg.horizon,
             cfg.obstacle_radius**2 - (center * center).sum(axis=-1),
         ]
         assert_same_bits(_evaluate_vectorized(points, cfg), expected)
