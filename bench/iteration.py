@@ -32,7 +32,23 @@ own calls:
                       directions and of the true values, and the budget
                       charge, less the hooks' calibrated cost
 
-Each figure is microseconds per iteration, the median over REPS runs in a
+A fourth run per rep times the tail of one trial, as
+`harness.run_experiment` runs it with trials = 1, in milliseconds:
+
+    trial_ms          harness.run_trial and both CSV writes
+    solver_ms         solver.run within it
+    tail_ms           the trial less the solver run: the ground-truth
+                      pass, the final objective, the residuals and both
+                      CSV writes
+    pass_ms           harness.audit_trial (0 in a tree without it, whose
+                      truth reads are spread over run_trial and
+                      write_trace_csv)
+    pass_pct          pass_ms as a percentage of trial_ms
+    trace_csv_ms      harness.write_trace_csv
+    audit_csv_ms      harness.write_audit_csv
+    residuals_ms      harness.kkt_residuals
+
+Each step figure is microseconds per iteration, the median over REPS runs in a
 worker and then the median, quartiles (q1, q3), min and max over ROUNDS
 workers, so that a reader can tell a change from drift between workers;
 the rounds alternate which tree runs first so that a drift in host speed
@@ -84,6 +100,13 @@ STEPS = (
     "step_record",
 )
 PARTS = ("evaluation", "log", "noise", "checks")
+# The tail's parts: each the harness function timed for it.
+TAIL_CALLS = {
+    "pass_ms": "audit_trial",
+    "trace_csv_ms": "write_trace_csv",
+    "audit_csv_ms": "write_audit_csv",
+    "residuals_ms": "kkt_residuals",
+}
 SPLIT = tuple(f"{m}.{part}" for m in ("measure_base", "measure_perturbed") for part in PARTS)
 
 
@@ -175,6 +198,27 @@ def oracle_split(o, spent: dict, overhead: float) -> None:
     o.measure_perturbed = measurement("measure_perturbed", o.measure_perturbed)
 
 
+def trial_tail(cfg) -> dict:
+    """Seconds of one trial of cfg (trials = 1) as `harness.run_experiment`
+    runs it, by part: run_trial, the solver run and each TAIL_CALLS function
+    the tree has, each timed where harness looks it up."""
+    from zobarrier import harness
+
+    spent = dict.fromkeys(("run_trial", "run", *TAIL_CALLS.values(), "calls"), 0.0)
+    real = {name: getattr(harness, name) for name in spent if hasattr(harness, name)}
+    for name, fn in real.items():
+        setattr(harness, name, _timed(spent, name, fn))
+    try:
+        with tempfile.TemporaryDirectory(prefix="zobarrier-iteration-") as tmp:
+            cfg = copy.copy(cfg)
+            cfg.trials, cfg.output_dir = 1, Path(tmp)
+            harness.run_experiment(cfg)
+    finally:
+        for name, fn in real.items():
+            setattr(harness, name, fn)
+    return spent
+
+
 def worker(workload: str) -> dict:
     """Microseconds per iteration of trial 0's `solver.run`, as
     `harness.run_trial` sets it up: the whole run, and each step, each
@@ -216,6 +260,7 @@ def worker(workload: str) -> dict:
 
     once()  # warm caches and lazy imports
     loop, per_step = [], {step: [] for step in (*STEPS, *SPLIT)}
+    tails = []
     reference = reference_block()
     for _ in range(REPS):  # untimed, step-timed and split runs alternate
         seconds = once()[0]
@@ -224,6 +269,7 @@ def worker(workload: str) -> dict:
             timed_seconds, iterations = once(spent)
         split = dict.fromkeys(SPLIT, 0.0)
         once(split=split)
+        tail = trial_tail(cfg)
         before, reference = reference, reference_block()
         scale = REFERENCE_S / ((before + reference) / 2)
         loop.append(seconds * scale)
@@ -233,9 +279,19 @@ def worker(workload: str) -> dict:
             per_step[step].append(spent[step] / iterations * scale)
         for key in SPLIT:
             per_step[key].append(split[key] / iterations * scale)
+        trial = tail["run_trial"] + tail["write_trace_csv"] + tail["write_audit_csv"]
+        ms = 1e3 * scale
+        tails.append({
+            "trial_ms": trial * ms,
+            "solver_ms": tail["run"] * ms,
+            "tail_ms": (trial - tail["run"]) * ms,
+            "pass_pct": 100.0 * tail["audit_trial"] / trial,
+            **{key: tail[name] * ms for key, name in TAIL_CALLS.items()},
+        })
     us = {"loop_us": loop, **per_step}
     return {
         **{key: statistics.median(values) * 1e6 for key, values in us.items()},
+        **{key: statistics.median(t[key] for t in tails) for key in tails[0]},
         "timer_overhead_us": overhead * 1e6,
     }
 
@@ -293,7 +349,9 @@ def main() -> int:
     report = {
         "what": "microseconds per solver.run iteration: the whole loop untimed per step "
         "(loop_us), then each step with a timer around it, then each oracle measurement "
-        "split into evaluation, log, noise and checks (see the script's docstring)",
+        "split into evaluation, log, noise and checks; and milliseconds per trial of its "
+        "tail, the trial less its solver run, by part (*_ms, pass_pct; see the script's "
+        "docstring)",
         **trees.header(__file__, "--src", sources),
         "workloads": {
             w: {**m.mapping, "base_seed": SEED, "trial": 0} for w, m in WORKLOADS.items()

@@ -113,6 +113,13 @@ MUTANTS = {
         "audit.sides == SIDE_BASE",
         "audit.sides != SIDE_BASE",
     ),
+    # The pass counts a step as a containment failure past alpha_k / (2 L k^(2/5)):
+    # without the 2, a step up to twice its bound goes uncounted.
+    "containment-bound-without-2": (
+        "src/zobarrier/harness.py",
+        "bounds = alphas / (2.0 * problem.lipschitz * ks ** (2.0 / 5.0))",
+        "bounds = alphas / (problem.lipschitz * ks ** (2.0 / 5.0))",
+    ),
     # The fork map: a helper runs share w of the items (w, w + W, ...), the
     # results come back in item order, and the lowest-index error is raised.
     # No output may depend on how many processes ran the items.

@@ -51,8 +51,8 @@ SIZES = (1, 7, 8, 16, 24, 32, 48, 64, 160, 1600, 2048)
 SEED = 20261018
 ROUNDS = 9
 ROUND_S = 0.05
-BLOCK_BATCH = 4096
-BLOCKS = (512, 1024, 2048, 4096)
+BLOCK_BATCH = 8192
+BLOCKS = (512, 1024, 2048, 4096, 8192)
 # Times are rescaled to a host on which perfbench's reference loop takes
 # this long, as perfbench reports them.
 REFERENCE_S = trees.perfbench("run").REFERENCE_S

@@ -64,6 +64,8 @@ def _cmd_run(args) -> int:
             f"min={agg['objective_min']:.6g} max={agg['objective_max']:.6g}"
         )
     print(f"  ground-truth constraint violations: {agg['total_violations']}")
+    if agg["total_containment_failures"]:
+        print(f"  steps past their containment bound: {agg['total_containment_failures']}")
     halted = [t for t in summary.trials if t.halted_reason]
     if halted:
         reasons = ", ".join(f"{t.trial} {t.halted_reason} at k={t.halted_at}" for t in halted)

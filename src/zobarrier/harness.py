@@ -26,6 +26,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -247,6 +248,7 @@ class TrialSummary:
     residual_complementarity: float | None
     residual_stationarity: float | None
     violation_count: int
+    containment_failures: int
     total_scalar_calls: int
     total_directions: int
     wall_time: float
@@ -267,44 +269,62 @@ def _atomic_write(path: Path, writer) -> None:
     os.replace(tmp, path)
 
 
-def _iterate_truth(result: RunResult) -> tuple[np.ndarray, np.ndarray]:
-    """True objective and max-constraint at each trace point, read from the
-    audit: iteration k's base measurement queried x_k, so trace record k
-    is the k-th SIDE_BASE row. A trace the audit does not cover raises."""
-    audit = result.audit
-    rows = np.flatnonzero(audit.sides == SIDE_BASE)[: len(result.trace)]
-    if len(rows) < len(result.trace):
-        raise ContractViolationError(
-            f"trace has {len(result.trace)} records, the audit {len(rows)} base rows"
-        )
-    return audit.true_objective[rows], audit.true_max_constraint[rows]
+class TrialAudit(NamedTuple):
+    """A trial's ground truth, from `audit_trial`'s one pass."""
+
+    x: np.ndarray  # (K, d): the trace points x_1..x_K
+    true_objective: np.ndarray  # (K,): at each trace point
+    true_max_constraint: np.ndarray  # (K,)
+    violation_count: int  # audit rows that `SafetyAudit.violated` flags
+    containment_failures: int  # steps longer than alpha_k / (2 L k^(2/5))
 
 
-def write_trace_csv(result: RunResult, path: Path) -> None:
-    """Trace as CSV with ground-truth objective/constraint columns, which are
-    the audit's base rows.
+def audit_trial(problem: ProblemSpec, result: RunResult) -> TrialAudit:
+    """Every ground-truth count of a trial, in one vectorized pass over its trace
+    and audit arrays. Trace record k's truth is the k-th SIDE_BASE row (iteration
+    k's base measurement queried x_k); a trace the audit does not cover raises.
+    Step k goes from x_k to x_{k+1}, or to x_final after the last record (on a
+    halted run, the halted iteration's point), so every step the run took is
+    checked against alpha_k / (2 L k^(2/5)), up to a relative 1e-9."""
+    trace, audit, K = result.trace, result.audit, len(result.trace)
+    rows = np.flatnonzero(audit.sides == SIDE_BASE)[:K]
+    if len(rows) < K:
+        raise ContractViolationError(f"trace has {K} records, the audit {len(rows)} base rows")
+    path = np.concatenate([*(r.x for r in trace), result.x_final]).reshape(K + 1, -1)
+    steps = np.linalg.norm(np.diff(path, axis=0), axis=1)
+    ks = np.fromiter((r.k for r in trace), float, K)
+    alphas = np.fromiter((r.alpha_hat for r in trace), float, K)
+    bounds = alphas / (2.0 * problem.lipschitz * ks ** (2.0 / 5.0))
+    failures = int(np.count_nonzero(steps > bounds * (1.0 + 1e-9)))
+    violations = int(np.count_nonzero(audit.violated))
+    truth = audit.true_objective[rows], audit.true_max_constraint[rows]
+    return TrialAudit(path[:K], *truth, violations, failures)
+
+
+def write_trace_csv(result: RunResult, truth: TrialAudit, path: Path) -> None:
+    """Trace as CSV: the records' k and step columns, with the trace points
+    and their ground-truth objective and max-constraint from `truth`.
 
     Bytes match `csv.writer` output: CRLF line ends, floats as `repr`,
     formatted by `float_rows` (orjson for 1e-4 <= |v| < 1e16 and +-0.0,
     `repr` elsewhere) in chunks of rows, as the audit CSV is (`write_csv`)."""
-    dim = len(result.x_final)
     header = (
         ["k"]
-        + [f"x{i}" for i in range(dim)]
+        + [f"x{i}" for i in range(truth.x.shape[1])]
         + ["alpha_hat", "g_norm", "gamma_k", "weight", "true_objective", "true_max_constraint"]
     )
     trace = result.trace
     ks = [r.k for r in trace]
-    x = np.array([r.x for r in trace]).reshape(len(ks), dim)
     steps = np.array([(r.alpha_hat, r.g_norm, r.gamma, r.weight) for r in trace]).reshape(-1, 4)
-    write_csv(path, header, [x, steps, *_iterate_truth(result)], lambda rows: [
+    columns = [truth.x, steps, truth.true_objective, truth.true_max_constraint]
+    write_csv(path, header, columns, lambda rows: [
         f"{ks[rows.start]},", *[f"\r\n{k}," for k in ks[rows][1:]], "\r\n"])
 
 
 def run_trial(
     problem: ProblemSpec, cfg: ExperimentConfig, trial: int
-) -> tuple[RunResult, TrialSummary]:
-    """One seeded run; trial t's oracle, which keys all its draws, has seed base_seed + t."""
+) -> tuple[RunResult, TrialAudit, TrialSummary]:
+    """One seeded run and its ground-truth pass; trial t's oracle has seed base_seed + t."""
     seed = cfg.base_seed + trial
     oracle = MeasurementOracle(
         problem,
@@ -314,14 +334,13 @@ def run_trial(
     t0 = time.perf_counter()
     result = run(problem, cfg.algo, oracle)
     wall = time.perf_counter() - t0
+    truth = audit_trial(problem, result)
 
     try:
         final_obj = problem.objective_value(result.x_final)
     except DivergedTrajectoryError:  # x_final itself diverged: unknown, as in the audit
         final_obj = math.nan
-    best_obj = final_obj
-    if result.trace:
-        best_obj = float(np.fmin(best_obj, _iterate_truth(result)[0].min()))
+    best_obj = float(np.fmin.reduce(truth.true_objective, initial=final_obj))
     x_r = lam_r = None
     res = (None, None, None)
     if result.certificate is not None:
@@ -333,7 +352,6 @@ def run_trial(
             res = kkt_residuals(
                 problem, cert, nu_r, substream(seed, DOMAIN_MC, 1), n_mc=cfg.residual_mc
             )
-    audit = result.audit
     summary = TrialSummary(
         trial=trial,
         seed=seed,
@@ -345,14 +363,15 @@ def run_trial(
         residual_feasibility=res[0],
         residual_complementarity=res[1],
         residual_stationarity=res[2],
-        violation_count=audit.violation_count,
-        total_scalar_calls=audit.total_scalar_calls,
-        total_directions=audit.total_directions,
+        violation_count=truth.violation_count,
+        containment_failures=truth.containment_failures,
+        total_scalar_calls=result.audit.total_scalar_calls,
+        total_directions=result.audit.total_directions,
         wall_time=wall,
         halted_reason=result.halted_reason,
         halted_at=result.halted_at,
     )
-    return result, summary
+    return result, truth, summary
 
 
 def _worker_count(items: int) -> int:
@@ -488,16 +507,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
     """
     _pin_mmap_threshold()
     problem = build_problem(cfg.problem_name, cfg.problem_options)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    out = cfg.output_dir
+    out.mkdir(parents=True, exist_ok=True)
 
     def trial(t):
-        result, summary = run_trial(problem, cfg, t)
-        _atomic_write(
-            cfg.output_dir / f"trial{t:03d}_trace.csv", lambda p: write_trace_csv(result, p)
-        )
-        _atomic_write(
-            cfg.output_dir / f"trial{t:03d}_audit.csv", lambda p: write_audit_csv(result.audit, p)
-        )
+        result, truth, summary = run_trial(problem, cfg, t)
+        _atomic_write(out / f"trial{t:03d}_trace.csv", lambda p: write_trace_csv(result, truth, p))
+        _atomic_write(out / f"trial{t:03d}_audit.csv", lambda p: write_audit_csv(result.audit, p))
         return summary
 
     summaries = _fork_map(trial, range(cfg.trials))
@@ -507,11 +523,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunSummary:
         "objective_min": min(finals, default=None),
         "objective_max": max(finals, default=None),
         "total_violations": int(sum(s.violation_count for s in summaries)),
+        "total_containment_failures": int(sum(s.containment_failures for s in summaries)),
         "trials": len(summaries),
     }
     run_summary = RunSummary(label=cfg.label, trials=summaries, aggregate=aggregate)
     _atomic_write(
-        cfg.output_dir / "summary.json",
+        out / "summary.json",
         lambda p: Path(p).write_text(json.dumps(dataclasses.asdict(run_summary), indent=2) + "\n"),
     )
     return run_summary
@@ -529,19 +546,6 @@ class PropertyCheck:
     statistic: float
     threshold: float
     detail: str = ""
-
-
-def containment_violations(result: RunResult, lipschitz: float, rel_tol: float = 1e-9) -> int:
-    """Count consecutive steps violating |x_{k+1} - x_k| <= alpha_k / (2 L k^(2/5))."""
-    bad = 0
-    trace = result.trace
-    for i in range(len(trace) - 1):
-        rec = trace[i]
-        step = float(np.linalg.norm(trace[i + 1].x - rec.x))
-        bound = rec.alpha_hat / (2.0 * lipschitz * rec.k ** (2.0 / 5.0))
-        if step > bound * (1.0 + rel_tol):
-            bad += 1
-    return bad
 
 
 def check_estimator_unbiasedness(
@@ -771,35 +775,27 @@ def check_output_law(
 
 def check_safety_containment(seed: int = 20260809) -> list[PropertyCheck]:
     """Short noisy run: zero ground-truth violations and every step inside
-    its alpha_k / (2 L k^(2/5)) containment bound."""
+    its alpha_k / (2 L k^(2/5)) containment bound (`audit_trial`)."""
     problem = analytic_problem("linear-ball", noise_sigma=0.01)
-    cfg = AlgoConfig(
-        eta=0.05,
-        max_iters=400,
-        delta=0.05,
-        n_policy="fixed",
-        n_fixed=8,
-        nu_policy="adaptive",
-    )
-    oracle = MeasurementOracle(
-        problem, NoiseModel(kind="gaussian", sigma=0.01, master_seed=seed)
-    )
+    cfg = AlgoConfig(eta=0.05, max_iters=400, delta=0.05, n_policy="fixed", n_fixed=8,
+                     nu_policy="adaptive")
+    oracle = MeasurementOracle(problem, NoiseModel(kind="gaussian", sigma=0.01, master_seed=seed))
     result = run(problem, cfg, oracle)
-    bad_steps = containment_violations(result, problem.lipschitz)
+    truth = audit_trial(problem, result)
     return [
         PropertyCheck(
             name="safety/zero-violations",
-            passed=result.audit.violation_count == 0,
-            statistic=float(result.audit.violation_count),
+            passed=truth.violation_count == 0,
+            statistic=float(truth.violation_count),
             threshold=0.0,
             detail=f"{len(result.audit)} audited points",
         ),
         PropertyCheck(
             name="safety/step-containment",
-            passed=bad_steps == 0,
-            statistic=float(bad_steps),
+            passed=truth.containment_failures == 0,
+            statistic=float(truth.containment_failures),
             threshold=0.0,
-            detail=f"{len(result.trace)} recorded iterations",
+            detail=f"{len(result.trace)} steps",
         ),
     ]
 

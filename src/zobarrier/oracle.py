@@ -122,10 +122,6 @@ class SafetyAudit:
         fc = self.true_max_constraint
         return ~(np.isfinite(fc) & (fc <= 0.0))
 
-    @property
-    def violation_count(self) -> int:
-        return int(np.count_nonzero(self.violated))
-
 
 class MeasurementOracle:
     """Serves noisy measurements of one problem and audits every query.

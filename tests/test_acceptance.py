@@ -5,22 +5,20 @@ failure) and asserts the criterion. Expensive run bundles are shared
 module-scoped fixtures.
 """
 
-import csv
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from zobarrier.harness import (
     _fork_map,
+    audit_trial,
     build_problem,
     check_coverage,
     check_estimator_unbiasedness,
     check_output_law,
     check_smoothing_properties,
     config_from_mapping,
-    containment_violations,
     run_experiment,
 )
 from zobarrier.oracle import MeasurementOracle, NoiseModel
@@ -46,23 +44,6 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def trace_from_csv(path):
-    """The trace records of a trace CSV, with the fields containment_violations
-    reads; the CSV holds each float at full round-trip precision."""
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    coords = [name for name in rows[0] if name.startswith("x")]
-    trace = [
-        SimpleNamespace(
-            k=int(row["k"]),
-            x=np.array([float(row[name]) for name in coords]),
-            alpha_hat=float(row["alpha_hat"]),
-        )
-        for row in rows
-    ]
-    return SimpleNamespace(trace=trace)
-
-
 @pytest.fixture(scope="module")
 def unicycle_bundle(tmp_path_factory):
     # The paper preset as `zobarrier run` executes it.
@@ -78,7 +59,6 @@ def unicycle_bundle(tmp_path_factory):
     return dict(
         problem=problem,
         baseline=baseline,
-        results=[trace_from_csv(out / f"trial{t:03d}_trace.csv") for t in range(cfg.trials)],
         summaries=summaries,
         elapsed=elapsed,
     )
@@ -213,7 +193,7 @@ def test_criterion_08_convergence_quality(ball_bundle):
     for seed, result in zip(ball_bundle["seeds"], ball_bundle["results"]):
         assert result.certificate is not None
         cert = result.certificate
-        violations += result.audit.violation_count
+        violations += audit_trial(problem, result).violation_count
         finals.append(problem.objective_value(result.x_final))
         nu_r = result.trace[cert.iteration - 1].nu
         fc_nu, _ = smoothed_value(
@@ -253,13 +233,15 @@ def test_criterion_08_convergence_quality(ball_bundle):
 
 
 def test_criterion_09_step_containment(unicycle_bundle, ball_bundle, margin_bundle):
-    bad = 0
-    total = 0
-    for bundle in (unicycle_bundle, ball_bundle, margin_bundle):
-        L = bundle["problem"].lipschitz
+    # Each trial's ground-truth pass (`audit_trial`): a run_experiment trial
+    # reports it in its summary, and a bare run is passed through it here.
+    # A trial takes one step per trace record.
+    counts = [(s.containment_failures, s.iterations) for s in unicycle_bundle["summaries"]]
+    for bundle in (ball_bundle, margin_bundle):
         for result in bundle["results"]:
-            bad += containment_violations(result, L)
-            total += max(len(result.trace) - 1, 0)
+            counts.append((audit_trial(bundle["problem"], result).containment_failures,
+                           len(result.trace)))
+    bad, total = (sum(column) for column in zip(*counts))
     report("9 step-containment", bad == 0, f"{bad} violations across {total} steps")
 
 

@@ -25,6 +25,7 @@ from zobarrier.errors import (
 from zobarrier.harness import (
     PRESETS,
     PropertyCheck,
+    audit_trial,
     build_problem,
     check_smoothing_properties,
     config_from_mapping,
@@ -34,7 +35,10 @@ from zobarrier.harness import (
     verify_properties,
     write_trace_csv,
 )
-from zobarrier.oracle import _CSV_CHUNK_VALUES, MeasurementOracle
+from zobarrier.oracle import _CSV_CHUNK_VALUES, MeasurementOracle, SafetyAudit
+from zobarrier.problems import analytic_problem
+from zobarrier.solver import IterateRecord, RunResult
+from zobarrier.streams import SIDE_BASE, SIDE_PERTURBED
 
 BASE_CONFIG = {
     "problem": {"name": "linear-ball", "noise_sigma": 0.02},
@@ -325,6 +329,9 @@ def test_run_experiment_files_and_summary(tmp_path):
     assert summary.aggregate["total_violations"] == sum(
         t.violation_count for t in summary.trials
     )
+    assert summary.aggregate["total_containment_failures"] == sum(
+        t.containment_failures for t in summary.trials
+    ) == 0
 
 
 def test_summary_json_round_trip(tmp_path):
@@ -488,10 +495,10 @@ def legacy_trace_csv(result, problem, path):
 def test_trace_csv_matches_csv_writer_bytes(tmp_path):
     cfg = make_config(tmp_path, algo={"max_iters": 12})
     problem = build_problem(cfg.problem_name, cfg.problem_options)
-    result, _ = run_trial(problem, cfg, 0)
+    result, truth, _ = run_trial(problem, cfg, 0)
     # A NaN value must take `repr`'s spelling too.
     result.trace[-1] = dataclasses.replace(result.trace[-1], k=10**12, alpha_hat=float("nan"))
-    write_trace_csv(result, tmp_path / "columnar.csv")
+    write_trace_csv(result, truth, tmp_path / "columnar.csv")
     legacy_trace_csv(result, problem, tmp_path / "legacy.csv")
     got = (tmp_path / "columnar.csv").read_bytes()
     assert got == (tmp_path / "legacy.csv").read_bytes()
@@ -504,11 +511,11 @@ def test_a_trace_csv_of_several_chunks_matches_csv_writer_bytes(tmp_path):
     chunk = max(1, _CSV_CHUNK_VALUES // (2 + 6))
     cfg = make_config(tmp_path, algo={"max_iters": 2 * chunk + 5, "n_fixed": 2})
     problem = build_problem(cfg.problem_name, cfg.problem_options)
-    result, _ = run_trial(problem, cfg, 0)
+    result, truth, _ = run_trial(problem, cfg, 0)
     assert len(result.trace) == 2 * chunk + 5
     # A NaN as the first value of the second chunk.
     result.trace[chunk] = dataclasses.replace(result.trace[chunk], alpha_hat=float("nan"))
-    write_trace_csv(result, tmp_path / "columnar.csv")
+    write_trace_csv(result, truth, tmp_path / "columnar.csv")
     legacy_trace_csv(result, problem, tmp_path / "legacy.csv")
     got = (tmp_path / "columnar.csv").read_bytes()
     assert got == (tmp_path / "legacy.csv").read_bytes()
@@ -519,12 +526,90 @@ def test_a_trace_csv_of_several_chunks_matches_csv_writer_bytes(tmp_path):
 
 def test_trace_csv_refuses_a_trace_the_audit_does_not_cover(tmp_path):
     # Trace truth is read from the audit's base rows, one per iteration:
-    # a record past them has no recorded truth.
+    # a record past them has no recorded truth, and the pass refuses it.
     cfg = make_config(tmp_path, algo={"max_iters": 3})
-    result, _ = run_trial(build_problem(cfg.problem_name, cfg.problem_options), cfg, 0)
+    problem = build_problem(cfg.problem_name, cfg.problem_options)
+    result, _, _ = run_trial(problem, cfg, 0)
     result.trace.append(dataclasses.replace(result.trace[-1], k=4))
     with pytest.raises(ContractViolationError):
-        write_trace_csv(result, tmp_path / "trace.csv")
+        write_trace_csv(result, audit_trial(problem, result), tmp_path / "trace.csv")
+
+
+# -- the ground-truth pass ---------------------------------------------------
+
+BALL = analytic_problem("linear-ball")
+
+
+def bound(k, alpha=0.1):
+    """Step k's containment bound on BALL."""
+    return alpha / (2.0 * BALL.lipschitz * k ** (2.0 / 5.0))
+
+
+def walk(scales, halted=False):
+    """A RunResult on BALL that steps along x0 from the origin, step k
+    scales[k - 1] times its bound (alpha 0.1), and ends at x_final after the
+    last step. Its audit holds each iteration's base row, true objective
+    -k, then one perturbed row; a halted run also holds the base row of the
+    iteration it halted at, x_final."""
+    K = len(scales)
+    path = np.zeros((K + 1, 2))
+    path[1:, 0] = np.cumsum([s * bound(k) for k, s in enumerate(scales, 1)])
+    trace = [IterateRecord(k, path[k - 1], 0.1, 1.0, 0.0, 0.0, 0.01, np.zeros(1), 0, 0)
+             for k in range(1, K + 1)]
+    ks = np.repeat(np.arange(1, K + 1), 2)
+    sides = np.tile([SIDE_BASE, SIDE_PERTURBED], K)
+    points = np.repeat(path[:K], 2, axis=0)
+    objective = np.repeat(-np.arange(1.0, K + 1), 2)
+    if halted:
+        ks, sides = np.r_[ks, K + 1], np.r_[sides, SIDE_BASE]
+        points, objective = np.vstack([points, path[K]]), np.r_[objective, -(K + 1.0)]
+    audit = SafetyAudit(ks, sides, points, objective, np.full(len(ks), -0.5))
+    reason = "margin-exhausted" if halted else None
+    return RunResult(trace, path[K].copy(), None, audit, reason, K + 1 if halted else None)
+
+
+def test_audit_trial_reads_each_record_s_base_row():
+    result = walk([0.99, 0.5, 0.0, 0.99])
+    truth = audit_trial(BALL, result)
+    np.testing.assert_array_equal(truth.x, np.array([r.x for r in result.trace]))
+    assert truth.true_objective.tolist() == [-1.0, -2.0, -3.0, -4.0]
+    assert truth.true_max_constraint.tolist() == [-0.5] * 4
+    assert truth.violation_count == truth.containment_failures == 0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("row", [2, 3])  # iteration 2's base row, then its perturbed row
+def test_audit_trial_counts_a_non_finite_true_row_as_a_violation(value, row):
+    result = walk([0.5, 0.5, 0.5])
+    fc = result.audit.true_max_constraint.copy()
+    fc[row] = value
+    result.audit = dataclasses.replace(result.audit, true_max_constraint=fc)
+    truth = audit_trial(BALL, result)
+    assert truth.violation_count == 1
+    assert truth.containment_failures == 0
+
+
+def test_audit_trial_counts_an_oversized_middle_step():
+    # 1.5 bounds: over the bound, under twice it.
+    assert audit_trial(BALL, walk([0.99, 1.5, 0.99])).containment_failures == 1
+
+
+@pytest.mark.parametrize("halted", [False, True])
+def test_audit_trial_checks_the_last_step_too(halted):
+    # The last step leads to x_final, which no trace record holds: on a
+    # halted run, the point of the iteration that halted.
+    assert audit_trial(BALL, walk([0.99, 0.99, 1.5], halted)).containment_failures == 1
+
+
+def test_audit_trial_of_a_trial_halted_at_its_start():
+    # Halted at k = 1: no step was taken, and the one audited row is the
+    # start's base row, here flagged.
+    result = walk([], halted=True)
+    result.audit = dataclasses.replace(result.audit, true_max_constraint=np.array([0.5]))
+    truth = audit_trial(BALL, result)
+    assert truth.x.shape == (0, 2) and truth.true_objective.size == 0
+    assert truth.containment_failures == 0
+    assert truth.violation_count == 1
 
 
 def test_audit_csv_contents(tmp_path):
@@ -803,7 +888,22 @@ def test_cli_run(tmp_path, capsys):
     assert cli.main(["run", cli_config(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "objective median" in out
+    assert "containment" not in out  # printed only when nonzero
     assert (tmp_path / "out" / "summary.json").exists()
+
+
+def test_cli_run_prints_containment_failures(tmp_path, capsys, monkeypatch):
+    real = harness.audit_trial
+    monkeypatch.setattr(
+        harness, "audit_trial", lambda *args: real(*args)._replace(containment_failures=3)
+    )
+    assert cli.main(["run", cli_config(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("  ground-truth constraint violations: 0")
+    assert lines[at + 1] == "  steps past their containment bound: 3"
+    saved = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert saved["trials"][0]["containment_failures"] == 3
+    assert saved["aggregate"]["total_containment_failures"] == 3
 
 
 def test_cli_run_missing_config(tmp_path):

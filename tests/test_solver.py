@@ -10,6 +10,7 @@ from zobarrier.errors import (
     MarginExhaustedError,
 )
 from zobarrier.estimator import confidence_bounds, margin
+from zobarrier.harness import audit_trial
 from zobarrier.oracle import MeasurementOracle, NoiseModel
 from zobarrier.problems import ProblemSpec, analytic_problem
 from zobarrier.solver import (
@@ -536,7 +537,8 @@ def test_non_finite_measurement_is_a_named_halt():
     before = audit.iterations < result.halted_at
     assert np.all(np.isfinite(audit.true_max_constraint[before]))
     assert np.isnan(audit.true_max_constraint[~before]).any()
-    assert audit.violation_count == np.count_nonzero(~before & audit.violated) > 0
+    flagged = audit_trial(prob, result).violation_count
+    assert flagged == np.count_nonzero(~before & audit.violated) > 0
 
 
 def diverge_beyond_problem():
@@ -565,7 +567,7 @@ def test_diverged_measurement_is_a_named_halt():
     unknown = np.isnan(audit.true_max_constraint)
     assert unknown.any()
     assert np.all(audit.iterations[unknown] == result.halted_at)
-    assert audit.violation_count == np.count_nonzero(unknown)
+    assert audit_trial(prob, result).violation_count == np.count_nonzero(unknown)
 
 
 def test_zero_gradient_records_zero_weight():
@@ -602,7 +604,8 @@ def assert_halted_at_the_start(result, prob):
     assert audit.iterations.tolist() == [1]
     assert audit.sides.tolist() == [SIDE_BASE]
     np.testing.assert_array_equal(audit.points[0], prob.safe_start)
-    assert audit.violation_count == 0
+    truth = audit_trial(prob, result)
+    assert truth.violation_count == truth.containment_failures == len(truth.x) == 0
 
 
 def test_unsafe_start_detected():
@@ -667,4 +670,4 @@ def test_barrier_descent_noiseless():
     b0, _ = barrier_value_and_grad(prob, prob.safe_start, cfg.eta, nu, 200_000, substream(1))
     bk, _ = barrier_value_and_grad(prob, result.x_final, cfg.eta, nu, 200_000, substream(2))
     assert bk < b0 - 0.1
-    assert result.audit.violation_count == 0
+    assert audit_trial(prob, result).violation_count == 0
